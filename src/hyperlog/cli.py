@@ -19,16 +19,14 @@ import numpy as np
 from . import config
 from .corpus import demo, demo_names
 from .errors import HyperlogError, NotLiftable, TwistedLoop, UnknownDemo
-from .lifting import FALLBACK_SAMPLES, lift_path, verify_lift
+from .lifting import lift_path
 from .obstruction import find_obstructions, report_to_json
 from .pathkit import (
     PathSpec,
     path_from_json,
     path_to_json,
-    sample_adaptive,
-    sample_uniform,
+    sample_path,
 )
-from .errors import RefinementBudgetExceeded
 from .companion import canonical_form, unit_field
 from .winding import analyze_loop
 
@@ -73,13 +71,6 @@ def _demo_directives(args):
     return tuple(out.get(n) for n in range(size))
 
 
-def _sample(spec, n0):
-    try:
-        return sample_adaptive(spec, n0), "adaptive"
-    except RefinementBudgetExceeded:
-        return sample_uniform(spec, FALLBACK_SAMPLES), "uniform_fallback"
-
-
 def _write(out_dir, name, text) -> None:
     if out_dir is None:
         return
@@ -90,7 +81,7 @@ def _write(out_dir, name, text) -> None:
 
 def _cmd_analyze(args) -> int:
     spec, stem = _load_path(args)
-    sampled, sampling = _sample(spec, args.n0)
+    sampled, sampling = sample_path(spec, args.n0)
     rep = find_obstructions(sampled, spec)
     doc = report_to_json(rep)
     doc["sampling"] = sampling
@@ -124,10 +115,6 @@ def _cmd_lift(args) -> int:
         }
         sys.stdout.write(_dumps(doc))
         return 2
-    try:
-        resampled, _ = _sample(spec, args.n0)
-    except HyperlogError:
-        resampled = None
     doc = {
         "status": "ok",
         "k0": res.lift.k0,
@@ -157,7 +144,7 @@ def _cmd_winding(args) -> int:
 
 def _cmd_shadow(args) -> int:
     spec, stem = _load_path(args)
-    sampled, _sampling = _sample(spec, args.n0)
+    sampled, _sampling = sample_path(spec, args.n0)
     from dataclasses import replace
 
     rep = find_obstructions(sampled, replace(spec, closed=False))

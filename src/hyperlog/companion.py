@@ -224,7 +224,7 @@ class Shadow:
     def to_csv(self) -> str:
         lines = ["t,x,y"]
         for t, x, y in zip(self.params, self.x, self.y):
-            lines.append(f"{t!r},{x!r},{y!r}")
+            lines.append(",".join(repr(float(c)) for c in (t, x, y)))
         return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,6 @@ from .errors import (
     HypothesisViolated,
     InitialMismatch,
     MissingInitialUnit,
-    RefinementBudgetExceeded,
     StepTooLarge,
 )
 from .obstruction import (
@@ -33,9 +32,8 @@ from .obstruction import (
     classify_interval,
     find_obstructions,
 )
-from .pathkit import PathSpec, SampledPath, sample_adaptive, sample_uniform
-
-FALLBACK_SAMPLES = 4097
+from .pathkit import FALLBACK_SAMPLES  # noqa: F401  (long-standing import path)
+from .pathkit import PathSpec, SampledPath, sample_path
 
 
 @dataclass(frozen=True)
@@ -196,12 +194,7 @@ def lift_path(
     contact without the direction limits needed to carry a nonzero
     argument across; errors about unusable inputs do raise.
     """
-    sampling = "adaptive"
-    try:
-        sampled = sample_adaptive(spec, n0)
-    except RefinementBudgetExceeded:
-        sampled = sample_uniform(spec, FALLBACK_SAMPLES)
-        sampling = "uniform_fallback"
+    sampled, sampling = sample_path(spec, n0)
     if rep is None or rep.closed:
         rep = find_obstructions(sampled, replace(spec, closed=False))
 
@@ -285,12 +278,7 @@ def closed_nontame_liftable(
     if not spec.closed:
         raise HypothesisViolated("the criterion applies to closed paths")
     if rep is None:
-        try:
-            sampled = sample_adaptive(spec, n0)
-        except RefinementBudgetExceeded as e:
-            sampled = e.sampled if e.sampled is not None else sample_uniform(
-                spec, FALLBACK_SAMPLES
-            )
+        sampled, _sampling = sample_path(spec, n0)
         rep = find_obstructions(sampled, spec)
     bad = (SEMI_TAME, NOT_TAME)
     xs = sorted(c.t for c in rep.contacts if c.kind in bad)

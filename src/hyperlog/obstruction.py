@@ -28,6 +28,11 @@ ENDPOINT_TAME = "endpoint_tame"
 ENDPOINT_NOT_TAME = "endpoint_not_tame"
 UNRESOLVED = "unresolved"
 
+# offsets of a one-sided limit evaluated per path call
+LIMIT_CHUNK = 8
+# halvings of a real/non-real edge resolved per path call
+BISECT_LEVELS = 5
+
 
 @dataclass(frozen=True)
 class Contact:
@@ -101,8 +106,9 @@ def one_sided_direction(
     """Limit of Im(gamma)/|Im(gamma)| as the parameter approaches t.
 
     side is +1 for the right limit and -1 for the left one.  The limit
-    is chased along a halving sequence of offsets; it counts as found
-    when three consecutive directions agree within the angle tolerance.
+    is chased along a halving sequence of offsets, evaluated
+    LIMIT_CHUNK at a time; it counts as found when three consecutive
+    directions agree within the angle tolerance.
     Returns None when no limit emerges, as happens for directions that
     spin without settling.
     """
@@ -110,29 +116,31 @@ def one_sided_direction(
     if h0 is None:
         h0 = 1e-3 * span
     lo, hi = spec.a, spec.b
-    collected = []
     # the irrational scale keeps the probe offsets off resonances of
     # periodic direction fields, which a round dyadic ladder can hit
     h = h0 / math.sqrt(2.0)
+    ladder = []
     for _ in range(config.LIMIT_HALVINGS):
         tt = t + side * h
         h *= 0.5
-        if tt < lo or tt > hi:
-            continue
-        v = spec.value(tt)
-        if _is_real_vec(v):
-            continue
-        u = _unit(v)
-        collected.append(u)
-        if len(collected) >= 3:
-            u1, u2, u3 = collected[-3], collected[-2], collected[-1]
-            cos_tol = math.cos(config.THETA_TOL)
-            if (
-                float(np.dot(u1, u2)) >= cos_tol
-                and float(np.dot(u2, u3)) >= cos_tol
-                and float(np.dot(u1, u3)) >= cos_tol
-            ):
-                return u3
+        if lo <= tt <= hi:
+            ladder.append(tt)
+    cos_tol = math.cos(config.THETA_TOL)
+    collected = []
+    for start in range(0, len(ladder), LIMIT_CHUNK):
+        for v in spec.values(np.array(ladder[start:start + LIMIT_CHUNK])):
+            if _is_real_vec(v):
+                continue
+            u = _unit(v)
+            collected.append(u)
+            if len(collected) >= 3:
+                u1, u2, u3 = collected[-3], collected[-2], collected[-1]
+                if (
+                    float(np.dot(u1, u2)) >= cos_tol
+                    and float(np.dot(u2, u3)) >= cos_tol
+                    and float(np.dot(u1, u3)) >= cos_tol
+                ):
+                    return u3
     return None
 
 
@@ -177,13 +185,32 @@ def classify_interval(interval: AxisInterval, directive: str | None = None) -> s
 
 
 def _bisect_real_edge(spec, t_real, t_nonreal, ptol):
-    """Refine the boundary between real and non-real path values."""
+    """Refine the boundary between real and non-real path values.
+
+    Each path call evaluates the midpoints of the next BISECT_LEVELS
+    halvings for every outcome, in heap order (node n is followed by
+    node 2n+1 when its midpoint is real and by 2n+2 otherwise); walking
+    them gives the same midpoints, from the same endpoints, as one
+    halving per call.
+    """
+    nodes = 2 ** BISECT_LEVELS - 1
     while abs(t_real - t_nonreal) > ptol:
-        tm = 0.5 * (t_real + t_nonreal)
-        if _is_real_vec(spec.value(tm)):
-            t_real = tm
-        else:
-            t_nonreal = tm
+        brackets = [(t_real, t_nonreal)]
+        mids = []
+        for n in range(nodes):
+            r, nr = brackets[n]
+            tm = 0.5 * (r + nr)
+            mids.append(tm)
+            brackets += [(tm, nr), (r, tm)]
+        vals = spec.values(np.array(mids))
+        n = 0
+        while n < nodes and abs(t_real - t_nonreal) > ptol:
+            if _is_real_vec(vals[n]):
+                t_real = mids[n]
+                n = 2 * n + 1
+            else:
+                t_nonreal = mids[n]
+                n = 2 * n + 2
     return t_real
 
 
@@ -309,20 +336,22 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
                 wrap_item = ("contact", float(spec.a), float(spec.a))
 
     # --- direction limits and classification ------------------------------
-    def gap_to_prev(t):
-        prev = [it for it in items if it[1] < t - edge_tol]
-        if not prev:
-            return math.inf
-        p = prev[-1]
-        return t - (p[2] if p[0] == "run" else p[1])
+    marks = np.sort(
+        [it[1] for it in items] + [it[2] for it in items if it[0] == "run"]
+    )
 
     def h0_for(t):
-        others = [
-            abs(t - it[1]) for it in items if abs(t - it[1]) > edge_tol
-        ] + [
-            abs(t - it[2]) for it in items if it[0] == "run" and abs(t - it[2]) > edge_tol
-        ]
-        nearest = min(others) if others else math.inf
+        # nearest item parameter farther than edge_tol from t: distances
+        # grow monotonically away from t on either side
+        nearest = math.inf
+        i = int(np.searchsorted(marks, t))
+        for step, k in ((-1, i - 1), (1, i)):
+            while 0 <= k < len(marks):
+                d = abs(t - marks[k])
+                if d > edge_tol:
+                    nearest = min(nearest, d)
+                    break
+                k += step
         return min(1e-3 * span, nearest / 2.0) if math.isfinite(nearest) else 1e-3 * span
 
     def dir_at(t, side):
@@ -433,12 +462,28 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
 
     period = spec.b - spec.a
 
-    def in_gap(t, g0, g1):
-        for tt in (t, t + period, t - period):
-            if g0 - edge_tol <= tt <= g1 + edge_tol:
-                return True
-        return False
+    def in_gap(keys):
+        """(g0, g1) -> indices, in list order, of the keys t with
+        g0 - edge_tol <= tt <= g1 + edge_tol for tt = t or t +- period."""
+        keys = np.asarray(keys, dtype=float)
+        shifts = []
+        for tt in (keys, keys + period, keys - period):
+            order = np.argsort(tt, kind="stable")
+            shifts.append((tt[order], order))
 
+        def members(g0, g1):
+            lo, hi = g0 - edge_tol, g1 + edge_tol
+            hits = set()
+            for tt, order in shifts:
+                k0 = np.searchsorted(tt, lo, side="left")
+                k1 = np.searchsorted(tt, hi, side="right")
+                hits.update(order[k0:k1].tolist())
+            return sorted(hits)
+
+        return members
+
+    contacts_in = in_gap([c.t for c in contacts])
+    runs_in = in_gap([r.t0 for r in runs])
     intervals = []
     if big_arcs:
         pairs = list(zip(big_arcs, big_arcs[1:]))
@@ -447,13 +492,13 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         for (a0, a1), (b0, b1) in pairs:
             g0 = norm_param(a1)
             g1 = b0 if b0 >= g0 - edge_tol else spec.b + (b0 - spec.a)
-            wrap = g1 > spec.b + edge_tol or any(
-                r.wrap for r in runs if in_gap(r.t0, g0, g1)
-            ) or any(c.wrap for c in contacts if in_gap(c.t, g0, g1))
-            inner_contacts = tuple(
-                c for c in contacts if in_gap(c.t, g0, g1)
+            inner_contacts = tuple(contacts[k] for k in contacts_in(g0, g1))
+            inner_runs = tuple(runs[k] for k in runs_in(g0, g1))
+            wrap = (
+                g1 > spec.b + edge_tol
+                or any(r.wrap for r in inner_runs)
+                or any(c.wrap for c in inner_contacts)
             )
-            inner_runs = tuple(r for r in runs if in_gap(r.t0, g0, g1))
             if inner_contacts:
                 sign = inner_contacts[0].sign
             elif inner_runs:

@@ -9,12 +9,12 @@ reparameterisation wrapper instead of per-kind rewriting.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,6 +360,7 @@ class PathSpec:
             scale = max(1.0, float(np.linalg.norm(vl)))
             if float(np.linalg.norm(vl - vr)) > 1e-9 * scale:
                 raise EndpointMismatch("segments do not join continuously")
+        object.__setattr__(self, "_cuts", np.array([s.ta for s in segs[1:]]))
         if self.closed:
             va = segs[0].values(np.array([self.a]))[0]
             vb = segs[-1].values(np.array([self.b]))[0]
@@ -371,24 +372,38 @@ class PathSpec:
     def dim(self):
         return self.segments[0].dim
 
-    def _segment_for(self, t: float):
-        starts = [s.ta for s in self.segments]
-        n = bisect.bisect_right(starts, t) - 1
-        n = min(max(n, 0), len(self.segments) - 1)
-        return self.segments[n]
-
     def value(self, t: float) -> np.ndarray:
-        tol = 1e-12 * max(1.0, self.b - self.a)
-        if t < self.a - tol or t > self.b + tol:
-            raise OutOfDomain(f"t={t} outside [{self.a}, {self.b}]")
-        t = min(max(t, self.a), self.b)
-        return self._segment_for(t).values(np.array([t]))[0]
+        return self.values(np.array([t]))[0]
 
     def values(self, ts: np.ndarray) -> np.ndarray:
+        """Path values at many parameters, one segment call per segment.
+
+        A parameter belongs to the last segment starting at or before
+        it; parameters within rounding of the domain are clamped into it,
+        and any other parameter outside it raises OutOfDomain.
+        """
         ts = np.asarray(ts, dtype=float)
+        if ts.shape[0] == 0:
+            return np.empty((0, self.dim))
+        lo, hi = ts.min(), ts.max()
+        if lo < self.a or hi > self.b:
+            tol = 1e-12 * max(1.0, self.b - self.a)
+            outside = (ts < self.a - tol) | (ts > self.b + tol)
+            if outside.any():
+                t = float(ts[np.argmax(outside)])
+                raise OutOfDomain(f"t={t} outside [{self.a}, {self.b}]")
+            ts = np.where(self.a > ts, self.a, ts)
+            ts = np.where(self.b < ts, self.b, ts)
+        # index of the last segment starting at or before each parameter,
+        # the first segment for parameters before every start
+        segs = np.searchsorted(self._cuts, ts, side="right")
+        if (segs == segs[0]).all():
+            return self.segments[segs[0]].values(ts)
         out = np.empty((ts.shape[0], self.dim))
-        for n, t in enumerate(ts):
-            out[n] = self.value(float(t))
+        order = np.argsort(segs, kind="stable")
+        cuts = np.flatnonzero(np.diff(segs[order])) + 1
+        for rows in np.split(order, cuts):
+            out[rows] = self.segments[segs[rows[0]]].values(ts[rows])
         return out
 
     def evaluate(self, t: float) -> Hyper:
@@ -427,11 +442,18 @@ def repeat(p: PathSpec, m: int) -> PathSpec:
         raise EndpointMismatch("only closed paths can be repeated")
     if m < 1:
         raise ValueError("repeat count must be positive")
-    out = replace(p, closed=False)
-    one = replace(p, closed=False)
+    # the offsets accumulate the way m - 1 successive concats would, and
+    # the joins are checked once, by the PathSpec of all the copies
+    segs = list(p.segments)
+    b = p.b
     for _ in range(m - 1):
-        out = concat(out, one)
-    return replace(out, closed=True)
+        offset = b - p.a
+        segs += [
+            _reparam(s, 1.0, -offset, s.ta + offset, s.tb + offset)
+            for s in p.segments
+        ]
+        b = b + (p.b - p.a)
+    return PathSpec(p.a, b, tuple(segs), True)
 
 
 def reflect_negconj(p: PathSpec) -> PathSpec:
@@ -633,6 +655,12 @@ def path_from_json_str(s: str) -> PathSpec:
 # ---------------------------------------------------------------------------
 # sampling
 
+# uniform samples taken when adaptive sampling gives up
+FALLBACK_SAMPLES = 4097
+# evaluations one adaptive sampling may spend; a path that needs more is
+# left to the uniform fallback
+EVAL_BUDGET = 8 * FALLBACK_SAMPLES
+
 
 @dataclass(frozen=True)
 class SampledPath:
@@ -673,102 +701,140 @@ def sample_uniform(spec: PathSpec, n: int) -> SampledPath:
     return SampledPath(ts, vals)
 
 
+class _Nodes(NamedTuple):
+    """Sample nodes with the per-node quantities of the split test."""
+
+    t: np.ndarray
+    v: np.ndarray
+    mag: np.ndarray
+    im: np.ndarray
+    real: np.ndarray
+    unit: np.ndarray
+
+    @classmethod
+    def of(cls, t: np.ndarray, v: np.ndarray) -> "_Nodes":
+        mag = np.linalg.norm(v, axis=1)
+        im = np.linalg.norm(v[:, 1:], axis=1)
+        real = im <= config.EPS_REAL * np.maximum(1.0, mag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = v[:, 1:] / im[:, None]
+        return cls(t, v, mag, im, real, unit)
+
+    def take(self, rows) -> "_Nodes":
+        return _Nodes(*(a[rows] for a in self))
+
+    def join(self, other: "_Nodes") -> "_Nodes":
+        return _Nodes(*map(np.concatenate, zip(self, other)))
+
+
 def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     """Refine a uniform grid until the path is geometrically resolved.
 
     An interval is split while the imaginary direction rotates more than
     the step tolerance, the modulus changes by more than ten percent, or
     the interval looks like it brackets a contact with the real axis and
-    is still longer than a millionth of the domain.  Exceeding the depth
-    budget raises, carrying the partial samples and the offending
-    brackets, which is the designed failure mode for paths whose
-    direction oscillates without limit near the axis.
+    is still longer than a millionth of the domain.  Refinement runs
+    level by level: the midpoints of all intervals of one depth are
+    evaluated in one call, and the grid is the sorted right ends of the
+    intervals that need no split.
+
+    Giving up raises RefinementBudgetExceeded, which is the designed
+    failure mode for paths whose direction oscillates without limit near
+    the axis.  That happens when an interval still needs a split at
+    depth D_MAX, or when the next level would take the evaluations past
+    EVAL_BUDGET.  The error's ``unresolved`` lists, sorted by their left
+    ends, the (t_left, t_right) brackets left unresolved: those still
+    splitting at depth D_MAX, or, when the budget ran out, those still
+    waiting for their midpoint.  Its ``sampled`` is the sorted grid of
+    the leaves found so far together with the ends of those brackets,
+    which covers [a, b].  A path value of modulus at most EPS_REAL at
+    any evaluated parameter raises ZeroOnPath.
     """
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
     cos_step = math.cos(config.THETA_STEP)
 
-    cache: dict[float, np.ndarray] = {}
+    def nodes_at(ts: np.ndarray) -> _Nodes:
+        nodes = _Nodes.of(ts, spec.values(ts))
+        zero = nodes.mag <= config.EPS_REAL
+        if zero.any():
+            raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
+        return nodes
 
-    def val(t: float) -> np.ndarray:
-        v = cache.get(t)
-        if v is None:
-            v = spec.value(t)
-            if float(np.linalg.norm(v)) <= config.EPS_REAL:
-                raise ZeroOnPath(f"path value vanishes near t={t}")
-            cache[t] = v
-        return v
-
-    def is_real(v: np.ndarray) -> bool:
-        return float(np.linalg.norm(v[1:])) <= config.eps_real_for(
-            float(np.linalg.norm(v))
-        )
-
-    def needs_split(tl, tm, tr):
-        vl, vm, vr = val(tl), val(tm), val(tr)
-        rl, rm, rr = is_real(vl), is_real(vm), is_real(vr)
-        length = tr - tl
-        if rl and rm and rr:
-            return False, False
-        iml = float(np.linalg.norm(vl[1:]))
-        imm = float(np.linalg.norm(vm[1:]))
-        imr = float(np.linalg.norm(vr[1:]))
-        if rl or rm or rr or imm < 0.3 * min(iml, imr):
-            return length > h_cross, True
-        mags = [float(np.linalg.norm(v)) for v in (vl, vm, vr)]
-        if max(mags) / min(mags) > 1.1:
-            return True, False
-        ul = vl[1:] / iml
-        um = vm[1:] / imm
-        ur = vr[1:] / imr
-        # compare both halves: an endpoint-only test can alias against
-        # direction fields that rotate through full turns between nodes
-        d1 = float(np.dot(ul, um))
-        d2 = float(np.dot(um, ur))
-        if min(abs(d1), abs(d2)) >= cos_step:
-            if d1 < 0.0 and d2 < 0.0:
-                return True, False
-            if d1 < 0.0 or d2 < 0.0:
-                # a clean reversal of the direction is an axis crossing,
-                # not rotation; refine it only down to the crossing scale
-                return length > h_cross, True
-            return False, False
-        return True, False
-
-    ts_out = [spec.a]
-    unresolved = []
-    grid = np.linspace(spec.a, spec.b, n0 + 1)
-    stack = [
-        (float(grid[n]), float(grid[n + 1]), 0)
-        for n in range(n0 - 1, -1, -1)
-    ]
-    max_unresolved = 32
-    while stack:
-        tl, tr, depth = stack.pop()
-        tm = 0.5 * (tl + tr)
-        if tr - tl <= h_floor or len(unresolved) >= max_unresolved:
-            ts_out.append(tr)
-            continue
-        split, _crossing = needs_split(tl, tm, tr)
-        if not split:
-            ts_out.append(tr)
-            continue
+    grid = nodes_at(np.linspace(spec.a, spec.b, n0 + 1))
+    evaluations = n0 + 1
+    leaves = [(grid.t[:1], grid.v[:1])]  # a, then the right end of each leaf
+    left, right = grid.take(slice(0, -1)), grid.take(slice(1, None))
+    lo = hi = np.empty(0)  # unresolved brackets
+    depth = 0
+    while len(left.t):
+        tiny = right.t - left.t <= h_floor
+        if tiny.any():
+            leaves.append((right.t[tiny], right.v[tiny]))
+            left, right = left.take(~tiny), right.take(~tiny)
+        if evaluations + len(left.t) > EVAL_BUDGET:
+            lo, hi = left.t, right.t
+            leaves.append((right.t, right.v))
+            break
+        mid = nodes_at(0.5 * (left.t + right.t))
+        evaluations += len(mid.t)
+        split = _needs_split(left, mid, right, h_cross, cos_step)
+        leaves.append((right.t[~split], right.v[~split]))
         if depth >= config.D_MAX:
-            unresolved.append((tl, tr))
-            ts_out.append(tr)
-            continue
-        stack.append((tm, tr, depth + 1))
-        stack.append((tl, tm, depth + 1))
+            lo, hi = left.t[split], right.t[split]
+            leaves.append((right.t[split], right.v[split]))
+            break
+        mid = mid.take(split)
+        left, right = left.take(split).join(mid), mid.join(right.take(split))
+        depth += 1
 
-    ts = np.array(ts_out)
-    vals = np.array([val(t) for t in ts])
-    sampled = SampledPath(ts, vals)
-    if unresolved:
+    ts = np.concatenate([t for t, _v in leaves])
+    order = np.argsort(ts, kind="stable")
+    sampled = SampledPath(ts[order], np.concatenate([v for _t, v in leaves])[order])
+    if len(lo):
+        first = np.argsort(lo, kind="stable")
+        brackets = list(zip(lo[first].tolist(), hi[first].tolist()))
         raise RefinementBudgetExceeded(
-            f"refinement budget exhausted on {len(unresolved)} bracket(s), "
-            f"first near t={unresolved[0][0]!r}",
+            f"refinement budget exhausted on {len(brackets)} bracket(s), "
+            f"first near t={brackets[0][0]!r}",
             sampled=sampled,
-            unresolved=unresolved,
+            unresolved=brackets,
         )
     return sampled
+
+
+def _needs_split(left, mid, right, h_cross, cos_step) -> np.ndarray:
+    """Which intervals [left, right] with midpoints mid need a split."""
+    length = right.t - left.t
+    all_real = left.real & mid.real & right.real
+    # an interval that looks like it brackets a contact
+    contact = left.real | mid.real | right.real
+    contact |= mid.im < 0.3 * np.minimum(left.im, right.im)
+    mags_max = np.maximum(np.maximum(left.mag, mid.mag), right.mag)
+    mags_min = np.minimum(np.minimum(left.mag, mid.mag), right.mag)
+    # compare both halves: an endpoint-only test can alias against
+    # direction fields that rotate through full turns between nodes
+    d1 = np.einsum("nd,nd->n", left.unit, mid.unit)
+    d2 = np.einsum("nd,nd->n", mid.unit, right.unit)
+    aligned = np.minimum(np.abs(d1), np.abs(d2)) >= cos_step
+    long = length > h_cross
+    # a clean reversal of the direction in one half is an axis crossing,
+    # not rotation; it is refined only down to the crossing scale
+    turning = (
+        (mags_max / mags_min > 1.1)
+        | ~aligned
+        | ((d1 < 0.0) & (d2 < 0.0))
+        | (((d1 < 0.0) | (d2 < 0.0)) & long)
+    )
+    return np.where(contact, long & ~all_real, turning)
+
+
+def sample_path(spec: PathSpec, n0: int = 64) -> tuple[SampledPath, str]:
+    """Adaptive samples of a path, or FALLBACK_SAMPLES uniform ones when
+    the adaptive sampler gives up; the second item names the sampler
+    that ran, "adaptive" or "uniform_fallback"."""
+    try:
+        return sample_adaptive(spec, n0), "adaptive"
+    except RefinementBudgetExceeded:
+        return sample_uniform(spec, FALLBACK_SAMPLES), "uniform_fallback"

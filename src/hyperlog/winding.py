@@ -22,11 +22,10 @@ from .errors import (
     HypothesisViolated,
     NotApplicable,
     NotLiftable,
-    RefinementBudgetExceeded,
     StepTooLarge,
     TwistedLoop,
 )
-from .lifting import FALLBACK_SAMPLES, lift_path
+from .lifting import lift_path
 from .obstruction import (
     BOUNCE,
     ENDPOINT_NOT_TAME,
@@ -42,8 +41,7 @@ from .pathkit import (
     PathSpec,
     SampledPath,
     rotate_basepoint,
-    sample_adaptive,
-    sample_uniform,
+    sample_path,
 )
 
 
@@ -122,13 +120,6 @@ def shadow_winding(shadow: Shadow) -> int:
     return int(w)
 
 
-def _sample(spec: PathSpec, n0: int):
-    try:
-        return sample_adaptive(spec, n0), "adaptive"
-    except RefinementBudgetExceeded:
-        return sample_uniform(spec, FALLBACK_SAMPLES), "uniform_fallback"
-
-
 @dataclass(frozen=True)
 class WindingResult:
     twisted: bool | None
@@ -165,7 +156,7 @@ def analyze_loop(
     """
     if not spec.closed:
         raise HypothesisViolated("winding analysis needs a closed path")
-    sampled, sampling = _sample(spec, n0)
+    sampled, sampling = sample_path(spec, n0)
     rep = find_obstructions(sampled, spec)
 
     try:
@@ -191,7 +182,7 @@ def analyze_loop(
 
     t_star = float(sampled.params[int(np.argmax(im_norms))])
     rot = rotate_basepoint(spec, t_star)
-    rot_sampled, _ = _sample(rot, n0)
+    rot_sampled, _ = sample_path(rot, n0)
     rep_rot = find_obstructions(rot_sampled, rot)
     dir_rot = _transport_directives(spec, rep, directives, rot, rep_rot)
     units = unit_field(rot_sampled, rep_rot, dir_rot)

@@ -1,0 +1,383 @@
+"""Batched path evaluation gives the results of one-point evaluation.
+
+The reference versions below are the one-point-at-a-time algorithms the
+batched ones replaced: a depth-first adaptive sampler, a one-sided limit
+that evaluates one offset per call, and a bisection with one halving
+per call.  The batched versions must agree with them bit for bit.
+"""
+
+import math
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hyperlog as hl
+from hyperlog import config, obstruction
+from hyperlog.errors import OutOfDomain, RefinementBudgetExceeded, ZeroOnPath
+from hyperlog.pathkit import EVAL_BUDGET, Line, PathSpec, sample_path
+
+from test_acceptance import single_slice_loop
+
+CORPUS = [
+    "sigma_arc",
+    "sigma_hat",
+    "rocket_neg",
+    "rocket_pos",
+    "lambda_loop",
+    "three_exp",
+    "gamma1m_gamma2(1)",
+    "gamma1m_gamma2(3)",
+    "gamma1m_gamma2(8)",
+    "meridians",
+    "slice_circle(i,1,1)",
+    "slice_circle(j,2,20)",
+    "slice_circle(k,0.001,2)",
+]
+
+
+def variants(spec):
+    """The path and the paths derived from it by the path algebra."""
+    out = {
+        "plain": spec,
+        "reverse": hl.reverse(spec),
+        "reflect_negconj": hl.reflect_negconj(spec),
+        "subpath": hl.subpath(spec, spec.a + 0.1 * (spec.b - spec.a),
+                              spec.a + 0.6 * (spec.b - spec.a)),
+    }
+    if spec.closed:
+        out["rotate_basepoint"] = hl.rotate_basepoint(
+            spec, spec.a + 0.37 * (spec.b - spec.a))
+    return out
+
+
+def corpus_paths():
+    for name in CORPUS:
+        for kind, spec in variants(hl.demo(name).path).items():
+            yield f"{name}/{kind}", spec
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reference algorithms, one evaluation per call
+
+
+def reference_sample_adaptive(spec, n0=64):
+    """The depth-first sampler with a cap of 32 unresolved brackets."""
+    span = spec.b - spec.a
+    h_cross = span * 1e-6
+    h_floor = span * 2.0 ** -40
+    cos_step = math.cos(config.THETA_STEP)
+    cache = {}
+
+    def val(t):
+        v = cache.get(t)
+        if v is None:
+            v = spec.value(t)
+            if float(np.linalg.norm(v)) <= config.EPS_REAL:
+                raise ZeroOnPath(f"path value vanishes near t={t}")
+            cache[t] = v
+        return v
+
+    def is_real(v):
+        return float(np.linalg.norm(v[1:])) <= config.eps_real_for(
+            float(np.linalg.norm(v)))
+
+    def needs_split(tl, tm, tr):
+        vl, vm, vr = val(tl), val(tm), val(tr)
+        rl, rm, rr = is_real(vl), is_real(vm), is_real(vr)
+        length = tr - tl
+        if rl and rm and rr:
+            return False
+        iml = float(np.linalg.norm(vl[1:]))
+        imm = float(np.linalg.norm(vm[1:]))
+        imr = float(np.linalg.norm(vr[1:]))
+        if rl or rm or rr or imm < 0.3 * min(iml, imr):
+            return length > h_cross
+        mags = [float(np.linalg.norm(v)) for v in (vl, vm, vr)]
+        if max(mags) / min(mags) > 1.1:
+            return True
+        d1 = float(np.dot(vl[1:] / iml, vm[1:] / imm))
+        d2 = float(np.dot(vm[1:] / imm, vr[1:] / imr))
+        if min(abs(d1), abs(d2)) >= cos_step:
+            if d1 < 0.0 and d2 < 0.0:
+                return True
+            if d1 < 0.0 or d2 < 0.0:
+                return length > h_cross
+            return False
+        return True
+
+    ts_out = [spec.a]
+    unresolved = []
+    grid = np.linspace(spec.a, spec.b, n0 + 1)
+    stack = [(float(grid[n]), float(grid[n + 1]), 0) for n in range(n0 - 1, -1, -1)]
+    while stack:
+        tl, tr, depth = stack.pop()
+        tm = 0.5 * (tl + tr)
+        if tr - tl <= h_floor or len(unresolved) >= 32:
+            ts_out.append(tr)
+            continue
+        if not needs_split(tl, tm, tr):
+            ts_out.append(tr)
+            continue
+        if depth >= config.D_MAX:
+            unresolved.append((tl, tr))
+            ts_out.append(tr)
+            continue
+        stack.append((tm, tr, depth + 1))
+        stack.append((tl, tm, depth + 1))
+    if unresolved:
+        raise RefinementBudgetExceeded("unresolved", unresolved=unresolved)
+    return np.array(ts_out), np.array([val(t) for t in ts_out])
+
+
+def reference_one_sided_direction(spec, t, side, h0=None):
+    span = spec.b - spec.a
+    if h0 is None:
+        h0 = 1e-3 * span
+    collected = []
+    h = h0 / math.sqrt(2.0)
+    for _ in range(config.LIMIT_HALVINGS):
+        tt = t + side * h
+        h *= 0.5
+        if tt < spec.a or tt > spec.b:
+            continue
+        v = spec.value(tt)
+        if obstruction._is_real_vec(v):
+            continue
+        collected.append(obstruction._unit(v))
+        if len(collected) >= 3:
+            u1, u2, u3 = collected[-3:]
+            cos_tol = math.cos(config.THETA_TOL)
+            if (
+                float(np.dot(u1, u2)) >= cos_tol
+                and float(np.dot(u2, u3)) >= cos_tol
+                and float(np.dot(u1, u3)) >= cos_tol
+            ):
+                return u3
+    return None
+
+
+def reference_bisect_real_edge(spec, t_real, t_nonreal, ptol):
+    while abs(t_real - t_nonreal) > ptol:
+        tm = 0.5 * (t_real + t_nonreal)
+        if obstruction._is_real_vec(spec.value(tm)):
+            t_real = tm
+        else:
+            t_nonreal = tm
+    return t_real
+
+
+class Meter:
+    def __init__(self):
+        self.calls = 0
+        self.points = 0
+
+
+@dataclass(frozen=True)
+class Counted:
+    """A segment that counts the parameters it is evaluated at."""
+
+    ta: float
+    tb: float
+    inner: object
+    meter: Meter = field(compare=False)
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def values(self, ts):
+        self.meter.calls += 1
+        self.meter.points += len(ts)
+        return self.inner.values(ts)
+
+
+def counted(spec, meter):
+    return replace(spec, segments=tuple(
+        Counted(s.ta, s.tb, s, meter) for s in spec.segments))
+
+
+# ---------------------------------------------------------------------------
+# PathSpec.values
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_values_equal_one_point_values_bit_for_bit(name):
+    for kind, spec in variants(hl.demo(name).path).items():
+        edges = [s.ta for s in spec.segments] + [spec.b]
+        ts = np.concatenate((np.linspace(spec.a, spec.b, 257), edges))
+        block = spec.values(ts)
+        rows = np.array([spec.value(float(t)) for t in ts])
+        assert same_bits(block, rows), f"{name}/{kind}"
+        # order of the parameters does not matter
+        perm = np.random.default_rng(0).permutation(len(ts))
+        assert same_bits(spec.values(ts[perm]), rows[perm]), f"{name}/{kind}"
+
+
+def test_values_make_one_segment_call_per_segment():
+    meter = Meter()
+    spec = counted(hl.demo("gamma1m_gamma2(8)").path, meter)
+    meter.calls = meter.points = 0  # the joins checked by the constructor
+    spec.values(np.linspace(spec.a, spec.b, 4097))
+    assert meter.calls == len(spec.segments)
+    assert meter.points == 4097
+
+
+def test_values_reject_parameters_outside_the_domain():
+    spec = hl.demo("lambda_loop").path
+    with pytest.raises(OutOfDomain):
+        spec.values(np.array([spec.a, 0.5 * spec.b, spec.b + 1e-6]))
+    assert spec.values(np.array([])).shape == (0, 4)
+    # rounding just outside the domain is clamped onto its ends
+    tol = 1e-13 * (spec.b - spec.a)
+    ends = spec.values(np.array([spec.a - tol, spec.b + tol]))
+    assert same_bits(ends, spec.values(np.array([spec.a, spec.b])))
+
+
+def test_repeat_equals_successive_concats():
+    for name in ("slice_circle(i,1,1)", "lambda_loop", "three_exp"):
+        spec = hl.demo(name).path
+        for m in (1, 2, 3, 5, 13, 16):
+            chain = replace(spec, closed=False)
+            for _ in range(m - 1):
+                chain = hl.concat(chain, replace(spec, closed=False))
+            assert hl.repeat(spec, m) == replace(chain, closed=True)
+
+
+# ---------------------------------------------------------------------------
+# level-synchronous sampler
+
+
+# the rockets spin without limit; the reference spends tens of seconds on
+# each before it gives up
+SPINNING = ("rocket_neg", "rocket_pos")
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS if n not in SPINNING])
+def test_sampler_matches_depth_first_reference(name):
+    for kind, spec in variants(hl.demo(name).path).items():
+        ts, vals = reference_sample_adaptive(spec)
+        got = hl.sample_adaptive(spec)
+        assert same_bits(got.params, ts), f"{name}/{kind}"
+        assert same_bits(got.values, vals), f"{name}/{kind}"
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([8, 64]))
+@settings(max_examples=30, deadline=None)
+def test_sampler_matches_reference_on_random_loops(seed, n0):
+    spec, _winding, _misses = single_slice_loop(np.random.default_rng(seed))
+    ts, vals = reference_sample_adaptive(spec, n0)
+    got = hl.sample_adaptive(spec, n0)
+    assert same_bits(got.params, ts)
+    assert same_bits(got.values, vals)
+
+
+def test_sampler_evaluates_each_point_once_per_level():
+    meter = Meter()
+    spec = counted(hl.demo("slice_circle(j,2,20)").path, meter)
+    meter.calls = meter.points = 0  # the closure checked by the constructor
+    sp = hl.sample_adaptive(spec)
+    # the 65 nodes of the first grid and one midpoint for each of the 64
+    # first intervals and the two halves of every split: as many points
+    # as the depth-first sampler, in one call per level
+    assert meter.points == 2 * len(sp.params) - 1
+    assert meter.calls <= config.D_MAX + 2
+
+
+@pytest.mark.parametrize("name", SPINNING)
+def test_spinning_paths_give_up(name):
+    for kind, spec in variants(hl.demo(name).path).items():
+        if kind == "subpath":
+            # [0.1, 0.6] stays away from the spin at the ends
+            ts, vals = reference_sample_adaptive(spec)
+            got = hl.sample_adaptive(spec)
+            assert same_bits(got.params, ts) and same_bits(got.values, vals)
+            continue
+        with pytest.raises(RefinementBudgetExceeded):
+            hl.sample_adaptive(spec)
+
+
+def test_rocket_gives_up_within_the_budget():
+    meter = Meter()
+    spec = counted(hl.demo("rocket_neg").path, meter)
+    meter.calls = meter.points = 0  # the closure checked by the constructor
+    with pytest.raises(RefinementBudgetExceeded) as err:
+        hl.sample_adaptive(spec)
+    assert meter.points <= EVAL_BUDGET
+    unresolved = err.value.unresolved
+    assert unresolved[0][0] < 1e-3
+    assert [lo for lo, _hi in unresolved] == sorted(lo for lo, _hi in unresolved)
+    # the partial grid: sorted, covering the domain, holding the ends of
+    # every unresolved bracket, with the path's own values
+    part = err.value.sampled
+    assert part.params[0] == spec.a and part.params[-1] == spec.b
+    assert np.all(np.diff(part.params) > 0)
+    assert set(t for br in unresolved for t in br) <= set(part.params.tolist())
+    assert same_bits(part.values, spec.values(part.params))
+
+
+@pytest.mark.parametrize("n0", [3, 64])
+def test_sampler_rejects_a_zero_at_any_evaluated_point(n0):
+    # zero at t=0.5: a node of the first grid for n0=64, the midpoint
+    # of its middle interval for n0=3
+    line = Line(0.0, 1.0, (-1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ZeroOnPath):
+        hl.sample_adaptive(PathSpec(0.0, 1.0, (line,)), n0)
+
+
+# ---------------------------------------------------------------------------
+# batched contact probes
+
+
+def probe_cases():
+    """Contact parameters of the corpus paths, and their real/non-real
+    sample pairs."""
+    for label, spec in corpus_paths():
+        sp, _sampling = sample_path(spec)
+        rep = hl.find_obstructions(sp, spec)
+        ts = [c.t for c in rep.contacts] + [r.t0 for r in rep.runs]
+        ims = np.linalg.norm(sp.values[:, 1:], axis=1)
+        real = ims <= config.EPS_REAL * np.maximum(1.0, np.linalg.norm(sp.values, axis=1))
+        edges = [
+            (float(sp.params[n]), float(sp.params[n + step]))
+            for n in np.flatnonzero(real)
+            for step in (-1, 1)
+            if 0 <= n + step < len(real) and not real[n + step]
+        ]
+        yield label, spec, ts, edges
+
+
+def test_one_sided_direction_matches_reference():
+    checked = 0
+    for label, spec, ts, _edges in probe_cases():
+        span = spec.b - spec.a
+        for t in ts:
+            for side in (-1, 1):
+                for h0 in (None, 1e-5 * span):
+                    want = reference_one_sided_direction(spec, t, side, h0)
+                    got = obstruction.one_sided_direction(spec, t, side, h0)
+                    if want is None:
+                        assert got is None, label
+                    else:
+                        assert same_bits(got, want), label
+                    checked += 1
+    assert checked > 100
+
+
+def test_bisect_real_edge_matches_reference():
+    checked = 0
+    for label, spec, _ts, edges in probe_cases():
+        ptol = 1e-12 * max(1.0, spec.b - spec.a)
+        for t_real, t_nonreal in edges:
+            want = reference_bisect_real_edge(spec, t_real, t_nonreal, ptol)
+            got = obstruction._bisect_real_edge(spec, t_real, t_nonreal, ptol)
+            assert got == want, label
+            checked += 1
+    assert checked > 20

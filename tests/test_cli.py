@@ -105,6 +105,16 @@ def test_shadow_csv():
     assert out.splitlines()[0] == "t,x,y"
 
 
+def test_shadow_rows_are_plain_floats():
+    code, out = run_cli("shadow", "--demo", "slice_circle(i,1,1)")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) > 64
+    for row in rows:
+        assert len(row) == 3
+        assert all(isinstance(float(cell), float) for cell in row)
+
+
 def test_unknown_demo_is_an_input_error():
     code, _out = run_cli("analyze", "--demo", "nope")
     assert code == 1
