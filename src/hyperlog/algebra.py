@@ -331,12 +331,6 @@ def on_manifold(q: Hyper, p: Hyper, tol: float = 1e-9) -> bool:
     return float((model - q).norm()) <= tol * max(1.0, q.norm())
 
 
-def manifold_point(q: Hyper, p: Hyper, tol: float = 1e-9) -> ManifoldPoint:
-    if not on_manifold(q, p, tol):
-        raise NotOnManifold("q does not equal |q| exp(p)")
-    return ManifoldPoint(q, p)
-
-
 def embed(q: Hyper) -> ManifoldPoint:
     """E(x + I y) = (exp(x + I y), I y): the exp-side chart of the manifold."""
     return ManifoldPoint(exp_h(q), q.im)

@@ -27,7 +27,7 @@ from .obstruction import (
     ObstructionReport,
     classify_interval,
 )
-from .pathkit import PathSpec, SampledPath
+from .pathkit import SampledPath
 
 
 @dataclass(frozen=True)

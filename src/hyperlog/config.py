@@ -5,8 +5,6 @@ realness threshold for a whole run.  Library callers normally leave
 everything at the defaults.
 """
 
-import numpy as np
-
 # base threshold for treating an imaginary part as zero; the effective
 # threshold scales with the magnitude of the value being tested
 EPS_REAL = 1e-9
@@ -37,9 +35,3 @@ def set_eps_real(value: float) -> None:
     if not (1e-14 <= value <= 1e-4):
         raise ValueError("eps-real override must lie in [1e-14, 1e-4]")
     EPS_REAL = float(value)
-
-
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two unit vectors, clipped against rounding."""
-    d = float(np.dot(u, v))
-    return float(np.arccos(np.clip(d, -1.0, 1.0)))

@@ -51,10 +51,6 @@ class RefinementBudgetExceeded(HyperlogError):
         self.unresolved = list(unresolved)
 
 
-class MissingEndpointLimit(HyperlogError):
-    """A one-sided direction limit that was required does not exist."""
-
-
 class NotLiftable(HyperlogError):
     """No continuous logarithm exists through the named obstruction."""
 

@@ -11,12 +11,11 @@ signatures and winding numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from . import config
+from . import _brent, config
 from .errors import HypothesisViolated, ZeroOnPath
 from .pathkit import PathSpec, SampledPath
 
@@ -215,24 +214,33 @@ def _bisect_real_edge(spec, t_real, t_nonreal, ptol):
 
 
 def _localize_contact(spec, tl, tn, tr, ptol):
-    """Pin down an isolated real contact inside (tl, tr), seeded at tn."""
-    u_ref = _unit(spec.value(tn))
+    """Pin down an isolated real contact inside (tl, tr), seeded at tn.
+
+    Path values are memoised by parameter.  tl, tn and tr are evaluated
+    in one call; the root finder starts from tl and tr, and the final
+    realness check is made at a parameter a solver has evaluated.
+    """
+    tl, tn, tr = float(tl), float(tn), float(tr)
+    memo = dict(zip((tl, tn, tr), spec.values(np.array([tl, tn, tr]))))
+
+    def value(t):
+        if t not in memo:
+            memo[t] = spec.value(t)
+        return memo[t]
+
+    u_ref = _unit(value(tn))
 
     def component(t):
-        return float(np.dot(spec.value(t)[1:], u_ref))
+        return float(np.dot(value(t)[1:], u_ref))
 
     cl, cr = component(tl), component(tr)
     if cl * cr < 0:
-        t_c = optimize.brentq(component, tl, tr, xtol=ptol)
+        t_c = _brent.brentq(component, tl, tr, xtol=ptol)
     else:
-        res = optimize.minimize_scalar(
-            lambda t: float(np.linalg.norm(spec.value(t)[1:])),
-            bounds=(tl, tr),
-            method="bounded",
-            options={"xatol": ptol},
+        t_c = _brent.minimize_bounded(
+            lambda t: float(np.linalg.norm(value(t)[1:])), tl, tr, xatol=ptol
         )
-        t_c = float(res.x)
-    v = spec.value(t_c)
+    v = value(t_c)
     if float(np.linalg.norm(v[1:])) <= config.eps_real_for(float(np.linalg.norm(v))):
         return t_c
     return None

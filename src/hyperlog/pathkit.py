@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -28,15 +27,16 @@ from .errors import (
 )
 
 
-def _vec(x, dim=4) -> np.ndarray:
-    if isinstance(x, Hyper):
-        return x.coeffs.copy()
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        out = np.zeros(dim)
-        out[0] = float(a)
-        return out
-    return a.copy()
+def _cache_arrays(seg, **fields) -> None:
+    """Store read-only arrays of a frozen segment's tuple fields.
+
+    They are plain attributes, not dataclass fields, so equality, repr
+    and the JSON form of the segment do not see them.
+    """
+    for name, value in fields.items():
+        a = np.array(value)
+        a.flags.writeable = False
+        object.__setattr__(seg, name, a)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,7 @@ class SliceArc:
         if self.anchor_a is None:
             object.__setattr__(self, "anchor_a", self.ta)
             object.__setattr__(self, "anchor_b", self.tb)
+        _cache_arrays(self, _unit=self.unit)
 
     @property
     def dim(self):
@@ -125,7 +126,7 @@ class SliceArc:
         ts = np.asarray(ts, dtype=float)
         s = (ts - self.anchor_a) / (self.anchor_b - self.anchor_a)
         th = self.angle_a + s * (self.angle_b - self.angle_a)
-        out = np.outer(self.radius * np.sin(th), np.asarray(self.unit))
+        out = np.outer(self.radius * np.sin(th), self._unit)
         out[:, 0] += self.center + self.radius * np.cos(th)
         return out
 
@@ -156,6 +157,10 @@ class Arc:
             object.__setattr__(self, "anchor_b", self.tb)
         if self.drift is None:
             object.__setattr__(self, "drift", tuple(0.0 for _ in self.center))
+        _cache_arrays(
+            self, _center=self.center, _cos_vec=self.cos_vec,
+            _sin_vec=self.sin_vec, _drift=self.drift,
+        )
 
     @property
     def dim(self):
@@ -165,10 +170,10 @@ class Arc:
         ts = np.asarray(ts, dtype=float)
         s = (ts - self.anchor_a) / (self.anchor_b - self.anchor_a)
         th = self.angle_a + s * (self.angle_b - self.angle_a)
-        out = np.outer(np.cos(th), np.asarray(self.cos_vec))
-        out += np.outer(np.sin(th), np.asarray(self.sin_vec))
-        out += np.outer(s, np.asarray(self.drift))
-        out += np.asarray(self.center)
+        out = np.outer(np.cos(th), self._cos_vec)
+        out += np.outer(np.sin(th), self._sin_vec)
+        out += np.outer(s, self._drift)
+        out += self._center
         return out
 
 
@@ -187,6 +192,7 @@ class Line:
         if self.anchor_a is None:
             object.__setattr__(self, "anchor_a", self.ta)
             object.__setattr__(self, "anchor_b", self.tb)
+        _cache_arrays(self, _p0=self.p0, _p1=self.p1)
 
     @property
     def dim(self):
@@ -195,9 +201,7 @@ class Line:
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         s = (ts - self.anchor_a) / (self.anchor_b - self.anchor_a)
-        p0 = np.asarray(self.p0)
-        p1 = np.asarray(self.p1)
-        return np.outer(1.0 - s, p0) + np.outer(s, p1)
+        return np.outer(1.0 - s, self._p0) + np.outer(s, self._p1)
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,9 @@ class SliceCurve:
     x_fn: object
     y_fn: object
 
+    def __post_init__(self):
+        _cache_arrays(self, _unit=self.unit)
+
     @property
     def dim(self):
         return len(self.unit)
@@ -218,7 +225,7 @@ class SliceCurve:
         ts = np.asarray(ts, dtype=float)
         x = np.asarray(self.x_fn(ts), dtype=float)
         y = np.asarray(self.y_fn(ts), dtype=float)
-        out = np.outer(y, np.asarray(self.unit))
+        out = np.outer(y, self._unit)
         out[:, 0] += x
         return out
 
@@ -232,14 +239,16 @@ class Samples:
     ts: tuple
     points: tuple  # rows of coefficient vectors
 
+    def __post_init__(self):
+        _cache_arrays(self, _grid=self.ts, _points=self.points)
+
     @property
     def dim(self):
         return len(self.points[0])
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
-        grid = np.asarray(self.ts)
-        pts = np.asarray(self.points)
+        grid, pts = self._grid, self._points
         out = np.empty((ts.shape[0], pts.shape[1]))
         for c in range(pts.shape[1]):
             out[:, c] = np.interp(ts, grid, pts[:, c])
@@ -352,18 +361,28 @@ class PathSpec:
         segs = self.segments
         if abs(segs[0].ta - self.a) > tol or abs(segs[-1].tb - self.b) > tol:
             raise EndpointMismatch("segments do not cover the domain")
-        for left, right in zip(segs, segs[1:]):
-            if abs(left.tb - right.ta) > tol:
+
+        # each segment's values at both its ends come from one call; the
+        # outer ends are taken at a and b, where the closure check needs them
+        los = [self.a] + [s.ta for s in segs[1:]]
+        his = [s.tb for s in segs[:-1]] + [self.b]
+
+        def ends(k):
+            return segs[k].values(np.array([los[k], his[k]]))
+
+        first = left = ends(0)
+        for k in range(1, len(segs)):
+            if abs(segs[k - 1].tb - segs[k].ta) > tol:
                 raise EndpointMismatch("segments are not contiguous")
-            vl = left.values(np.array([left.tb]))[0]
-            vr = right.values(np.array([right.ta]))[0]
+            right = ends(k)
+            vl, vr = left[1], right[0]
             scale = max(1.0, float(np.linalg.norm(vl)))
             if float(np.linalg.norm(vl - vr)) > 1e-9 * scale:
                 raise EndpointMismatch("segments do not join continuously")
+            left = right
         object.__setattr__(self, "_cuts", np.array([s.ta for s in segs[1:]]))
         if self.closed:
-            va = segs[0].values(np.array([self.a]))[0]
-            vb = segs[-1].values(np.array([self.b]))[0]
+            va, vb = first[0], left[1]
             scale = max(1.0, float(np.linalg.norm(va)))
             if float(np.linalg.norm(va - vb)) > 1e-9 * scale:
                 raise EndpointMismatch("closed path does not return to its start")
@@ -642,14 +661,6 @@ def path_from_json(d: dict) -> PathSpec:
         tuple(segment_from_json(s) for s in d["segments"]),
         bool(d.get("closed", False)),
     )
-
-
-def path_to_json_str(p: PathSpec) -> str:
-    return json.dumps(path_to_json(p), indent=2, sort_keys=True)
-
-
-def path_from_json_str(s: str) -> PathSpec:
-    return path_from_json(json.loads(s))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .obstruction import (
 )
 from .pathkit import (
     PathSpec,
-    SampledPath,
     rotate_basepoint,
     sample_path,
 )
