@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .pathkit import (
     path_to_json,
     sample_path,
 )
-from .companion import canonical_form, unit_field
+from .companion import shadow_of
 from .winding import analyze_loop
 
 
@@ -144,12 +145,8 @@ def _cmd_winding(args) -> int:
 def _cmd_shadow(args) -> int:
     spec, stem = _load_path(args)
     sampled, _sampling = sample_path(spec, args.n0)
-    from dataclasses import replace
-
     rep = find_obstructions(sampled, replace(spec, closed=False))
-    units = unit_field(sampled, rep, _demo_directives(args))
-    shadow = canonical_form(sampled, units)
-    text = shadow.to_csv()
+    text = shadow_of(sampled, rep, _demo_directives(args)).to_csv()
     sys.stdout.write(text)
     _write(args.out, f"{stem}_shadow.csv", text)
     return 0

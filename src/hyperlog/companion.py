@@ -19,11 +19,9 @@ from . import config
 from .algebra import Hyper, ImaginaryUnit, ProjectiveUnit
 from .errors import InitialMismatch, SliceMismatch
 from .obstruction import (
+    BAD_KINDS,
     BOUNCE,
-    ENDPOINT_NOT_TAME,
     FLIP,
-    NOT_TAME,
-    SEMI_TAME,
     ObstructionReport,
     classify_interval,
 )
@@ -107,7 +105,7 @@ def unit_field(
     mags = np.linalg.norm(vals, axis=1)
     im_vecs = vals[:, 1:]
     im_norms = np.linalg.norm(im_vecs, axis=1)
-    real = im_norms <= config.EPS_REAL * np.maximum(1.0, mags)
+    real = config.is_real(im_norms, mags)
 
     units = np.zeros((n, dim - 1))
     if np.all(real):
@@ -180,15 +178,11 @@ def build_companion(
     seed: np.ndarray | None = None,
 ) -> Companion:
     """The companion of a path, as a continuous unit field with flags."""
-    bad = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME)
-    exists = all(c.kind not in bad for c in rep.contacts)
+    exists = all(c.kind not in BAD_KINDS for c in rep.contacts)
     vals = sampled.values
-    all_real = bool(
-        np.all(
-            np.linalg.norm(vals[:, 1:], axis=1)
-            <= config.EPS_REAL * np.maximum(1.0, np.linalg.norm(vals, axis=1))
-        )
-    )
+    all_real = bool(np.all(config.is_real(
+        np.linalg.norm(vals[:, 1:], axis=1), np.linalg.norm(vals, axis=1)
+    )))
     unique = rep.companion_unique and not all_real
     units = unit_field(sampled, rep, directives, seed)
     return Companion(sampled.params, units, exists, unique, tuple(directives))

@@ -5,6 +5,8 @@ realness threshold for a whole run.  Library callers normally leave
 everything at the defaults.
 """
 
+import numpy as np
+
 # base threshold for treating an imaginary part as zero; the effective
 # threshold scales with the magnitude of the value being tested
 EPS_REAL = 1e-9
@@ -27,6 +29,11 @@ LIMIT_HALVINGS = 40
 def eps_real_for(magnitude: float) -> float:
     """Scale-aware realness threshold."""
     return EPS_REAL * max(1.0, magnitude)
+
+
+def is_real(im_norm, norm):
+    """Scale-aware realness test, elementwise on arrays."""
+    return im_norm <= EPS_REAL * np.maximum(1.0, norm)
 
 
 def set_eps_real(value: float) -> None:

@@ -24,10 +24,8 @@ from .errors import (
     StepTooLarge,
 )
 from .obstruction import (
-    ENDPOINT_NOT_TAME,
+    BAD_KINDS,
     FLIP,
-    NOT_TAME,
-    SEMI_TAME,
     ObstructionReport,
     classify_interval,
     find_obstructions,
@@ -130,7 +128,7 @@ def _seed_and_start_arg(sampled, k0, initial_unit):
         n = float(np.linalg.norm(init_vec))
         if abs(n - 1.0) > 1e-9:
             raise InitialMismatch("initial unit must have unit norm")
-    if imn > config.eps_real_for(mag):
+    if not config.is_real(imn, mag):
         raw = v0[1:] / imn
         seed = raw if k0 % 2 == 0 else -raw
         if init_vec is not None:
@@ -182,7 +180,6 @@ def _branch_trace(rep: ObstructionReport, params, arg, a, b):
 
 def lift_path(
     spec: PathSpec,
-    rep: ObstructionReport | None = None,
     k0: int = 0,
     initial_unit=None,
     directives: tuple = (),
@@ -195,8 +192,7 @@ def lift_path(
     argument across; errors about unusable inputs do raise.
     """
     sampled, sampling = sample_path(spec, n0)
-    if rep is None or rep.closed:
-        rep = find_obstructions(sampled, replace(spec, closed=False))
+    rep = find_obstructions(sampled, replace(spec, closed=False))
 
     seed, arg0 = _seed_and_start_arg(sampled, k0, initial_unit)
     units = unit_field(sampled, rep, directives, seed)
@@ -229,9 +225,8 @@ def lift_path(
     arg[1:] = arg0 + np.cumsum(dphi)
 
     # contacts without usable direction limits only admit zero argument
-    bad = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME)
     for c in rep.contacts:
-        if c.kind not in bad:
+        if c.kind not in BAD_KINDS:
             continue
         n = int(np.searchsorted(sampled.params, c.t))
         n = min(max(n, 0), len(sampled.params) - 1)
@@ -264,9 +259,7 @@ def lift_path(
     )
 
 
-def closed_nontame_liftable(
-    spec: PathSpec, rep: ObstructionReport | None = None, n0: int = 64
-) -> bool:
+def closed_nontame_liftable(spec: PathSpec, n0: int = 64) -> bool:
     """Whether a closed path whose only bad contacts sit on the positive
     reals admits a closed continuous logarithm.
 
@@ -277,15 +270,13 @@ def closed_nontame_liftable(
     """
     if not spec.closed:
         raise HypothesisViolated("the criterion applies to closed paths")
-    if rep is None:
-        sampled, _sampling = sample_path(spec, n0)
-        rep = find_obstructions(sampled, spec)
-    bad = (SEMI_TAME, NOT_TAME)
-    xs = sorted(c.t for c in rep.contacts if c.kind in bad)
+    sampled, _sampling = sample_path(spec, n0)
+    rep = find_obstructions(sampled, spec)
+    xs = sorted(c.t for c in rep.contacts if c.kind in BAD_KINDS)
     if not xs:
         raise HypothesisViolated("no bad contact; the path is tame enough")
     for c in rep.contacts:
-        if c.kind in bad and c.value <= 0:
+        if c.kind in BAD_KINDS and c.value <= 0:
             raise HypothesisViolated(
                 "bad contact away from the positive reals"
             )

@@ -27,6 +27,12 @@ ENDPOINT_TAME = "endpoint_tame"
 ENDPOINT_NOT_TAME = "endpoint_not_tame"
 UNRESOLVED = "unresolved"
 
+# contact kinds without the direction limits a continuation needs; the
+# ENDPOINT_* kinds only arise on open paths (find_obstructions classifies
+# every contact of a closed path as interior), so on a closed report this
+# set is {SEMI_TAME, NOT_TAME}
+BAD_KINDS = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME)
+
 # offsets of a one-sided limit evaluated per path call
 LIMIT_CHUNK = 8
 # halvings of a real/non-real edge resolved per path call
@@ -90,9 +96,7 @@ class ObstructionReport:
 
 
 def _is_real_vec(v: np.ndarray) -> bool:
-    return float(np.linalg.norm(v[1:])) <= config.eps_real_for(
-        float(np.linalg.norm(v))
-    )
+    return config.is_real(float(np.linalg.norm(v[1:])), float(np.linalg.norm(v)))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -240,8 +244,7 @@ def _localize_contact(spec, tl, tn, tr, ptol):
         t_c = _brent.minimize_bounded(
             lambda t: float(np.linalg.norm(value(t)[1:])), tl, tr, xatol=ptol
         )
-    v = value(t_c)
-    if float(np.linalg.norm(v[1:])) <= config.eps_real_for(float(np.linalg.norm(v))):
+    if _is_real_vec(value(t_c)):
         return t_c
     return None
 
@@ -266,7 +269,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     if np.any(mags <= config.EPS_REAL):
         raise ZeroOnPath("path passes through zero")
     ims = np.linalg.norm(vals[:, 1:], axis=1)
-    real_flags = ims <= config.EPS_REAL * np.maximum(1.0, mags)
+    real_flags = config.is_real(ims, mags)
 
     n = len(ts)
 
@@ -516,7 +519,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
             kinds = [c.kind for c in inner_contacts]
             if inner_runs:
                 kind = UNRESOLVED
-            elif any(k in (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME) for k in kinds):
+            elif any(k in BAD_KINDS for k in kinds):
                 kind = UNRESOLVED
             else:
                 flips = sum(1 for k in kinds if k == FLIP)
@@ -536,8 +539,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         # keep the wrap interval last
         intervals.sort(key=lambda iv: (iv.wrap, iv.t0))
 
-    bad_kinds = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME)
-    tame = not runs and all(c.kind not in bad_kinds for c in contacts)
+    tame = not runs and all(c.kind not in BAD_KINDS for c in contacts)
     return ObstructionReport(
         contacts=tuple(contacts),
         runs=tuple(runs),

@@ -726,7 +726,7 @@ class _Nodes(NamedTuple):
     def of(cls, t: np.ndarray, v: np.ndarray) -> "_Nodes":
         mag = np.linalg.norm(v, axis=1)
         im = np.linalg.norm(v[:, 1:], axis=1)
-        real = im <= config.EPS_REAL * np.maximum(1.0, mag)
+        real = config.is_real(im, mag)
         with np.errstate(divide="ignore", invalid="ignore"):
             unit = v[:, 1:] / im[:, None]
         return cls(t, v, mag, im, real, unit)

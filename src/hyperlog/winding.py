@@ -11,7 +11,7 @@ of the shadow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,12 +27,9 @@ from .errors import (
 )
 from .lifting import lift_path
 from .obstruction import (
+    BAD_KINDS,
     BOUNCE,
-    ENDPOINT_NOT_TAME,
-    ENDPOINT_TAME,
     FLIP,
-    NOT_TAME,
-    SEMI_TAME,
     ObstructionReport,
     classify_interval,
     find_obstructions,
@@ -83,7 +80,7 @@ def flips_of(rep: ObstructionReport, directives=(), include_wrap=True):
     for t, sign, kind, wrap in _resolved_items(rep, directives):
         if wrap and not include_wrap:
             continue
-        if kind in (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME):
+        if kind in BAD_KINDS:
             raise HypothesisViolated(
                 f"signature undefined: contact of kind {kind} at t={t}"
             )
@@ -150,8 +147,9 @@ def analyze_loop(
 
     Twistedness and the winding number are computed after re-rooting the
     loop at its sample farthest from the real axis, so that the
-    companion lift starts and ends at an honest direction; signatures
-    are reported in the loop's own parameterisation.
+    companion lift starts and ends at an honest direction; re-rooting is
+    a cyclic shift of the one sample grid and report (see _reroot).
+    Signatures are reported in the loop's own parameterisation.
     """
     if not spec.closed:
         raise HypothesisViolated("winding analysis needs a closed path")
@@ -171,20 +169,17 @@ def analyze_loop(
         "directives": list(directives),
     }
 
-    bad = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME, ENDPOINT_TAME)
-    companion_ok = all(c.kind not in bad for c in rep.contacts)
+    companion_ok = all(c.kind not in BAD_KINDS for c in rep.contacts)
     im_norms = np.linalg.norm(sampled.values[:, 1:], axis=1)
     if float(np.max(im_norms)) <= config.EPS_REAL:
         raise AllRealLoop("loop lies in the real axis")
     if not companion_ok:
         return WindingResult(None, sig, csig, None, None, flips, prov)
 
-    t_star = float(sampled.params[int(np.argmax(im_norms))])
-    rot = rotate_basepoint(spec, t_star)
-    rot_sampled, _ = sample_path(rot, n0)
-    rep_rot = find_obstructions(rot_sampled, rot)
-    dir_rot = _transport_directives(spec, rep, directives, rot, rep_rot)
-    units = unit_field(rot_sampled, rep_rot, dir_rot)
+    i_star = int(np.argmax(im_norms))
+    t_star = float(sampled.params[i_star])
+    rot_sampled, rep_rot = _reroot(sampled, rep, i_star, spec.b - spec.a)
+    units = unit_field(rot_sampled, rep_rot, directives)
     twisted = float(np.dot(units[0], units[-1])) < 0.0
     prov["basepoint"] = t_star
 
@@ -196,26 +191,33 @@ def analyze_loop(
     return WindingResult(twisted, sig, csig, winding, sw, flips, prov)
 
 
-def _transport_directives(spec, rep, directives, rot, rep_rot):
-    """Re-key per-interval directives after re-rooting a loop."""
-    if not directives:
-        return ()
-    period = spec.b - spec.a
-    out = [None] * len(rep_rot.intervals)
-    for m, iv in enumerate(rep.intervals):
-        d = directives[m] if m < len(directives) else None
-        if d is None:
-            continue
-        mid = 0.5 * (iv.t0 + iv.t1)
-        if mid > spec.b:
-            mid -= period
-        mid_rot = mid if mid >= rot.a else mid + period
-        for mm, ivr in enumerate(rep_rot.intervals):
-            lo, hi = ivr.t0, ivr.t1
-            if lo - 1e-9 <= mid_rot <= hi + 1e-9:
-                out[mm] = d
-                break
-    return tuple(out)
+def _reroot(sampled, rep, i_star, period):
+    """Sample grid and report of a loop re-rooted at sample i_star.
+
+    The grid runs one period on from params[i_star] without the seam
+    sample at a, so both ends hold the same value.  Runs before the new
+    basepoint move on by one period; as its sample is not real, no run
+    straddles it and none wraps.  Interval order is kept, so directives
+    still apply; unit_field reads nothing else that would need re-keying.
+    """
+    params, values = sampled.params, sampled.values
+    t_star = params[i_star]
+
+    def shift(runs):
+        return tuple(
+            replace(r, t0=r.t0 + period, t1=r.t1 + period, wrap=False)
+            if r.t0 < t_star
+            else replace(r, wrap=False)
+            for r in runs
+        )
+
+    grid = replace(
+        sampled,
+        params=np.concatenate([params[i_star:], params[1:i_star + 1] + period]),
+        values=np.concatenate([values[i_star:], values[1:i_star + 1]]),
+    )
+    intervals = tuple(replace(iv, runs=shift(iv.runs)) for iv in rep.intervals)
+    return grid, replace(rep, runs=shift(rep.runs), intervals=intervals)
 
 
 def is_twisted(spec: PathSpec, directives: tuple = (), n0: int = 64) -> bool:

@@ -1,5 +1,6 @@
 """Signatures, twistedness and winding numbers."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -15,7 +16,11 @@ from hyperlog.errors import (
     NotApplicable,
     TwistedLoop,
 )
+from hyperlog.pathkit import sample_path
 from hyperlog.winding import alternating_sum, reduce_signs
+
+from test_acceptance import single_slice_loop
+from test_batched_eval import Meter, counted
 
 PI = math.pi
 
@@ -160,3 +165,157 @@ def test_untwisted_loop_shadows_close_up():
         shadow = hl.canonical_form(sp, units)
         assert shadow.x[-1] == pytest.approx(shadow.x[0], abs=1e-9)
         assert shadow.y[-1] == pytest.approx(shadow.y[0], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# re-rooting: analyze_loop shifts its one sample grid; the reference below
+# builds the re-rooted path, samples it and finds its obstructions again
+
+
+def reference_transport_directives(spec, rep, directives, rot, rep_rot):
+    """Per-interval directives re-keyed to the intervals of rep_rot."""
+    if not directives:
+        return ()
+    period = spec.b - spec.a
+    out = [None] * len(rep_rot.intervals)
+    for m, iv in enumerate(rep.intervals):
+        d = directives[m] if m < len(directives) else None
+        if d is None:
+            continue
+        mid = 0.5 * (iv.t0 + iv.t1)
+        if mid > spec.b:
+            mid -= period
+        mid_rot = mid if mid >= rot.a else mid + period
+        for mm, ivr in enumerate(rep_rot.intervals):
+            if ivr.t0 - 1e-9 <= mid_rot <= ivr.t1 + 1e-9:
+                out[mm] = d
+                break
+    return tuple(out)
+
+
+def reference_loop_answers(spec, directives=()):
+    """(twisted, winding, shadow_winding, flips) by re-sampling the loop
+    re-rooted at its sample farthest from the real axis."""
+    sampled, _ = sample_path(spec)
+    rep = hl.find_obstructions(sampled, spec)
+    try:
+        flips = tuple(hl.winding.flips_of(rep, directives))
+    except HypothesisViolated:
+        flips = ()
+    if any(c.kind in hl.obstruction.BAD_KINDS for c in rep.contacts):
+        return None, None, None, flips
+    im = np.linalg.norm(sampled.values[:, 1:], axis=1)
+    rot = hl.rotate_basepoint(spec, float(sampled.params[int(np.argmax(im))]))
+    rot_sampled, _ = sample_path(rot)
+    rep_rot = hl.find_obstructions(rot_sampled, rot)
+    dirs = reference_transport_directives(spec, rep, directives, rot, rep_rot)
+    units = hl.unit_field(rot_sampled, rep_rot, dirs)
+    if float(np.dot(units[0], units[-1])) < 0.0:
+        return True, None, None, flips
+    sw = hl.shadow_winding(hl.canonical_form(rot_sampled, units))
+    return False, abs(sw), sw, flips
+
+
+def loop_answers(spec, directives=()):
+    res = hl.analyze_loop(spec, directives)
+    return res.twisted, res.winding, res.shadow_winding, res.flips
+
+
+CLOSED_CORPUS = [
+    "rocket_neg",
+    "rocket_pos",
+    "lambda_loop",
+    "three_exp",
+    "gamma1m_gamma2(1)",
+    "gamma1m_gamma2(3)",
+    "gamma1m_gamma2(8)",
+    "meridians",
+    "slice_circle(i,1,1)",
+    "slice_circle(j,2,20)",
+    "slice_circle(k,0.001,2)",
+]
+
+
+@pytest.mark.parametrize("name", CLOSED_CORPUS)
+def test_rerooting_matches_resampling_on_the_corpus(name):
+    case = hl.demo(name)
+    spec = case.path
+    variants = {
+        "plain": spec,
+        "reverse": hl.reverse(spec),
+        "reflect_negconj": hl.reflect_negconj(spec),
+    }
+    for f in (0.13, 0.37, 0.81):
+        variants[f"rotate_basepoint({f})"] = hl.rotate_basepoint(
+            spec, spec.a + f * (spec.b - spec.a))
+    companions = {"default": (), **case.directives}
+    for kind, loop in variants.items():
+        for comp, dirs in companions.items():
+            assert loop_answers(loop, dirs) == reference_loop_answers(loop, dirs), (
+                f"{name}/{kind}/{comp}")
+
+
+def test_rerooting_matches_resampling_inside_real_runs():
+    # basepoints inside a real run give reports with a wrap run
+    spec = hl.demo("three_exp").path
+    rep = hl.find_obstructions(sample_path(spec)[0], spec)
+    period = spec.b - spec.a
+    assert rep.runs
+    for run in rep.runs:
+        for f in (0.25, 0.5, 0.75):
+            t = run.t0 + f * (run.t1 - run.t0)
+            rot = hl.rotate_basepoint(spec, t - period if t > spec.b else t)
+            rot_rep = hl.find_obstructions(sample_path(rot)[0], rot)
+            assert any(r.wrap for r in rot_rep.runs)
+            n = len(rot_rep.intervals)
+            for dirs in itertools.product((None, "flip", "bounce"), repeat=n):
+                assert loop_answers(rot, dirs) == reference_loop_answers(rot, dirs), (
+                    f"run at {run.t0}, f={f}, {dirs}")
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_rerooting_matches_resampling_on_random_loops(seed, frac):
+    spec, _winding, _misses = single_slice_loop(np.random.default_rng(seed))
+    spec = hl.rotate_basepoint(spec, spec.a + frac * (spec.b - spec.a))
+    assert loop_answers(spec) == reference_loop_answers(spec)
+
+
+@pytest.mark.parametrize("name", ["slice_circle(j,2,20)", "three_exp"])
+def test_analyze_loop_samples_and_obstructs_once(name):
+    case = hl.demo(name)
+    meter = Meter()
+    spec = counted(case.path, meter)
+    meter.calls = meter.points = 0  # the closure checked by the constructor
+    sampled, _ = sample_path(spec)
+    hl.find_obstructions(sampled, spec)
+    one_pass = (meter.calls, meter.points)
+    for dirs in [(), *case.directives.values()]:
+        meter.calls = meter.points = 0
+        res = hl.analyze_loop(spec, dirs)
+        assert res.winding is not None
+        assert (meter.calls, meter.points) == one_pass
+
+
+def test_reroot_is_a_cyclic_shift():
+    spec = hl.demo("three_exp").path
+    run = hl.find_obstructions(sample_path(spec)[0], spec).runs[0]
+    loop = hl.rotate_basepoint(spec, 0.5 * (run.t0 + run.t1))
+    sampled, _ = sample_path(loop)
+    rep = hl.find_obstructions(sampled, loop)
+    assert any(r.wrap for r in rep.runs)
+    period = loop.b - loop.a
+    i_star = int(np.argmax(np.linalg.norm(sampled.values[:, 1:], axis=1)))
+    t_star = sampled.params[i_star]
+    grid, rerooted = hl.winding._reroot(sampled, rep, i_star, period)
+    n = len(sampled.params)
+    order = (np.arange(n - 1) + i_star) % (n - 1)
+    order = np.append(np.where(order == 0, n - 1, order), i_star)
+    assert np.all(np.diff(grid.params) > 0)
+    assert grid.params[0] == t_star and grid.params[-1] == t_star + period
+    assert grid.values.tobytes() == sampled.values[order].tobytes()
+    assert len(rerooted.runs) == len(rep.runs)
+    for r in rerooted.runs:
+        assert not r.wrap and t_star < r.t0 < r.t1 < t_star + period
+    assert {r for iv in rerooted.intervals for r in iv.runs} == set(rerooted.runs)
+    assert [iv.t0 for iv in rerooted.intervals] == [iv.t0 for iv in rep.intervals]
