@@ -5,6 +5,12 @@ Derivatives* (Prentice-Hall, 1973), ch. 4 and 5, step for step as SciPy
 implements them, so they return the same floating-point results as
 SciPy's ``optimize.brentq`` and ``optimize.minimize_scalar(...,
 method="bounded")`` for the same function, bracket and tolerance.
+
+Each solver is written once, as a generator (``brentq_steps``,
+``minimize_bounded_steps``) that yields the abscissae it needs and is
+sent the function's values there, so that a caller can advance many
+solves together and evaluate their abscissae in one batch.
+``brentq`` and ``minimize_bounded`` drive one solve on a function.
 """
 
 from __future__ import annotations
@@ -34,8 +40,26 @@ def _div(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
+def _drive(steps, f):
+    """Run a solver generator on the function f: send f's value at each
+    abscissa it yields, and return what the solver returns."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign."""
+    return _drive(brentq_steps(xa, xb, xtol), f)
+
+
+def brentq_steps(xa: float, xb: float, xtol: float):
+    """brentq as a generator: it yields each abscissa at which it needs
+    the function, is sent the function's value there, and returns a root
+    of the function in [xa, xb], whose ends give values of opposite sign.
 
     Ported from ``optimize/Zeros/brentq.c`` of SciPy (BSD-3-Clause,
     Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers),
@@ -47,8 +71,8 @@ def brentq(f, xa: float, xb: float, xtol: float) -> float:
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
 
-    def fx(x):
-        y = float(f(x))
+    def checked(x, y):
+        y = float(y)
         if math.isnan(y):
             raise ValueError(
                 f"The function value at x={x} is NaN; solver cannot continue."
@@ -57,8 +81,8 @@ def brentq(f, xa: float, xb: float, xtol: float) -> float:
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = fx(xpre)
-    fcur = fx(xcur)
+    fpre = checked(xpre, (yield xpre))
+    fcur = checked(xcur, (yield xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -119,20 +143,27 @@ def brentq(f, xa: float, xb: float, xtol: float) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
 
-        fcur = fx(xcur)
+        fcur = checked(xcur, (yield xcur))
     raise RuntimeError(
         f"Failed to converge after {MAXITER} iterations, value is {xcur}"
     )
 
 
 def minimize_bounded(func, x1: float, x2: float, xatol: float) -> float:
-    """The minimiser of func on [x1, x2] by Brent's bounded method.
+    """The minimiser of func on [x1, x2] by Brent's bounded method."""
+    return _drive(minimize_bounded_steps(x1, x2, xatol), func)
+
+
+def minimize_bounded_steps(x1: float, x2: float, xatol: float):
+    """minimize_bounded as a generator: it yields each abscissa at which
+    it needs the function, is sent the function's value there, and
+    returns the minimiser on [x1, x2].
 
     Ported from ``_minimize_scalar_bounded`` in ``optimize/_optimize.py``
     of SciPy (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
     2003- SciPy Developers), which its ``minimize_scalar(method="bounded")``
-    runs.  Returns the best
-    abscissa found, also when MAXFUN evaluations ran out first.
+    runs.  Returns the best abscissa found, also when MAXFUN evaluations
+    ran out first.
     """
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("Optimization bounds must be finite scalars.")
@@ -146,7 +177,7 @@ def minimize_bounded(func, x1: float, x2: float, xatol: float) -> float:
     nfc, xf = fulc, fulc
     rat = e = 0.0
     x = xf
-    fx = func(x)
+    fx = yield x
     num = 1
 
     ffulc = fnfc = fx
@@ -191,7 +222,7 @@ def minimize_bounded(func, x1: float, x2: float, xatol: float) -> float:
 
         si = -1.0 if rat < 0 else 1.0
         x = xf + si * max(abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
 
         if fu <= fx:

@@ -10,6 +10,8 @@ signatures and winding numbers.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,12 +97,94 @@ class ObstructionReport:
     closed: bool
 
 
-def _is_real_vec(v: np.ndarray) -> bool:
-    return config.is_real(float(np.linalg.norm(v[1:])), float(np.linalg.norm(v)))
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of a with the rows of b.
+
+    A stacked (n,1,d) @ (n,d,1) matmul computes each product as np.dot
+    computes one pair of vectors, so every result equals the one-row
+    np.dot bit for bit; np.linalg.norm(axis=1) sums in another order and
+    differs from the one-row norm in the last bit on some rows.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v[1:] / np.linalg.norm(v[1:])
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit."""
+    return np.sqrt(_row_dots(rows, rows))
+
+
+def _im_parts(vals: np.ndarray):
+    """(ims, real) of the rows v of vals: the norms |Im v| and the
+    scale-aware realness flags, bit for bit as one row at a time gives
+    them.  A unit direction is Im v / |Im v| of a non-real row."""
+    ims = _row_norms(vals[:, 1:])
+    return ims, config.is_real(ims, _row_norms(vals))
+
+
+def _one_sided_directions(spec: PathSpec, requests) -> list:
+    """one_sided_direction for each request (t, side, h0), all together.
+
+    Each round evaluates, in one path call, the next LIMIT_CHUNK offsets
+    of the ladder of every request still without a limit; the offsets of
+    a request are walked in ladder order, so each gets the limit the
+    one-request walk finds.
+    """
+    found = [None] * len(requests)
+    if not requests:
+        return found
+    t, side, h0 = (np.array(col, dtype=float)[:, None] for col in zip(*requests))
+    # the irrational scale keeps the probe offsets off resonances of
+    # periodic direction fields, which a round dyadic ladder can hit;
+    # the offsets halve one after the other
+    h = np.full((len(requests), config.LIMIT_HALVINGS), 0.5)
+    h[:, :1] = h0 / math.sqrt(2.0)
+    offsets = t + side * np.multiply.accumulate(h, axis=1)
+    inside = (spec.a <= offsets) & (offsets <= spec.b)
+    ladders = [row[ok] for row, ok in zip(offsets, inside)]
+    cos_tol = math.cos(config.THETA_TOL)
+    # the last two directions each request has collected
+    tails = [np.empty((0, spec.dim - 1))] * len(requests)
+    active = [i for i, ladder in enumerate(ladders) if len(ladder)]
+    for start in range(0, config.LIMIT_HALVINGS, LIMIT_CHUNK):
+        if not active:
+            break
+        chunks = [ladders[i][start:start + LIMIT_CHUNK] for i in active]
+        vals = spec.values(np.concatenate(chunks))
+        ims, real = _im_parts(vals)
+        keep = ~real
+        units = vals[keep, 1:] / ims[keep, None]
+        # each request's directions: its tail, then those of its
+        # non-real offsets in this chunk
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        kept = kept[list(itertools.accumulate([0] + [len(c) for c in chunks]))]
+        pieces = []
+        lengths = []
+        for i, lo, hi in zip(active, kept[:-1], kept[1:]):
+            pieces += (tails[i], units[lo:hi])
+            lengths.append(len(tails[i]) + hi - lo)
+        seq = np.concatenate(pieces)
+        ends = list(itertools.accumulate(lengths))
+        starts = [end - n for end, n in zip(ends, lengths)]
+        # a direction settles the limit when it and the two before it
+        # agree pairwise; the tails were checked in earlier rounds
+        first = np.repeat(
+            [lo + max(2, len(tails[i])) for i, lo in zip(active, starts)], lengths)
+        agree = np.zeros(len(seq), dtype=bool)
+        if len(seq) > 2:
+            d1 = _row_dots(seq[:-1], seq[1:]) >= cos_tol
+            d2 = _row_dots(seq[:-2], seq[2:]) >= cos_tol
+            agree[2:] = d1[:-1] & d1[1:] & d2
+        hits = np.flatnonzero(agree & (np.arange(len(seq)) >= first)).tolist()
+        still = []
+        for i, lo, hi in zip(active, starts, ends):
+            k = bisect.bisect_left(hits, lo)
+            if k < len(hits) and hits[k] < hi:
+                found[i] = seq[hits[k]]
+            elif start + LIMIT_CHUNK < len(ladders[i]):
+                tails[i] = seq[max(lo, hi - 2):hi]
+                still.append(i)
+        active = still
+    return found
 
 
 def one_sided_direction(
@@ -115,36 +199,9 @@ def one_sided_direction(
     Returns None when no limit emerges, as happens for directions that
     spin without settling.
     """
-    span = spec.b - spec.a
     if h0 is None:
-        h0 = 1e-3 * span
-    lo, hi = spec.a, spec.b
-    # the irrational scale keeps the probe offsets off resonances of
-    # periodic direction fields, which a round dyadic ladder can hit
-    h = h0 / math.sqrt(2.0)
-    ladder = []
-    for _ in range(config.LIMIT_HALVINGS):
-        tt = t + side * h
-        h *= 0.5
-        if lo <= tt <= hi:
-            ladder.append(tt)
-    cos_tol = math.cos(config.THETA_TOL)
-    collected = []
-    for start in range(0, len(ladder), LIMIT_CHUNK):
-        for v in spec.values(np.array(ladder[start:start + LIMIT_CHUNK])):
-            if _is_real_vec(v):
-                continue
-            u = _unit(v)
-            collected.append(u)
-            if len(collected) >= 3:
-                u1, u2, u3 = collected[-3], collected[-2], collected[-1]
-                if (
-                    float(np.dot(u1, u2)) >= cos_tol
-                    and float(np.dot(u2, u3)) >= cos_tol
-                    and float(np.dot(u1, u3)) >= cos_tol
-                ):
-                    return u3
-    return None
+        h0 = 1e-3 * (spec.b - spec.a)
+    return _one_sided_directions(spec, [(t, side, h0)])[0]
 
 
 def classify_point(
@@ -187,66 +244,121 @@ def classify_interval(interval: AxisInterval, directive: str | None = None) -> s
     return interval.kind
 
 
-def _bisect_real_edge(spec, t_real, t_nonreal, ptol):
-    """Refine the boundary between real and non-real path values.
+def _bisect_real_edges(spec, edges, ptol) -> list:
+    """Refine boundaries between real and non-real path values.
 
-    Each path call evaluates the midpoints of the next BISECT_LEVELS
-    halvings for every outcome, in heap order (node n is followed by
-    node 2n+1 when its midpoint is real and by 2n+2 otherwise); walking
-    them gives the same midpoints, from the same endpoints, as one
-    halving per call.
+    edges holds (t_real, t_nonreal) pairs; the result holds the real
+    end of each once the two ends are within ptol.  Each round
+    evaluates, in one path call, the midpoints of the next BISECT_LEVELS
+    halvings of every unfinished edge for every outcome, in heap order
+    (node n is followed by node 2n+1 when its midpoint is real and by
+    2n+2 otherwise); walking them gives each edge the same midpoints,
+    from the same endpoints, as one halving per call.
     """
+    edges = [list(e) for e in edges]
+    todo = [e for e in edges if abs(e[0] - e[1]) > ptol]
+    if not todo:
+        return [e[0] for e in edges]
     nodes = 2 ** BISECT_LEVELS - 1
-    while abs(t_real - t_nonreal) > ptol:
-        brackets = [(t_real, t_nonreal)]
-        mids = []
-        for n in range(nodes):
-            r, nr = brackets[n]
-            tm = 0.5 * (r + nr)
-            mids.append(tm)
-            brackets += [(tm, nr), (r, tm)]
-        vals = spec.values(np.array(mids))
-        n = 0
-        while n < nodes and abs(t_real - t_nonreal) > ptol:
-            if _is_real_vec(vals[n]):
-                t_real = mids[n]
-                n = 2 * n + 1
-            else:
-                t_nonreal = mids[n]
-                n = 2 * n + 2
-    return t_real
+    # the columns of the real and the non-real end of each node's bracket
+    # in [t_real, t_nonreal, midpoint of node 0, ..., of node nodes-1]
+    ends = [(0, 1)]
+    for n in range(nodes):
+        r, nr = ends[n]
+        ends += [(n + 2, nr), (r, n + 2)]
+    r_col, nr_col = np.array(ends[:nodes]).T
+    while todo:
+        ts = np.empty((len(todo), nodes + 2))
+        ts[:, :2] = todo
+        # one level of the heap at a time: its brackets end at earlier
+        # midpoints
+        for level in range(BISECT_LEVELS):
+            cols = slice(2 ** level - 1, 2 ** (level + 1) - 1)
+            ts[:, 2 + cols.start:2 + cols.stop] = 0.5 * (
+                ts[:, r_col[cols]] + ts[:, nr_col[cols]])
+        mids = ts[:, 2:]
+        real = _im_parts(spec.values(mids.ravel()))[1].reshape(mids.shape)
+        for e, mid, is_real in zip(todo, mids.tolist(), real.tolist()):
+            n = 0
+            while n < nodes and abs(e[0] - e[1]) > ptol:
+                if is_real[n]:
+                    e[0] = mid[n]
+                    n = 2 * n + 1
+                else:
+                    e[1] = mid[n]
+                    n = 2 * n + 2
+        todo = [e for e in todo if abs(e[0] - e[1]) > ptol]
+    return [e[0] for e in edges]
 
 
-def _localize_contact(spec, tl, tn, tr, ptol):
-    """Pin down an isolated real contact inside (tl, tr), seeded at tn.
+def _localize_contacts(spec, brackets, ptol) -> list:
+    """Pin down an isolated real contact inside each bracket (tl, tn, tr).
 
-    Path values are memoised by parameter.  tl, tn and tr are evaluated
-    in one call; the root finder starts from tl and tr, and the final
-    realness check is made at a parameter a solver has evaluated.
+    Each bracket gets a Brent solve on (tl, tr): a root of the component
+    of Im(gamma) along its direction at tn where that component changes
+    sign on the bracket, else the minimiser of |Im(gamma)|.  The solves
+    run in lockstep: each round evaluates, in one path call, the
+    parameters the unfinished solves ask for.  Each bracket memoises its
+    own values: its tl, tn and tr are evaluated in the first call, the
+    root finder starts from tl and tr, and the final realness check is
+    made at a parameter its solver has evaluated.  The result holds the
+    contact parameter of each bracket, or None where the path is not
+    real there.
     """
-    tl, tn, tr = float(tl), float(tn), float(tr)
-    memo = dict(zip((tl, tn, tr), spec.values(np.array([tl, tn, tr]))))
+    if not brackets:
+        return []
+    tri = np.array(brackets, dtype=float)
+    vals = spec.values(tri.ravel())
+    ims = _im_parts(vals)[0]
+    u_ref = vals[1::3, 1:] / ims[1::3, None]
+    comps = _row_dots(vals[:, 1:], np.repeat(u_ref, 3, axis=0))
+    root_find = comps[0::3] * comps[2::3] < 0
+    rows = vals.reshape(len(tri), 3, -1)
+    solves, memos = [], []
+    for k, (tl, tn, tr) in enumerate(tri.tolist()):
+        if root_find[k]:
+            solves.append(_brent.brentq_steps(tl, tr, ptol))
+            ys = comps[3 * k:3 * k + 3]
+        else:
+            solves.append(_brent.minimize_bounded_steps(tl, tr, ptol))
+            ys = ims[3 * k:3 * k + 3]
+        # parameter -> (solver's function value, path value)
+        memos.append(dict(zip((tl, tn, tr), zip(ys.tolist(), rows[k]))))
 
-    def value(t):
-        if t not in memo:
-            memo[t] = spec.value(t)
-        return memo[t]
+    done = [None] * len(tri)
 
-    u_ref = _unit(value(tn))
+    def advance(k, y):
+        """Send y to solve k and serve it from the memo; the parameter
+        it asks for next, or None when it is done."""
+        try:
+            t = solves[k].send(y)
+            while t in memos[k]:
+                t = solves[k].send(memos[k][t][0])
+            return t
+        except StopIteration as stop:
+            done[k] = stop.value
+        return None
 
-    def component(t):
-        return float(np.dot(value(t)[1:], u_ref))
-
-    cl, cr = component(tl), component(tr)
-    if cl * cr < 0:
-        t_c = _brent.brentq(component, tl, tr, xtol=ptol)
-    else:
-        t_c = _brent.minimize_bounded(
-            lambda t: float(np.linalg.norm(value(t)[1:])), tl, tr, xatol=ptol
-        )
-    if _is_real_vec(value(t_c)):
-        return t_c
-    return None
+    asked = {k: advance(k, None) for k in range(len(tri))}
+    asked = {k: t for k, t in asked.items() if t is not None}
+    while asked:
+        ks = list(asked)
+        vals = spec.values(np.array(list(asked.values())))
+        # the component along u_ref for a root finder, |Im| = the square
+        # root of Im . Im for a minimiser
+        refs = np.where(root_find[ks, None], u_ref[ks], vals[:, 1:])
+        dots = _row_dots(vals[:, 1:], refs).tolist()
+        nxt = {}
+        for k, d, v in zip(ks, dots, vals):
+            y = d if root_find[k] else math.sqrt(d)
+            memos[k][asked[k]] = (y, v)
+            t = advance(k, y)
+            if t is not None:
+                nxt[k] = t
+        asked = nxt
+    # a solver returns a parameter it has evaluated
+    ends = np.array([memo[t][1] for memo, t in zip(memos, done)])
+    return [t if is_real else None for t, is_real in zip(done, _im_parts(ends)[1])]
 
 
 def _sign_of(x: float) -> int:
@@ -258,7 +370,20 @@ def _sign_of(x: float) -> int:
 
 
 def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport:
-    """Build the full obstruction report for a sampled path."""
+    """Build the full obstruction report for a sampled path.
+
+    The path is probed beyond its samples for all contacts together; each
+    round of a probe is one path call:
+    - real-edge bisection: the next BISECT_LEVELS halvings of every edge
+      between a real and a non-real sample;
+    - contact localisation: the next Brent step of every contact the grid
+      only brackets;
+    - one-sided limits: the next LIMIT_CHUNK offsets of every direction
+      limit still unsettled;
+    and one more call gives the values of every contact and run.  The
+    number of calls grows with the rounds of the slowest probe, not with
+    the number of contacts.
+    """
     span = spec.b - spec.a
     ptol = 1e-12 * max(1.0, span)
     run_min = 1e-5 * span
@@ -269,49 +394,54 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     if np.any(mags <= config.EPS_REAL):
         raise ZeroOnPath("path passes through zero")
     ims = np.linalg.norm(vals[:, 1:], axis=1)
+    # the samples' realness as the sampler computed it
     real_flags = config.is_real(ims, mags)
 
     n = len(ts)
 
     # --- raw real items from runs of real samples -------------------------
-    items = []  # ("contact", t, value) or ("run", t0, t1, value)
-    idx = 0
-    while idx < n:
-        if not real_flags[idx]:
-            idx += 1
-            continue
-        j = idx
-        while j + 1 < n and real_flags[j + 1]:
-            j += 1
-        t_lo = ts[idx]
-        t_hi = ts[j]
+    # each maximal stretch idx..j of real samples, with its edges to the
+    # non-real samples beside it bisected, all edges together
+    change = np.diff(real_flags.astype(np.int8), prepend=0, append=0)
+    stretches = list(zip(np.flatnonzero(change == 1), np.flatnonzero(change == -1) - 1))
+    edges = []
+    for idx, j in stretches:
         if idx > 0:
-            t_lo = _bisect_real_edge(spec, ts[idx], ts[idx - 1], ptol)
+            edges.append((ts[idx], ts[idx - 1]))
         if j + 1 < n:
-            t_hi = _bisect_real_edge(spec, ts[j], ts[j + 1], ptol)
+            edges.append((ts[j], ts[j + 1]))
+    bisected = iter(_bisect_real_edges(spec, edges, ptol))
+    items = []  # ("contact", t, t) or ("run", t0, t1)
+    for idx, j in stretches:
+        t_lo = next(bisected) if idx > 0 else ts[idx]
+        t_hi = next(bisected) if j + 1 < n else ts[j]
         if t_hi - t_lo > run_min:
             items.append(("run", float(t_lo), float(t_hi)))
         else:
             t_c = 0.5 * (t_lo + t_hi)
             items.append(("contact", float(t_c), float(t_c)))
-        idx = j + 1
 
     # --- contacts the grid only bracketed ---------------------------------
-    known = [it[1] for it in items]
-    for m in range(1, n - 1):
-        if real_flags[m - 1] or real_flags[m] or real_flags[m + 1]:
-            continue
-        if not (ims[m] <= ims[m - 1] and ims[m] <= ims[m + 1]):
-            continue
-        if ims[m] > 1e-3 * max(1.0, mags[m]):
-            continue
-        t_c = _localize_contact(spec, ts[m - 1], ts[m], ts[m + 1], ptol)
+    # non-real samples m whose |Im| is a small local minimum, localized
+    # together
+    near_real = real_flags[:-2] | real_flags[1:-1] | real_flags[2:]
+    dips = (ims[1:-1] <= ims[:-2]) & (ims[1:-1] <= ims[2:])
+    small = ~(ims[1:-1] > 1e-3 * np.maximum(1.0, mags[1:-1]))
+    found = _localize_contacts(spec, [
+        (ts[m - 1], ts[m], ts[m + 1])
+        for m in np.flatnonzero(~near_real & dips & small) + 1
+    ], ptol)
+    # a contact within 10 run_min of a known item is that item; the
+    # nearest known parameters are the two that t_c sorts between
+    known = sorted(it[1] for it in items)
+    for t_c in found:
         if t_c is None:
             continue
-        if any(abs(t_c - tk) < 10 * run_min for tk in known):
+        k = bisect.bisect_left(known, t_c)
+        if any(abs(t_c - tk) < 10 * run_min for tk in known[max(k - 1, 0):k + 1]):
             continue
         items.append(("contact", t_c, t_c))
-        known.append(t_c)
+        bisect.insort(known, t_c)
     items.sort(key=lambda it: it[1])
 
     # --- wrap merging for closed paths ------------------------------------
@@ -365,51 +495,58 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
                 k += step
         return min(1e-3 * span, nearest / 2.0) if math.isfinite(nearest) else 1e-3 * span
 
-    def dir_at(t, side):
-        u = one_sided_direction(spec, t, side, h0_for(t))
-        return tuple(float(x) for x in u) if u is not None else None
-
-    contacts = []
-    runs = []
-    for it in items:
-        if it[0] == "contact":
-            t_c = it[1]
-            value = float(spec.value(t_c)[0])
+    # each real item as (kind, t0, t1, wrap, parameter of its value, left
+    # limit, right limit), a limit being (t, side), or None where the item
+    # has none
+    probes = []
+    for kind, t0, t1 in items:
+        if kind == "contact":
             # a contact's real stretch is shorter than run_min, so its
             # localized parameter sits within run_min of a domain edge
             # whenever the stretch touches that edge
-            at_a = t_c - spec.a <= run_min
-            at_b = spec.b - t_c <= run_min
-            left = None if at_a else dir_at(t_c, -1)
-            right = None if at_b else dir_at(t_c, +1)
-            interior = not (at_a or at_b) or spec.closed
-            kind = classify_point(left, right, interior)
-            contacts.append(
-                Contact(t_c, value, _sign_of(value), left, right, kind)
-            )
+            at_a = t0 - spec.a <= run_min
+            at_b = spec.b - t0 <= run_min
+            probes.append((kind, t0, t1, False, t0,
+                           None if at_a else (t0, -1), None if at_b else (t0, +1)))
         else:
-            t0, t1 = it[1], it[2]
-            value = float(spec.value(0.5 * (t0 + t1))[0])
-            in_dir = dir_at(t0, -1) if t0 - spec.a > edge_tol else None
-            out_dir = dir_at(t1, +1) if spec.b - t1 > edge_tol else None
-            runs.append(RealRun(t0, t1, _sign_of(value), in_dir, out_dir))
-
+            # t1 <= b: only the wrap run reaches past the end
+            probes.append((kind, t0, t1, False, 0.5 * (t0 + t1),
+                           (t0, -1) if t0 - spec.a > edge_tol else None,
+                           (t1, +1) if spec.b - t1 > edge_tol else None))
+    # values beside the wrap run, where the big arcs meet it
+    flanks = []
     if wrap_item is not None:
-        if wrap_item[0] == "contact":
-            value = float(spec.value(spec.a)[0])
-            left = dir_at(spec.b, -1)
-            right = dir_at(spec.a, +1)
-            kind = classify_point(left, right, True)
-            contacts.append(
-                Contact(spec.a, value, _sign_of(value), left, right, kind, wrap=True)
-            )
+        kind, t0, t1 = wrap_item
+        if kind == "contact":
+            probes.append((kind, spec.a, spec.a, True, spec.a, (spec.b, -1), (spec.a, +1)))
         else:
-            t0, t1 = wrap_item[1], wrap_item[2]
-            value = float(spec.value(min(0.5 * (t0 + spec.b), spec.b))[0])
-            out_param = spec.a + (t1 - spec.b)
-            in_dir = dir_at(t0, -1)
-            out_dir = dir_at(out_param, +1)
-            runs.append(RealRun(t0, t1, _sign_of(value), in_dir, out_dir, wrap=True))
+            probes.append((kind, t0, t1, True, min(0.5 * (t0 + spec.b), spec.b),
+                           (t0, -1), (spec.a + (t1 - spec.b), +1)))
+            flanks = [min(t0 + edge_tol, spec.b), max(t0 - edge_tol, spec.a)]
+
+    # every limit in one batch of requests, every value in one path call
+    limits = [lim for *_, left, right in probes for lim in (left, right) if lim]
+    units = iter(_one_sided_directions(spec, [(t, side, h0_for(t)) for t, side in limits]))
+    values = spec.values(np.array([p[4] for p in probes] + flanks))[:, 0].tolist()
+    values, flank_values = values[:len(probes)], values[len(probes):]
+
+    def direction(limit):
+        u = next(units) if limit else None
+        return tuple(u.tolist()) if u is not None else None
+
+    contacts = []
+    runs = []
+    run_values = []
+    for (kind, t0, t1, wrap, _t, left, right), value in zip(probes, values):
+        # only a contact at an end of an open path lacks a limit
+        interior = spec.closed or (left is not None and right is not None)
+        left, right = direction(left), direction(right)
+        if kind == "contact":
+            kind = classify_point(left, right, interior)
+            contacts.append(Contact(t0, value, _sign_of(value), left, right, kind, wrap))
+        else:
+            runs.append(RealRun(t0, t1, _sign_of(value), left, right, wrap))
+            run_values.append(value)
 
     # --- big arcs ----------------------------------------------------------
     # ordered boundary list: (parameter, real value or None at domain ends)
@@ -417,9 +554,9 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     for c in contacts:
         if not c.wrap:
             bounds.append((c.t, c.t, c.value))
-    for r in runs:
+    for r, value in zip(runs, run_values):
         if not r.wrap:
-            bounds.append((r.t0, r.t1, float(spec.value(0.5 * (r.t0 + min(r.t1, spec.b)))[0])))
+            bounds.append((r.t0, r.t1, value))
     bounds.sort(key=lambda x: x[0])
 
     wrap_contact = next((c for c in contacts if c.wrap), None)
@@ -432,7 +569,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         left_value = wrap_contact.value
     if wrap_run is not None:
         cursor = spec.a + (wrap_run.t1 - spec.b)
-        left_value = float(spec.value(min(wrap_run.t0 + edge_tol, spec.b))[0])
+        left_value = flank_values[0]
     for t0, t1, value in bounds:
         if t0 - cursor > edge_tol:
             arcs.append((cursor, t0, left_value, value))
@@ -444,7 +581,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         if wrap_contact is not None:
             right_value = wrap_contact.value
         if wrap_run is not None:
-            right_value = float(spec.value(max(wrap_run.t0 - edge_tol, spec.a))[0])
+            right_value = flank_values[1]
         arcs.append((cursor, end, left_value, right_value))
 
     if (

@@ -3,7 +3,9 @@
 The reference versions below are the one-point-at-a-time algorithms the
 batched ones replaced: a depth-first adaptive sampler, a one-sided limit
 that evaluates one offset per call, and a bisection with one halving
-per call.  The batched versions must agree with them bit for bit.
+per call.  They test realness and take unit directions one value at a
+time, with np.linalg.norm, independently of the library's row helpers.
+The batched versions must agree with them bit for bit.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hyperlog as hl
 from hyperlog import config, obstruction
@@ -66,6 +69,16 @@ def same_bits(x, y) -> bool:
 
 # ---------------------------------------------------------------------------
 # reference algorithms, one evaluation per call
+
+
+def is_real_vec(v):
+    """The scale-aware realness test of one path value."""
+    return float(np.linalg.norm(v[1:])) <= config.eps_real_for(float(np.linalg.norm(v)))
+
+
+def unit(v):
+    """The unit imaginary direction of one path value."""
+    return v[1:] / np.linalg.norm(v[1:])
 
 
 def reference_sample_adaptive(spec, n0=64):
@@ -149,9 +162,9 @@ def reference_one_sided_direction(spec, t, side, h0=None):
         if tt < spec.a or tt > spec.b:
             continue
         v = spec.value(tt)
-        if obstruction._is_real_vec(v):
+        if is_real_vec(v):
             continue
-        collected.append(obstruction._unit(v))
+        collected.append(unit(v))
         if len(collected) >= 3:
             u1, u2, u3 = collected[-3:]
             cos_tol = math.cos(config.THETA_TOL)
@@ -167,7 +180,7 @@ def reference_one_sided_direction(spec, t, side, h0=None):
 def reference_bisect_real_edge(spec, t_real, t_nonreal, ptol):
     while abs(t_real - t_nonreal) > ptol:
         tm = 0.5 * (t_real + t_nonreal)
-        if obstruction._is_real_vec(spec.value(tm)):
+        if is_real_vec(spec.value(tm)):
             t_real = tm
         else:
             t_nonreal = tm
@@ -354,20 +367,25 @@ def probe_cases():
         yield label, spec, ts, edges
 
 
+def same_direction(got, want) -> bool:
+    return got is None if want is None else same_bits(got, want)
+
+
 def test_one_sided_direction_matches_reference():
     checked = 0
     for label, spec, ts, _edges in probe_cases():
         span = spec.b - spec.a
-        for t in ts:
-            for side in (-1, 1):
-                for h0 in (None, 1e-5 * span):
-                    want = reference_one_sided_direction(spec, t, side, h0)
-                    got = obstruction.one_sided_direction(spec, t, side, h0)
-                    if want is None:
-                        assert got is None, label
-                    else:
-                        assert same_bits(got, want), label
-                    checked += 1
+        requests = [(t, side, h0) for t in ts for side in (-1, 1)
+                    for h0 in (1e-3 * span, 1e-5 * span)]
+        wants = [reference_one_sided_direction(spec, *req) for req in requests]
+        for (t, side, h0), want in zip(requests, wants):
+            got = obstruction.one_sided_direction(
+                spec, t, side, None if h0 == 1e-3 * span else h0)
+            assert same_direction(got, want), label
+            checked += 1
+        # all requests of a path together, as find_obstructions asks them
+        batch = obstruction._one_sided_directions(spec, requests)
+        assert all(same_direction(got, want) for got, want in zip(batch, wants)), label
     assert checked > 100
 
 
@@ -375,9 +393,49 @@ def test_bisect_real_edge_matches_reference():
     checked = 0
     for label, spec, _ts, edges in probe_cases():
         ptol = 1e-12 * max(1.0, spec.b - spec.a)
-        for t_real, t_nonreal in edges:
-            want = reference_bisect_real_edge(spec, t_real, t_nonreal, ptol)
-            got = obstruction._bisect_real_edge(spec, t_real, t_nonreal, ptol)
-            assert got == want, label
-            checked += 1
+        wants = [reference_bisect_real_edge(spec, t_real, t_nonreal, ptol)
+                 for t_real, t_nonreal in edges]
+        # all edges of a path together, as find_obstructions bisects them
+        assert obstruction._bisect_real_edges(spec, edges, ptol) == wants, label
+        checked += len(edges)
     assert checked > 20
+
+
+# blocks of rows of dimension 4 or 8, at one scale between 1e-300 and 1e300
+rows = st.tuples(
+    st.sampled_from([4, 8]), st.integers(1, 40), st.floats(-300, 300),
+).flatmap(lambda a: hnp.arrays(
+    np.float64, (a[1], a[0]),
+    elements=st.floats(-10.0, 10.0).map(lambda x: x * 10.0 ** a[2])))
+
+
+@given(rows)
+@settings(max_examples=200, deadline=None)
+def test_row_norms_equal_one_row_norms_bit_for_bit(v):
+    # squares past 1e308 overflow to inf, and below 1e-308 underflow, in
+    # both computations
+    with np.errstate(over="ignore", under="ignore"):
+        for block in (v, v[:, 1:]):
+            want = np.array([np.linalg.norm(r) for r in block])
+            assert same_bits(obstruction._row_norms(block), want)
+
+
+# find_obstructions on slice_circle(j,2,n) before its probes were batched:
+# 7 segment calls per contact, and these points
+UNBATCHED_POINTS = {5: 706, 10: 1412, 20: 2824, 40: 5648}
+
+
+def test_obstruction_probes_make_one_call_per_round():
+    calls = {}
+    for n, points in UNBATCHED_POINTS.items():
+        spec = hl.demo(f"slice_circle(j,2,{n})").path
+        sp, _sampling = sample_path(spec)
+        meter = Meter()
+        spec = counted(spec, meter)
+        meter.calls = meter.points = 0  # the closure checked by the constructor
+        rep = hl.find_obstructions(sp, spec)
+        assert len(rep.contacts) == 2 * n
+        calls[n] = meter.calls
+        assert meter.points <= points, n
+    # as many rounds however many contacts there are
+    assert len(set(calls.values())) == 1, calls

@@ -22,7 +22,7 @@ from hyperlog import _brent, config, obstruction
 from hyperlog.errors import HyperlogError
 from hyperlog.pathkit import sample_path
 
-from test_batched_eval import Meter, corpus_paths, counted
+from test_batched_eval import Meter, corpus_paths, counted, unit
 
 # families of test functions f(x; s, k, c): each changes sign at x = 0
 # when c = 0, and is evaluated at x - r for a drawn root r
@@ -122,8 +122,8 @@ def test_minimize_bounded_finds_a_parabola_vertex(x0, left, right, xatol):
 
 
 def reference_localize_contact(spec, tl, tn, tr, ptol, brentq, minimize):
-    """_localize_contact with one path evaluation per solver step."""
-    u_ref = obstruction._unit(spec.value(tn))
+    """A contact localisation with one path evaluation per solver step."""
+    u_ref = unit(spec.value(tn))
 
     def component(t):
         return float(np.dot(spec.value(t)[1:], u_ref))
@@ -140,16 +140,18 @@ def reference_localize_contact(spec, tl, tn, tr, ptol, brentq, minimize):
 
 def localisations():
     """(label, spec, tl, tn, tr, ptol, result) of every contact
-    localisation that find_obstructions makes on the corpus paths."""
+    localisation that find_obstructions makes on the corpus paths, each
+    bracket of its batches."""
     made = []
-    localize = obstruction._localize_contact
+    localize = obstruction._localize_contacts
 
-    def record(spec, tl, tn, tr, ptol):
-        t_c = localize(spec, tl, tn, tr, ptol)
-        made.append((label, spec, tl, tn, tr, ptol, t_c))
-        return t_c
+    def record(spec, brackets, ptol):
+        found = localize(spec, brackets, ptol)
+        made.extend((label, spec, tl, tn, tr, ptol, t_c)
+                    for (tl, tn, tr), t_c in zip(brackets, found))
+        return found
 
-    obstruction._localize_contact = record
+    obstruction._localize_contacts = record
     try:
         for label, spec in corpus_paths():
             try:
@@ -158,7 +160,7 @@ def localisations():
             except HyperlogError:
                 pass
     finally:
-        obstruction._localize_contact = localize
+        obstruction._localize_contacts = localize
     return made
 
 
@@ -177,7 +179,8 @@ def test_memoised_localisation_matches_unmemoised_on_the_corpus():
         want = ported(counted(spec, meter), tl, tn, tr, ptol)
         before += meter.calls
         meter = Meter()
-        got = obstruction._localize_contact(counted(spec, meter), tl, tn, tr, ptol)
+        # the bracket on its own gets the result it got in its batch
+        [got] = obstruction._localize_contacts(counted(spec, meter), [(tl, tn, tr)], ptol)
         after += meter.calls
         assert got == t_c == want, label
     # the memo serves the solvers' first two evaluations and the check
@@ -194,7 +197,9 @@ def test_localisation_matches_scipy_on_the_corpus():
         return float(optimize.minimize_scalar(
             f, bounds=(a, b), method="bounded", options={"xatol": xatol}).x)
 
-    for label, spec, tl, tn, tr, ptol, t_c in localisations():
+    made = localisations()
+    assert len(made) > 100
+    for label, spec, tl, tn, tr, ptol, t_c in made:
         want = reference_localize_contact(spec, tl, tn, tr, ptol, brentq, minimize)
         assert t_c == want, label
 
