@@ -18,13 +18,7 @@ import numpy as np
 from . import config
 from .algebra import Hyper, ImaginaryUnit, ProjectiveUnit
 from .errors import InitialMismatch, SliceMismatch
-from .obstruction import (
-    BAD_KINDS,
-    BOUNCE,
-    FLIP,
-    ObstructionReport,
-    classify_interval,
-)
+from .obstruction import BAD_KINDS, FLIP, ObstructionReport, _row_dots, run_kinds
 from .pathkit import SampledPath
 
 
@@ -78,15 +72,6 @@ def _slerp(u0: np.ndarray, u1: np.ndarray, fracs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _directive_for_run(rep: ObstructionReport, run, directives) -> str:
-    """Resolved flip/bounce choice for one real run."""
-    for m, iv in enumerate(rep.intervals):
-        if any(r.t0 == run.t0 for r in iv.runs):
-            d = directives[m] if m < len(directives) else None
-            return classify_interval(iv, d)
-    return BOUNCE
-
-
 def unit_field(
     sampled: SampledPath,
     rep: ObstructionReport,
@@ -95,19 +80,27 @@ def unit_field(
 ) -> np.ndarray:
     """Continuous unit directions over the sample grid.
 
-    seed, when given, fixes the sign of the field at the first sample
-    (it must be parallel to the path's direction there, or, for a real
-    start, it simply becomes the starting direction).
+    At the k-th non-real sample the field is S_k r_k, where r_k is the
+    unit Im/|Im| there and S_k = +-1 carries the sign.  S_0 is -1 when a
+    seed is given and points against r_0, else +1.  After that S_k is
+    S_{k-1} times the sign of r_{k-1}.r_k, negated once more when a real
+    sample between the two lies in a run resolved as a flip (see
+    run_kinds); an exactly zero r_{k-1}.r_k restarts the carry at +1.
+    A real stretch is bridged by a slerp from the direction before it to
+    the one after it; a trailing stretch turns to the last direction,
+    negated after a flip.  A leading stretch, or a path that is real
+    throughout, takes the seed, or else the first direction (+i when
+    there is none); the seed must be parallel to the path's direction at
+    a non-real start.
     """
+    params = sampled.params
     vals = sampled.values
-    n = len(sampled.params)
-    dim = vals.shape[1]
-    mags = np.linalg.norm(vals, axis=1)
+    n = len(params)
     im_vecs = vals[:, 1:]
     im_norms = np.linalg.norm(im_vecs, axis=1)
-    real = config.is_real(im_norms, mags)
+    real = config.is_real(im_norms, np.linalg.norm(vals, axis=1))
 
-    units = np.zeros((n, dim - 1))
+    units = np.zeros((n, vals.shape[1] - 1))
     if np.all(real):
         if seed is not None:
             units[:] = seed
@@ -115,59 +108,42 @@ def unit_field(
             units[:, 0] = 1.0
         return units
 
-    a = float(sampled.params[0])
-    b = float(sampled.params[-1])
-    run_bounds = []
-    for r in rep.runs:
-        kind = _directive_for_run(rep, r, directives)
-        if r.wrap:
-            run_bounds.append((r.t0, b, kind))
-            run_bounds.append((a, a + (r.t1 - b), kind))
-        else:
-            run_bounds.append((r.t0, r.t1, kind))
+    # real samples in a run resolved as a flip: the first run (a wrap
+    # run being its two pieces) that covers a real sample decides
+    a, b = float(params[0]), float(params[-1])
+    flip = np.zeros(n, dtype=bool)
+    uncovered = real.copy()
+    for r, kind in zip(rep.runs, run_kinds(rep, directives)):
+        for t0, t1 in [(r.t0, b), (a, a + (r.t1 - b))] if r.wrap else [(r.t0, r.t1)]:
+            cover = uncovered & (t0 - 1e-9 <= params) & (params <= t1 + 1e-9)
+            uncovered &= ~cover
+            if kind == FLIP:
+                flip |= cover
 
-    def run_kind_at(t: float) -> str | None:
-        for t0, t1, kind in run_bounds:
-            if t0 - 1e-9 <= t <= t1 + 1e-9:
-                return kind
-        return None
+    # the sign carry: a cumulative product of +-1 factors that restarts
+    # at each exact zero; _row_dots gives np.dot's bits, zeros included
+    nonreal = np.flatnonzero(~real)
+    dirs = im_vecs[nonreal] / im_norms[nonreal, None]
+    s0 = -1.0 if seed is not None and float(np.dot(seed, dirs[0])) < 0 else 1.0
+    crossed = np.diff(np.cumsum(flip)[nonreal]) > 0
+    steps = np.sign(_row_dots(dirs[:-1], dirs[1:])) * np.where(crossed, -1.0, 1.0)
+    # a leading 1 lets index 0 stand for "no restart yet"
+    g = np.concatenate(([1.0, s0], steps))
+    reset = g == 0.0
+    g[reset] = 1.0
+    carry = np.cumprod(g)
+    restart = np.maximum.accumulate(np.where(reset, np.arange(len(g)), 0))
+    units[nonreal] = (carry * carry[restart])[1:, None] * dirs
 
-    prev = None
-    pending_real = []  # indices of a real stretch awaiting interpolation
-    pending_flip = False
-    for m in range(n):
-        if real[m]:
-            pending_real.append(m)
-            k = run_kind_at(float(sampled.params[m]))
-            if k == FLIP:
-                pending_flip = True
+    # the real stretches i..j-1
+    change = np.diff(real.astype(np.int8), prepend=0, append=0)
+    for i, j in zip(np.flatnonzero(change == 1), np.flatnonzero(change == -1)):
+        if i == 0:
+            units[:j] = seed if seed is not None else units[j]
             continue
-        raw = im_vecs[m] / im_norms[m]
-        if prev is None:
-            u = raw.copy()
-            if seed is not None and float(np.dot(seed, raw)) < 0:
-                u = -u
-        else:
-            carried = -prev if pending_flip else prev
-            s = 1.0 if float(np.dot(carried, raw)) >= 0 else -1.0
-            u = s * raw
-        if pending_real:
-            if prev is None:
-                fill = seed if seed is not None else u
-                units[pending_real] = np.tile(fill, (len(pending_real), 1))
-            else:
-                # rotate through the real stretch from entry to exit side
-                fr = np.linspace(0.0, 1.0, len(pending_real) + 2)[1:-1]
-                units[pending_real] = _slerp(prev, u, fr)
-            pending_real = []
-        pending_flip = False
-        units[m] = u
-        prev = u
-    if pending_real:
-        # trailing real stretch: rotate to the (possibly flipped) carry
-        tail = -prev if pending_flip else prev
-        fr = np.linspace(0.0, 1.0, len(pending_real) + 2)[1:-1]
-        units[pending_real] = _slerp(prev, tail, fr)
+        prev = units[i - 1]
+        end = units[j] if j < n else (-prev if flip[i:].any() else prev)
+        units[i:j] = _slerp(prev, end, np.linspace(0.0, 1.0, j - i + 2)[1:-1])
     return units
 
 

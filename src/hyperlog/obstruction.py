@@ -244,6 +244,20 @@ def classify_interval(interval: AxisInterval, directive: str | None = None) -> s
     return interval.kind
 
 
+def run_kinds(rep: ObstructionReport, directives=()) -> tuple:
+    """Resolved flip/bounce kind of each of rep.runs, in report order.
+
+    A run takes the classify_interval kind, under its directive, of the
+    first axis interval that holds it; a run in no interval bounces.
+    """
+    kind = {}
+    for m, iv in enumerate(rep.intervals):
+        k = classify_interval(iv, directives[m] if m < len(directives) else None)
+        for r in iv.runs:
+            kind.setdefault(r.t0, k)
+    return tuple(kind.get(r.t0, BOUNCE) for r in rep.runs)
+
+
 def _bisect_real_edges(spec, edges, ptol) -> list:
     """Refine boundaries between real and non-real path values.
 
@@ -609,72 +623,71 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         return t
 
     period = spec.b - spec.a
-
-    def in_gap(keys):
-        """(g0, g1) -> indices, in list order, of the keys t with
-        g0 - edge_tol <= tt <= g1 + edge_tol for tt = t or t +- period."""
-        keys = np.asarray(keys, dtype=float)
-        shifts = []
-        for tt in (keys, keys + period, keys - period):
-            order = np.argsort(tt, kind="stable")
-            shifts.append((tt[order], order))
-
-        def members(g0, g1):
-            lo, hi = g0 - edge_tol, g1 + edge_tol
-            hits = set()
-            for tt, order in shifts:
-                k0 = np.searchsorted(tt, lo, side="left")
-                k1 = np.searchsorted(tt, hi, side="right")
-                hits.update(order[k0:k1].tolist())
-            return sorted(hits)
-
-        return members
-
-    contacts_in = in_gap([c.t for c in contacts])
-    runs_in = in_gap([r.t0 for r in runs])
-    intervals = []
+    gaps = []
     if big_arcs:
         pairs = list(zip(big_arcs, big_arcs[1:]))
         if spec.closed:
             pairs.append((big_arcs[-1], big_arcs[0]))
         for (a0, a1), (b0, b1) in pairs:
             g0 = norm_param(a1)
-            g1 = b0 if b0 >= g0 - edge_tol else spec.b + (b0 - spec.a)
-            inner_contacts = tuple(contacts[k] for k in contacts_in(g0, g1))
-            inner_runs = tuple(runs[k] for k in runs_in(g0, g1))
-            wrap = (
-                g1 > spec.b + edge_tol
-                or any(r.wrap for r in inner_runs)
-                or any(c.wrap for c in inner_contacts)
+            gaps.append((g0, b0 if b0 >= g0 - edge_tol else spec.b + (b0 - spec.a)))
+    lo = np.array([g0 for g0, _g1 in gaps]) - edge_tol
+    hi = np.array([g1 for _g0, g1 in gaps]) + edge_tol
+
+    def members(keys):
+        """For each gap (g0, g1), the sorted indices of the keys t with
+        g0 - edge_tol <= tt <= g1 + edge_tol for tt = t or t +- period;
+        one searchsorted per side for all gaps on each shifted key array."""
+        keys = np.asarray(keys, dtype=float)
+        hits = [set() for _ in gaps]
+        for tt in (keys, keys + period, keys - period):
+            order = np.argsort(tt, kind="stable")
+            tt = tt[order]
+            k0 = np.searchsorted(tt, lo, side="left").tolist()
+            k1 = np.searchsorted(tt, hi, side="right").tolist()
+            for h, i, j in zip(hits, k0, k1):
+                h.update(order[i:j].tolist())
+        return [sorted(h) for h in hits]
+
+    intervals = []
+    for (g0, g1), ck, rk in zip(
+        gaps, members([c.t for c in contacts]), members([r.t0 for r in runs])
+    ):
+        inner_contacts = tuple(contacts[k] for k in ck)
+        inner_runs = tuple(runs[k] for k in rk)
+        wrap = (
+            g1 > spec.b + edge_tol
+            or any(r.wrap for r in inner_runs)
+            or any(c.wrap for c in inner_contacts)
+        )
+        if inner_contacts:
+            sign = inner_contacts[0].sign
+        elif inner_runs:
+            sign = inner_runs[0].sign
+        else:
+            raise HypothesisViolated("axis interval without real contact")
+        kinds = [c.kind for c in inner_contacts]
+        if inner_runs:
+            kind = UNRESOLVED
+        elif any(k in BAD_KINDS for k in kinds):
+            kind = UNRESOLVED
+        else:
+            flips = sum(1 for k in kinds if k == FLIP)
+            kind = FLIP if flips % 2 == 1 else BOUNCE
+        if inner_runs:
+            in_dir = inner_runs[0].in_dir
+            out_dir = inner_runs[-1].out_dir
+        else:
+            in_dir = inner_contacts[0].left_dir
+            out_dir = inner_contacts[-1].right_dir
+        intervals.append(
+            AxisInterval(
+                g0, g1, sign, in_dir, out_dir, kind,
+                bool(inner_runs), wrap, inner_contacts, inner_runs,
             )
-            if inner_contacts:
-                sign = inner_contacts[0].sign
-            elif inner_runs:
-                sign = inner_runs[0].sign
-            else:
-                raise HypothesisViolated("axis interval without real contact")
-            kinds = [c.kind for c in inner_contacts]
-            if inner_runs:
-                kind = UNRESOLVED
-            elif any(k in BAD_KINDS for k in kinds):
-                kind = UNRESOLVED
-            else:
-                flips = sum(1 for k in kinds if k == FLIP)
-                kind = FLIP if flips % 2 == 1 else BOUNCE
-            if inner_runs:
-                in_dir = inner_runs[0].in_dir
-                out_dir = inner_runs[-1].out_dir
-            else:
-                in_dir = inner_contacts[0].left_dir
-                out_dir = inner_contacts[-1].right_dir
-            intervals.append(
-                AxisInterval(
-                    g0, g1, sign, in_dir, out_dir, kind,
-                    bool(inner_runs), wrap, inner_contacts, inner_runs,
-                )
-            )
-        # keep the wrap interval last
-        intervals.sort(key=lambda iv: (iv.wrap, iv.t0))
+        )
+    # keep the wrap interval last
+    intervals.sort(key=lambda iv: (iv.wrap, iv.t0))
 
     tame = not runs and all(c.kind not in BAD_KINDS for c in contacts)
     return ObstructionReport(

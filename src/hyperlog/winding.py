@@ -28,11 +28,10 @@ from .errors import (
 from .lifting import lift_path
 from .obstruction import (
     BAD_KINDS,
-    BOUNCE,
     FLIP,
     ObstructionReport,
-    classify_interval,
     find_obstructions,
+    run_kinds,
 )
 from .pathkit import (
     PathSpec,
@@ -59,17 +58,11 @@ def alternating_sum(signs) -> int:
 
 def _resolved_items(rep: ObstructionReport, directives=()):
     """Ordered (t, sign, kind, wrap) with run kinds resolved by directive."""
-    items = []
-    run_kind = {}
-    for m, iv in enumerate(rep.intervals):
-        d = directives[m] if m < len(directives) else None
-        kind = classify_interval(iv, d)
-        for r in iv.runs:
-            run_kind[r.t0] = kind
-    for c in rep.contacts:
-        items.append((c.t, c.sign, c.kind, c.wrap))
-    for r in rep.runs:
-        items.append((r.t0, r.sign, run_kind.get(r.t0, BOUNCE), r.wrap))
+    items = [(c.t, c.sign, c.kind, c.wrap) for c in rep.contacts]
+    items += [
+        (r.t0, r.sign, kind, r.wrap)
+        for r, kind in zip(rep.runs, run_kinds(rep, directives))
+    ]
     items.sort(key=lambda it: (it[3], it[0]))  # wrap item last
     return items
 

@@ -1,15 +1,23 @@
 """Unit direction fields, companions, canonical forms and shadows."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperlog as hl
+from hyperlog import config, winding
 from hyperlog.algebra import Hyper, ImaginaryUnit
 from hyperlog.companion import _slerp
 from hyperlog.errors import InitialMismatch, SliceMismatch
+from hyperlog.obstruction import BOUNCE, FLIP, classify_interval
+from hyperlog.pathkit import sample_path
+
+from test_acceptance import single_slice_loop
 
 PI = math.pi
 
@@ -133,3 +141,205 @@ def test_circle_shadow_is_the_plane_circle():
     shadow = hl.shadow_of(sp, rep)
     assert np.allclose(shadow.x, 2.0 * np.cos(sp.params), atol=1e-9)
     assert np.allclose(shadow.y, 2.0 * np.sin(sp.params), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the unit field as a per-sample state machine
+
+
+def reference_directive_for_run(rep, run, directives):
+    """Resolved flip/bounce choice for one real run."""
+    for m, iv in enumerate(rep.intervals):
+        if any(r.t0 == run.t0 for r in iv.runs):
+            d = directives[m] if m < len(directives) else None
+            return classify_interval(iv, d)
+    return BOUNCE
+
+
+def reference_unit_field(sampled, rep, directives=(), seed=None):
+    """The unit field one sample at a time, carrying the previous
+    direction and the pending real stretch from sample to sample."""
+    vals = sampled.values
+    n = len(sampled.params)
+    dim = vals.shape[1]
+    mags = np.linalg.norm(vals, axis=1)
+    im_vecs = vals[:, 1:]
+    im_norms = np.linalg.norm(im_vecs, axis=1)
+    real = config.is_real(im_norms, mags)
+
+    units = np.zeros((n, dim - 1))
+    if np.all(real):
+        if seed is not None:
+            units[:] = seed
+        else:
+            units[:, 0] = 1.0
+        return units
+
+    a = float(sampled.params[0])
+    b = float(sampled.params[-1])
+    run_bounds = []
+    for r in rep.runs:
+        kind = reference_directive_for_run(rep, r, directives)
+        if r.wrap:
+            run_bounds.append((r.t0, b, kind))
+            run_bounds.append((a, a + (r.t1 - b), kind))
+        else:
+            run_bounds.append((r.t0, r.t1, kind))
+
+    def run_kind_at(t):
+        for t0, t1, kind in run_bounds:
+            if t0 - 1e-9 <= t <= t1 + 1e-9:
+                return kind
+        return None
+
+    prev = None
+    pending_real = []
+    pending_flip = False
+    for m in range(n):
+        if real[m]:
+            pending_real.append(m)
+            if run_kind_at(float(sampled.params[m])) == FLIP:
+                pending_flip = True
+            continue
+        raw = im_vecs[m] / im_norms[m]
+        if prev is None:
+            u = raw.copy()
+            if seed is not None and float(np.dot(seed, raw)) < 0:
+                u = -u
+        else:
+            carried = -prev if pending_flip else prev
+            s = 1.0 if float(np.dot(carried, raw)) >= 0 else -1.0
+            u = s * raw
+        if pending_real:
+            if prev is None:
+                fill = seed if seed is not None else u
+                units[pending_real] = np.tile(fill, (len(pending_real), 1))
+            else:
+                fr = np.linspace(0.0, 1.0, len(pending_real) + 2)[1:-1]
+                units[pending_real] = _slerp(prev, u, fr)
+            pending_real = []
+        pending_flip = False
+        units[m] = u
+        prev = u
+    if pending_real:
+        tail = -prev if pending_flip else prev
+        fr = np.linspace(0.0, 1.0, len(pending_real) + 2)[1:-1]
+        units[pending_real] = _slerp(prev, tail, fr)
+    return units
+
+
+ORACLE_CORPUS = [
+    "sigma_arc",
+    "sigma_hat",
+    "rocket_pos",
+    "lambda_loop",
+    "three_exp",
+    "gamma1m_gamma2(3)",
+    "meridians",
+    "slice_circle(i,1,1)",
+    "slice_circle(j,2,6)",
+    "slice_circle(k,0.001,2)",
+]
+
+
+def oracle_variants(spec):
+    out = {
+        "plain": spec,
+        "reverse": hl.reverse(spec),
+        "reflect_negconj": hl.reflect_negconj(spec),
+    }
+    if spec.closed:
+        for f in (0.37, 0.71):
+            out[f"rotate_basepoint({f})"] = hl.rotate_basepoint(
+                spec, spec.a + f * (spec.b - spec.a))
+    return out
+
+
+def oracle_inputs(spec, label):
+    """(label, sampled, report) of a path, closed and open, and of its
+    re-rooted grid when it is a loop."""
+    sp, _sampling = sample_path(spec)
+    for closed in (True, False) if spec.closed else (False,):
+        rep = hl.find_obstructions(sp, replace(spec, closed=closed))
+        yield f"{label}/closed={closed}", sp, rep
+        if closed:
+            im = np.linalg.norm(sp.values[:, 1:], axis=1)
+            grid, rep_rot = winding._reroot(sp, rep, int(np.argmax(im)), spec.b - spec.a)
+            yield f"{label}/reroot", grid, rep_rot
+
+
+def oracle_seeds(sp, rng):
+    """None, plus and minus the path's direction at its first non-real
+    sample, and a random unit."""
+    im = sp.values[:, 1:]
+    norms = np.linalg.norm(im, axis=1)
+    real = config.is_real(norms, np.linalg.norm(sp.values, axis=1))
+    k = int(np.argmax(~real))
+    start = im[k] / norms[k]
+    r = rng.normal(size=im.shape[1])
+    return [None, start, -start, r / np.linalg.norm(r)]
+
+
+def directive_tuples(rep):
+    """Every flip/bounce/None tuple over the first (up to 4) intervals."""
+    return itertools.product((FLIP, BOUNCE, None), repeat=min(len(rep.intervals), 4))
+
+
+def grid_features(sp):
+    """Which parts of the carry rule the sample grid exercises, and
+    whether it has a real sample in a field that is not all real."""
+    im = sp.values[:, 1:]
+    norms = np.linalg.norm(im, axis=1)
+    real = config.is_real(norms, np.linalg.norm(sp.values, axis=1))
+    if np.all(real):
+        return set(), False
+    r = im[~real] / norms[~real, None]
+    dots = np.array([np.dot(u, v) for u, v in zip(r[:-1], r[1:])])
+    hits = (("zero_dot", np.any(dots == 0.0)),
+            ("leading_real", real[0]),
+            ("trailing_real", real[-1]))
+    return {name for name, hit in hits if hit}, bool(np.any(real))
+
+
+def check_against_reference(sp, rep, seeds, label):
+    """unit_field equals the reference byte for byte under every
+    directive tuple and seed; the reference runs once per distinct
+    resolution of the runs.  Returns the features seen."""
+    seen, bridged = grid_features(sp)
+    cache = {}
+    for directives in directive_tuples(rep):
+        resolved = tuple(reference_directive_for_run(rep, r, directives) for r in rep.runs)
+        if FLIP in resolved and bridged:
+            seen.add("flip_run")
+        for k, seed in enumerate(seeds):
+            if (resolved, k) not in cache:
+                cache[resolved, k] = reference_unit_field(sp, rep, directives, seed)
+            want = cache[resolved, k]
+            got = hl.unit_field(sp, rep, directives, seed)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+                f"{label} directives={directives} seed={k}")
+    return seen
+
+
+def test_unit_field_matches_the_per_sample_reference():
+    rng = np.random.default_rng(2307)
+    seen = set()
+    checked = 0
+    for name in ORACLE_CORPUS:
+        for kind, spec in oracle_variants(hl.demo(name).path).items():
+            for label, sp, rep in oracle_inputs(spec, f"{name}/{kind}"):
+                seen |= check_against_reference(sp, rep, oracle_seeds(sp, rng), label)
+                checked += 1
+    assert checked > 100
+    # the inputs reach every branch of the carry rule
+    assert seen == {"zero_dot", "leading_real", "trailing_real", "flip_run"}
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_unit_field_matches_the_reference_on_random_loops(loop_seed, where):
+    rng = np.random.default_rng(loop_seed)
+    spec, _winding, _misses = single_slice_loop(rng)
+    spec = hl.rotate_basepoint(spec, spec.a + where * (spec.b - spec.a))
+    for label, sp, rep in oracle_inputs(spec, "single_slice_loop"):
+        check_against_reference(sp, rep, oracle_seeds(sp, rng), label)

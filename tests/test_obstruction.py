@@ -1,5 +1,6 @@
 """Detection and classification of contacts with the real axis."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -15,7 +16,11 @@ from hyperlog.obstruction import (
     classify_interval,
     classify_point,
     report_to_json,
+    run_kinds,
 )
+from hyperlog.pathkit import sample_path
+
+from test_batched_eval import corpus_paths
 
 PI = math.pi
 
@@ -114,6 +119,52 @@ def test_three_exp_runs_and_intervals():
         assert classify_interval(iv) == BOUNCE
         assert classify_interval(iv, "flip") == FLIP
         assert classify_interval(iv, "bounce") == BOUNCE
+
+
+def test_run_kinds_follow_classify_interval():
+    rep = report_for("three_exp")
+    held = [r for iv in rep.intervals for r in iv.runs]
+    assert sorted(r.t0 for r in held) == sorted(r.t0 for r in rep.runs)
+    for directives in itertools.product((FLIP, BOUNCE, None), repeat=len(rep.intervals)):
+        kinds = run_kinds(rep, directives)
+        assert len(kinds) == len(rep.runs)
+        for m, iv in enumerate(rep.intervals):
+            for r in iv.runs:
+                assert kinds[rep.runs.index(r)] == classify_interval(iv, directives[m])
+    with pytest.raises(ValueError):
+        run_kinds(rep, ("sideways",))
+
+
+def test_runs_in_no_interval_bounce():
+    # the open three_exp ends on its second run, which no interval holds
+    rep = report_for("three_exp", closed=False)
+    held = {r.t0 for iv in rep.intervals for r in iv.runs}
+    loose = [k for k, r in enumerate(rep.runs) if r.t0 not in held]
+    assert loose
+    for directives in itertools.product((FLIP, BOUNCE, None), repeat=len(rep.intervals)):
+        kinds = run_kinds(rep, directives)
+        assert all(kinds[k] == BOUNCE for k in loose)
+    assert run_kinds(replace(rep, intervals=()), (FLIP, FLIP)) == (BOUNCE,) * len(rep.runs)
+
+
+def test_interval_members_match_a_scan_of_all_keys():
+    # an interval holds the contacts and runs whose parameter t, or
+    # t +- period, lies in it widened by find_obstructions' edge tolerance
+    checked = 0
+    for label, spec in corpus_paths():
+        sp, _sampling = sample_path(spec)
+        span = spec.b - spec.a
+        edge_tol = max(10 * 1e-12 * max(1.0, span), 1e-9 * span)
+        for closed in (True, False) if spec.closed else (False,):
+            rep = hl.find_obstructions(sp, replace(spec, closed=closed))
+            for iv in rep.intervals:
+                def inside(t):
+                    return any(iv.t0 - edge_tol <= tt <= iv.t1 + edge_tol
+                               for tt in (t, t + span, t - span))
+                assert iv.contacts == tuple(c for c in rep.contacts if inside(c.t)), label
+                assert iv.runs == tuple(r for r in rep.runs if inside(r.t0)), label
+                checked += 1
+    assert checked > 300
 
 
 def test_meridians_mixed_contacts():
