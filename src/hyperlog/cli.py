@@ -227,6 +227,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_demo)
 
     args = parser.parse_args(argv)
+    # the override holds for this call only
+    eps_real = config.EPS_REAL
     if getattr(args, "eps_real", None) is not None:
         try:
             config.set_eps_real(args.eps_real)
@@ -244,6 +246,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as e:
         sys.stderr.write(f"hyperlog: error: {e}\n")
         return 1
+    finally:
+        config.EPS_REAL = eps_real
 
 
 if __name__ == "__main__":

@@ -94,14 +94,11 @@ def unit_field(
     a non-real start.
     """
     params = sampled.params
-    vals = sampled.values
     n = len(params)
-    im_vecs = vals[:, 1:]
-    im_norms = np.linalg.norm(im_vecs, axis=1)
-    real = config.is_real(im_norms, np.linalg.norm(vals, axis=1))
+    real = sampled.real
 
-    units = np.zeros((n, vals.shape[1] - 1))
-    if np.all(real):
+    units = np.zeros((n, sampled.dim - 1))
+    if real.all():
         if seed is not None:
             units[:] = seed
         else:
@@ -123,7 +120,7 @@ def unit_field(
     # the sign carry: a cumulative product of +-1 factors that restarts
     # at each exact zero; _row_dots gives np.dot's bits, zeros included
     nonreal = np.flatnonzero(~real)
-    dirs = im_vecs[nonreal] / im_norms[nonreal, None]
+    dirs = sampled.values[nonreal, 1:] / sampled.ims[nonreal, None]
     s0 = -1.0 if seed is not None and float(np.dot(seed, dirs[0])) < 0 else 1.0
     crossed = np.diff(np.cumsum(flip)[nonreal]) > 0
     steps = np.sign(_row_dots(dirs[:-1], dirs[1:])) * np.where(crossed, -1.0, 1.0)
@@ -136,8 +133,7 @@ def unit_field(
     units[nonreal] = (carry * carry[restart])[1:, None] * dirs
 
     # the real stretches i..j-1
-    change = np.diff(real.astype(np.int8), prepend=0, append=0)
-    for i, j in zip(np.flatnonzero(change == 1), np.flatnonzero(change == -1)):
+    for i, j in sampled.stretches.tolist():
         if i == 0:
             units[:j] = seed if seed is not None else units[j]
             continue
@@ -155,11 +151,7 @@ def build_companion(
 ) -> Companion:
     """The companion of a path, as a continuous unit field with flags."""
     exists = all(c.kind not in BAD_KINDS for c in rep.contacts)
-    vals = sampled.values
-    all_real = bool(np.all(config.is_real(
-        np.linalg.norm(vals[:, 1:], axis=1), np.linalg.norm(vals, axis=1)
-    )))
-    unique = rep.companion_unique and not all_real
+    unique = rep.companion_unique and not sampled.real.all()
     units = unit_field(sampled, rep, directives, seed)
     return Companion(sampled.params, units, exists, unique, tuple(directives))
 
@@ -212,7 +204,7 @@ def canonical_form(
     x = vals[:, 0].copy()
     y = np.einsum("nd,nd->n", vals[:, 1:], units)
     resid = np.linalg.norm(vals[:, 1:] - y[:, None] * units, axis=1)
-    scale = np.maximum(1.0, np.linalg.norm(vals, axis=1))
+    scale = np.maximum(1.0, sampled.mags)
     if np.any(resid > tol * scale):
         worst = int(np.argmax(resid / scale))
         raise SliceMismatch(

@@ -102,7 +102,7 @@ def verify_lift(lift: LogLift, sampled: SampledPath) -> float:
     """Largest relative deviation of exp(lift) from the path samples."""
     model = exp_rows(lift.values)
     resid = np.linalg.norm(model - sampled.values, axis=1)
-    scale = np.maximum(1.0, np.linalg.norm(sampled.values, axis=1))
+    scale = np.maximum(1.0, sampled.mags)
     return float(np.max(resid / scale))
 
 
@@ -115,8 +115,6 @@ def terminal_branch(k0: int, sigma: int) -> int:
 def _seed_and_start_arg(sampled, k0, initial_unit):
     """Starting unit field sign and starting argument value."""
     v0 = sampled.values[0]
-    mag = float(np.linalg.norm(v0))
-    imn = float(np.linalg.norm(v0[1:]))
     init_vec = None
     if initial_unit is not None:
         init_vec = np.asarray(
@@ -128,8 +126,9 @@ def _seed_and_start_arg(sampled, k0, initial_unit):
         n = float(np.linalg.norm(init_vec))
         if abs(n - 1.0) > 1e-9:
             raise InitialMismatch("initial unit must have unit norm")
-    if not config.is_real(imn, mag):
-        raw = v0[1:] / imn
+    if not sampled.real[0]:
+        # a one-row norm, which ims[0] can differ from in the last bit
+        raw = v0[1:] / float(np.linalg.norm(v0[1:]))
         seed = raw if k0 % 2 == 0 else -raw
         if init_vec is not None:
             d = float(np.dot(init_vec, raw))
@@ -197,19 +196,14 @@ def lift_path(
     seed, arg0 = _seed_and_start_arg(sampled, k0, initial_unit)
     units = unit_field(sampled, rep, directives, seed)
 
-    if seed is not None:
-        im_norms = np.linalg.norm(sampled.values[:, 1:], axis=1)
-        off_axis = im_norms > config.EPS_REAL
-        if np.any(off_axis):
-            first = int(np.argmax(off_axis))
-            # at a real start the field can only leave along the path's
-            # own direction; a sideways initial unit has no continuation
-            if float(np.dot(seed, units[first])) < math.cos(
-                config.THETA_TOL
-            ) and first > 0:
-                raise InitialMismatch(
-                    "initial unit is not parallel to the outgoing direction"
-                )
+    # at a real start the field can only leave along the path's own
+    # direction; a sideways initial unit has no continuation
+    if seed is not None and sampled.real[0] and not sampled.real.all():
+        first = int(np.argmax(~sampled.real))
+        if float(np.dot(seed, units[first])) < math.cos(config.THETA_TOL):
+            raise InitialMismatch(
+                "initial unit is not parallel to the outgoing direction"
+            )
 
     x = sampled.values[:, 0]
     y = np.einsum("nd,nd->n", sampled.values[:, 1:], units)
@@ -235,9 +229,8 @@ def lift_path(
                 status="fails_at", t_fail=c.t, reason=c.kind, sampling=sampling
             )
 
-    mags = np.linalg.norm(sampled.values, axis=1)
     values = np.empty_like(sampled.values)
-    values[:, 0] = np.log(mags)
+    values[:, 0] = np.log(sampled.mags)
     values[:, 1:] = units * arg[:, None]
 
     lift = LogLift(

@@ -375,6 +375,20 @@ def _localize_contacts(spec, brackets, ptol) -> list:
     return [t if is_real else None for t, is_real in zip(done, _im_parts(ends)[1])]
 
 
+def _limit_h0s(ts, marks, edge_tol, cap) -> list:
+    """The first ladder offset of a one-sided limit at each of ts: half
+    the distance to the nearest of marks farther than edge_tol, capped at
+    cap (cap when there is none).  Blocks of 256 requests keep the
+    distance array small on paths with many contacts."""
+    ts = np.asarray(ts, dtype=float)
+    h0s = np.empty(len(ts))
+    for k in range(0, len(ts), 256):
+        d = np.abs(ts[k:k + 256, None] - marks)
+        d[d <= edge_tol] = np.inf
+        h0s[k:k + 256] = np.minimum(cap, d.min(axis=1, initial=np.inf) / 2.0)
+    return h0s.tolist()
+
+
 def _sign_of(x: float) -> int:
     if x > 0:
         return 1
@@ -403,32 +417,24 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     run_min = 1e-5 * span
 
     ts = sampled.params
-    vals = sampled.values
-    mags = np.linalg.norm(vals, axis=1)
-    if np.any(mags <= config.EPS_REAL):
-        raise ZeroOnPath("path passes through zero")
-    ims = np.linalg.norm(vals[:, 1:], axis=1)
-    # the samples' realness as the sampler computed it
-    real_flags = config.is_real(ims, mags)
-
+    mags, ims, real_flags = sampled.mags, sampled.ims, sampled.real
     n = len(ts)
 
     # --- raw real items from runs of real samples -------------------------
-    # each maximal stretch idx..j of real samples, with its edges to the
+    # each maximal stretch i..j-1 of real samples, with its edges to the
     # non-real samples beside it bisected, all edges together
-    change = np.diff(real_flags.astype(np.int8), prepend=0, append=0)
-    stretches = list(zip(np.flatnonzero(change == 1), np.flatnonzero(change == -1) - 1))
+    stretches = sampled.stretches.tolist()
     edges = []
-    for idx, j in stretches:
-        if idx > 0:
-            edges.append((ts[idx], ts[idx - 1]))
-        if j + 1 < n:
-            edges.append((ts[j], ts[j + 1]))
+    for i, j in stretches:
+        if i > 0:
+            edges.append((ts[i], ts[i - 1]))
+        if j < n:
+            edges.append((ts[j - 1], ts[j]))
     bisected = iter(_bisect_real_edges(spec, edges, ptol))
     items = []  # ("contact", t, t) or ("run", t0, t1)
-    for idx, j in stretches:
-        t_lo = next(bisected) if idx > 0 else ts[idx]
-        t_hi = next(bisected) if j + 1 < n else ts[j]
+    for i, j in stretches:
+        t_lo = next(bisected) if i > 0 else ts[i]
+        t_hi = next(bisected) if j < n else ts[j - 1]
         if t_hi - t_lo > run_min:
             items.append(("run", float(t_lo), float(t_hi)))
         else:
@@ -495,20 +501,6 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         [it[1] for it in items] + [it[2] for it in items if it[0] == "run"]
     )
 
-    def h0_for(t):
-        # nearest item parameter farther than edge_tol from t: distances
-        # grow monotonically away from t on either side
-        nearest = math.inf
-        i = int(np.searchsorted(marks, t))
-        for step, k in ((-1, i - 1), (1, i)):
-            while 0 <= k < len(marks):
-                d = abs(t - marks[k])
-                if d > edge_tol:
-                    nearest = min(nearest, d)
-                    break
-                k += step
-        return min(1e-3 * span, nearest / 2.0) if math.isfinite(nearest) else 1e-3 * span
-
     # each real item as (kind, t0, t1, wrap, parameter of its value, left
     # limit, right limit), a limit being (t, side), or None where the item
     # has none
@@ -540,7 +532,9 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
 
     # every limit in one batch of requests, every value in one path call
     limits = [lim for *_, left, right in probes for lim in (left, right) if lim]
-    units = iter(_one_sided_directions(spec, [(t, side, h0_for(t)) for t, side in limits]))
+    h0s = _limit_h0s([t for t, _side in limits], marks, edge_tol, 1e-3 * span)
+    units = iter(_one_sided_directions(
+        spec, [(t, side, h0) for (t, side), h0 in zip(limits, h0s)]))
     values = spec.values(np.array([p[4] for p in probes] + flanks))[:, 0].tolist()
     values, flank_values = values[:len(probes)], values[len(probes):]
 

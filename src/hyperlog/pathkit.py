@@ -27,16 +27,16 @@ from .errors import (
 )
 
 
-def _cache_arrays(seg, **fields) -> None:
-    """Store read-only arrays of a frozen segment's tuple fields.
+def _cache_arrays(obj, **fields) -> None:
+    """Store read-only arrays on a frozen dataclass instance.
 
     They are plain attributes, not dataclass fields, so equality, repr
-    and the JSON form of the segment do not see them.
+    and the JSON or CSV form of the instance do not see them.
     """
     for name, value in fields.items():
         a = np.array(value)
         a.flags.writeable = False
-        object.__setattr__(seg, name, a)
+        object.__setattr__(obj, name, a)
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +675,31 @@ EVAL_BUDGET = 8 * FALLBACK_SAMPLES
 
 @dataclass(frozen=True)
 class SampledPath:
-    """Parameter grid and path values; values[n] is never zero."""
+    """Parameter grid and path values; values[n] is never zero.
+
+    Each sample's geometry is computed once, at construction, and every
+    stage after sampling reads it: mags and ims are the norms of the
+    values and of their imaginary parts, real their config.is_real flags,
+    and stretches the (start, stop) rows of each maximal run
+    values[start:stop] of real samples.  They are read-only attributes,
+    not fields.  A value of modulus at most EPS_REAL raises ZeroOnPath.
+    """
 
     params: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        mags = np.linalg.norm(self.values, axis=1)
+        zero = mags <= config.EPS_REAL
+        if zero.any():
+            raise ZeroOnPath(
+                f"path passes through zero near t={float(self.params[np.argmax(zero)])}")
+        ims = np.linalg.norm(self.values[:, 1:], axis=1)
+        real = config.is_real(ims, mags)
+        change = np.diff(real.astype(np.int8), prepend=0, append=0)
+        stretches = np.stack(
+            [np.flatnonzero(change == 1), np.flatnonzero(change == -1)], axis=1)
+        _cache_arrays(self, mags=mags, ims=ims, real=real, stretches=stretches)
 
     @property
     def dim(self):
@@ -705,11 +726,7 @@ class SampledPath:
 
 def sample_uniform(spec: PathSpec, n: int) -> SampledPath:
     ts = np.linspace(spec.a, spec.b, n)
-    vals = spec.values(ts)
-    mags = np.linalg.norm(vals, axis=1)
-    if np.any(mags <= config.EPS_REAL):
-        raise ZeroOnPath("path passes through zero")
-    return SampledPath(ts, vals)
+    return SampledPath(ts, spec.values(ts))
 
 
 class _Nodes(NamedTuple):

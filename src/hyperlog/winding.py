@@ -163,13 +163,12 @@ def analyze_loop(
     }
 
     companion_ok = all(c.kind not in BAD_KINDS for c in rep.contacts)
-    im_norms = np.linalg.norm(sampled.values[:, 1:], axis=1)
-    if float(np.max(im_norms)) <= config.EPS_REAL:
+    if sampled.real.all():
         raise AllRealLoop("loop lies in the real axis")
     if not companion_ok:
         return WindingResult(None, sig, csig, None, None, flips, prov)
 
-    i_star = int(np.argmax(im_norms))
+    i_star = int(np.argmax(sampled.ims))
     t_star = float(sampled.params[i_star])
     rot_sampled, rep_rot = _reroot(sampled, rep, i_star, spec.b - spec.a)
     units = unit_field(rot_sampled, rep_rot, directives)

@@ -8,7 +8,11 @@ import sys
 
 import pytest
 
+import hyperlog as hl
+from hyperlog import config
 from hyperlog.cli import main
+from hyperlog.obstruction import report_to_json
+from hyperlog.pathkit import sample_path
 
 
 def run_cli(*argv):
@@ -142,6 +146,18 @@ def test_out_directory_files(tmp_path):
 def test_bad_eps_real_rejected():
     code, _ = run_cli("analyze", "--demo", "sigma_arc", "--eps-real", "0.5")
     assert code == 1
+
+
+def test_eps_real_override_ends_with_the_call(monkeypatch):
+    # monkeypatch puts the threshold back even when main leaks it
+    monkeypatch.setattr(config, "EPS_REAL", config.EPS_REAL)
+    spec = hl.demo("three_exp").path
+    before = report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
+    code, _ = run_cli("analyze", "--demo", "sigma_arc", "--eps-real", "1e-6")
+    assert code == 0
+    assert config.EPS_REAL == 1e-9
+    after = report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
+    assert after == before
 
 
 DEMOS = [

@@ -161,6 +161,16 @@ def test_initial_unit_mismatch_raises():
         hl.lift_path(rot, initial_unit=np.array([0.5, 0.5, 0.0]))
 
 
+@pytest.mark.parametrize("s", [1.0, 100.0])
+def test_sideways_initial_unit_raises_at_every_scale(s):
+    # a real start leaving along i; realness is judged relative to |q|,
+    # so samples with |Im| between 1e-9 and 1e-9 |q| are real at s = 100
+    line = hl.pathkit.Line(0.0, 1.0, (s, 0.0, 0.0, 0.0), (s, 1e-4 * s, 0.0, 0.0))
+    spec = hl.PathSpec(0.0, 1.0, (line,))
+    with pytest.raises(InitialMismatch):
+        hl.lift_path(spec, initial_unit=np.array([0.0, 1.0, 0.0]))
+
+
 def test_k0_parity_flips_the_unit_field():
     spec = hl.rotate_basepoint(hl.demo("slice_circle(i,1,1)").path, 1.0)
     even = hl.lift_path(spec, k0=0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hyperlog as hl
+from hyperlog import obstruction
 from hyperlog.obstruction import (
     BOUNCE,
     FLIP,
@@ -203,3 +204,60 @@ def test_report_json_is_serialisable():
     assert back["tame"] is False
     assert len(back["contacts"]) == len(rep.contacts)
     assert len(back["intervals"]) == 2
+
+
+def reference_h0_for(t, marks, edge_tol, cap):
+    """The per-request walk that _limit_h0s replaced: from where t sorts
+    among marks, step outwards on each side to the first mark farther
+    than edge_tol; distances grow monotonically on either side."""
+    nearest = math.inf
+    i = int(np.searchsorted(marks, t))
+    for step, k in ((-1, i - 1), (1, i)):
+        while 0 <= k < len(marks):
+            d = abs(t - marks[k])
+            if d > edge_tol:
+                nearest = min(nearest, d)
+                break
+            k += step
+    return min(cap, nearest / 2.0) if math.isfinite(nearest) else cap
+
+
+def assert_h0s_match_the_walk(ts, marks, edge_tol, cap, h0s):
+    want = [reference_h0_for(t, marks, edge_tol, cap) for t in ts]
+    assert np.array(h0s).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_limit_h0s_match_the_walk_on_the_corpus(monkeypatch):
+    # every batch of requests find_obstructions makes, closed and open
+    requests = []
+    limit_h0s = obstruction._limit_h0s
+
+    def checked(*args):
+        h0s = limit_h0s(*args)
+        assert_h0s_match_the_walk(*args, h0s)
+        requests.append(len(h0s))
+        return h0s
+
+    monkeypatch.setattr(obstruction, "_limit_h0s", checked)
+    for _label, spec in corpus_paths():
+        sp, _sampling = sample_path(spec)
+        for closed in (True, False) if spec.closed else (False,):
+            hl.find_obstructions(sp, replace(spec, closed=closed))
+    assert sum(requests) > 500
+
+
+def test_limit_h0s_match_the_walk_across_blocks():
+    # clusters of marks closer than edge_tol, marks exactly edge_tol
+    # apart (dyadic, so the differences are exact), requests at and
+    # beside the marks, more requests than one block, and no marks at all
+    rng = np.random.default_rng(7)
+    edge_tol = 2.0 ** -30
+    centres = rng.uniform(0.0, 10.0, 150)
+    dyadic = edge_tol * np.array([2 ** 20, 2 ** 20 + 1, 2 ** 20 + 2, 2 ** 21, 2 ** 21 + 3])
+    marks = np.sort(np.concatenate(
+        [centres, centres + rng.uniform(0.0, 2 * edge_tol, 150), dyadic]))
+    ts = np.concatenate([marks, marks + edge_tol, marks - 3 * edge_tol, rng.uniform(-1, 11, 50)])
+    assert len(ts) > 600
+    for ts, marks in ((ts, marks), (ts[:5], np.empty(0)), (ts[:0], marks)):
+        args = (ts.tolist(), marks, edge_tol, 1e-2)
+        assert_h0s_match_the_walk(*args, obstruction._limit_h0s(*args))

@@ -1,5 +1,6 @@
 """Path descriptions, path algebra, sampling and serialisation."""
 
+import dataclasses
 import json
 import math
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 
 import hyperlog as hl
+from hyperlog import config, winding
 from hyperlog.errors import (
     EndpointMismatch,
     OutOfDomain,
     RefinementBudgetExceeded,
     ZeroOnPath,
 )
-from hyperlog.pathkit import Line, SampledPath, SliceArc
+from hyperlog.pathkit import Line, SampledPath, SliceArc, sample_path
+
+from test_batched_eval import corpus_paths
 
 PI = math.pi
 
@@ -169,3 +173,62 @@ def test_adaptive_sampler_splits_near_contacts():
     gaps = np.diff(sp.params)
     near = np.abs(sp.params[:-1] - PI) < 0.05
     assert gaps[near].min() < gaps.max() / 100.0
+
+
+# ---------------------------------------------------------------------------
+# the per-sample geometry a SampledPath carries
+
+
+def scanned_stretches(real):
+    """The (start, stop) of each maximal run of True, one flag at a time."""
+    out, start = [], None
+    for n, flag in enumerate(list(real) + [False]):
+        if flag and start is None:
+            start = n
+        elif not flag and start is not None:
+            out.append((start, n))
+            start = None
+    return out
+
+
+def check_geometry(sp):
+    mags = np.linalg.norm(sp.values, axis=1)
+    ims = np.linalg.norm(sp.values[:, 1:], axis=1)
+    for got, want in ((sp.mags, mags), (sp.ims, ims), (sp.real, config.is_real(ims, mags))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert [tuple(row) for row in sp.stretches.tolist()] == scanned_stretches(sp.real)
+    for a in (sp.mags, sp.ims, sp.real, sp.stretches):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_sampled_geometry_matches_fresh_norms():
+    grids = []
+    for _key, spec in corpus_paths():
+        sp = sample_path(spec)[0]
+        grids += [sp, SampledPath.from_csv(sp.to_csv()), hl.sample_uniform(spec, 257)]
+        if spec.closed and not sp.real.all():
+            i_star = int(np.argmax(sp.ims))
+            grids.append(winding._reroot(
+                sp, hl.find_obstructions(sp, spec), i_star, spec.b - spec.a)[0])
+    for sp in grids:
+        check_geometry(sp)
+    # the inputs hold real stretches at the start, inside and at the end
+    stretches = [(i, j, len(sp.params)) for sp in grids for i, j in sp.stretches.tolist()]
+    assert any(i == 0 for i, _j, _n in stretches)
+    assert any(0 < i and j < n for i, j, n in stretches)
+    assert any(j == n for _i, j, n in stretches)
+
+
+def test_sampled_geometry_is_not_a_field():
+    sp = hl.sample_uniform(circle(), 9)
+    assert [f.name for f in dataclasses.fields(sp)] == ["params", "values"]
+    assert "mags" not in repr(sp)
+
+
+@pytest.mark.parametrize("modulus", [0.0, 1e-10])
+def test_sampled_path_rejects_a_zero_row(modulus):
+    values = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, modulus, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(ZeroOnPath):
+        SampledPath(np.array([0.0, 0.5, 1.0]), values)

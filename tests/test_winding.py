@@ -134,6 +134,16 @@ def test_all_real_loop_rejected():
         hl.analyze_loop(spec)
 
 
+@pytest.mark.parametrize("s", [1.0, 100.0])
+def test_all_real_loop_at_every_scale(s):
+    # |Im| = 5e-10 s is real at every scale: it is at most 1e-9 |q|
+    x_fn = hl.pathkit.TrigFn(s, ((1, 0.1 * s),), ())
+    y_fn = hl.pathkit.PolyFn((5e-10 * s,))
+    seg = hl.pathkit.SliceCurve(0.0, 2 * PI, (0.0, 1.0, 0.0, 0.0), x_fn, y_fn)
+    with pytest.raises(AllRealLoop):
+        hl.analyze_loop(hl.PathSpec(0.0, 2 * PI, (seg,), closed=True))
+
+
 def test_open_path_has_no_winding():
     with pytest.raises(HypothesisViolated):
         hl.analyze_loop(hl.demo("sigma_arc").path)
