@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .config import eps_real_for, THETA_TOL
+from . import config
+from .config import THETA_TOL
 from .errors import (
     DimensionMismatch,
     NegativeRealOrZero,
@@ -153,10 +154,8 @@ class Hyper:
             np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol)
         )
 
-    def is_real(self, eps: float | None = None) -> bool:
-        if eps is None:
-            eps = eps_real_for(self.norm())
-        return self.im_norm() <= eps
+    def is_real(self) -> bool:
+        return bool(config.is_real(self.im_norm(), self.norm()))
 
     def __repr__(self):
         terms = ", ".join(repr(float(c)) for c in self.coeffs)
@@ -243,15 +242,14 @@ class ProjectiveUnit:
 
 def unit_im(q: Hyper) -> ImaginaryUnit:
     """The imaginary direction Im(q)/|Im(q)|; undefined on the real axis."""
-    n = q.im_norm()
-    if n <= eps_real_for(q.norm()):
+    if config.is_real(q.im_norm(), q.norm()):
         raise RealInput("imaginary direction is undefined for real input")
     return ImaginaryUnit.from_vector(q)
 
 
 def arg_angle(q: Hyper) -> float:
     """Slice argument in [0, pi]: the angle atan2(|Im q|, Re q)."""
-    if q.norm() <= eps_real_for(0.0):
+    if q.norm() <= config.EPS_REAL:
         raise ZeroInput("argument of zero is undefined")
     return math.atan2(q.im_norm(), q.re)
 

@@ -26,11 +26,6 @@ TOL_LIFT = 1e-8
 LIMIT_HALVINGS = 40
 
 
-def eps_real_for(magnitude: float) -> float:
-    """Scale-aware realness threshold."""
-    return EPS_REAL * max(1.0, magnitude)
-
-
 def is_real(im_norm, norm):
     """Scale-aware realness test, elementwise on arrays."""
     return im_norm <= EPS_REAL * np.maximum(1.0, norm)

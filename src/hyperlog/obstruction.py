@@ -2,10 +2,10 @@
 
 A sampled path is scanned for real values.  Isolated contacts become
 Contact records with one-sided imaginary-direction limits; maximal real
-sub-intervals become RealRun records.  Components of the path off the
-axis whose flanking real values have opposite signs are the big arcs;
-the gaps between consecutive big arcs are the axis intervals that drive
-signatures and winding numbers.
+sub-intervals become RealRun records.  Taken in traversal order, two
+consecutive real items of opposite sign join across a big arc; an axis
+interval is the real items from one big arc to the next, and the axis
+intervals drive signatures and winding numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _brent, config
-from .errors import HypothesisViolated, ZeroOnPath
+from .errors import ZeroOnPath
 from .pathkit import PathSpec, SampledPath
 
 FLIP = "flip"
@@ -72,13 +72,16 @@ class RealRun:
 
 @dataclass(frozen=True)
 class AxisInterval:
-    """A gap between consecutive big arcs, possibly of zero length."""
+    """The real items from one big arc to the next, in traversal order.
+
+    t0 is where the first big arc ends and t1 where the next one starts;
+    the two coincide when a single contact lies between them.
+    contacts and runs hold the items, each in report order.
+    """
 
     t0: float
     t1: float
     sign: int
-    in_dir: tuple | None
-    out_dir: tuple | None
     kind: str
     non_unique: bool
     wrap: bool
@@ -519,8 +522,6 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
             probes.append((kind, t0, t1, False, 0.5 * (t0 + t1),
                            (t0, -1) if t0 - spec.a > edge_tol else None,
                            (t1, +1) if spec.b - t1 > edge_tol else None))
-    # values beside the wrap run, where the big arcs meet it
-    flanks = []
     if wrap_item is not None:
         kind, t0, t1 = wrap_item
         if kind == "contact":
@@ -528,15 +529,13 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         else:
             probes.append((kind, t0, t1, True, min(0.5 * (t0 + spec.b), spec.b),
                            (t0, -1), (spec.a + (t1 - spec.b), +1)))
-            flanks = [min(t0 + edge_tol, spec.b), max(t0 - edge_tol, spec.a)]
 
     # every limit in one batch of requests, every value in one path call
     limits = [lim for *_, left, right in probes for lim in (left, right) if lim]
     h0s = _limit_h0s([t for t, _side in limits], marks, edge_tol, 1e-3 * span)
     units = iter(_one_sided_directions(
         spec, [(t, side, h0) for (t, side), h0 in zip(limits, h0s)]))
-    values = spec.values(np.array([p[4] for p in probes] + flanks))[:, 0].tolist()
-    values, flank_values = values[:len(probes)], values[len(probes):]
+    values = spec.values(np.array([p[4] for p in probes]))[:, 0].tolist()
 
     def direction(limit):
         u = next(units) if limit else None
@@ -544,7 +543,6 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
 
     contacts = []
     runs = []
-    run_values = []
     for (kind, t0, t1, wrap, _t, left, right), value in zip(probes, values):
         # only a contact at an end of an open path lacks a limit
         interior = spec.closed or (left is not None and right is not None)
@@ -554,145 +552,90 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
             contacts.append(Contact(t0, value, _sign_of(value), left, right, kind, wrap))
         else:
             runs.append(RealRun(t0, t1, _sign_of(value), left, right, wrap))
-            run_values.append(value)
 
-    # --- big arcs ----------------------------------------------------------
-    # ordered boundary list: (parameter, real value or None at domain ends)
-    bounds = []
-    for c in contacts:
-        if not c.wrap:
-            bounds.append((c.t, c.t, c.value))
-    for r, value in zip(runs, run_values):
-        if not r.wrap:
-            bounds.append((r.t0, r.t1, value))
-    bounds.sort(key=lambda x: x[0])
-
-    wrap_contact = next((c for c in contacts if c.wrap), None)
-    wrap_run = next((r for r in runs if r.wrap), None)
-
-    arcs = []  # (t_start, t_end, left_value|None, right_value|None)
-    cursor = spec.a
-    left_value = None
-    if wrap_contact is not None:
-        left_value = wrap_contact.value
-    if wrap_run is not None:
-        cursor = spec.a + (wrap_run.t1 - spec.b)
-        left_value = flank_values[0]
-    for t0, t1, value in bounds:
-        if t0 - cursor > edge_tol:
-            arcs.append((cursor, t0, left_value, value))
-        cursor = t1
-        left_value = value
-    end = spec.b if (wrap_run is None) else wrap_run.t0
-    if end - cursor > edge_tol:
-        right_value = None
-        if wrap_contact is not None:
-            right_value = wrap_contact.value
-        if wrap_run is not None:
-            right_value = flank_values[1]
-        arcs.append((cursor, end, left_value, right_value))
-
-    if (
-        spec.closed
-        and wrap_contact is None
-        and wrap_run is None
-        and len(arcs) >= 2
-        and arcs[0][0] <= spec.a + edge_tol
-        and arcs[-1][1] >= spec.b - edge_tol
-    ):
-        first, last = arcs[0], arcs[-1]
-        arcs = arcs[1:-1]
-        arcs.append((last[0], spec.b + (first[1] - spec.a), last[2], first[3]))
-
-    big_arcs = tuple(
-        (a0, a1)
-        for a0, a1, lv, rv in arcs
-        if lv is not None and rv is not None and lv * rv < 0
-    )
-
-    # --- axis intervals between consecutive big arcs -----------------------
-    def norm_param(t):
-        if spec.closed and t > spec.b:
-            return spec.a + (t - spec.b)
-        return t
-
-    period = spec.b - spec.a
-    gaps = []
-    if big_arcs:
-        pairs = list(zip(big_arcs, big_arcs[1:]))
-        if spec.closed:
-            pairs.append((big_arcs[-1], big_arcs[0]))
-        for (a0, a1), (b0, b1) in pairs:
-            g0 = norm_param(a1)
-            gaps.append((g0, b0 if b0 >= g0 - edge_tol else spec.b + (b0 - spec.a)))
-    lo = np.array([g0 for g0, _g1 in gaps]) - edge_tol
-    hi = np.array([g1 for _g0, g1 in gaps]) + edge_tol
-
-    def members(keys):
-        """For each gap (g0, g1), the sorted indices of the keys t with
-        g0 - edge_tol <= tt <= g1 + edge_tol for tt = t or t +- period;
-        one searchsorted per side for all gaps on each shifted key array."""
-        keys = np.asarray(keys, dtype=float)
-        hits = [set() for _ in gaps]
-        for tt in (keys, keys + period, keys - period):
-            order = np.argsort(tt, kind="stable")
-            tt = tt[order]
-            k0 = np.searchsorted(tt, lo, side="left").tolist()
-            k1 = np.searchsorted(tt, hi, side="right").tolist()
-            for h, i, j in zip(hits, k0, k1):
-                h.update(order[i:j].tolist())
-        return [sorted(h) for h in hits]
-
-    intervals = []
-    for (g0, g1), ck, rk in zip(
-        gaps, members([c.t for c in contacts]), members([r.t0 for r in runs])
-    ):
-        inner_contacts = tuple(contacts[k] for k in ck)
-        inner_runs = tuple(runs[k] for k in rk)
-        wrap = (
-            g1 > spec.b + edge_tol
-            or any(r.wrap for r in inner_runs)
-            or any(c.wrap for c in inner_contacts)
-        )
-        if inner_contacts:
-            sign = inner_contacts[0].sign
-        elif inner_runs:
-            sign = inner_runs[0].sign
-        else:
-            raise HypothesisViolated("axis interval without real contact")
-        kinds = [c.kind for c in inner_contacts]
-        if inner_runs:
-            kind = UNRESOLVED
-        elif any(k in BAD_KINDS for k in kinds):
-            kind = UNRESOLVED
-        else:
-            flips = sum(1 for k in kinds if k == FLIP)
-            kind = FLIP if flips % 2 == 1 else BOUNCE
-        if inner_runs:
-            in_dir = inner_runs[0].in_dir
-            out_dir = inner_runs[-1].out_dir
-        else:
-            in_dir = inner_contacts[0].left_dir
-            out_dir = inner_contacts[-1].right_dir
-        intervals.append(
-            AxisInterval(
-                g0, g1, sign, in_dir, out_dir, kind,
-                bool(inner_runs), wrap, inner_contacts, inner_runs,
-            )
-        )
-    # keep the wrap interval last
-    intervals.sort(key=lambda iv: (iv.wrap, iv.t0))
-
+    big_arcs, intervals = _axis_geometry(spec, contacts, runs, edge_tol)
     tame = not runs and all(c.kind not in BAD_KINDS for c in contacts)
     return ObstructionReport(
         contacts=tuple(contacts),
         runs=tuple(runs),
         big_arcs=big_arcs,
-        intervals=tuple(intervals),
+        intervals=intervals,
         tame=tame,
         companion_unique=not runs,
         closed=spec.closed,
     )
+
+
+def _axis_geometry(spec, contacts, runs, edge_tol) -> tuple:
+    """(big_arcs, intervals) of the real items of a report.
+
+    The non-wrap contacts and runs, a contact t as the item (t, t), are
+    taken in traversal order.  On a closed path the order is a cycle:
+    the wrap item stands at both ends, or else the first item comes
+    again one period on.  A big arc joins consecutive items of opposite
+    sign more than edge_tol apart; an axis interval holds the items from
+    one big arc to the next.  As find_obstructions builds them, there is
+    at most one wrap item, and on a closed path without one no item lies
+    within edge_tol of a domain end.
+    """
+    # each item as (t0, t1, sign, (pool, index into the pool)), the pools
+    # being contacts and runs
+    seq = sorted(
+        [(c.t, c.t, c.sign, (0, k)) for k, c in enumerate(contacts) if not c.wrap]
+        + [(r.t0, r.t1, r.sign, (1, k)) for k, r in enumerate(runs) if not r.wrap],
+        key=lambda it: it[0])
+    wraps = [(x, (p, k)) for p, pool in enumerate((contacts, runs))
+             for k, x in enumerate(pool) if x.wrap]
+    if wraps:
+        (w, key), = wraps  # at most one
+        if isinstance(w, Contact):
+            first, last = (spec.a, spec.a), (spec.b, spec.b)
+        else:
+            first, last = (spec.a, spec.a + (w.t1 - spec.b)), (w.t0, w.t1)
+        seq = [(*first, w.sign, key), *seq, (*last, w.sign, key)]
+    elif spec.closed and seq:
+        t0, t1, sign, key = seq[0]
+        seq.append((spec.b + (t0 - spec.a), t1, sign, key))
+
+    # cut k is the big arc from seq[k] to seq[k + 1]
+    cuts = [k for k, (p, q) in enumerate(zip(seq, seq[1:]))
+            if q[0] - p[1] > edge_tol and p[2] != q[2]]
+    big_arcs = tuple((seq[k][1], seq[k + 1][0]) for k in cuts)
+
+    # on a closed path seq[-1] is seq[0] again, so the interval after the
+    # last cut reads on into a second lap
+    loop = seq + seq[1:] if spec.closed else seq
+    intervals = []
+    for i in range(len(cuts) if spec.closed else len(cuts) - 1):
+        j = (i + 1) % len(cuts)
+        stop = cuts[j] + (len(seq) - 1 if j <= i else 0)
+        keys = sorted(it[3] for it in loop[cuts[i] + 1:stop + 1])
+        inner_contacts = tuple(contacts[k] for p, k in keys if p == 0)
+        inner_runs = tuple(runs[k] for p, k in keys if p == 1)
+        a1, b0 = big_arcs[i][1], big_arcs[j][0]
+        g0 = spec.a + (a1 - spec.b) if a1 > spec.b else a1
+        g1 = b0 if b0 >= g0 - edge_tol else spec.b + (b0 - spec.a)
+        wrap = (
+            g1 > spec.b + edge_tol
+            or any(r.wrap for r in inner_runs)
+            or any(c.wrap for c in inner_contacts)
+        )
+        kinds = [c.kind for c in inner_contacts]
+        if inner_runs or any(k in BAD_KINDS for k in kinds):
+            kind = UNRESOLVED
+        else:
+            kind = FLIP if kinds.count(FLIP) % 2 == 1 else BOUNCE
+        # every interval holds at least the item after its first cut
+        sign = (inner_contacts or inner_runs)[0].sign
+        intervals.append(
+            AxisInterval(
+                g0, g1, sign, kind,
+                bool(inner_runs), wrap, inner_contacts, inner_runs,
+            )
+        )
+    # keep the wrap interval last
+    intervals.sort(key=lambda iv: (iv.wrap, iv.t0))
+    return big_arcs, tuple(intervals)
 
 
 def report_to_json(rep: ObstructionReport) -> dict:

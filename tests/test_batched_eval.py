@@ -73,7 +73,7 @@ def same_bits(x, y) -> bool:
 
 def is_real_vec(v):
     """The scale-aware realness test of one path value."""
-    return float(np.linalg.norm(v[1:])) <= config.eps_real_for(float(np.linalg.norm(v)))
+    return float(np.linalg.norm(v[1:])) <= config.EPS_REAL * max(1.0, float(np.linalg.norm(v)))
 
 
 def unit(v):
@@ -99,8 +99,8 @@ def reference_sample_adaptive(spec, n0=64):
         return v
 
     def is_real(v):
-        return float(np.linalg.norm(v[1:])) <= config.eps_real_for(
-            float(np.linalg.norm(v)))
+        return float(np.linalg.norm(v[1:])) <= config.EPS_REAL * max(
+            1.0, float(np.linalg.norm(v)))
 
     def needs_split(tl, tm, tr):
         vl, vm, vr = val(tl), val(tm), val(tr)

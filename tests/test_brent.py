@@ -133,7 +133,7 @@ def reference_localize_contact(spec, tl, tn, tr, ptol, brentq, minimize):
     else:
         t_c = minimize(lambda t: float(np.linalg.norm(spec.value(t)[1:])), tl, tr, ptol)
     v = spec.value(t_c)
-    if float(np.linalg.norm(v[1:])) <= config.eps_real_for(float(np.linalg.norm(v))):
+    if float(np.linalg.norm(v[1:])) <= config.EPS_REAL * max(1.0, float(np.linalg.norm(v))):
         return t_c
     return None
 

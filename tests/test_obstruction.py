@@ -3,17 +3,24 @@
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperlog as hl
 from hyperlog import obstruction
 from hyperlog.obstruction import (
+    BAD_KINDS,
     BOUNCE,
     FLIP,
     NOT_TAME,
     SEMI_TAME,
+    UNRESOLVED,
+    Contact,
+    RealRun,
     classify_interval,
     classify_point,
     report_to_json,
@@ -21,6 +28,7 @@ from hyperlog.obstruction import (
 )
 from hyperlog.pathkit import sample_path
 
+from test_acceptance import single_slice_loop
 from test_batched_eval import corpus_paths
 
 PI = math.pi
@@ -261,3 +269,199 @@ def test_limit_h0s_match_the_walk_across_blocks():
     for ts, marks in ((ts, marks), (ts[:5], np.empty(0)), (ts[:0], marks)):
         args = (ts.tolist(), marks, edge_tol, 1e-2)
         assert_h0s_match_the_walk(*args, obstruction._limit_h0s(*args))
+
+
+def reference_axis_geometry(spec, contacts, runs, edge_tol):
+    """(big_arcs, interval fields) as find_obstructions built them before
+    it read them off the order of the real items: a cursor walk cuts the
+    domain into arcs between the real items, the arcs whose end values
+    have opposite signs are the big arcs, and each gap between
+    consecutive big arcs holds the items whose parameter t, or
+    t +- period, lies in it widened by edge_tol.  Each item's sign
+    stands in for its value, and the wrap run's sign for the values
+    beside it."""
+    bounds = sorted([(c.t, c.t, c.sign) for c in contacts if not c.wrap]
+                    + [(r.t0, r.t1, r.sign) for r in runs if not r.wrap],
+                    key=lambda x: x[0])
+    wrap_contact = next((c for c in contacts if c.wrap), None)
+    wrap_run = next((r for r in runs if r.wrap), None)
+
+    arcs = []  # (t_start, t_end, left sign | None, right sign | None)
+    cursor, left = spec.a, None
+    if wrap_contact is not None:
+        left = wrap_contact.sign
+    if wrap_run is not None:
+        cursor, left = spec.a + (wrap_run.t1 - spec.b), wrap_run.sign
+    for t0, t1, sign in bounds:
+        if t0 - cursor > edge_tol:
+            arcs.append((cursor, t0, left, sign))
+        cursor, left = t1, sign
+    end = spec.b if wrap_run is None else wrap_run.t0
+    if end - cursor > edge_tol:
+        right = None
+        if wrap_contact is not None:
+            right = wrap_contact.sign
+        if wrap_run is not None:
+            right = wrap_run.sign
+        arcs.append((cursor, end, left, right))
+    if (spec.closed and wrap_contact is None and wrap_run is None and len(arcs) >= 2
+            and arcs[0][0] <= spec.a + edge_tol and arcs[-1][1] >= spec.b - edge_tol):
+        first, last = arcs[0], arcs[-1]
+        arcs = arcs[1:-1] + [(last[0], spec.b + (first[1] - spec.a), last[2], first[3])]
+    big_arcs = tuple((a0, a1) for a0, a1, lv, rv in arcs
+                     if lv is not None and rv is not None and lv * rv < 0)
+
+    period = spec.b - spec.a
+    pairs = list(zip(big_arcs, big_arcs[1:]))
+    if spec.closed and big_arcs:
+        pairs.append((big_arcs[-1], big_arcs[0]))
+    intervals = []
+    for (_a0, a1), (b0, _b1) in pairs:
+        g0 = spec.a + (a1 - spec.b) if spec.closed and a1 > spec.b else a1
+        g1 = b0 if b0 >= g0 - edge_tol else spec.b + (b0 - spec.a)
+
+        def inside(t):
+            return any(g0 - edge_tol <= tt <= g1 + edge_tol
+                       for tt in (t, t + period, t - period))
+
+        inner_contacts = tuple(c for c in contacts if inside(c.t))
+        inner_runs = tuple(r for r in runs if inside(r.t0))
+        wrap = (g1 > spec.b + edge_tol or any(r.wrap for r in inner_runs)
+                or any(c.wrap for c in inner_contacts))
+        sign = inner_contacts[0].sign if inner_contacts else inner_runs[0].sign
+        kinds = [c.kind for c in inner_contacts]
+        if inner_runs or any(k in BAD_KINDS for k in kinds):
+            kind = UNRESOLVED
+        else:
+            kind = FLIP if sum(1 for k in kinds if k == FLIP) % 2 == 1 else BOUNCE
+        intervals.append((g0, g1, sign, kind, bool(inner_runs), wrap,
+                          inner_contacts, inner_runs))
+    intervals.sort(key=lambda iv: (iv[5], iv[0]))
+    return big_arcs, intervals
+
+
+def interval_fields(iv):
+    return (iv.t0, iv.t1, iv.sign, iv.kind, iv.non_unique, iv.wrap, iv.contacts, iv.runs)
+
+
+def assert_report_matches_the_reference(rep, spec, label=""):
+    span = spec.b - spec.a
+    edge_tol = max(10 * 1e-12 * max(1.0, span), 1e-9 * span)
+    big_arcs, intervals = reference_axis_geometry(spec, rep.contacts, rep.runs, edge_tol)
+    assert rep.big_arcs == big_arcs, label
+    assert [interval_fields(iv) for iv in rep.intervals] == intervals, label
+
+
+def test_axis_geometry_matches_the_reference_on_the_corpus():
+    arcs = 0
+    for label, spec in corpus_paths():
+        sp, _sampling = sample_path(spec)
+        for closed in (True, False) if spec.closed else (False,):
+            spec_c = replace(spec, closed=closed)
+            rep = hl.find_obstructions(sp, spec_c)
+            assert_report_matches_the_reference(rep, spec_c, f"{label}/{closed}")
+            arcs += len(rep.big_arcs)
+    assert arcs > 100
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_axis_geometry_matches_the_reference_on_random_loops(seed, turn):
+    spec, _winding, _misses = single_slice_loop(np.random.default_rng(seed))
+    # the plain loop starts on the axis when it crosses it; the rotated
+    # one mostly does not
+    for loop in (spec, hl.rotate_basepoint(spec, spec.a + turn * (spec.b - spec.a))):
+        sp, _sampling = sample_path(loop)
+        for closed in (True, False):
+            spec_c = replace(loop, closed=closed)
+            assert_report_matches_the_reference(hl.find_obstructions(sp, spec_c), spec_c)
+
+
+# synthetic items are laid out in units of EDGE_TOL / 2 from a = 0, so
+# every parameter and every difference of two is exact: a gap of 2 units
+# is exactly edge_tol
+EDGE_TOL = 2.0 ** -20
+UNIT = EDGE_TOL / 2
+GAPS = (1, 2, 3, 40, 5000)
+LENGTHS = (0, 0, 40, 3000)  # 0 makes a contact
+KINDS = (FLIP, BOUNCE, SEMI_TAME, NOT_TAME)
+
+
+def synthetic_items(closed, wrap, items, tail):
+    """(spec, contacts, runs) as a report holds them.
+
+    items lists (gap before, length, sign, kind) of the non-wrap items in
+    order; tail is the gap after the last.  wrap is None, ("contact",
+    sign, kind) or ("run", sign, x, y): a wrap run covers x units before
+    b and y after it.  Contacts and runs are each sorted, the wrap item
+    last, as find_obstructions orders them.
+    """
+    contacts, runs = [], []
+    x, y = (wrap[2], wrap[3]) if wrap and wrap[0] == "run" else (0, 0)
+    cursor = y
+    for gap, length, sign, kind in items:
+        t0 = (cursor + gap) * UNIT
+        cursor += gap + length
+        if length:
+            runs.append(RealRun(t0, cursor * UNIT, sign, None, None))
+        else:
+            contacts.append(Contact(t0, float(sign), sign, None, None, kind))
+    b = (cursor + tail + x) * UNIT
+    if wrap and wrap[0] == "contact":
+        contacts.append(Contact(0.0, float(wrap[1]), wrap[1], None, None, wrap[2], True))
+    elif wrap:
+        runs.append(RealRun(b - x * UNIT, b + y * UNIT, wrap[1], None, None, True))
+    return SimpleNamespace(a=0.0, b=b, closed=closed), contacts, runs
+
+
+@st.composite
+def synthetic_reports(draw):
+    """synthetic_items arguments that keep a report's invariants: sorted,
+    disjoint items, at most one wrap item and only on a closed path, and
+    on a closed path without one no item within edge_tol of a domain
+    end."""
+    closed = draw(st.booleans())
+    sign = st.sampled_from((-1, 1))
+    wrap = None
+    if closed:
+        wrap = draw(st.one_of(
+            st.none(),
+            st.tuples(st.just("contact"), sign, st.sampled_from(KINDS)),
+            st.tuples(st.just("run"), sign, st.sampled_from((1, 40)), st.sampled_from((1, 40)))))
+    # the first and last gap of a closed path without a wrap item are the
+    # two halves of one gap across the basepoint; only an open path may
+    # have items at its ends
+    end_gaps = GAPS if wrap else (3, 40, 5000) if closed else (0,) + GAPS
+    items = draw(st.lists(st.tuples(
+        st.sampled_from(GAPS), st.sampled_from(LENGTHS), sign, st.sampled_from(KINDS)),
+        max_size=10))
+    if items:
+        items[0] = (draw(st.sampled_from(end_gaps)),) + items[0][1:]
+    return closed, wrap, items, draw(st.sampled_from(end_gaps))
+
+
+@given(synthetic_reports())
+@settings(max_examples=300, deadline=None)
+# a closed path with a single big arc: two adjacent items of opposite sign
+@example((True, None, [(40, 0, 1, FLIP), (1, 0, -1, FLIP)], 40))
+# opposite signs exactly edge_tol apart, then more than edge_tol apart
+@example((False, None, [(0, 0, 1, BOUNCE), (2, 0, -1, FLIP), (3, 40, 1, FLIP)], 0))
+# no items
+@example((True, None, [], 40))
+@example((False, None, [], 40))
+# a lone wrap run and a lone wrap contact
+@example((True, ("run", 1, 40, 40), [], 5000))
+@example((True, ("contact", -1, FLIP), [], 5000))
+# a wrap run and a wrap contact with items of both signs
+@example((True, ("run", 1, 40, 1), [(1, 0, -1, FLIP), (2, 40, -1, FLIP), (40, 0, 1, BOUNCE)], 1))
+@example((True, ("contact", 1, FLIP), [(40, 0, -1, FLIP), (3, 0, 1, SEMI_TAME)], 2))
+def test_axis_geometry_matches_the_reference_on_synthetic_items(args):
+    spec, contacts, runs = synthetic_items(*args)
+    big_arcs, intervals = obstruction._axis_geometry(spec, contacts, runs, EDGE_TOL)
+    want_arcs, want_intervals = reference_axis_geometry(spec, contacts, runs, EDGE_TOL)
+    assert big_arcs == want_arcs
+    assert [interval_fields(iv) for iv in intervals] == want_intervals
+    # every item sits in one interval when there are any
+    if intervals and spec.closed:
+        held = [x for iv in intervals for x in iv.contacts + iv.runs]
+        assert sorted(held, key=id) == sorted(contacts + runs, key=id)

@@ -329,3 +329,14 @@ def test_reroot_is_a_cyclic_shift():
         assert not r.wrap and t_star < r.t0 < r.t1 < t_star + period
     assert {r for iv in rerooted.intervals for r in iv.runs} == set(rerooted.runs)
     assert [iv.t0 for iv in rerooted.intervals] == [iv.t0 for iv in rep.intervals]
+
+
+@pytest.mark.xfail(strict=True, reason="sample_adaptive aliases on loops that turn "
+                   "many times between the nodes of its initial grid")
+def test_many_turn_slice_circle_is_not_aliased():
+    # 300 turns about a circle around the origin: 600 flips, winding 300;
+    # 200 turns come out right, 300 give 472 contacts and winding 236
+    spec = hl.demo("slice_circle(j,2,300)").path
+    rep = hl.find_obstructions(hl.sample_adaptive(spec), spec)
+    assert len(rep.contacts) == 600
+    assert hl.analyze_loop(spec).winding == 300
