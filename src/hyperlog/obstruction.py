@@ -468,36 +468,30 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     items.sort(key=lambda it: it[1])
 
     # --- wrap merging for closed paths ------------------------------------
+    # the wrap item is kept as its probe, in the form described below; a
+    # wrap contact is always probed at a
     edge_tol = max(10 * ptol, 1e-9 * span)
-    wrap_item = None
+    wrap_contact = ("contact", spec.a, spec.a, True, spec.a, (spec.b, -1), (spec.a, +1))
+    wrap_probes = []
     if spec.closed and items:
         first, last = items[0], items[-1]
         starts_at_a = first[1] - spec.a <= edge_tol
-        ends_at_b = (
-            last[2] if last[0] == "run" else last[1]
-        ) >= spec.b - edge_tol
-        if starts_at_a and ends_at_b:
-            if first is last:
-                # a single run covering the whole domain: the loop is real
-                pass
+        ends_at_b = last[2] >= spec.b - edge_tol
+        # a single run covering the whole domain, a real loop, stays as it is
+        if starts_at_a and ends_at_b and first is not last:
+            items = items[1:-1]
+            lo, hi_a_side = last[1], first[2]
+            if (spec.b - lo) + (hi_a_side - spec.a) > run_min:
+                t0, t1 = float(lo), float(spec.b + (hi_a_side - spec.a))
+                wrap_probes = [("run", t0, t1, True, min(0.5 * (t0 + spec.b), spec.b),
+                                (t0, -1), (spec.a + (t1 - spec.b), +1))]
             else:
-                items = items[1:-1]
-                lo = last[1] if last[0] == "run" else last[1]
-                hi_a_side = first[2] if first[0] == "run" else first[1]
-                length = (spec.b - lo) + (hi_a_side - spec.a)
-                if length > run_min:
-                    wrap_item = ("run", float(lo), float(spec.b + (hi_a_side - spec.a)))
-                else:
-                    wrap_item = ("contact", float(spec.a), float(spec.a))
-        elif starts_at_a and not ends_at_b:
+                wrap_probes = [wrap_contact]
+        elif starts_at_a and not ends_at_b and first[0] == "contact":
             # re-tag the contact at a as the wrap contact
-            if first[0] == "contact":
-                items = items[1:]
-                wrap_item = ("contact", float(first[1]), float(first[1]))
-        elif ends_at_b and not starts_at_a:
-            if last[0] == "contact":
-                items = items[:-1]
-                wrap_item = ("contact", float(spec.a), float(spec.a))
+            items, wrap_probes = items[1:], [wrap_contact]
+        elif ends_at_b and not starts_at_a and last[0] == "contact":
+            items, wrap_probes = items[:-1], [wrap_contact]
 
     # --- direction limits and classification ------------------------------
     marks = np.sort(
@@ -522,13 +516,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
             probes.append((kind, t0, t1, False, 0.5 * (t0 + t1),
                            (t0, -1) if t0 - spec.a > edge_tol else None,
                            (t1, +1) if spec.b - t1 > edge_tol else None))
-    if wrap_item is not None:
-        kind, t0, t1 = wrap_item
-        if kind == "contact":
-            probes.append((kind, spec.a, spec.a, True, spec.a, (spec.b, -1), (spec.a, +1)))
-        else:
-            probes.append((kind, t0, t1, True, min(0.5 * (t0 + spec.b), spec.b),
-                           (t0, -1), (spec.a + (t1 - spec.b), +1)))
+    probes += wrap_probes
 
     # every limit in one batch of requests, every value in one path call
     limits = [lim for *_, left, right in probes for lim in (left, right) if lim]

@@ -1,9 +1,13 @@
 """Piecewise path descriptions, path algebra, sampling, and file formats.
 
 A path is a list of contiguous segments over a shared parameter interval.
-Every segment evaluates as a function of the global parameter t, using the
-anchors it was built with, so restricting a segment to a sub-interval never
-changes its values.  Shifts and reversals are expressed with a lightweight
+A segment is a frozen dataclass, its fields led by its interval ta, tb,
+with a method values(ts) giving its values at an array of parameters.
+The rest is derived from these: a path's dim is the width of its values,
+and a segment's JSON is its kind followed by its fields.  Every segment
+evaluates as a function of the global parameter t, using the anchors it
+was built with, so restricting a segment to a sub-interval never changes
+its values.  Shifts and reversals are expressed with a lightweight
 reparameterisation wrapper instead of per-kind rewriting.
 """
 
@@ -12,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +24,7 @@ import numpy as np
 from . import config
 from .algebra import Hyper
 from .errors import (
+    DimensionMismatch,
     EndpointMismatch,
     OutOfDomain,
     RefinementBudgetExceeded,
@@ -83,15 +88,19 @@ class TrigFn:
 
 
 def _fn_from_json(d):
-    if d["kind"] == "poly":
-        return PolyFn(tuple(float(c) for c in d["coeffs"]))
-    if d["kind"] == "trig":
-        return TrigFn(
-            float(d["a0"]),
-            tuple((int(m), float(a)) for m, a in d["cos"]),
-            tuple((int(m), float(a)) for m, a in d["sin"]),
-        )
-    raise ValueError(f"unknown coordinate function kind {d['kind']!r}")
+    kind = d.get("kind")
+    try:
+        if kind == "poly":
+            return PolyFn(tuple(float(c) for c in d["coeffs"]))
+        if kind == "trig":
+            return TrigFn(
+                float(d["a0"]),
+                tuple((int(m), float(a)) for m, a in d["cos"]),
+                tuple((int(m), float(a)) for m, a in d["sin"]),
+            )
+    except KeyError as e:
+        raise ValueError(f"{kind} function lacks field {e.args[0]!r}") from None
+    raise ValueError(f"unknown coordinate function kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +126,6 @@ class SliceArc:
             object.__setattr__(self, "anchor_a", self.ta)
             object.__setattr__(self, "anchor_b", self.tb)
         _cache_arrays(self, _unit=self.unit)
-
-    @property
-    def dim(self):
-        return len(self.unit)
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -162,10 +167,6 @@ class Arc:
             _sin_vec=self.sin_vec, _drift=self.drift,
         )
 
-    @property
-    def dim(self):
-        return len(self.center)
-
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         s = (ts - self.anchor_a) / (self.anchor_b - self.anchor_a)
@@ -194,10 +195,6 @@ class Line:
             object.__setattr__(self, "anchor_b", self.tb)
         _cache_arrays(self, _p0=self.p0, _p1=self.p1)
 
-    @property
-    def dim(self):
-        return len(self.p0)
-
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         s = (ts - self.anchor_a) / (self.anchor_b - self.anchor_a)
@@ -216,10 +213,6 @@ class SliceCurve:
 
     def __post_init__(self):
         _cache_arrays(self, _unit=self.unit)
-
-    @property
-    def dim(self):
-        return len(self.unit)
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -241,10 +234,6 @@ class Samples:
 
     def __post_init__(self):
         _cache_arrays(self, _grid=self.ts, _points=self.points)
-
-    @property
-    def dim(self):
-        return len(self.points[0])
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -274,10 +263,6 @@ class Rocket:
             object.__setattr__(self, "anchor_a", self.ta)
             object.__setattr__(self, "anchor_b", self.tb)
 
-    @property
-    def dim(self):
-        return 4
-
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         s = (ts - self.anchor_a) / (self.anchor_b - self.anchor_a)
@@ -299,10 +284,6 @@ class NegConj:
     tb: float
     inner: object
 
-    @property
-    def dim(self):
-        return self.inner.dim
-
     def values(self, ts):
         v = self.inner.values(ts)
         out = v.copy()
@@ -319,10 +300,6 @@ class Reparam:
     inner: object
     alpha: float
     beta: float
-
-    @property
-    def dim(self):
-        return self.inner.dim
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -344,7 +321,11 @@ def _reparam(seg, alpha, beta, ta, tb):
 
 @dataclass(frozen=True)
 class PathSpec:
-    """A contiguous piecewise path on [a, b], possibly closed."""
+    """A contiguous piecewise path on [a, b], possibly closed.
+
+    Its dim, the number of coefficients of its values, is read off the
+    values of its segments; it is an attribute, not a field.
+    """
 
     a: float
     b: float
@@ -371,10 +352,14 @@ class PathSpec:
             return segs[k].values(np.array([los[k], his[k]]))
 
         first = left = ends(0)
+        object.__setattr__(self, "dim", first.shape[1])
         for k in range(1, len(segs)):
             if abs(segs[k - 1].tb - segs[k].ta) > tol:
                 raise EndpointMismatch("segments are not contiguous")
             right = ends(k)
+            if right.shape[1] != self.dim:
+                raise DimensionMismatch(
+                    f"segment {k} has {right.shape[1]} coefficients, segment 0 has {self.dim}")
             vl, vr = left[1], right[0]
             scale = max(1.0, float(np.linalg.norm(vl)))
             if float(np.linalg.norm(vl - vr)) > 1e-9 * scale:
@@ -386,10 +371,6 @@ class PathSpec:
             scale = max(1.0, float(np.linalg.norm(va)))
             if float(np.linalg.norm(va - vb)) > 1e-9 * scale:
                 raise EndpointMismatch("closed path does not return to its start")
-
-    @property
-    def dim(self):
-        return self.segments[0].dim
 
     def value(self, t: float) -> np.ndarray:
         return self.values(np.array([t]))[0]
@@ -517,132 +498,70 @@ def rotate_basepoint(p: PathSpec, t_star: float) -> PathSpec:
 # JSON format
 
 
-_SEGMENT_KINDS = {}
+# A segment's JSON is {"kind": ...} followed by its dataclass fields in
+# declaration order: a tuple as a list (a tuple of rows, such as
+# Samples.points, as a list of lists), an inner segment or a coordinate
+# function as its own JSON.  Decoding inverts this; a field with a
+# default may be left out, and an unknown or missing field is a ValueError.
+
+_SEGMENT_KINDS = {
+    "slice_arc": SliceArc,
+    "arc": Arc,
+    "line": Line,
+    "slice_curve": SliceCurve,
+    "samples": Samples,
+    "rocket": Rocket,
+    "negconj": NegConj,
+    "reparam": Reparam,
+}
+_KIND_OF = {cls: kind for kind, cls in _SEGMENT_KINDS.items()}
 
 
-def _register(kind, cls, to_json, from_json):
-    _SEGMENT_KINDS[kind] = (cls, to_json, from_json)
+def _field_to_json(v):
+    if isinstance(v, tuple):
+        return [list(row) for row in v] if v and isinstance(v[0], tuple) else list(v)
+    if isinstance(v, (float, int)) or v is None:
+        return v
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    return segment_to_json(v)
 
 
-def _common(seg):
-    return {"ta": seg.ta, "tb": seg.tb}
+def _field_from_json(v):
+    if isinstance(v, list):
+        return tuple(map(tuple, v)) if v and isinstance(v[0], list) else tuple(v)
+    if isinstance(v, dict):
+        if v.get("kind") in _SEGMENT_KINDS:
+            return segment_from_json(v)
+        return _fn_from_json(v)
+    return v
 
 
 def segment_to_json(seg) -> dict:
-    for kind, (cls, enc, _dec) in _SEGMENT_KINDS.items():
-        if type(seg) is cls:
-            d = {"kind": kind}
-            d.update(_common(seg))
-            d.update(enc(seg))
-            return d
-    raise ValueError(f"unserialisable segment type {type(seg).__name__}")
+    kind = _KIND_OF.get(type(seg))
+    if kind is None:
+        raise ValueError(f"unserialisable segment type {type(seg).__name__}")
+    d = {"kind": kind}
+    for f in fields(seg):
+        d[f.name] = _field_to_json(getattr(seg, f.name))
+    return d
 
 
 def segment_from_json(d: dict):
-    kind = d["kind"]
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind is None:
+        raise ValueError("a segment needs a kind")
     if kind not in _SEGMENT_KINDS:
         raise ValueError(f"unknown segment kind {kind!r}")
-    _cls, _enc, dec = _SEGMENT_KINDS[kind]
-    return dec(d)
-
-
-_register(
-    "slice_arc",
-    SliceArc,
-    lambda s: {
-        "unit": list(s.unit),
-        "angle_a": s.angle_a,
-        "angle_b": s.angle_b,
-        "center": s.center,
-        "radius": s.radius,
-        "anchor_a": s.anchor_a,
-        "anchor_b": s.anchor_b,
-    },
-    lambda d: SliceArc(
-        d["ta"], d["tb"], tuple(d["unit"]), d["angle_a"], d["angle_b"],
-        d.get("center", 0.0), d.get("radius", 1.0),
-        d.get("anchor_a"), d.get("anchor_b"),
-    ),
-)
-_register(
-    "arc",
-    Arc,
-    lambda s: {
-        "center": list(s.center),
-        "cos_vec": list(s.cos_vec),
-        "sin_vec": list(s.sin_vec),
-        "angle_a": s.angle_a,
-        "angle_b": s.angle_b,
-        "drift": list(s.drift),
-        "anchor_a": s.anchor_a,
-        "anchor_b": s.anchor_b,
-    },
-    lambda d: Arc(
-        d["ta"], d["tb"], tuple(d["center"]), tuple(d["cos_vec"]),
-        tuple(d["sin_vec"]), d["angle_a"], d["angle_b"],
-        tuple(d["drift"]) if d.get("drift") is not None else None,
-        d.get("anchor_a"), d.get("anchor_b"),
-    ),
-)
-_register(
-    "line",
-    Line,
-    lambda s: {
-        "p0": list(s.p0),
-        "p1": list(s.p1),
-        "anchor_a": s.anchor_a,
-        "anchor_b": s.anchor_b,
-    },
-    lambda d: Line(
-        d["ta"], d["tb"], tuple(d["p0"]), tuple(d["p1"]),
-        d.get("anchor_a"), d.get("anchor_b"),
-    ),
-)
-_register(
-    "slice_curve",
-    SliceCurve,
-    lambda s: {
-        "unit": list(s.unit),
-        "x_fn": s.x_fn.to_json(),
-        "y_fn": s.y_fn.to_json(),
-    },
-    lambda d: SliceCurve(
-        d["ta"], d["tb"], tuple(d["unit"]),
-        _fn_from_json(d["x_fn"]), _fn_from_json(d["y_fn"]),
-    ),
-)
-_register(
-    "samples",
-    Samples,
-    lambda s: {"ts": list(s.ts), "points": [list(p) for p in s.points]},
-    lambda d: Samples(
-        d["ta"], d["tb"], tuple(d["ts"]), tuple(tuple(p) for p in d["points"])
-    ),
-)
-_register(
-    "rocket",
-    Rocket,
-    lambda s: {"anchor_a": s.anchor_a, "anchor_b": s.anchor_b},
-    lambda d: Rocket(d["ta"], d["tb"], d.get("anchor_a"), d.get("anchor_b")),
-)
-_register(
-    "negconj",
-    NegConj,
-    lambda s: {"inner": segment_to_json(s.inner)},
-    lambda d: NegConj(d["ta"], d["tb"], segment_from_json(d["inner"])),
-)
-_register(
-    "reparam",
-    Reparam,
-    lambda s: {
-        "inner": segment_to_json(s.inner),
-        "alpha": s.alpha,
-        "beta": s.beta,
-    },
-    lambda d: Reparam(
-        d["ta"], d["tb"], segment_from_json(d["inner"]), d["alpha"], d["beta"]
-    ),
-)
+    fs = fields(_SEGMENT_KINDS[kind])
+    unknown = d.keys() - {"kind"} - {f.name for f in fs}
+    if unknown:
+        raise ValueError(f"{kind} segment has unknown field(s) {sorted(unknown)}")
+    missing = [f.name for f in fs if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"{kind} segment lacks field(s) {missing}")
+    return _SEGMENT_KINDS[kind](
+        **{f.name: _field_from_json(d[f.name]) for f in fs if f.name in d})
 
 
 def path_to_json(p: PathSpec) -> dict:
@@ -654,6 +573,12 @@ def path_to_json(p: PathSpec) -> dict:
 
 
 def path_from_json(d: dict) -> PathSpec:
+    for key in ("domain", "segments"):
+        if key not in d:
+            raise ValueError(f"a path needs {key!r}")
+    unknown = d.keys() - {"domain", "closed", "segments"}
+    if unknown:
+        raise ValueError(f"a path has unknown field(s) {sorted(unknown)}")
     a, b = d["domain"]
     return PathSpec(
         float(a),

@@ -202,10 +202,6 @@ class Counted:
     inner: object
     meter: Meter = field(compare=False)
 
-    @property
-    def dim(self):
-        return self.inner.dim
-
     def values(self, ts):
         self.meter.calls += 1
         self.meter.points += len(ts)

@@ -191,3 +191,58 @@ def test_entrypoint_runs_in_a_subprocess():
     ]
     assert out[0].returncode == 0
     assert out[0].stdout == out[1].stdout
+
+
+def three_exp_doc():
+    return hl.path_to_json(hl.demo("three_exp").path)
+
+
+def drop_p1(doc):
+    del doc["segments"][1]["p1"]
+
+
+def misspell_radius(doc):
+    # the arc has radius 1, the default, so the misspelling would not
+    # show as a broken join
+    arc = doc["segments"][2]
+    arc["raduis"] = arc.pop("radius")
+
+
+def drop_kind(doc):
+    del doc["segments"][3]["kind"]
+
+
+def drop_domain(doc):
+    del doc["domain"]
+
+
+def misspell_closed(doc):
+    # read as an open path, the loop would still be analysed
+    doc["close"] = doc.pop("closed")
+
+
+def octonion_line(doc):
+    line = doc["segments"][1]
+    line["p0"] += [0.0] * 4
+    line["p1"] += [0.0] * 4
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (drop_p1, "line segment lacks field(s) ['p1']"),
+    (misspell_radius, "slice_arc segment has unknown field(s) ['raduis']"),
+    (drop_kind, "a segment needs a kind"),
+    (drop_domain, "a path needs 'domain'"),
+    (misspell_closed, "a path has unknown field(s) ['close']"),
+    (octonion_line, "segment 1 has 8 coefficients, segment 0 has 4"),
+])
+def test_malformed_input_is_an_input_error(tmp_path, spoil, message):
+    doc = three_exp_doc()
+    spoil(doc)
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("analyze", "--input", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.getvalue() == f"hyperlog: error: {message}\n"

@@ -202,6 +202,25 @@ def test_interval_sign_and_wrap_on_circle():
     assert any(iv.wrap for iv in rep.intervals)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_real_sample_at_one_end_is_the_wrap_contact(reverse):
+    # the path closes within the join tolerance, but its value is real
+    # at a and just off the axis at b (or the other way round once
+    # reversed): the one real item sits at a single end and is still the
+    # wrap contact, at a
+    pts = [(1.0, 0.9e-9, 0.0, 0.0), (0.0, 1.0, 1.0, 0.0),
+           (0.0, 1.0, -1.0, 0.0), (1.0, 1.5e-9, 0.0, 0.0)]
+    segs = tuple(hl.pathkit.Line(float(k), k + 1.0, pts[k], pts[k + 1]) for k in range(3))
+    spec = hl.PathSpec(0.0, 3.0, segs, closed=True)
+    if reverse:
+        spec = hl.reverse(spec)
+    sampled, _sampler = sample_path(spec)
+    assert sampled.real[0] != sampled.real[-1]
+    rep = hl.find_obstructions(sampled, spec)
+    assert [(c.t, c.wrap) for c in rep.contacts] == [(0.0, True)]
+    assert not rep.runs
+
+
 def test_report_json_is_serialisable():
     import json
 

@@ -10,12 +10,28 @@ import pytest
 import hyperlog as hl
 from hyperlog import config, winding
 from hyperlog.errors import (
+    DimensionMismatch,
     EndpointMismatch,
     OutOfDomain,
     RefinementBudgetExceeded,
     ZeroOnPath,
 )
-from hyperlog.pathkit import Line, SampledPath, SliceArc, sample_path
+from hyperlog.pathkit import (
+    Arc,
+    Line,
+    NegConj,
+    PolyFn,
+    Reparam,
+    Rocket,
+    SampledPath,
+    Samples,
+    SliceArc,
+    SliceCurve,
+    TrigFn,
+    sample_path,
+    segment_from_json,
+    segment_to_json,
+)
 
 from test_batched_eval import corpus_paths
 
@@ -111,24 +127,139 @@ def test_reflect_negconj():
         assert np.allclose(w[1:], v[1:], atol=1e-12)
 
 
+def samples_loop():
+    """A closed Samples segment through uniform samples of a circle."""
+    sp = hl.sample_uniform(circle(), 65)
+    seg = Samples(0.0, 2 * PI, tuple(sp.params.tolist()),
+                  tuple(map(tuple, sp.values.tolist())))
+    return hl.PathSpec(0.0, 2 * PI, (seg,), closed=True)
+
+
 def test_json_round_trip_all_demos():
     names = [
         "sigma_arc",
         "sigma_hat",
         "rocket_neg",
+        "rocket_pos",
         "lambda_loop",
         "three_exp",
         "gamma1m_gamma2(2)",
         "meridians",
         "slice_circle(k,2,1)",
     ]
-    for name in names:
-        spec = hl.demo(name).path
-        doc = json.loads(json.dumps(hl.path_to_json(spec)))
-        back = hl.path_from_json(doc)
-        ts = np.linspace(spec.a, spec.b, 23)
-        assert np.allclose(back.values(ts), spec.values(ts), atol=1e-12)
-        assert back.closed == spec.closed
+    specs = [hl.demo(name).path for name in names] + [samples_loop()]
+    for spec in specs:
+        span = spec.b - spec.a
+        for p in (spec, hl.reverse(spec),
+                  hl.subpath(spec, spec.a + 0.1 * span, spec.a + 0.6 * span)):
+            back = hl.path_from_json(json.loads(json.dumps(hl.path_to_json(p))))
+            assert back == p
+
+
+Q4 = (1.0, 0.0, 0.0, 0.0)
+
+
+# one segment of each kind and its JSON, keys in file order: renaming or
+# reordering a dataclass field changes the file format and fails here
+FILE_FORMAT = [
+    (SliceArc(0.0, 1.0, (0.0, 0.0, 1.0, 0.0), 0.0, 2.0, radius=3.0),
+     {"kind": "slice_arc", "ta": 0.0, "tb": 1.0, "unit": [0.0, 0.0, 1.0, 0.0],
+      "angle_a": 0.0, "angle_b": 2.0, "center": 0.0, "radius": 3.0,
+      "anchor_a": 0.0, "anchor_b": 1.0}),
+    (Arc(0.0, 2.0, Q4, (0.5, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0), 0.0, PI),
+     {"kind": "arc", "ta": 0.0, "tb": 2.0, "center": [1.0, 0.0, 0.0, 0.0],
+      "cos_vec": [0.5, 0.0, 0.0, 0.0], "sin_vec": [0.0, 0.5, 0.0, 0.0],
+      "angle_a": 0.0, "angle_b": PI, "drift": [0.0, 0.0, 0.0, 0.0],
+      "anchor_a": 0.0, "anchor_b": 2.0}),
+    (Line(1.0, 2.0, Q4, (2.0, 1.0, 0.0, 0.0), anchor_a=0.0, anchor_b=4.0),
+     {"kind": "line", "ta": 1.0, "tb": 2.0, "p0": [1.0, 0.0, 0.0, 0.0],
+      "p1": [2.0, 1.0, 0.0, 0.0], "anchor_a": 0.0, "anchor_b": 4.0}),
+    (SliceCurve(0.0, 1.0, (0.0, 1.0, 0.0, 0.0), PolyFn((1.0, 2.0)), PolyFn((3.0,))),
+     {"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+      "x_fn": {"kind": "poly", "coeffs": [1.0, 2.0]},
+      "y_fn": {"kind": "poly", "coeffs": [3.0]}}),
+    (SliceCurve(0.0, 1.0, (0.0, 0.0, 0.0, 1.0),
+                TrigFn(2.0, ((1, 0.5),), ()), TrigFn(0.0, (), ((2, 1.5), (3, 0.25)))),
+     {"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 0.0, 0.0, 1.0],
+      "x_fn": {"kind": "trig", "a0": 2.0, "cos": [[1, 0.5]], "sin": []},
+      "y_fn": {"kind": "trig", "a0": 0.0, "cos": [], "sin": [[2, 1.5], [3, 0.25]]}}),
+    (Samples(0.0, 1.0, (0.0, 0.5, 1.0), (Q4, (0.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0))),
+     {"kind": "samples", "ta": 0.0, "tb": 1.0, "ts": [0.0, 0.5, 1.0],
+      "points": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]}),
+    (Rocket(0.0, 1.0),
+     {"kind": "rocket", "ta": 0.0, "tb": 1.0, "anchor_a": 0.0, "anchor_b": 1.0}),
+    (Reparam(1.0, 2.0, NegConj(0.0, 1.0, Line(0.0, 1.0, Q4, (2.0, 0.0, 0.0, 0.0))),
+             -1.0, 2.0),
+     {"kind": "reparam", "ta": 1.0, "tb": 2.0,
+      "inner": {"kind": "negconj", "ta": 0.0, "tb": 1.0,
+                "inner": {"kind": "line", "ta": 0.0, "tb": 1.0,
+                          "p0": [1.0, 0.0, 0.0, 0.0], "p1": [2.0, 0.0, 0.0, 0.0],
+                          "anchor_a": 0.0, "anchor_b": 1.0}},
+      "alpha": -1.0, "beta": 2.0}),
+]
+
+
+@pytest.mark.parametrize("seg, doc", FILE_FORMAT)
+def test_segment_file_format(seg, doc):
+    assert json.dumps(segment_to_json(seg)) == json.dumps(doc)
+    assert segment_from_json(doc) == seg
+
+
+def test_defaulted_segment_fields_are_optional():
+    doc = {"kind": "arc", "ta": 0.0, "tb": 2.0, "center": [1.0, 0.0, 0.0, 0.0],
+           "cos_vec": [0.5, 0.0, 0.0, 0.0], "sin_vec": [0.0, 0.5, 0.0, 0.0],
+           "angle_a": 0.0, "angle_b": PI}
+    assert segment_from_json(doc) == FILE_FORMAT[1][0]
+    assert segment_from_json({"kind": "rocket", "ta": 0.0, "tb": 1.0}) == Rocket(0.0, 1.0)
+
+
+LINE = {"kind": "line", "ta": 0.0, "tb": 1.0,
+        "p0": [1.0, 0.0, 0.0, 0.0], "p1": [2.0, 0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({k: v for k, v in LINE.items() if k != "p1"}, "line segment lacks field(s) ['p1']"),
+    ({**LINE, "anchr_a": 0.0}, "line segment has unknown field(s) ['anchr_a']"),
+    ({k: v for k, v in LINE.items() if k != "kind"}, "a segment needs a kind"),
+    ({"kind": "negconj", "ta": 0.0, "tb": 1.0, "inner": {**LINE, "radius": 1.0}},
+     "line segment has unknown field(s) ['radius']"),
+    ({"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+      "x_fn": {"kind": "poly", "coefs": [1.0]}, "y_fn": {"kind": "poly", "coeffs": [1.0]}},
+     "poly function lacks field 'coeffs'"),
+])
+def test_malformed_segment_json_rejected(doc, message):
+    with pytest.raises(ValueError) as e:
+        segment_from_json(doc)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("key", ["domain", "segments"])
+def test_path_json_needs_domain_and_segments(key):
+    doc = {"domain": [0.0, 1.0], "closed": False, "segments": [LINE]}
+    del doc[key]
+    with pytest.raises(ValueError, match=key):
+        hl.path_from_json(doc)
+
+
+def test_path_json_with_a_misspelt_closed_flag_rejected():
+    doc = {"domain": [0.0, 1.0], "close": False, "segments": [LINE]}
+    with pytest.raises(ValueError, match=r"unknown field\(s\) \['close'\]"):
+        hl.path_from_json(doc)
+
+
+def test_segments_of_different_widths_rejected():
+    a = Line(0.0, 1.0, Q4, (2.0, 0.0, 0.0, 0.0))
+    b = Line(1.0, 2.0, (2.0,) + (0.0,) * 7, (3.0,) + (0.0,) * 7)
+    with pytest.raises(DimensionMismatch, match="segment 1 has 8 coefficients"):
+        hl.PathSpec(0.0, 2.0, (a, b))
+
+
+def test_dim_is_the_width_of_the_values():
+    assert circle().dim == 4
+    assert samples_loop().dim == 4
+    octo = hl.PathSpec(0.0, 1.0, (Line(0.0, 1.0, (1.0,) + (0.0,) * 7, (2.0,) + (0.0,) * 7),))
+    assert octo.dim == 8
+    assert octo.values(np.empty(0)).shape == (0, 8)
 
 
 def test_sampled_csv_round_trip():
