@@ -8,7 +8,10 @@ and a segment's JSON is its kind followed by its fields.  Every segment
 evaluates as a function of the global parameter t, using the anchors it
 was built with, so restricting a segment to a sub-interval never changes
 its values.  Shifts and reversals are expressed with a lightweight
-reparameterisation wrapper instead of per-kind rewriting.
+reparameterisation wrapper instead of per-kind rewriting.  A path folds
+these wrappers, and the reflection wrapper, into arrays when it is built,
+and evaluates all the segments that share one inner segment, such as the
+copies of one circle that repeat makes, in one call of that inner.
 """
 
 from __future__ import annotations
@@ -87,20 +90,26 @@ class TrigFn:
         }
 
 
+_FN_KEYS = {"poly": ("coeffs",), "trig": ("a0", "cos", "sin")}
+
+
 def _fn_from_json(d):
     kind = d.get("kind")
-    try:
-        if kind == "poly":
-            return PolyFn(tuple(float(c) for c in d["coeffs"]))
-        if kind == "trig":
-            return TrigFn(
-                float(d["a0"]),
-                tuple((int(m), float(a)) for m, a in d["cos"]),
-                tuple((int(m), float(a)) for m, a in d["sin"]),
-            )
-    except KeyError as e:
-        raise ValueError(f"{kind} function lacks field {e.args[0]!r}") from None
-    raise ValueError(f"unknown coordinate function kind {kind!r}")
+    if kind not in _FN_KEYS:
+        raise ValueError(f"unknown coordinate function kind {kind!r}")
+    for key in _FN_KEYS[kind]:
+        if key not in d:
+            raise ValueError(f"{kind} function lacks field {key!r}")
+    unknown = d.keys() - {"kind", *_FN_KEYS[kind]}
+    if unknown:
+        raise ValueError(f"{kind} function has unknown field(s) {sorted(unknown)}")
+    if kind == "poly":
+        return PolyFn(tuple(float(c) for c in d["coeffs"]))
+    return TrigFn(
+        float(d["a0"]),
+        tuple((int(m), float(a)) for m, a in d["cos"]),
+        tuple((int(m), float(a)) for m, a in d["sin"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +324,25 @@ def _reparam(seg, alpha, beta, ta, tb):
     return Reparam(ta, tb, seg, alpha, beta)
 
 
+def _fold(seg):
+    """(inner, alpha, beta, mapped, neg) of a segment.
+
+    Its values at t are inner's values at alpha t + beta where mapped,
+    at t otherwise, with the real column negated where neg.  One outer
+    Reparam and one outer NegConj are folded, in either order; a second
+    Reparam stays in the inner, since composing two affine maps would
+    not give the same bits.
+    """
+    alpha, beta, mapped, neg = 1.0, 0.0, False, False
+    while True:
+        if isinstance(seg, Reparam) and not mapped:
+            alpha, beta, mapped, seg = seg.alpha, seg.beta, True, seg.inner
+        elif isinstance(seg, NegConj) and not neg:
+            neg, seg = True, seg.inner
+        else:
+            return seg, alpha, beta, mapped, neg
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -324,7 +352,11 @@ class PathSpec:
     """A contiguous piecewise path on [a, b], possibly closed.
 
     Its dim, the number of coefficients of its values, is read off the
-    values of its segments; it is an attribute, not a field.
+    values of its segments; it is an attribute, not a field.  So is its
+    evaluation route: every segment folded by _fold into per-segment
+    arrays and the index of its inner among the distinct inners, so that
+    segments sharing an inner, such as the copies repeat makes of one
+    circle, are evaluated together in one call.
     """
 
     a: float
@@ -343,44 +375,109 @@ class PathSpec:
         if abs(segs[0].ta - self.a) > tol or abs(segs[-1].tb - self.b) > tol:
             raise EndpointMismatch("segments do not cover the domain")
 
-        # each segment's values at both its ends come from one call; the
-        # outer ends are taken at a and b, where the closure check needs them
+        inner, alpha, beta, mapped, neg = zip(*map(_fold, segs))
+        # the distinct inners in order of first use, told apart by identity
+        inners = tuple({id(x): x for x in inner}.values())
+        group = {id(x): g for g, x in enumerate(inners)}
+        object.__setattr__(self, "_inners", inners)
+        _cache_arrays(
+            self, _alpha=np.array(alpha, dtype=float),
+            _beta=np.array(beta, dtype=float), _mapped=mapped, _neg=neg,
+            _group=[group[id(x)] for x in inner],
+            _cuts=np.array([s.ta for s in segs[1:]], dtype=float),
+        )
+
+        # each segment's values at both its ends come from one call per
+        # inner; the outer ends are taken at a and b, where the closure
+        # check needs them
+        n = len(segs)
         los = [self.a] + [s.ta for s in segs[1:]]
         his = [s.tb for s in segs[:-1]] + [self.b]
+        owner = np.repeat(np.arange(n), 2)
+        calls = self._inner_calls(np.array([los, his]).T.ravel(), owner)
+        width = np.empty(len(inners), dtype=int)
+        for g, _rows, vals in calls:
+            width[g] = vals.shape[1]
+        width = width[self._group]
+        object.__setattr__(self, "dim", int(width[0]))
+        ends = self._gather(calls, owner).reshape(n, 2, self.dim)
 
-        def ends(k):
-            return segs[k].values(np.array([los[k], his[k]]))
-
-        first = left = ends(0)
-        object.__setattr__(self, "dim", first.shape[1])
-        for k in range(1, len(segs)):
-            if abs(segs[k - 1].tb - segs[k].ta) > tol:
-                raise EndpointMismatch("segments are not contiguous")
-            right = ends(k)
-            if right.shape[1] != self.dim:
-                raise DimensionMismatch(
-                    f"segment {k} has {right.shape[1]} coefficients, segment 0 has {self.dim}")
-            vl, vr = left[1], right[0]
-            scale = max(1.0, float(np.linalg.norm(vl)))
-            if float(np.linalg.norm(vl - vr)) > 1e-9 * scale:
-                raise EndpointMismatch("segments do not join continuously")
-            left = right
-        object.__setattr__(self, "_cuts", np.array([s.ta for s in segs[1:]]))
+        if n > 1:
+            self._check_joins(tol, width, ends)
         if self.closed:
-            va, vb = first[0], left[1]
+            va, vb = ends[0, 0], ends[-1, 1]
             scale = max(1.0, float(np.linalg.norm(va)))
             if float(np.linalg.norm(va - vb)) > 1e-9 * scale:
                 raise EndpointMismatch("closed path does not return to its start")
+
+    def _check_joins(self, tol, width, ends) -> None:
+        """Raise for the first join that fails: join k joins segment
+        k - 1 to segment k, and its gap is reported before its width and
+        its width before its jump.  width holds each segment's number of
+        coefficients, ends its values at both its ends."""
+        tas = np.array([s.ta for s in self.segments], dtype=float)
+        tbs = np.array([s.tb for s in self.segments], dtype=float)
+        gap = np.abs(tbs[:-1] - tas[1:]) > tol
+        wide = width[1:] != self.dim
+        left, right = ends[:-1, 1], ends[1:, 0]
+        scale = np.maximum(1.0, np.linalg.norm(left, axis=1))
+        jump = np.linalg.norm(left - right, axis=1) > 1e-9 * scale
+        bad = np.flatnonzero(gap | wide | jump)
+        if len(bad):
+            k = int(bad[0]) + 1
+            if gap[k - 1]:
+                raise EndpointMismatch("segments are not contiguous")
+            if wide[k - 1]:
+                raise DimensionMismatch(
+                    f"segment {k} has {width[k]} coefficients, segment 0 has {self.dim}")
+            raise EndpointMismatch("segments do not join continuously")
+
+    def _inner_calls(self, ts, segs) -> list:
+        """Evaluate ts[n] on segment segs[n], one call per distinct inner.
+
+        Returns (group, rows, values of the group's inner at those rows)
+        for each inner the segments use; the rows are every row when
+        they share one inner.
+        """
+        u = np.where(self._mapped[segs], self._alpha[segs] * ts + self._beta[segs], ts)
+        groups = self._group[segs]
+        present = np.flatnonzero(np.bincount(groups))
+        if len(present) == 1:
+            g = present[0]
+            return [(g, slice(None), self._inners[g].values(u))]
+        calls = []
+        for g in present:
+            rows = np.flatnonzero(groups == g)
+            calls.append((g, rows, self._inners[g].values(u[rows])))
+        return calls
+
+    def _gather(self, calls, segs) -> np.ndarray:
+        """The values of the inner calls in parameter order, with the real
+        column negated on the rows of segments with a folded NegConj.
+
+        Rows whose inner gives another width than dim stay zero; only
+        the constructor meets them, and it reports them.
+        """
+        out = np.zeros((len(segs), self.dim))
+        for _g, rows, vals in calls:
+            if vals.shape[1] == self.dim:
+                out[rows] = vals
+        flip = self._neg[segs]
+        out[flip, 0] = -out[flip, 0]
+        return out
 
     def value(self, t: float) -> np.ndarray:
         return self.values(np.array([t]))[0]
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        """Path values at many parameters, one segment call per segment.
+        """Path values at many parameters, one call per distinct inner.
 
         A parameter belongs to the last segment starting at or before
         it; parameters within rounding of the domain are clamped into it,
-        and any other parameter outside it raises OutOfDomain.
+        and any other parameter outside it raises OutOfDomain.  Parameters
+        that all fall in one segment go to that segment; otherwise each
+        distinct inner (see _fold) is called once, at the parameters of
+        all its segments mapped through their folded Reparam.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.shape[0] == 0:
@@ -399,12 +496,7 @@ class PathSpec:
         segs = np.searchsorted(self._cuts, ts, side="right")
         if (segs == segs[0]).all():
             return self.segments[segs[0]].values(ts)
-        out = np.empty((ts.shape[0], self.dim))
-        order = np.argsort(segs, kind="stable")
-        cuts = np.flatnonzero(np.diff(segs[order])) + 1
-        for rows in np.split(order, cuts):
-            out[rows] = self.segments[segs[rows[0]]].values(ts[rows])
-        return out
+        return self._gather(self._inner_calls(ts, segs), segs)
 
     def evaluate(self, t: float) -> Hyper:
         return Hyper(self.value(t))

@@ -8,6 +8,7 @@ time, with np.linalg.norm, independently of the library's row helpers.
 The batched versions must agree with them bit for bit.
 """
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 import hyperlog as hl
 from hyperlog import config, obstruction
 from hyperlog.errors import OutOfDomain, RefinementBudgetExceeded, ZeroOnPath
-from hyperlog.pathkit import EVAL_BUDGET, Line, PathSpec, sample_path
+from hyperlog.pathkit import EVAL_BUDGET, Line, PathSpec, Samples, sample_path
 
 from test_acceptance import single_slice_loop
 
@@ -228,6 +229,95 @@ def test_values_equal_one_point_values_bit_for_bit(name):
         # order of the parameters does not matter
         perm = np.random.default_rng(0).permutation(len(ts))
         assert same_bits(spec.values(ts[perm]), rows[perm]), f"{name}/{kind}"
+
+
+def reference_values(spec, ts):
+    """PathSpec.values as one call per segment present, each segment
+    evaluated through its own wrappers."""
+    ts = np.asarray(ts, dtype=float)
+    tol = 1e-12 * max(1.0, spec.b - spec.a)
+    if ((ts < spec.a - tol) | (ts > spec.b + tol)).any():
+        raise OutOfDomain("outside the domain")
+    ts = np.clip(ts, spec.a, spec.b)
+    cuts = np.array([s.ta for s in spec.segments[1:]])
+    segs = np.searchsorted(cuts, ts, side="right")
+    out = np.empty((len(ts), spec.dim))
+    for k in np.unique(segs):
+        rows = segs == k
+        out[rows] = spec.segments[k].values(ts[rows])
+    return out
+
+
+def oracle_paths():
+    """The corpus variants, and paths whose segments share inners."""
+    yield from corpus_paths()
+    circle = hl.demo("slice_circle(i,1,1)").path
+    loop = hl.demo("lambda_loop").path
+    three = hl.demo("three_exp").path
+    open_three = replace(three, closed=False)
+    grid = np.linspace(0.0, 2 * math.pi, 513)
+    samples = PathSpec(0.0, 2 * math.pi, (Samples(
+        0.0, 2 * math.pi, tuple(grid.tolist()),
+        tuple(map(tuple, circle.values(grid).tolist()))),), closed=True)
+    shared = {
+        "repeat": hl.repeat(circle, 7),
+        "concat": hl.concat(hl.concat(open_three, open_three), open_three),
+        "reverse(repeat)": hl.reverse(hl.repeat(loop, 3)),
+        "reflect_negconj(repeat)": hl.reflect_negconj(hl.repeat(three, 4)),
+        "reverse(reflect_negconj(repeat))": hl.reverse(hl.reflect_negconj(hl.repeat(three, 3))),
+        "samples": samples,
+        "repeat(samples)": hl.repeat(samples, 5),
+    }
+    shared["json"] = hl.path_from_json(json.loads(json.dumps(
+        hl.path_to_json(shared["reflect_negconj(repeat)"]))))
+    for label, spec in shared.items():
+        yield label, spec
+        if spec.closed:
+            yield f"{label}/rotate_basepoint", hl.rotate_basepoint(
+                spec, spec.a + 0.37 * (spec.b - spec.a))
+
+
+def oracle_parameters(spec):
+    """Both ends and every cut, the floats next to each cut, parameters
+    just outside the domain that are clamped onto it, and a uniform grid."""
+    tol = 1e-13 * (spec.b - spec.a)
+    cuts = np.array([s.ta for s in spec.segments[1:]])
+    return np.concatenate((
+        [spec.a, spec.b], cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+        [spec.a - tol, spec.b + tol], np.linspace(spec.a, spec.b, 129)))
+
+
+def test_values_equal_per_segment_values_bit_for_bit():
+    for label, spec in oracle_paths():
+        ts = oracle_parameters(spec)
+        want = reference_values(spec, ts)
+        assert same_bits(spec.values(ts), want), label
+        perm = np.random.default_rng(1).permutation(len(ts))
+        assert same_bits(spec.values(ts[perm]), want[perm]), label
+        # a parameter alone, and two parameters in the first and last segments
+        assert same_bits(spec.values(ts[-7:-6]), want[-7:-6]), label
+        assert same_bits(spec.values(ts[[0, -1]]), want[[0, -1]]), label
+
+
+@given(st.integers(1, 64), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48))
+@settings(max_examples=60, deadline=None)
+def test_values_on_repeated_circles_equal_per_segment_values(m, fractions):
+    spec = hl.demo(f"gamma1m_gamma2({m})").path
+    ts = spec.a + np.array(fractions) * (spec.b - spec.a)
+    assert same_bits(spec.values(ts), reference_values(spec, ts))
+
+
+@pytest.mark.parametrize("m", [1, 8, 64])
+def test_copies_of_one_segment_make_one_inner_call(m):
+    meter = Meter()
+    circle = counted(hl.demo("slice_circle(i,1,1)").path, meter)
+    meter.calls = meter.points = 0  # the closure checked by counted's copy
+    spec = hl.repeat(circle, m)
+    # the constructor evaluates the ends of all m copies in one call
+    assert (meter.calls, meter.points) == (1, 2 * m)
+    meter.calls = meter.points = 0
+    spec.values(np.linspace(spec.a, spec.b, 4097))
+    assert (meter.calls, meter.points) == (1, 4097)
 
 
 def test_values_make_one_segment_call_per_segment():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -227,6 +228,17 @@ def octonion_line(doc):
     line["p1"] += [0.0] * 4
 
 
+def misspell_poly_field(doc):
+    # the first run as the in-slice curve x(t) = t/pi - 4, y = 0, with a
+    # stray key beside its coefficients
+    doc["segments"][1] = {
+        "kind": "slice_curve", "ta": math.pi, "tb": 3 * math.pi,
+        "unit": [0.0, 1.0, 0.0, 0.0],
+        "x_fn": {"kind": "poly", "coeffs": [1 / math.pi, -4.0], "coefs2": [3]},
+        "y_fn": {"kind": "poly", "coeffs": [0.0]},
+    }
+
+
 @pytest.mark.parametrize("spoil, message", [
     (drop_p1, "line segment lacks field(s) ['p1']"),
     (misspell_radius, "slice_arc segment has unknown field(s) ['raduis']"),
@@ -234,6 +246,7 @@ def octonion_line(doc):
     (drop_domain, "a path needs 'domain'"),
     (misspell_closed, "a path has unknown field(s) ['close']"),
     (octonion_line, "segment 1 has 8 coefficients, segment 0 has 4"),
+    (misspell_poly_field, "poly function has unknown field(s) ['coefs2']"),
 ])
 def test_malformed_input_is_an_input_error(tmp_path, spoil, message):
     doc = three_exp_doc()

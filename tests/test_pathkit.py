@@ -226,6 +226,14 @@ LINE = {"kind": "line", "ta": 0.0, "tb": 1.0,
     ({"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
       "x_fn": {"kind": "poly", "coefs": [1.0]}, "y_fn": {"kind": "poly", "coeffs": [1.0]}},
      "poly function lacks field 'coeffs'"),
+    ({"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+      "x_fn": {"kind": "poly", "coeffs": [1.0], "coefs2": [3]},
+      "y_fn": {"kind": "poly", "coeffs": [1.0]}},
+     "poly function has unknown field(s) ['coefs2']"),
+    ({"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+      "x_fn": {"kind": "poly", "coeffs": [1.0]},
+      "y_fn": {"kind": "trig", "a0": 0.0, "cos": [], "sin": [], "tan": [], "amp": 1}},
+     "trig function has unknown field(s) ['amp', 'tan']"),
 ])
 def test_malformed_segment_json_rejected(doc, message):
     with pytest.raises(ValueError) as e:
@@ -252,6 +260,44 @@ def test_segments_of_different_widths_rejected():
     b = Line(1.0, 2.0, (2.0,) + (0.0,) * 7, (3.0,) + (0.0,) * 7)
     with pytest.raises(DimensionMismatch, match="segment 1 has 8 coefficients"):
         hl.PathSpec(0.0, 2.0, (a, b))
+
+
+# segments sharing one inner are evaluated in one call, which must still
+# check every join of every copy
+ARC = SliceArc(0.0, 2 * PI, (0.0, 1.0, 0.0, 0.0), PI, 3 * PI)
+ARC8 = SliceArc(0.0, 2 * PI, (0.0, 1.0) + (0.0,) * 6, PI, 3 * PI)
+
+
+def copies(*inners):
+    """Copy k of inners[k] laid over [2 pi k, 2 pi (k + 1)]."""
+    return tuple(Reparam(2 * PI * k, 2 * PI * (k + 1), inner, 1.0, -2 * PI * k)
+                 for k, inner in enumerate(inners))
+
+
+def test_shared_inner_discontinuity_rejected():
+    segs = list(copies(ARC, ARC, ARC, ARC))
+    segs[2] = dataclasses.replace(segs[2], beta=segs[2].beta + 1.0)
+    with pytest.raises(EndpointMismatch, match="segments do not join continuously"):
+        hl.PathSpec(0.0, 8 * PI, tuple(segs), closed=True)
+
+
+def test_shared_inner_closure_mismatch_rejected():
+    # three quarters of the circle, in three pieces of one inner
+    segs = tuple(Reparam(0.5 * PI * k, 0.5 * PI * (k + 1), ARC, 1.0, 0.0) for k in range(3))
+    assert hl.PathSpec(0.0, 1.5 * PI, segs).dim == 4
+    with pytest.raises(EndpointMismatch, match="closed path does not return to its start"):
+        hl.PathSpec(0.0, 1.5 * PI, segs, closed=True)
+
+
+def test_shared_inner_width_mismatch_rejected():
+    with pytest.raises(DimensionMismatch) as e:
+        hl.PathSpec(0.0, 10 * PI, copies(ARC, ARC, ARC8, ARC, ARC8), closed=True)
+    assert str(e.value) == "segment 2 has 8 coefficients, segment 0 has 4"
+    # the first failing join is reported, whatever fails at a later one
+    segs = list(copies(ARC, ARC, ARC, ARC8))
+    segs[2] = dataclasses.replace(segs[2], beta=segs[2].beta + 1.0)
+    with pytest.raises(EndpointMismatch, match="segments do not join continuously"):
+        hl.PathSpec(0.0, 8 * PI, tuple(segs))
 
 
 def test_dim_is_the_width_of_the_values():
