@@ -9,8 +9,7 @@ evaluates as a function of the global parameter t, using the anchors it
 was built with, so restricting a segment to a sub-interval never changes
 its values.  Shifts and reversals are expressed with a lightweight
 reparameterisation wrapper instead of per-kind rewriting.  A path folds
-these wrappers, and the reflection wrapper, into arrays when it is built,
-and evaluates all the segments that share one inner segment, such as the
+these wrappers into arrays when it is built, and evaluates all the segments that share one inner segment, such as the
 copies of one circle that repeat makes, in one call of that inner.
 """
 
@@ -325,22 +324,17 @@ def _reparam(seg, alpha, beta, ta, tb):
 
 
 def _fold(seg):
-    """(inner, alpha, beta, mapped, neg) of a segment.
+    """(inner, alpha, beta) of a segment: its values at t are inner's
+    values at alpha t + beta.
 
-    Its values at t are inner's values at alpha t + beta where mapped,
-    at t otherwise, with the real column negated where neg.  One outer
-    Reparam and one outer NegConj are folded, in either order; a second
-    Reparam stays in the inner, since composing two affine maps would
-    not give the same bits.
+    Only an outer Reparam is folded, and only one, since composing two
+    affine maps would not give the same bits.  Any other segment is its
+    own inner under 1.0 t + (-0.0), which gives back every t bit for
+    bit; adding +0.0 instead would turn -0.0 into +0.0.
     """
-    alpha, beta, mapped, neg = 1.0, 0.0, False, False
-    while True:
-        if isinstance(seg, Reparam) and not mapped:
-            alpha, beta, mapped, seg = seg.alpha, seg.beta, True, seg.inner
-        elif isinstance(seg, NegConj) and not neg:
-            neg, seg = True, seg.inner
-        else:
-            return seg, alpha, beta, mapped, neg
+    if isinstance(seg, Reparam):
+        return seg.inner, seg.alpha, seg.beta
+    return seg, 1.0, -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +369,14 @@ class PathSpec:
         if abs(segs[0].ta - self.a) > tol or abs(segs[-1].tb - self.b) > tol:
             raise EndpointMismatch("segments do not cover the domain")
 
-        inner, alpha, beta, mapped, neg = zip(*map(_fold, segs))
+        inner, alpha, beta = zip(*map(_fold, segs))
         # the distinct inners in order of first use, told apart by identity
         inners = tuple({id(x): x for x in inner}.values())
         group = {id(x): g for g, x in enumerate(inners)}
         object.__setattr__(self, "_inners", inners)
         _cache_arrays(
             self, _alpha=np.array(alpha, dtype=float),
-            _beta=np.array(beta, dtype=float), _mapped=mapped, _neg=neg,
+            _beta=np.array(beta, dtype=float),
             _group=[group[id(x)] for x in inner],
             _cuts=np.array([s.ta for s in segs[1:]], dtype=float),
         )
@@ -393,14 +387,17 @@ class PathSpec:
         n = len(segs)
         los = [self.a] + [s.ta for s in segs[1:]]
         his = [s.tb for s in segs[:-1]] + [self.b]
-        owner = np.repeat(np.arange(n), 2)
-        calls = self._inner_calls(np.array([los, his]).T.ravel(), owner)
-        width = np.empty(len(inners), dtype=int)
-        for g, _rows, vals in calls:
-            width[g] = vals.shape[1]
-        width = width[self._group]
-        object.__setattr__(self, "dim", int(width[0]))
-        ends = self._gather(calls, owner).reshape(n, 2, self.dim)
+        calls = self._inner_calls(np.array([los, his]).T.ravel(), np.repeat(np.arange(n), 2))
+        # the first call is of segment 0's inner; the ends of inners of
+        # another width stay zero, and _check_joins reports the first
+        object.__setattr__(self, "dim", calls[0][1].shape[1])
+        width = np.empty(2 * n, dtype=int)
+        ends = np.zeros((2 * n, self.dim))
+        for rows, vals in calls:
+            width[rows] = vals.shape[1]
+            if vals.shape[1] == self.dim:
+                ends[rows] = vals
+        width, ends = width[::2], ends.reshape(n, 2, self.dim)
 
         if n > 1:
             self._check_joins(tol, width, ends)
@@ -435,36 +432,16 @@ class PathSpec:
     def _inner_calls(self, ts, segs) -> list:
         """Evaluate ts[n] on segment segs[n], one call per distinct inner.
 
-        Returns (group, rows, values of the group's inner at those rows)
-        for each inner the segments use; the rows are every row when
-        they share one inner.
+        Returns (rows, values of an inner at those rows) for each inner
+        the segments use, in the order of the inners.
         """
-        u = np.where(self._mapped[segs], self._alpha[segs] * ts + self._beta[segs], ts)
+        u = self._alpha[segs] * ts + self._beta[segs]
         groups = self._group[segs]
-        present = np.flatnonzero(np.bincount(groups))
-        if len(present) == 1:
-            g = present[0]
-            return [(g, slice(None), self._inners[g].values(u))]
         calls = []
-        for g in present:
+        for g in np.flatnonzero(np.bincount(groups)):
             rows = np.flatnonzero(groups == g)
-            calls.append((g, rows, self._inners[g].values(u[rows])))
+            calls.append((rows, self._inners[g].values(u[rows])))
         return calls
-
-    def _gather(self, calls, segs) -> np.ndarray:
-        """The values of the inner calls in parameter order, with the real
-        column negated on the rows of segments with a folded NegConj.
-
-        Rows whose inner gives another width than dim stay zero; only
-        the constructor meets them, and it reports them.
-        """
-        out = np.zeros((len(segs), self.dim))
-        for _g, rows, vals in calls:
-            if vals.shape[1] == self.dim:
-                out[rows] = vals
-        flip = self._neg[segs]
-        out[flip, 0] = -out[flip, 0]
-        return out
 
     def value(self, t: float) -> np.ndarray:
         return self.values(np.array([t]))[0]
@@ -496,7 +473,10 @@ class PathSpec:
         segs = np.searchsorted(self._cuts, ts, side="right")
         if (segs == segs[0]).all():
             return self.segments[segs[0]].values(ts)
-        return self._gather(self._inner_calls(ts, segs), segs)
+        out = np.empty((ts.shape[0], self.dim))
+        for rows, vals in self._inner_calls(ts, segs):
+            out[rows] = vals
+        return out
 
     def evaluate(self, t: float) -> Hyper:
         return Hyper(self.value(t))
