@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import Hyper, ImaginaryUnit, ProjectiveUnit
+from .algebra import Hyper, ImaginaryUnit
 from .errors import InitialMismatch, SliceMismatch
 from .obstruction import BAD_KINDS, FLIP, ObstructionReport, _row_dots, run_kinds
 from .pathkit import SampledPath
@@ -43,9 +43,6 @@ class Companion:
         c = np.zeros(self.units.shape[1] + 1)
         c[1:] = self.units[n]
         return ImaginaryUnit(Hyper(c))
-
-    def projective(self, n: int) -> ProjectiveUnit:
-        return ProjectiveUnit.of(self.unit(n))
 
 
 def _slerp(u0: np.ndarray, u1: np.ndarray, fracs: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ evaluates as a function of the global parameter t, using the anchors it
 was built with, so restricting a segment to a sub-interval never changes
 its values.  Shifts and reversals are expressed with a lightweight
 reparameterisation wrapper instead of per-kind rewriting.  A path folds
-these wrappers into arrays when it is built, and evaluates all the segments that share one inner segment, such as the
-copies of one circle that repeat makes, in one call of that inner.
+these wrappers into arrays when it is built, and evaluates all the
+segments that share one inner segment, such as the copies of one circle
+that repeat makes, in one call of that inner.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import csv
 import io
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -277,8 +277,10 @@ class Rocket:
         out = np.zeros((s.shape[0], 4))
         out[:, 0] = np.cos(math.pi - 2.0 * math.pi * s)
         amp = s * (1.0 - s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phase = np.where(s > 0.0, 2.0 * math.pi / np.where(s > 0.0, s, 1.0), 0.0)
+        # below 1e-307, 2 pi / s can overflow; the amplitude is negligible
+        # there, and the phase is taken as 0, as at s = 0
+        spin = s >= 1e-307
+        phase = np.where(spin, 2.0 * math.pi / np.where(spin, s, 1.0), 0.0)
         out[:, 1] = amp * np.cos(phase)
         out[:, 2] = amp * np.sin(phase)
         return out
@@ -702,9 +704,6 @@ class SampledPath:
     def dim(self):
         return self.values.shape[1]
 
-    def hyper(self, n: int) -> Hyper:
-        return Hyper(self.values[n])
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -726,30 +725,9 @@ def sample_uniform(spec: PathSpec, n: int) -> SampledPath:
     return SampledPath(ts, spec.values(ts))
 
 
-class _Nodes(NamedTuple):
-    """Sample nodes with the per-node quantities of the split test."""
-
-    t: np.ndarray
-    v: np.ndarray
-    mag: np.ndarray
-    im: np.ndarray
-    real: np.ndarray
-    unit: np.ndarray
-
-    @classmethod
-    def of(cls, t: np.ndarray, v: np.ndarray) -> "_Nodes":
-        mag = np.linalg.norm(v, axis=1)
-        im = np.linalg.norm(v[:, 1:], axis=1)
-        real = config.is_real(im, mag)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = v[:, 1:] / im[:, None]
-        return cls(t, v, mag, im, real, unit)
-
-    def take(self, rows) -> "_Nodes":
-        return _Nodes(*(a[rows] for a in self))
-
-    def join(self, other: "_Nodes") -> "_Nodes":
-        return _Nodes(*map(np.concatenate, zip(self, other)))
+# columns of the adaptive sampler's node rows: the parameter, |q|, |Im q|
+# and the realness flag, then the value q and the unit of Im q
+_T, _MAG, _IM, _REAL, _V = range(5)
 
 
 def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
@@ -760,8 +738,9 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     the interval looks like it brackets a contact with the real axis and
     is still longer than a millionth of the domain.  Refinement runs
     level by level: the midpoints of all intervals of one depth are
-    evaluated in one call, and the grid is the sorted right ends of the
-    intervals that need no split.
+    evaluated in one call, and the midpoints of the intervals that need
+    a split are inserted into the grid, which stays sorted; the halves
+    of those intervals are the next level's.
 
     Giving up raises RefinementBudgetExceeded, which is the designed
     failure mode for paths whose direction oscillates without limit near
@@ -770,56 +749,56 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     EVAL_BUDGET.  The error's ``unresolved`` lists, sorted by their left
     ends, the (t_left, t_right) brackets left unresolved: those still
     splitting at depth D_MAX, or, when the budget ran out, those still
-    waiting for their midpoint.  Its ``sampled`` is the sorted grid of
-    the leaves found so far together with the ends of those brackets,
-    which covers [a, b].  A path value of modulus at most EPS_REAL at
-    any evaluated parameter raises ZeroOnPath.
+    waiting for their midpoint.  Its ``sampled`` is the grid so far,
+    which covers [a, b] and holds the ends of those brackets.  A path
+    value of modulus at most EPS_REAL at any evaluated parameter raises
+    ZeroOnPath.
     """
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
     cos_step = math.cos(config.THETA_STEP)
 
-    def nodes_at(ts: np.ndarray) -> _Nodes:
-        nodes = _Nodes.of(ts, spec.values(ts))
-        zero = nodes.mag <= config.EPS_REAL
+    def rows_at(ts: np.ndarray) -> np.ndarray:
+        v = spec.values(ts)
+        mag = np.linalg.norm(v, axis=1)
+        zero = mag <= config.EPS_REAL
         if zero.any():
             raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
-        return nodes
+        im = np.linalg.norm(v[:, 1:], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = v[:, 1:] / im[:, None]
+        return np.column_stack((ts, mag, im, config.is_real(im, mag), v, unit))
 
-    grid = nodes_at(np.linspace(spec.a, spec.b, n0 + 1))
+    nodes = rows_at(np.linspace(spec.a, spec.b, n0 + 1))
     evaluations = n0 + 1
-    leaves = [(grid.t[:1], grid.v[:1])]  # a, then the right end of each leaf
-    left, right = grid.take(slice(0, -1)), grid.take(slice(1, None))
-    lo = hi = np.empty(0)  # unresolved brackets
+    k = np.arange(n0)  # the intervals [nodes[k], nodes[k + 1]] still to test
     depth = 0
-    while len(left.t):
-        tiny = right.t - left.t <= h_floor
-        if tiny.any():
-            leaves.append((right.t[tiny], right.v[tiny]))
-            left, right = left.take(~tiny), right.take(~tiny)
-        if evaluations + len(left.t) > EVAL_BUDGET:
-            lo, hi = left.t, right.t
-            leaves.append((right.t, right.v))
+    while len(k):
+        k = k[nodes[k + 1, _T] - nodes[k, _T] > h_floor]
+        if evaluations + len(k) > EVAL_BUDGET:
             break
-        mid = nodes_at(0.5 * (left.t + right.t))
-        evaluations += len(mid.t)
+        left, right = nodes[k], nodes[k + 1]
+        mid = rows_at(0.5 * (left[:, _T] + right[:, _T]))
+        evaluations += len(k)
         split = _needs_split(left, mid, right, h_cross, cos_step)
-        leaves.append((right.t[~split], right.v[~split]))
+        k = k[split]
         if depth >= config.D_MAX:
-            lo, hi = left.t[split], right.t[split]
-            leaves.append((right.t[split], right.v[split]))
             break
-        mid = mid.take(split)
-        left, right = left.take(split).join(mid), mid.join(right.take(split))
+        # the midpoint of the j-th split interval becomes row k[j] + j + 1
+        k += np.arange(len(k))
+        fresh = np.zeros(len(nodes) + len(k), dtype=bool)
+        fresh[k + 1] = True
+        grown = np.empty((len(fresh), nodes.shape[1]))
+        grown[~fresh] = nodes
+        grown[fresh] = mid[split]
+        nodes = grown
+        k = np.add.outer(k, (0, 1)).ravel()
         depth += 1
 
-    ts = np.concatenate([t for t, _v in leaves])
-    order = np.argsort(ts, kind="stable")
-    sampled = SampledPath(ts[order], np.concatenate([v for _t, v in leaves])[order])
-    if len(lo):
-        first = np.argsort(lo, kind="stable")
-        brackets = list(zip(lo[first].tolist(), hi[first].tolist()))
+    sampled = SampledPath(nodes[:, _T].copy(), nodes[:, _V:_V + spec.dim].copy())
+    if len(k):
+        brackets = list(zip(nodes[k, _T].tolist(), nodes[k + 1, _T].tolist()))
         raise RefinementBudgetExceeded(
             f"refinement budget exhausted on {len(brackets)} bracket(s), "
             f"first near t={brackets[0][0]!r}",
@@ -830,18 +809,22 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
 
 
 def _needs_split(left, mid, right, h_cross, cos_step) -> np.ndarray:
-    """Which intervals [left, right] with midpoints mid need a split."""
-    length = right.t - left.t
-    all_real = left.real & mid.real & right.real
+    """Which intervals with node rows left, right and midpoint rows mid
+    need a split."""
+    length = right[:, _T] - left[:, _T]
+    real_l, real_m, real_r = left[:, _REAL] != 0.0, mid[:, _REAL] != 0.0, right[:, _REAL] != 0.0
+    all_real = real_l & real_m & real_r
     # an interval that looks like it brackets a contact
-    contact = left.real | mid.real | right.real
-    contact |= mid.im < 0.3 * np.minimum(left.im, right.im)
-    mags_max = np.maximum(np.maximum(left.mag, mid.mag), right.mag)
-    mags_min = np.minimum(np.minimum(left.mag, mid.mag), right.mag)
+    contact = real_l | real_m | real_r
+    contact |= mid[:, _IM] < 0.3 * np.minimum(left[:, _IM], right[:, _IM])
+    mags_max = np.maximum(np.maximum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
+    mags_min = np.minimum(np.minimum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
+    # a row holds _V + dim + (dim - 1) columns, the unit last
+    unit = slice(_V + (left.shape[1] - _V + 1) // 2, None)
     # compare both halves: an endpoint-only test can alias against
     # direction fields that rotate through full turns between nodes
-    d1 = np.einsum("nd,nd->n", left.unit, mid.unit)
-    d2 = np.einsum("nd,nd->n", mid.unit, right.unit)
+    d1 = np.einsum("nd,nd->n", left[:, unit], mid[:, unit])
+    d2 = np.einsum("nd,nd->n", mid[:, unit], right[:, unit])
     aligned = np.minimum(np.abs(d1), np.abs(d2)) >= cos_step
     long = length > h_cross
     # a clean reversal of the direction in one half is an axis crossing,

@@ -5,12 +5,15 @@ batched ones replaced: a depth-first adaptive sampler, a one-sided limit
 that evaluates one offset per call, and a bisection with one halving
 per call.  They test realness and take unit directions one value at a
 time, with np.linalg.norm, independently of the library's row helpers.
-The batched versions must agree with them bit for bit.
+The batched versions must agree with them bit for bit.  The sampler's
+give-up results are also checked against the level-synchronous sampler
+that the sorted-grid one replaced.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from hypothesis.extra import numpy as hnp
 import hyperlog as hl
 from hyperlog import config, obstruction
 from hyperlog.errors import OutOfDomain, RefinementBudgetExceeded, ZeroOnPath
-from hyperlog.pathkit import EVAL_BUDGET, Line, PathSpec, Samples, sample_path
+from hyperlog.pathkit import (
+    EVAL_BUDGET, Line, PathSpec, PolyFn, SampledPath, Samples, SliceCurve, sample_path)
 
 from test_acceptance import single_slice_loop
 
@@ -429,6 +433,166 @@ def test_sampler_rejects_a_zero_at_any_evaluated_point(n0):
     line = Line(0.0, 1.0, (-1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
     with pytest.raises(ZeroOnPath):
         hl.sample_adaptive(PathSpec(0.0, 1.0, (line,)), n0)
+
+
+def test_sampler_names_the_first_zero_of_a_level():
+    # zeros at t = 0.375 and t = 0.625, both midpoints of the second level
+    # for n0 = 2; the error names the first, as the depth-first sampler does
+    p = PolyFn((1.0, -1.0, 0.234375))
+    spec = PathSpec(0.0, 1.0, (SliceCurve(0.0, 1.0, (0.0, 1.0, 0.0, 0.0), p, p),))
+    with pytest.raises(ZeroOnPath) as want:
+        reference_sample_adaptive(spec, 2)
+    with pytest.raises(ZeroOnPath) as got:
+        hl.sample_adaptive(spec, 2)
+    assert str(got.value) == str(want.value) == "path value vanishes near t=0.375"
+
+
+class Nodes(NamedTuple):
+    """Sample nodes with the per-node quantities of the split test."""
+
+    t: np.ndarray
+    v: np.ndarray
+    mag: np.ndarray
+    im: np.ndarray
+    real: np.ndarray
+    unit: np.ndarray
+
+    @classmethod
+    def of(cls, t, v):
+        mag = np.linalg.norm(v, axis=1)
+        im = np.linalg.norm(v[:, 1:], axis=1)
+        real = config.is_real(im, mag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = v[:, 1:] / im[:, None]
+        return cls(t, v, mag, im, real, unit)
+
+    def take(self, rows):
+        return Nodes(*(a[rows] for a in self))
+
+    def join(self, other):
+        return Nodes(*map(np.concatenate, zip(self, other)))
+
+
+def reference_level_needs_split(left, mid, right, h_cross, cos_step):
+    length = right.t - left.t
+    all_real = left.real & mid.real & right.real
+    contact = left.real | mid.real | right.real
+    contact |= mid.im < 0.3 * np.minimum(left.im, right.im)
+    mags_max = np.maximum(np.maximum(left.mag, mid.mag), right.mag)
+    mags_min = np.minimum(np.minimum(left.mag, mid.mag), right.mag)
+    d1 = np.einsum("nd,nd->n", left.unit, mid.unit)
+    d2 = np.einsum("nd,nd->n", mid.unit, right.unit)
+    aligned = np.minimum(np.abs(d1), np.abs(d2)) >= cos_step
+    long = length > h_cross
+    turning = (
+        (mags_max / mags_min > 1.1)
+        | ~aligned
+        | ((d1 < 0.0) & (d2 < 0.0))
+        | (((d1 < 0.0) | (d2 < 0.0)) & long)
+    )
+    return np.where(contact, long & ~all_real, turning)
+
+
+def reference_level_sampler(spec, n0=64):
+    """The level-synchronous sampler that collects the right end of each
+    leaf interval and sorts them at the end: the intervals of a level
+    are the left halves of the previous level's splits, then the right
+    halves, and the unresolved brackets are sorted by their left ends."""
+    span = spec.b - spec.a
+    h_cross = span * 1e-6
+    h_floor = span * 2.0 ** -40
+    cos_step = math.cos(config.THETA_STEP)
+
+    def nodes_at(ts):
+        nodes = Nodes.of(ts, spec.values(ts))
+        zero = nodes.mag <= config.EPS_REAL
+        if zero.any():
+            raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
+        return nodes
+
+    grid = nodes_at(np.linspace(spec.a, spec.b, n0 + 1))
+    evaluations = n0 + 1
+    leaves = [(grid.t[:1], grid.v[:1])]
+    left, right = grid.take(slice(0, -1)), grid.take(slice(1, None))
+    lo = hi = np.empty(0)
+    depth = 0
+    while len(left.t):
+        tiny = right.t - left.t <= h_floor
+        if tiny.any():
+            leaves.append((right.t[tiny], right.v[tiny]))
+            left, right = left.take(~tiny), right.take(~tiny)
+        if evaluations + len(left.t) > EVAL_BUDGET:
+            lo, hi = left.t, right.t
+            leaves.append((right.t, right.v))
+            break
+        mid = nodes_at(0.5 * (left.t + right.t))
+        evaluations += len(mid.t)
+        split = reference_level_needs_split(left, mid, right, h_cross, cos_step)
+        leaves.append((right.t[~split], right.v[~split]))
+        if depth >= config.D_MAX:
+            lo, hi = left.t[split], right.t[split]
+            leaves.append((right.t[split], right.v[split]))
+            break
+        mid = mid.take(split)
+        left, right = left.take(split).join(mid), mid.join(right.take(split))
+        depth += 1
+
+    ts = np.concatenate([t for t, _v in leaves])
+    order = np.argsort(ts, kind="stable")
+    sampled = SampledPath(ts[order], np.concatenate([v for _t, v in leaves])[order])
+    if len(lo):
+        first = np.argsort(lo, kind="stable")
+        brackets = list(zip(lo[first].tolist(), hi[first].tolist()))
+        raise RefinementBudgetExceeded(
+            f"refinement budget exhausted on {len(brackets)} bracket(s), "
+            f"first near t={brackets[0][0]!r}",
+            sampled=sampled,
+            unresolved=brackets,
+        )
+    return sampled
+
+
+def depth_limit_line():
+    """A line whose imaginary part 3e-9 stays just above the realness
+    threshold: every interval around its crossing of the imaginary axis
+    at t = 0.5 looks like a contact, so the sampler gives up at D_MAX."""
+    return PathSpec(0.0, 1.0, (Line(0.0, 1.0, (-1.0, 3e-9, 0.0, 0.0),
+                                    (1.0, 3e-9, 0.0, 0.0)),))
+
+
+GIVING_UP = {
+    "depth_limit_line": depth_limit_line,
+    "rocket_neg": lambda: hl.demo("rocket_neg").path,
+    "rocket_pos": lambda: hl.demo("rocket_pos").path,
+    "subpath(rocket_neg)": lambda: hl.subpath(hl.demo("rocket_neg").path, 0.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("n0", [1, 7, 64])
+@pytest.mark.parametrize("name", GIVING_UP)
+def test_give_up_matches_level_synchronous_reference(name, n0):
+    spec = GIVING_UP[name]()
+    with pytest.raises(RefinementBudgetExceeded) as want:
+        reference_level_sampler(spec, n0)
+    with pytest.raises(RefinementBudgetExceeded) as got:
+        hl.sample_adaptive(spec, n0)
+    assert got.value.unresolved == want.value.unresolved
+    assert str(got.value) == str(want.value)
+    assert same_bits(got.value.sampled.params, want.value.sampled.params)
+    assert same_bits(got.value.sampled.values, want.value.sampled.values)
+
+
+@pytest.mark.parametrize("n0", [1, 7, 64])
+def test_depth_limit_gives_up_around_the_crossing(n0):
+    spec = depth_limit_line()
+    with pytest.raises(RefinementBudgetExceeded) as err:
+        hl.sample_adaptive(spec, n0)
+    unresolved = err.value.unresolved
+    assert len(unresolved) == 20
+    assert all(abs(lo - 0.5) < 1e-6 and abs(hi - 0.5) < 1e-6 for lo, hi in unresolved)
+    # the brackets of depth D_MAX
+    length = (spec.b - spec.a) / n0 * 2.0 ** -config.D_MAX
+    assert all(hi - lo == pytest.approx(length) for lo, hi in unresolved)
 
 
 # ---------------------------------------------------------------------------

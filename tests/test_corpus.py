@@ -1,6 +1,7 @@
 """The registry of named example paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,3 +98,15 @@ def test_rocket_formula():
     r = t * (1 - t)
     assert v[1] == pytest.approx(r * math.cos(2 * PI / t), abs=1e-12)
     assert v[2] == pytest.approx(r * math.sin(2 * PI / t), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["rocket_neg", "rocket_pos"])
+def test_rocket_is_finite_at_subnormal_parameters(name):
+    # 2 pi / s overflows there; the amplitude s(1-s) is below 1e-307
+    spec = hl.demo(name).path
+    ts = np.array([np.nextafter(spec.a, spec.b), 1e-310])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = spec.values(ts)
+    assert np.isfinite(v).all()
+    assert np.abs(v[:, 1:]).max() < 1e-307
