@@ -63,7 +63,6 @@ from .pathkit import (
     PathSpec,
     SampledPath,
     concat,
-    evaluate,
     path_from_json,
     path_to_json,
     reflect_negconj,

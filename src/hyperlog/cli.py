@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,6 +41,13 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"path JSON holds a non-finite number: {text}")
+    return x
+
+
 def _load_path(args) -> tuple[PathSpec, str]:
     if args.demo:
         case = demo(args.demo)
@@ -47,7 +55,8 @@ def _load_path(args) -> tuple[PathSpec, str]:
         return case.path, stem
     if args.input:
         with open(args.input) as f:
-            return path_from_json(json.load(f)), Path(args.input).stem
+            doc = json.load(f, parse_float=_finite, parse_constant=_finite)
+        return path_from_json(doc), Path(args.input).stem
     raise UnknownDemo("one of --demo or --input is required")
 
 
@@ -81,7 +90,7 @@ def _write(out_dir, name, text) -> None:
 
 def _cmd_analyze(args) -> int:
     spec, stem = _load_path(args)
-    sampled, sampling = sample_path(spec, args.n0)
+    sampled, sampling = sample_path(spec)
     rep = find_obstructions(sampled, spec)
     doc = report_to_json(rep)
     doc["sampling"] = sampling
@@ -104,7 +113,6 @@ def _cmd_lift(args) -> int:
         k0=args.k0,
         initial_unit=initial,
         directives=_demo_directives(args),
-        n0=args.n0,
     )
     if res.status != "ok":
         doc = {
@@ -133,7 +141,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_winding(args) -> int:
     spec, stem = _load_path(args)
-    res = analyze_loop(spec, _demo_directives(args), args.n0)
+    res = analyze_loop(spec, _demo_directives(args))
     text = _dumps(res.to_json())
     sys.stdout.write(text)
     _write(args.out, f"{stem}_winding.json", text)
@@ -144,7 +152,7 @@ def _cmd_winding(args) -> int:
 
 def _cmd_shadow(args) -> int:
     spec, stem = _load_path(args)
-    sampled, _sampling = sample_path(spec, args.n0)
+    sampled, _sampling = sample_path(spec)
     rep = find_obstructions(sampled, replace(spec, closed=False))
     text = shadow_of(sampled, rep, _demo_directives(args)).to_csv()
     sys.stdout.write(text)
@@ -179,7 +187,6 @@ def _add_common(p):
     p.add_argument("--demo", help="name of a built-in example path")
     p.add_argument("--input", help="path description as a JSON file")
     p.add_argument("--out", help="directory for output files")
-    p.add_argument("--n0", type=int, default=64, help="initial sample count")
     p.add_argument(
         "--eps-real", type=float, default=None,
         help="override the realness threshold",

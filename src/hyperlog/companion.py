@@ -187,22 +187,18 @@ class Shadow:
         return "\n".join(lines) + "\n"
 
 
-def canonical_form(
-    sampled: SampledPath, units: np.ndarray, tol: float | None = None
-) -> Shadow:
+def canonical_form(sampled: SampledPath, units: np.ndarray) -> Shadow:
     """Coordinates gamma = x + U y along a unit field U.
 
     Raises when the field does not actually carry the imaginary part,
     which would mean the reconstruction x + U y misses the path.
     """
-    if tol is None:
-        tol = config.TOL_LIFT
     vals = sampled.values
     x = vals[:, 0].copy()
     y = np.einsum("nd,nd->n", vals[:, 1:], units)
     resid = np.linalg.norm(vals[:, 1:] - y[:, None] * units, axis=1)
     scale = np.maximum(1.0, sampled.mags)
-    if np.any(resid > tol * scale):
+    if np.any(resid > config.TOL_LIFT * scale):
         worst = int(np.argmax(resid / scale))
         raise SliceMismatch(
             f"reconstruction residual {resid[worst]:.3e} at t={sampled.params[worst]!r}"

@@ -311,12 +311,16 @@ def demo(name: str) -> DemoCase:
             raise UnknownDemo("the circle count m must be positive")
         return builder(m)
     if base == "slice_circle":
+        if len(args) > 3:
+            raise UnknownDemo(
+                "slice_circle takes at most three parameters: axis, radius, turns"
+            )
         axis = args[0] if len(args) > 0 else "i"
         radius = float(args[1]) if len(args) > 1 else 1.0
         turns = int(args[2]) if len(args) > 2 else 1
         if axis not in _AXES:
             raise UnknownDemo(f"unknown slice axis {axis!r}")
-        if radius <= 0 or turns < 1:
-            raise UnknownDemo("radius must be positive and turns at least 1")
+        if not (0 < radius < math.inf) or turns < 1:
+            raise UnknownDemo("radius must be positive and finite, and turns at least 1")
         return builder(axis, radius, turns)
     raise UnknownDemo(f"no demo named {base!r}")

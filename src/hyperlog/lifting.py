@@ -182,7 +182,6 @@ def lift_path(
     k0: int = 0,
     initial_unit=None,
     directives: tuple = (),
-    n0: int = 64,
 ) -> LiftResult:
     """Continuous logarithm of a path starting on branch k0.
 
@@ -190,7 +189,7 @@ def lift_path(
     contact without the direction limits needed to carry a nonzero
     argument across; errors about unusable inputs do raise.
     """
-    sampled, sampling = sample_path(spec, n0)
+    sampled, sampling = sample_path(spec)
     rep = find_obstructions(sampled, replace(spec, closed=False))
 
     seed, arg0 = _seed_and_start_arg(sampled, k0, initial_unit)
@@ -252,7 +251,7 @@ def lift_path(
     )
 
 
-def closed_nontame_liftable(spec: PathSpec, n0: int = 64) -> bool:
+def closed_nontame_liftable(spec: PathSpec) -> bool:
     """Whether a closed path whose only bad contacts sit on the positive
     reals admits a closed continuous logarithm.
 
@@ -263,7 +262,7 @@ def closed_nontame_liftable(spec: PathSpec, n0: int = 64) -> bool:
     """
     if not spec.closed:
         raise HypothesisViolated("the criterion applies to closed paths")
-    sampled, _sampling = sample_path(spec, n0)
+    sampled, _sampling = sample_path(spec)
     rep = find_obstructions(sampled, spec)
     xs = sorted(c.t for c in rep.contacts if c.kind in BAD_KINDS)
     if not xs:

@@ -207,26 +207,22 @@ def one_sided_direction(
     return _one_sided_directions(spec, [(t, side, h0)])[0]
 
 
-def classify_point(
-    left_dir, right_dir, interior: bool = True, tol: float | None = None
-) -> str:
+def classify_point(left_dir, right_dir, interior: bool = True) -> str:
     """Flip, bounce, semi-tame or not-tame from the two direction limits.
 
     For endpoint contacts of open paths only one side exists; those are
     endpoint_tame when the available limit exists.  The classification is
     symmetric in its two arguments.
     """
-    if tol is None:
-        tol = config.THETA_TOL
     if not interior:
         present = left_dir if left_dir is not None else right_dir
         return ENDPOINT_TAME if present is not None else ENDPOINT_NOT_TAME
     if left_dir is None or right_dir is None:
         return NOT_TAME
     d = float(np.dot(np.asarray(left_dir), np.asarray(right_dir)))
-    if d >= math.cos(tol):
+    if d >= math.cos(config.THETA_TOL):
         return BOUNCE
-    if d <= -math.cos(tol):
+    if d <= -math.cos(config.THETA_TOL):
         return FLIP
     return SEMI_TAME
 

@@ -24,7 +24,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import config
-from .algebra import Hyper
 from .errors import (
     DimensionMismatch,
     EndpointMismatch,
@@ -480,13 +479,6 @@ class PathSpec:
             out[rows] = vals
         return out
 
-    def evaluate(self, t: float) -> Hyper:
-        return Hyper(self.value(t))
-
-
-def evaluate(path: PathSpec, t: float) -> Hyper:
-    return path.evaluate(t)
-
 
 def concat(p1: PathSpec, p2: PathSpec, closed: bool = False) -> PathSpec:
     """Join p2 after p1, shifting its parameter interval to start at p1.b."""
@@ -752,8 +744,11 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     waiting for their midpoint.  Its ``sampled`` is the grid so far,
     which covers [a, b] and holds the ends of those brackets.  A path
     value of modulus at most EPS_REAL at any evaluated parameter raises
-    ZeroOnPath.
+    ZeroOnPath.  The initial grid has n0 intervals; an n0 that is not an
+    integer of at least 1 raises ValueError.
     """
+    if not isinstance(n0, (int, np.integer)) or n0 < 1:
+        raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
@@ -838,11 +833,13 @@ def _needs_split(left, mid, right, h_cross, cos_step) -> np.ndarray:
     return np.where(contact, long & ~all_real, turning)
 
 
-def sample_path(spec: PathSpec, n0: int = 64) -> tuple[SampledPath, str]:
-    """Adaptive samples of a path, or FALLBACK_SAMPLES uniform ones when
-    the adaptive sampler gives up; the second item names the sampler
-    that ran, "adaptive" or "uniform_fallback"."""
+def sample_path(spec: PathSpec) -> tuple[SampledPath, str]:
+    """Adaptive samples of a path from the sampler's default initial
+    grid, or FALLBACK_SAMPLES uniform ones when the adaptive sampler
+    gives up; the second item names the sampler that ran, "adaptive" or
+    "uniform_fallback".  Every question samples its path here, so none
+    of them takes a sampling parameter."""
     try:
-        return sample_adaptive(spec, n0), "adaptive"
+        return sample_adaptive(spec), "adaptive"
     except RefinementBudgetExceeded:
         return sample_uniform(spec, FALLBACK_SAMPLES), "uniform_fallback"

@@ -133,9 +133,7 @@ class WindingResult:
         }
 
 
-def analyze_loop(
-    spec: PathSpec, directives: tuple = (), n0: int = 64
-) -> WindingResult:
+def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     """Full loop analysis: signatures, twistedness, winding.
 
     Twistedness and the winding number are computed after re-rooting the
@@ -146,7 +144,7 @@ def analyze_loop(
     """
     if not spec.closed:
         raise HypothesisViolated("winding analysis needs a closed path")
-    sampled, sampling = sample_path(spec, n0)
+    sampled, sampling = sample_path(spec)
     rep = find_obstructions(sampled, spec)
 
     try:
@@ -212,17 +210,17 @@ def _reroot(sampled, rep, i_star, period):
     return grid, replace(rep, runs=shift(rep.runs), intervals=intervals)
 
 
-def is_twisted(spec: PathSpec, directives: tuple = (), n0: int = 64) -> bool:
+def is_twisted(spec: PathSpec, directives: tuple = ()) -> bool:
     """Whether the companion lift of a loop reverses over one traversal."""
-    res = analyze_loop(spec, directives, n0)
+    res = analyze_loop(spec, directives)
     if res.twisted is None:
         raise HypothesisViolated("loop has no companion")
     return res.twisted
 
 
-def winding_number(spec: PathSpec, directives: tuple = (), n0: int = 64) -> int:
+def winding_number(spec: PathSpec, directives: tuple = ()) -> int:
     """Winding number of an untwisted loop; twisted loops raise."""
-    res = analyze_loop(spec, directives, n0)
+    res = analyze_loop(spec, directives)
     if res.twisted is None:
         raise HypothesisViolated("loop has no companion")
     if res.twisted:
@@ -235,12 +233,11 @@ def branch_change_report(
     basepoint: float,
     initial_unit=None,
     directives: tuple = (),
-    n0: int = 64,
 ) -> int:
     """Net change of the argument over one traversal from a basepoint,
     in whole turns."""
     rot = rotate_basepoint(spec, basepoint)
-    res = lift_path(rot, k0=0, initial_unit=initial_unit, directives=directives, n0=n0)
+    res = lift_path(rot, k0=0, initial_unit=initial_unit, directives=directives)
     if res.status != "ok":
         raise NotLiftable(res.t_fail, res.reason)
     change = (float(res.lift.arg[-1]) - float(res.lift.arg[0])) / (2.0 * math.pi)

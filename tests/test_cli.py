@@ -144,6 +144,16 @@ def test_out_directory_files(tmp_path):
     assert names == ["slice_circle_i_1_1_lift.csv", "slice_circle_i_1_1_lift.json"]
 
 
+def test_n0_is_not_an_option():
+    # questions sample at the sampler's own initial grid
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        run_cli("analyze", "--demo", "three_exp", "--n0", "0")
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --n0 0" in err.getvalue()
+
+
+
 def test_bad_eps_real_rejected():
     code, _ = run_cli("analyze", "--demo", "sigma_arc", "--eps-real", "0.5")
     assert code == 1
@@ -228,6 +238,15 @@ def octonion_line(doc):
     line["p1"] += [0.0] * 4
 
 
+def nan_radius(doc):
+    # json writes the float as the bare constant NaN
+    doc["segments"][2]["radius"] = math.nan
+
+
+def infinite_radius(doc):
+    doc["segments"][2]["radius"] = -math.inf
+
+
 def misspell_poly_field(doc):
     # the first run as the in-slice curve x(t) = t/pi - 4, y = 0, with a
     # stray key beside its coefficients
@@ -247,6 +266,8 @@ def misspell_poly_field(doc):
     (misspell_closed, "a path has unknown field(s) ['close']"),
     (octonion_line, "segment 1 has 8 coefficients, segment 0 has 4"),
     (misspell_poly_field, "poly function has unknown field(s) ['coefs2']"),
+    (nan_radius, "path JSON holds a non-finite number: NaN"),
+    (infinite_radius, "path JSON holds a non-finite number: -Infinity"),
 ])
 def test_malformed_input_is_an_input_error(tmp_path, spoil, message):
     doc = three_exp_doc()
@@ -259,3 +280,17 @@ def test_malformed_input_is_an_input_error(tmp_path, spoil, message):
     assert code == 1
     assert out == ""
     assert err.getvalue() == f"hyperlog: error: {message}\n"
+
+
+def test_overflowing_number_is_an_input_error(tmp_path):
+    # a literal beyond the float range would be read as infinity
+    f = tmp_path / "path.json"
+    text = json.dumps(three_exp_doc())
+    f.write_text(text.replace('"radius": 1.0', '"radius": 1e400'))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("analyze", "--input", str(f))
+    assert (code, out) == (1, "")
+    assert err.getvalue() == (
+        "hyperlog: error: path JSON holds a non-finite number: 1e400\n"
+    )

@@ -345,6 +345,12 @@ def test_adaptive_sampler_gives_up_on_spinning_direction():
     assert len(err.value.sampled.params) > 64
 
 
+@pytest.mark.parametrize("n0", [0, -3, 2.5])
+def test_adaptive_sampler_needs_at_least_one_interval(n0):
+    with pytest.raises(ValueError, match="n0 must be an integer >= 1"):
+        hl.sample_adaptive(circle(), n0)
+
+
 def test_adaptive_sampler_splits_near_contacts():
     sp = hl.sample_adaptive(circle(), n0=64)
     gaps = np.diff(sp.params)
