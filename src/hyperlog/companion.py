@@ -19,7 +19,7 @@ from . import config
 from .algebra import Hyper, ImaginaryUnit
 from .errors import InitialMismatch, SliceMismatch
 from .obstruction import BAD_KINDS, FLIP, ObstructionReport, _row_dots, run_kinds
-from .pathkit import SampledPath
+from .pathkit import SampledPath, csv_text
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,7 @@ class Shadow:
         return Shadow(self.params, self.x.copy(), -self.y)
 
     def to_csv(self) -> str:
-        lines = ["t,x,y"]
-        for t, x, y in zip(self.params, self.x, self.y):
-            lines.append(",".join(repr(float(c)) for c in (t, x, y)))
-        return "\n".join(lines) + "\n"
+        return csv_text(["t", "x", "y"], np.column_stack((self.params, self.x, self.y)))
 
 
 def canonical_form(sampled: SampledPath, units: np.ndarray) -> Shadow:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import UnknownDemo
 from .pathkit import (
+    MAX_MAGNITUDE,
     Arc,
     Line,
     PathSpec,
@@ -174,10 +175,13 @@ def _three_exp() -> DemoCase:
     )
 
 
-def _gamma1m_gamma2(m: int) -> DemoCase:
+def _gamma1m_gamma2(m: str) -> DemoCase:
     """m positively oriented unit circles from -1 followed by a loop
     that reverses the companion; the argument gain depends on which
     circle copy hosts the basepoint."""
+    m = int(m)
+    if m < 1:
+        raise UnknownDemo("the circle count m must be positive")
     circle = PathSpec(
         0.0, 2 * PI,
         (SliceArc(0.0, 2 * PI, _AXES["i"], PI, 3 * PI),),
@@ -236,7 +240,12 @@ def _meridians() -> DemoCase:
     )
 
 
-def _slice_circle(axis: str, radius: float, turns: int) -> DemoCase:
+def _slice_circle(axis: str, radius: str, turns: str) -> DemoCase:
+    radius, turns = float(radius), int(turns)
+    if axis not in _AXES:
+        raise UnknownDemo(f"unknown slice axis {axis!r}")
+    if not (0 < radius <= MAX_MAGNITUDE) or turns < 1:
+        raise UnknownDemo("radius must be positive and at most 1e150, and turns at least 1")
     path = PathSpec(
         0.0, 2 * PI * turns,
         (
@@ -259,31 +268,28 @@ def _slice_circle(axis: str, radius: float, turns: int) -> DemoCase:
     )
 
 
+# each demo's builder and its call-style parameters, which the builder
+# takes as strings; a parameter written "name=default" may be left out
 _BUILDERS = {
-    "sigma_arc": (_sigma_arc, 0),
-    "sigma_hat": (_sigma_hat, 0),
-    "rocket_neg": (_rocket_neg, 0),
-    "rocket_pos": (_rocket_pos, 0),
-    "lambda_loop": (_lambda_loop, 0),
-    "three_exp": (_three_exp, 0),
-    "gamma1m_gamma2": (_gamma1m_gamma2, 1),
-    "meridians": (_meridians, 0),
-    "slice_circle": (_slice_circle, 3),
+    "sigma_arc": (_sigma_arc, ()),
+    "sigma_hat": (_sigma_hat, ()),
+    "rocket_neg": (_rocket_neg, ()),
+    "rocket_pos": (_rocket_pos, ()),
+    "lambda_loop": (_lambda_loop, ()),
+    "three_exp": (_three_exp, ()),
+    "gamma1m_gamma2": (_gamma1m_gamma2, ("m",)),
+    "meridians": (_meridians, ()),
+    "slice_circle": (_slice_circle, ("axis=i", "radius=1", "turns=1")),
 }
 
 
+def _usage(base: str) -> str:
+    params = [p.partition("=")[0] for p in _BUILDERS[base][1]]
+    return f"{base}({','.join(params)})" if params else base
+
+
 def demo_names() -> list[str]:
-    return [
-        "sigma_arc",
-        "sigma_hat",
-        "rocket_neg",
-        "rocket_pos",
-        "lambda_loop",
-        "three_exp",
-        "gamma1m_gamma2(m)",
-        "meridians",
-        "slice_circle(axis,radius,turns)",
-    ]
+    return [_usage(base) for base in _BUILDERS]
 
 
 def demo(name: str) -> DemoCase:
@@ -298,29 +304,8 @@ def demo(name: str) -> DemoCase:
         args = [a.strip() for a in argstr.split(",")] if argstr else []
     if base not in _BUILDERS:
         raise UnknownDemo(f"no demo named {base!r}")
-    builder, arity = _BUILDERS[base]
-    if arity == 0:
-        if args:
-            raise UnknownDemo(f"demo {base!r} takes no parameters")
-        return builder()
-    if base == "gamma1m_gamma2":
-        if len(args) != 1:
-            raise UnknownDemo("gamma1m_gamma2 needs one parameter: m")
-        m = int(args[0])
-        if m < 1:
-            raise UnknownDemo("the circle count m must be positive")
-        return builder(m)
-    if base == "slice_circle":
-        if len(args) > 3:
-            raise UnknownDemo(
-                "slice_circle takes at most three parameters: axis, radius, turns"
-            )
-        axis = args[0] if len(args) > 0 else "i"
-        radius = float(args[1]) if len(args) > 1 else 1.0
-        turns = int(args[2]) if len(args) > 2 else 1
-        if axis not in _AXES:
-            raise UnknownDemo(f"unknown slice axis {axis!r}")
-        if not (0 < radius < math.inf) or turns < 1:
-            raise UnknownDemo("radius must be positive and finite, and turns at least 1")
-        return builder(axis, radius, turns)
-    raise UnknownDemo(f"no demo named {base!r}")
+    builder, params = _BUILDERS[base]
+    left_out = params[len(args):]
+    if len(args) > len(params) or any("=" not in p for p in left_out):
+        raise UnknownDemo(f"demo {name!r} does not match {_usage(base)}")
+    return builder(*args, *(p.partition("=")[2] for p in left_out))

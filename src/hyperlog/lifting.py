@@ -31,7 +31,7 @@ from .obstruction import (
     find_obstructions,
 )
 from .pathkit import FALLBACK_SAMPLES  # noqa: F401  (long-standing import path)
-from .pathkit import PathSpec, SampledPath, sample_path
+from .pathkit import PathSpec, SampledPath, csv_text, sample_path
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,9 @@ class LogLift:
         return int(self.branch_trace[-1][2])
 
     def to_csv(self) -> str:
-        dim = self.values.shape[1]
-        header = ["t"] + [f"c{c}" for c in range(dim)] + ["k"]
-        ks = np.floor(self.arg / math.pi).astype(int)
-        lines = [",".join(header)]
-        for n, t in enumerate(self.params):
-            row = [repr(float(t))] + [repr(float(x)) for x in self.values[n]]
-            row.append(str(int(ks[n])))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        header = ["t"] + [f"c{c}" for c in range(self.values.shape[1])] + ["k"]
+        return csv_text(header, np.column_stack((self.params, self.values)),
+                        np.floor(self.arg / math.pi).astype(int))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _brent, config
 from .errors import ZeroOnPath
-from .pathkit import PathSpec, SampledPath
+from .pathkit import PathSpec, SampledPath, to_json
 
 FLIP = "flip"
 BOUNCE = "bounce"
@@ -76,7 +76,8 @@ class AxisInterval:
 
     t0 is where the first big arc ends and t1 where the next one starts;
     the two coincide when a single contact lies between them.
-    contacts and runs hold the items, each in report order.
+    contacts and runs hold the items, each in report order; the JSON
+    form leaves them out, since the report lists them itself.
     """
 
     t0: float
@@ -85,8 +86,8 @@ class AxisInterval:
     kind: str
     non_unique: bool
     wrap: bool
-    contacts: tuple
-    runs: tuple
+    contacts: tuple = field(metadata={"json": False})
+    runs: tuple = field(metadata={"json": False})
 
 
 @dataclass(frozen=True)
@@ -623,46 +624,4 @@ def _axis_geometry(spec, contacts, runs, edge_tol) -> tuple:
 
 
 def report_to_json(rep: ObstructionReport) -> dict:
-    def d(u):
-        return list(u) if u is not None else None
-
-    return {
-        "closed": rep.closed,
-        "tame": rep.tame,
-        "companion_unique": rep.companion_unique,
-        "contacts": [
-            {
-                "t": c.t,
-                "value": c.value,
-                "sign": c.sign,
-                "left_dir": d(c.left_dir),
-                "right_dir": d(c.right_dir),
-                "kind": c.kind,
-                "wrap": c.wrap,
-            }
-            for c in rep.contacts
-        ],
-        "runs": [
-            {
-                "t0": r.t0,
-                "t1": r.t1,
-                "sign": r.sign,
-                "in_dir": d(r.in_dir),
-                "out_dir": d(r.out_dir),
-                "wrap": r.wrap,
-            }
-            for r in rep.runs
-        ],
-        "big_arcs": [list(a) for a in rep.big_arcs],
-        "intervals": [
-            {
-                "t0": iv.t0,
-                "t1": iv.t1,
-                "sign": iv.sign,
-                "kind": iv.kind,
-                "non_unique": iv.non_unique,
-                "wrap": iv.wrap,
-            }
-            for iv in rep.intervals
-        ],
-    }
+    return to_json(rep)

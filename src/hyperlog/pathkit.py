@@ -4,14 +4,16 @@ A path is a list of contiguous segments over a shared parameter interval.
 A segment is a frozen dataclass, its fields led by its interval ta, tb,
 with a method values(ts) giving its values at an array of parameters.
 The rest is derived from these: a path's dim is the width of its values,
-and a segment's JSON is its kind followed by its fields.  Every segment
-evaluates as a function of the global parameter t, using the anchors it
-was built with, so restricting a segment to a sub-interval never changes
-its values.  Shifts and reversals are expressed with a lightweight
-reparameterisation wrapper instead of per-kind rewriting.  A path folds
-these wrappers into arrays when it is built, and evaluates all the
-segments that share one inner segment, such as the copies of one circle
-that repeat makes, in one call of that inner.
+and the JSON of a segment, or of a coordinate function such as PolyFn,
+is its kind followed by its fields, read back with a check of each value
+against its field's annotation; every CSV table is written by csv_text.
+Every segment evaluates as a function of the global parameter t, using
+the anchors it was built with, so restricting a segment to a
+sub-interval never changes its values.  Shifts and reversals are
+expressed with a lightweight reparameterisation wrapper instead of
+per-kind rewriting.  A path folds these wrappers into arrays when it is
+built, and evaluates all the segments that share one inner segment, such
+as the copies of one circle that repeat makes, in one call of that inner.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+import reprlib
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -58,56 +61,28 @@ class PolyFn:
     def __call__(self, t):
         return np.polyval(np.asarray(self.coeffs), t)
 
-    def to_json(self):
-        return {"kind": "poly", "coeffs": list(self.coeffs)}
-
 
 @dataclass(frozen=True)
 class TrigFn:
-    """a0 + sum a_m cos(m t) + b_m sin(m t) with integer frequencies."""
+    """a0 + sum a_m cos(m t) + b_m sin(m t) with integer frequencies m;
+    cos and sin hold the pairs (m, a_m) and (m, b_m)."""
 
     a0: float
-    cos_terms: tuple  # pairs (m, amplitude)
-    sin_terms: tuple
+    cos: tuple
+    sin: tuple
+
+    def __post_init__(self):
+        if not all(float(m).is_integer() for m, _ in self.cos + self.sin):
+            raise ValueError(f"trig function frequencies are not whole numbers: {self!r}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, self.a0)
-        for m, a in self.cos_terms:
+        for m, a in self.cos:
             out = out + a * np.cos(m * t)
-        for m, b in self.sin_terms:
+        for m, b in self.sin:
             out = out + b * np.sin(m * t)
         return out
-
-    def to_json(self):
-        return {
-            "kind": "trig",
-            "a0": self.a0,
-            "cos": [list(p) for p in self.cos_terms],
-            "sin": [list(p) for p in self.sin_terms],
-        }
-
-
-_FN_KEYS = {"poly": ("coeffs",), "trig": ("a0", "cos", "sin")}
-
-
-def _fn_from_json(d):
-    kind = d.get("kind")
-    if kind not in _FN_KEYS:
-        raise ValueError(f"unknown coordinate function kind {kind!r}")
-    for key in _FN_KEYS[kind]:
-        if key not in d:
-            raise ValueError(f"{kind} function lacks field {key!r}")
-    unknown = d.keys() - {"kind", *_FN_KEYS[kind]}
-    if unknown:
-        raise ValueError(f"{kind} function has unknown field(s) {sorted(unknown)}")
-    if kind == "poly":
-        return PolyFn(tuple(float(c) for c in d["coeffs"]))
-    return TrigFn(
-        float(d["a0"]),
-        tuple((int(m), float(a)) for m, a in d["cos"]),
-        tuple((int(m), float(a)) for m, a in d["sin"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +536,11 @@ def rotate_basepoint(p: PathSpec, t_star: float) -> PathSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON format
+# file formats
 
 
-# A segment's JSON is {"kind": ...} followed by its dataclass fields in
-# declaration order: a tuple as a list (a tuple of rows, such as
-# Samples.points, as a list of lists), an inner segment or a coordinate
-# function as its own JSON.  Decoding inverts this; a field with a
-# default may be left out, and an unknown or missing field is a ValueError.
-
-_SEGMENT_KINDS = {
+# every kind of segment and of coordinate function, by its JSON name
+_KINDS = {
     "slice_arc": SliceArc,
     "arc": Arc,
     "line": Line,
@@ -579,55 +549,98 @@ _SEGMENT_KINDS = {
     "rocket": Rocket,
     "negconj": NegConj,
     "reparam": Reparam,
+    "poly": PolyFn,
+    "trig": TrigFn,
 }
-_KIND_OF = {cls: kind for kind, cls in _SEGMENT_KINDS.items()}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+# the largest magnitude of a decoded number: the squared modulus of a
+# path value overflows above about 1.3e154
+MAX_MAGNITUDE = 1e150
+
+_WANTED = {
+    "float": "a number of magnitude at most 1e150",
+    "tuple": "a list of numbers of magnitude at most 1e150, or of such lists",
+    "object": "an object with a kind",
+}
 
 
-def _field_to_json(v):
+def to_json(v):
+    """The JSON form of a value: a tuple is the list of its items' JSON,
+    a dataclass its fields but those with metadata json=False, led by
+    "kind" when its class is a kind, and any other value, such as a
+    number, is itself.  A field annotated object must hold a kind."""
     if isinstance(v, tuple):
-        return [list(row) for row in v] if v and isinstance(v[0], tuple) else list(v)
-    if isinstance(v, (float, int)) or v is None:
+        return [to_json(x) for x in v]
+    if not is_dataclass(v):
         return v
-    if hasattr(v, "to_json"):
-        return v.to_json()
-    return segment_to_json(v)
-
-
-def _field_from_json(v):
-    if isinstance(v, list):
-        return tuple(map(tuple, v)) if v and isinstance(v[0], list) else tuple(v)
-    if isinstance(v, dict):
-        if v.get("kind") in _SEGMENT_KINDS:
-            return segment_from_json(v)
-        return _fn_from_json(v)
-    return v
-
-
-def segment_to_json(seg) -> dict:
-    kind = _KIND_OF.get(type(seg))
-    if kind is None:
-        raise ValueError(f"unserialisable segment type {type(seg).__name__}")
-    d = {"kind": kind}
-    for f in fields(seg):
-        d[f.name] = _field_to_json(getattr(seg, f.name))
+    d = {"kind": _KIND_OF[type(v)]} if type(v) in _KIND_OF else {}
+    for f in fields(v):
+        if f.metadata.get("json", True):
+            x = getattr(v, f.name)
+            d[f.name] = segment_to_json(x) if f.type == "object" else to_json(x)
     return d
 
 
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and abs(v) <= MAX_MAGNITUDE)
+
+
+def _numbers(v):
+    """A list of numbers, or of such lists, as nested tuples; None for
+    any other value."""
+    if not isinstance(v, (list, tuple)):
+        return None
+    out = tuple(x if _is_number(x) else _numbers(x) for x in v)
+    return None if None in out else out
+
+
+def _field_from_json(f, v, what):
+    """The value of field f of a kind (named by what) decoded from v."""
+    if v is None and f.default is None:
+        return None
+    if f.type == "float" and _is_number(v):
+        return v
+    if f.type == "tuple" and (t := _numbers(v)) is not None:
+        return t
+    if f.type == "object" and isinstance(v, dict):
+        return segment_from_json(v)
+    raise ValueError(
+        f"{what} field {f.name!r} must be {_WANTED[f.type]}, got {reprlib.repr(v)}")
+
+
+def segment_to_json(seg) -> dict:
+    if type(seg) not in _KIND_OF:
+        raise ValueError(f"unserialisable segment type {type(seg).__name__}")
+    return to_json(seg)
+
+
 def segment_from_json(d: dict):
+    """Decode a segment or a coordinate function from its JSON form.
+
+    A field with a default may be left out.  Each value is checked
+    against its field's annotation: a float takes a number, a tuple a
+    list of numbers or of such lists, and an object a nested kind; a
+    number must be of magnitude at most MAX_MAGNITUDE, and null is taken
+    only where the default is None.  An unknown or missing field, or a
+    value of the wrong type, raises ValueError.
+    """
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind is None:
         raise ValueError("a segment needs a kind")
-    if kind not in _SEGMENT_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown segment kind {kind!r}")
-    fs = fields(_SEGMENT_KINDS[kind])
+    cls = _KINDS[kind]
+    what = f"{kind} {'function' if cls in (PolyFn, TrigFn) else 'segment'}"
+    fs = fields(cls)
     unknown = d.keys() - {"kind"} - {f.name for f in fs}
     if unknown:
-        raise ValueError(f"{kind} segment has unknown field(s) {sorted(unknown)}")
+        raise ValueError(f"{what} has unknown field(s) {sorted(unknown)}")
     missing = [f.name for f in fs if f.default is MISSING and f.name not in d]
     if missing:
-        raise ValueError(f"{kind} segment lacks field(s) {missing}")
-    return _SEGMENT_KINDS[kind](
-        **{f.name: _field_from_json(d[f.name]) for f in fs if f.name in d})
+        raise ValueError(f"{what} lacks field(s) {missing}")
+    return cls(**{f.name: _field_from_json(f, d[f.name], what) for f in fs if f.name in d})
 
 
 def path_to_json(p: PathSpec) -> dict:
@@ -645,13 +658,30 @@ def path_from_json(d: dict) -> PathSpec:
     unknown = d.keys() - {"domain", "closed", "segments"}
     if unknown:
         raise ValueError(f"a path has unknown field(s) {sorted(unknown)}")
-    a, b = d["domain"]
+    domain = d["domain"]
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and all(map(_is_number, domain))):
+        raise ValueError(f"a path's 'domain' must be two numbers of magnitude "
+                         f"at most 1e150, got {reprlib.repr(domain)}")
+    closed = d.get("closed", False)
+    if not isinstance(closed, bool):
+        raise ValueError(f"a path's 'closed' must be true or false, got {closed!r}")
     return PathSpec(
-        float(a),
-        float(b),
+        float(domain[0]),
+        float(domain[1]),
         tuple(segment_from_json(s) for s in d["segments"]),
-        bool(d.get("closed", False)),
+        closed,
     )
+
+
+def csv_text(header, floats, ints=None) -> str:
+    """A CSV table: the header row, then a row for each row of floats,
+    each float in shortest round-trip form and followed, when ints is
+    given, by that row's integer from ints."""
+    rows = np.asarray(floats, dtype=float).tolist()
+    if ints is not None:
+        for row, k in zip(rows, np.asarray(ints).tolist()):
+            row.append(k)
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -697,13 +727,8 @@ class SampledPath:
         return self.values.shape[1]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         header = ["t", "re"] + [f"im{c}" for c in range(1, self.dim)]
-        w.writerow(header)
-        for t, row in zip(self.params, self.values):
-            w.writerow([repr(float(t))] + [repr(float(x)) for x in row])
-        return buf.getvalue()
+        return csv_text(header, np.column_stack((self.params, self.values)))
 
     @classmethod
     def from_csv(cls, text: str) -> "SampledPath":

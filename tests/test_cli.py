@@ -247,6 +247,14 @@ def infinite_radius(doc):
     doc["segments"][2]["radius"] = -math.inf
 
 
+def string_radius(doc):
+    doc["segments"][2]["radius"] = "2"
+
+
+def scalar_unit(doc):
+    doc["segments"][2]["unit"] = 5
+
+
 def misspell_poly_field(doc):
     # the first run as the in-slice curve x(t) = t/pi - 4, y = 0, with a
     # stray key beside its coefficients
@@ -268,6 +276,10 @@ def misspell_poly_field(doc):
     (misspell_poly_field, "poly function has unknown field(s) ['coefs2']"),
     (nan_radius, "path JSON holds a non-finite number: NaN"),
     (infinite_radius, "path JSON holds a non-finite number: -Infinity"),
+    (string_radius,
+     "slice_arc segment field 'radius' must be a number of magnitude at most 1e150, got '2'"),
+    (scalar_unit, "slice_arc segment field 'unit' must be a list of numbers of magnitude "
+                  "at most 1e150, or of such lists, got 5"),
 ])
 def test_malformed_input_is_an_input_error(tmp_path, spoil, message):
     doc = three_exp_doc()

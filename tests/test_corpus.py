@@ -40,6 +40,7 @@ def test_malformed_names_raise():
         "slice_circle(i,1,1,5)",
         "slice_circle(i,nan,1)",
         "slice_circle(i,inf,1)",
+        "slice_circle(i,1e200,1)",
     ):
         with pytest.raises((UnknownDemo, ValueError)):
             hl.demo(bad)

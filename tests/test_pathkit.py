@@ -225,7 +225,7 @@ LINE = {"kind": "line", "ta": 0.0, "tb": 1.0,
      "line segment has unknown field(s) ['radius']"),
     ({"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
       "x_fn": {"kind": "poly", "coefs": [1.0]}, "y_fn": {"kind": "poly", "coeffs": [1.0]}},
-     "poly function lacks field 'coeffs'"),
+     "poly function has unknown field(s) ['coefs']"),
     ({"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
       "x_fn": {"kind": "poly", "coeffs": [1.0], "coefs2": [3]},
       "y_fn": {"kind": "poly", "coeffs": [1.0]}},
@@ -239,6 +239,91 @@ def test_malformed_segment_json_rejected(doc, message):
     with pytest.raises(ValueError) as e:
         segment_from_json(doc)
     assert str(e.value) == message
+
+
+CIRCLE = {"kind": "slice_arc", "ta": 0.0, "tb": 2 * PI, "unit": [0.0, 1.0, 0.0, 0.0],
+          "angle_a": 0.0, "angle_b": 2 * PI}
+NUMBER = "a number of magnitude at most 1e150"
+NUMBERS = "a list of numbers of magnitude at most 1e150, or of such lists"
+
+
+@pytest.mark.parametrize("key, value, wanted", [
+    ("radius", "2", NUMBER),
+    ("radius", math.nan, NUMBER),
+    ("radius", -math.inf, NUMBER),
+    ("radius", 1e200, NUMBER),
+    ("radius", -10 ** 400, NUMBER),
+    ("radius", True, NUMBER),
+    ("radius", None, NUMBER),
+    ("radius", [2.0], NUMBER),
+    ("unit", 5, NUMBERS),
+    ("unit", [0.0, "1", 0.0, 0.0], NUMBERS),
+    ("unit", [0.0, math.nan, 0.0, 0.0], NUMBERS),
+    ("unit", {"kind": "line"}, NUMBERS),
+])
+def test_wrongly_typed_field_rejected(key, value, wanted):
+    with pytest.raises(ValueError) as e:
+        segment_from_json({**CIRCLE, key: value})
+    assert str(e.value).startswith(f"slice_arc segment field {key!r} must be {wanted}, got ")
+
+
+def test_wrongly_typed_nested_kinds_rejected():
+    doc = {"kind": "negconj", "ta": 0.0, "tb": 1.0, "inner": [1.0]}
+    with pytest.raises(ValueError, match="negconj segment field 'inner' must be an object"):
+        segment_from_json(doc)
+    fn = {"kind": "trig", "a0": "1", "cos": [], "sin": []}
+    with pytest.raises(ValueError, match="trig function field 'a0' must be a number"):
+        segment_from_json({"kind": "slice_curve", "ta": 0.0, "tb": 1.0,
+                           "unit": [0.0, 1.0, 0.0, 0.0], "x_fn": fn, "y_fn": fn})
+    with pytest.raises(ValueError, match="unknown segment kind 'cubic'"):
+        segment_from_json({"kind": "cubic"})
+
+
+def test_null_only_where_the_default_is_none():
+    assert segment_from_json({**CIRCLE, "anchor_a": None, "anchor_b": None}) == \
+        segment_from_json(CIRCLE)
+
+
+def test_non_finite_library_input_rejected_when_decoded():
+    # library callers do not pass the command line's JSON reader, which
+    # rejects non-finite literals before decoding
+    doc = hl.path_to_json(circle())
+    doc["segments"][0]["radius"] = math.nan
+    with pytest.raises(ValueError, match="field 'radius' must be a number"):
+        hl.path_from_json(doc)
+    doc = hl.path_to_json(circle())
+    doc["domain"] = [0.0, math.inf]
+    with pytest.raises(ValueError, match="a path's 'domain' must be two numbers"):
+        hl.path_from_json(doc)
+
+
+def test_path_json_closed_flag_must_be_a_bool():
+    doc = hl.path_to_json(circle())
+    doc["closed"] = "false"
+    with pytest.raises(ValueError, match="a path's 'closed' must be true or false"):
+        hl.path_from_json(doc)
+
+
+def test_trig_frequencies_are_whole_numbers():
+    fn = {"kind": "trig", "a0": 0.0, "cos": [[1.5, 1.0]], "sin": []}
+    doc = {"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+           "x_fn": {"kind": "poly", "coeffs": [1.0]}, "y_fn": fn}
+    with pytest.raises(ValueError, match=r"not whole numbers: .*cos=\(\(1.5, 1.0\),\)"):
+        segment_from_json(doc)
+    with pytest.raises(ValueError, match="not whole numbers"):
+        TrigFn(0.0, (), ((2.5, 1.0),))
+    fn["cos"] = [[1.0, 1.0]]
+    seg = segment_from_json(doc)
+    assert seg == SliceCurve(0.0, 1.0, (0.0, 1.0, 0.0, 0.0), PolyFn((1.0,)),
+                             TrigFn(0.0, ((1, 1.0),), ()))
+    ts = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(seg.y_fn(ts), np.cos(ts))
+
+
+def test_unregistered_segment_is_unserialisable():
+    curve = SliceCurve(0.0, 1.0, (0.0, 1.0, 0.0, 0.0), np.cos, PolyFn((1.0,)))
+    with pytest.raises(ValueError, match="unserialisable segment type"):
+        segment_to_json(Reparam(0.0, 1.0, curve, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("key", ["domain", "segments"])
