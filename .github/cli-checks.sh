@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# Checks of the command line, run through the command given as the one
+# argument, for example
+#   bash .github/cli-checks.sh "python -m hyperlog.cli"
+#   bash .github/cli-checks.sh hyperlog
+# The first check that fails stops the script with a non-zero exit code.
+set -euo pipefail
+
+read -r -a hyperlog <<< "$1"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# run the command line, expecting the given exit code and, for an error,
+# exactly one line on stderr
+expect() {
+  local want=$1 code=0
+  shift
+  "${hyperlog[@]}" "$@" > "$work/out.txt" 2> "$work/error.txt" || code=$?
+  if [ "$code" -ne "$want" ]; then
+    echo "hyperlog $*: exit code $code, expected $want"; cat "$work/error.txt"; exit 1
+  fi
+  if [ "$want" -eq 1 ] && [ "$(wc -l < "$work/error.txt")" -ne 1 ]; then
+    echo "hyperlog $*: expected one error line"; cat "$work/error.txt"; exit 1
+  fi
+}
+
+# each command exits 0 on three_exp
+for cmd in analyze lift shadow "winding --companion J_path"; do
+  echo "== hyperlog $cmd"
+  read -r -a args <<< "$cmd"
+  expect 0 "${args[@]}" --demo three_exp
+done
+
+# a path exported as JSON and read back gives the same report; lambda_loop's
+# parabola is a poly coordinate function
+for name in three_exp lambda_loop; do
+  "${hyperlog[@]}" demo "$name" --export > "$work/$name.json"
+  "${hyperlog[@]}" analyze --input "$work/$name.json" > "$work/from_file.json"
+  "${hyperlog[@]}" analyze --demo "$name" > "$work/from_demo.json"
+  diff "$work/from_file.json" "$work/from_demo.json"
+done
+
+# a radius written as a string is unusable input: exit code 1 and one
+# error line, not a traceback
+"${hyperlog[@]}" demo 'slice_circle(i,1,1)' --export \
+  | sed 's/"radius": 1.0/"radius": "2"/' > "$work/string_radius.json"
+grep -qF '"radius": "2"' "$work/string_radius.json"
+expect 1 analyze --input "$work/string_radius.json"
+
+# so is a segment where a coordinate function belongs
+cat > "$work/rocket_x_fn.json" <<'EOF'
+{"domain": [0.0, 1.0], "closed": false, "segments": [
+  {"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+   "x_fn": {"kind": "rocket", "ta": 0.0, "tb": 1.0},
+   "y_fn": {"kind": "poly", "coeffs": [1.0]}}]}
+EOF
+expect 1 analyze --input "$work/rocket_x_fn.json"
+
+# rocket_neg spins without limit at its contact: the adaptive sampler gives
+# up and the report names the uniform fallback
+expect 0 analyze --demo rocket_neg
+grep -qF '"sampling": "uniform_fallback"' "$work/out.txt"
+
+expect 0 winding --demo 'slice_circle(i,2,1)'
+# lambda_loop is twisted, which the command reports with exit code 2
+expect 2 winding --demo lambda_loop
+# a non-finite radius is unusable input
+expect 1 winding --demo 'slice_circle(i,nan,1)'
+echo "command line checks passed"

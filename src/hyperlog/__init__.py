@@ -31,15 +31,7 @@ from .algebra import (
     tangent_chart,
     unit_im,
 )
-from .companion import (
-    Companion,
-    Shadow,
-    build_companion,
-    canonical_form,
-    lift_companion,
-    shadow_of,
-    unit_field,
-)
+from .companion import Shadow, canonical_form, shadow_of, unit_field
 from .corpus import DemoCase, demo, demo_names
 from .lifting import (
     LiftResult,

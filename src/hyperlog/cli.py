@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except HyperlogError as e:
         sys.stderr.write(f"hyperlog: error: {e}\n")
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         sys.stderr.write(f"hyperlog: error: {e}\n")
         return 1
     finally:

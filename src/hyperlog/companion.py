@@ -1,11 +1,13 @@
-"""Companions, their lifts, canonical forms and shadows.
+"""Companions as unit fields, canonical forms, shadows and their turns.
 
 The companion of a path is its imaginary direction, viewed projectively
-and extended continuously through the contacts with the real axis.  Here
-it is realised as a continuous unit field over the sample grid: plain
-sign-matching propagation handles isolated contacts, and real runs are
-bridged according to a flip/bounce directive because both continuations
-are legitimate there.
+and extended continuously through the contacts with the real axis.  It
+is its unit field over the sample grid: sign-matching propagation
+handles isolated contacts, and real runs are bridged according to a
+flip/bounce directive because both continuations are legitimate there.
+It exists when no contact is in obstruction.BAD_KINDS, is unique when
+the report's companion_unique holds and the path is not all real, and
+its two lifts are the fields seeded with u and with -u.
 """
 
 from __future__ import annotations
@@ -16,33 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import Hyper, ImaginaryUnit
-from .errors import InitialMismatch, SliceMismatch
-from .obstruction import BAD_KINDS, FLIP, ObstructionReport, _row_dots, run_kinds
+from .errors import HypothesisViolated, SliceMismatch, StepTooLarge
+from .obstruction import FLIP, ObstructionReport, _row_dots, run_kinds
 from .pathkit import SampledPath, csv_text
-
-
-@dataclass(frozen=True)
-class Companion:
-    """A continuous choice of unit imaginary directions along a path.
-
-    units[n] is the direction at params[n] (imaginary components only).
-    exists is False when some contact admits no continuous direction;
-    unique is False when the path spends positive time on the real axis
-    or is entirely real, in which case the stored field is the one picked
-    by the directives.
-    """
-
-    params: np.ndarray
-    units: np.ndarray
-    exists: bool
-    unique: bool
-    directives: tuple
-
-    def unit(self, n: int) -> ImaginaryUnit:
-        c = np.zeros(self.units.shape[1] + 1)
-        c[1:] = self.units[n]
-        return ImaginaryUnit(Hyper(c))
 
 
 def _slerp(u0: np.ndarray, u1: np.ndarray, fracs: np.ndarray) -> np.ndarray:
@@ -140,35 +118,6 @@ def unit_field(
     return units
 
 
-def build_companion(
-    sampled: SampledPath,
-    rep: ObstructionReport,
-    directives: tuple = (),
-    seed: np.ndarray | None = None,
-) -> Companion:
-    """The companion of a path, as a continuous unit field with flags."""
-    exists = all(c.kind not in BAD_KINDS for c in rep.contacts)
-    unique = rep.companion_unique and not sampled.real.all()
-    units = unit_field(sampled, rep, directives, seed)
-    return Companion(sampled.params, units, exists, unique, tuple(directives))
-
-
-def lift_companion(c: Companion, initial: ImaginaryUnit) -> np.ndarray:
-    """The unit field whose starting value is the requested one.
-
-    A companion has exactly two lifts, opposite to each other; initial
-    picks one of them.
-    """
-    u0 = c.units[0]
-    want = initial.value.coeffs[1:]
-    d = float(np.dot(u0, want))
-    if d >= math.cos(config.THETA_TOL):
-        return c.units.copy()
-    if d <= -math.cos(config.THETA_TOL):
-        return -c.units
-    raise InitialMismatch("initial unit is not a value of the companion")
-
-
 @dataclass(frozen=True)
 class Shadow:
     """The planar curve (x, y) cut out by a companion lift."""
@@ -212,3 +161,25 @@ def shadow_of(
     """Convenience: canonical form along the companion picked by the seed."""
     units = unit_field(sampled, rep, directives, seed)
     return canonical_form(sampled, units)
+
+
+def argument_steps(z: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Steps of the argument of z between consecutive samples; one
+    within THETA_TOL of a half turn raises StepTooLarge naming its t."""
+    dphi = np.angle(z[1:] * np.conj(z[:-1]))
+    if np.any(np.abs(dphi) >= math.pi - config.THETA_TOL):
+        worst = int(np.argmax(np.abs(dphi)))
+        raise StepTooLarge(
+            f"argument step {abs(dphi[worst]):.3f} rad near t={params[worst]!r}"
+        )
+    return dphi
+
+
+def whole_turns(angle: float, what: str) -> int:
+    """An angle as a count of whole turns; what names it in the error
+    raised when it is more than 1e-6 turns away from one."""
+    turns = angle / (2.0 * math.pi)
+    n = round(turns)
+    if abs(turns - n) > 1e-6:
+        raise HypothesisViolated(f"{what} {turns!r} is not a whole number of turns")
+    return int(n)

@@ -16,17 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config
-from .companion import unit_field
-from .errors import (
-    HypothesisViolated,
-    InitialMismatch,
-    MissingInitialUnit,
-    StepTooLarge,
-)
+from .companion import argument_steps, unit_field
+from .errors import HypothesisViolated, InitialMismatch, MissingInitialUnit
 from .obstruction import (
     BAD_KINDS,
     FLIP,
     ObstructionReport,
+    alternating_sum,
     classify_interval,
     find_obstructions,
 )
@@ -161,8 +157,7 @@ def _branch_trace(rep: ObstructionReport, params, arg, a, b):
         if hi - lo <= 1e-12 * max(1.0, b - a):
             continue
         mid = 0.5 * (lo + hi)
-        n = int(np.searchsorted(params, mid))
-        n = min(max(n, 0), len(params) - 1)
+        n = min(int(np.searchsorted(params, mid)), len(params) - 1)
         k = int(math.floor(arg[n] / math.pi))
         if trace and trace[-1][2] == k:
             trace[-1] = (trace[-1][0], hi, k)
@@ -201,12 +196,7 @@ def lift_path(
     x = sampled.values[:, 0]
     y = np.einsum("nd,nd->n", sampled.values[:, 1:], units)
     z = x + 1j * y
-    dphi = np.angle(z[1:] * np.conj(z[:-1]))
-    if np.any(np.abs(dphi) >= math.pi - config.THETA_TOL):
-        worst = int(np.argmax(np.abs(dphi)))
-        raise StepTooLarge(
-            f"argument step {abs(dphi[worst]):.3f} rad near t={sampled.params[worst]!r}"
-        )
+    dphi = argument_steps(z, sampled.params)
     arg = np.empty(len(z))
     arg[0] = arg0
     arg[1:] = arg0 + np.cumsum(dphi)
@@ -215,8 +205,7 @@ def lift_path(
     for c in rep.contacts:
         if c.kind not in BAD_KINDS:
             continue
-        n = int(np.searchsorted(sampled.params, c.t))
-        n = min(max(n, 0), len(sampled.params) - 1)
+        n = min(int(np.searchsorted(sampled.params, c.t)), len(sampled.params) - 1)
         if int(round(arg[n] / math.pi)) != 0:
             return LiftResult(
                 status="fails_at", t_fail=c.t, reason=c.kind, sampling=sampling
@@ -285,7 +274,7 @@ def closed_nontame_liftable(spec: PathSpec) -> bool:
             if 0.0 < rel < span:
                 placed.append((rel, sign))
         placed.sort()
-        return sum(sign * (-1) ** (l + 1) for l, (_rel, sign) in enumerate(placed))
+        return alternating_sum([sign for _rel, sign in placed])
 
     if len(xs) == 1:
         segs = [(xs[0], xs[0])]

@@ -258,6 +258,12 @@ def run_kinds(rep: ObstructionReport, directives=()) -> tuple:
     return tuple(kind.get(r.t0, BOUNCE) for r in rep.runs)
 
 
+def alternating_sum(signs) -> int:
+    """Sum of sign_l (-1)^l with l counted from one: the signature of
+    the flip signs of a path, in traversal order."""
+    return sum(s * (-1) ** (l + 1) for l, s in enumerate(signs))
+
+
 def _bisect_real_edges(spec, edges, ptol) -> list:
     """Refine boundaries between real and non-real path values.
 

@@ -48,6 +48,12 @@ def _cache_arrays(obj, **fields) -> None:
         object.__setattr__(obj, name, a)
 
 
+# the annotations of a field that holds a segment and of one that holds a
+# coordinate function; the decoder takes only a kind of the field's family
+Segment = object
+CoordFn = object
+
+
 # ---------------------------------------------------------------------------
 # scalar coordinate functions for in-slice curves
 
@@ -190,8 +196,8 @@ class SliceCurve:
     ta: float
     tb: float
     unit: tuple
-    x_fn: object
-    y_fn: object
+    x_fn: CoordFn
+    y_fn: CoordFn
 
     def __post_init__(self):
         _cache_arrays(self, _unit=self.unit)
@@ -266,7 +272,7 @@ class NegConj:
 
     ta: float
     tb: float
-    inner: object
+    inner: Segment
 
     def values(self, ts):
         v = self.inner.values(ts)
@@ -281,7 +287,7 @@ class Reparam:
 
     ta: float
     tb: float
-    inner: object
+    inner: Segment
     alpha: float
     beta: float
 
@@ -316,6 +322,11 @@ def _fold(seg):
 # ---------------------------------------------------------------------------
 # paths
 
+# the largest magnitude of a decoded number and of a coefficient of a
+# path's end values: the squared modulus of a path value overflows above
+# about 1.3e154
+MAX_MAGNITUDE = 1e150
+
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -326,7 +337,9 @@ class PathSpec:
     evaluation route: every segment folded by _fold into per-segment
     arrays and the index of its inner among the distinct inners, so that
     segments sharing an inner, such as the copies repeat makes of one
-    circle, are evaluated together in one call.
+    circle, are evaluated together in one call.  A segment end value with
+    a coefficient not of magnitude at most MAX_MAGNITUDE raises
+    ValueError; values between the ends are not checked.
     """
 
     a: float
@@ -374,6 +387,11 @@ class PathSpec:
             if vals.shape[1] == self.dim:
                 ends[rows] = vals
         width, ends = width[::2], ends.reshape(n, 2, self.dim)
+        # checked before any norm, which would overflow
+        huge = ~(np.abs(ends) <= MAX_MAGNITUDE).all(axis=(1, 2))
+        if huge.any():
+            raise ValueError(f"segment {int(np.argmax(huge))} has an end value "
+                             f"with a coefficient not of magnitude at most 1e150")
 
         if n > 1:
             self._check_joins(tol, width, ends)
@@ -456,11 +474,8 @@ class PathSpec:
 
 
 def concat(p1: PathSpec, p2: PathSpec, closed: bool = False) -> PathSpec:
-    """Join p2 after p1, shifting its parameter interval to start at p1.b."""
-    v1 = p1.value(p1.b)
-    v2 = p2.value(p2.a)
-    if float(np.linalg.norm(v1 - v2)) > 1e-9 * max(1.0, float(np.linalg.norm(v1))):
-        raise EndpointMismatch("paths do not join: endpoint values differ")
+    """Join p2 after p1, shifting its parameter interval to start at p1.b;
+    the new path checks the join."""
     offset = p1.b - p2.a
     segs = list(p1.segments)
     for s in p2.segments:
@@ -553,15 +568,16 @@ _KINDS = {
     "trig": TrigFn,
 }
 _KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
-
-# the largest magnitude of a decoded number: the squared modulus of a
-# path value overflows above about 1.3e154
-MAX_MAGNITUDE = 1e150
+_FUNCTIONS = (PolyFn, TrigFn)
+# the kinds a field may hold, by its annotation
+_FAMILY = {"Segment": tuple(c for c in _KINDS.values() if c not in _FUNCTIONS),
+           "CoordFn": _FUNCTIONS}
 
 _WANTED = {
     "float": "a number of magnitude at most 1e150",
     "tuple": "a list of numbers of magnitude at most 1e150, or of such lists",
-    "object": "an object with a kind",
+    "Segment": "an object with a segment kind",
+    "CoordFn": "an object with a function kind, poly or trig",
 }
 
 
@@ -569,7 +585,7 @@ def to_json(v):
     """The JSON form of a value: a tuple is the list of its items' JSON,
     a dataclass its fields but those with metadata json=False, led by
     "kind" when its class is a kind, and any other value, such as a
-    number, is itself.  A field annotated object must hold a kind."""
+    number, is itself.  A Segment or CoordFn field must hold a kind."""
     if isinstance(v, tuple):
         return [to_json(x) for x in v]
     if not is_dataclass(v):
@@ -578,7 +594,7 @@ def to_json(v):
     for f in fields(v):
         if f.metadata.get("json", True):
             x = getattr(v, f.name)
-            d[f.name] = segment_to_json(x) if f.type == "object" else to_json(x)
+            d[f.name] = segment_to_json(x) if f.type in _FAMILY else to_json(x)
     return d
 
 
@@ -604,8 +620,10 @@ def _field_from_json(f, v, what):
         return v
     if f.type == "tuple" and (t := _numbers(v)) is not None:
         return t
-    if f.type == "object" and isinstance(v, dict):
-        return segment_from_json(v)
+    if f.type in _FAMILY and isinstance(v, dict):
+        x = segment_from_json(v)
+        if isinstance(x, _FAMILY[f.type]):
+            return x
     raise ValueError(
         f"{what} field {f.name!r} must be {_WANTED[f.type]}, got {reprlib.repr(v)}")
 
@@ -621,18 +639,19 @@ def segment_from_json(d: dict):
 
     A field with a default may be left out.  Each value is checked
     against its field's annotation: a float takes a number, a tuple a
-    list of numbers or of such lists, and an object a nested kind; a
-    number must be of magnitude at most MAX_MAGNITUDE, and null is taken
-    only where the default is None.  An unknown or missing field, or a
-    value of the wrong type, raises ValueError.
+    list of numbers or of such lists, a Segment a nested segment and a
+    CoordFn a nested coordinate function; a number must be of magnitude
+    at most MAX_MAGNITUDE, and null is taken only where the default is
+    None.  An unknown or missing field, or a value of the wrong type,
+    raises ValueError.
     """
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind is None:
         raise ValueError("a segment needs a kind")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown segment kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown segment kind {reprlib.repr(kind)}")
     cls = _KINDS[kind]
-    what = f"{kind} {'function' if cls in (PolyFn, TrigFn) else 'segment'}"
+    what = f"{kind} {'function' if cls in _FUNCTIONS else 'segment'}"
     fs = fields(cls)
     unknown = d.keys() - {"kind"} - {f.name for f in fs}
     if unknown:

