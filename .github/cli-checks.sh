@@ -66,4 +66,9 @@ expect 0 winding --demo 'slice_circle(i,2,1)'
 expect 2 winding --demo lambda_loop
 # a non-finite radius is unusable input
 expect 1 winding --demo 'slice_circle(i,nan,1)'
+
+# --eps-real takes a threshold in [1e-14, 1e-4] for this one call
+expect 1 analyze --demo three_exp --eps-real 0.5
+expect 1 analyze --demo three_exp --eps-real nan
+expect 0 lift --demo three_exp --eps-real 1e-10
 echo "command line checks passed"

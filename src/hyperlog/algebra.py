@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from . import config
-from .config import THETA_TOL
 from .errors import (
     DimensionMismatch,
     NegativeRealOrZero,
@@ -155,7 +154,7 @@ class Hyper:
         )
 
     def is_real(self) -> bool:
-        return bool(config.is_real(self.im_norm(), self.norm()))
+        return bool(config.IN_FORCE.get().is_real(self.im_norm(), self.norm()))
 
     def __repr__(self):
         terms = ", ".join(repr(float(c)) for c in self.coeffs)
@@ -242,14 +241,14 @@ class ProjectiveUnit:
 
 def unit_im(q: Hyper) -> ImaginaryUnit:
     """The imaginary direction Im(q)/|Im(q)|; undefined on the real axis."""
-    if config.is_real(q.im_norm(), q.norm()):
+    if config.IN_FORCE.get().is_real(q.im_norm(), q.norm()):
         raise RealInput("imaginary direction is undefined for real input")
     return ImaginaryUnit.from_vector(q)
 
 
 def arg_angle(q: Hyper) -> float:
     """Slice argument in [0, pi]: the angle atan2(|Im q|, Re q)."""
-    if q.norm() <= config.EPS_REAL:
+    if q.norm() <= config.IN_FORCE.get().eps_real:
         raise ZeroInput("argument of zero is undefined")
     return math.atan2(q.im_norm(), q.re)
 
@@ -353,7 +352,7 @@ def tangent_chart(q: Hyper) -> ManifoldPoint:
     return ManifoldPoint(val, u.scaled(y))
 
 
-def units_close(u: np.ndarray, v: np.ndarray, tol: float = THETA_TOL) -> bool:
+def units_close(u: np.ndarray, v: np.ndarray, tol: float = config.DEFAULT.theta_tol) -> bool:
     """Whether two unit direction vectors agree within the angle tolerance."""
     d = float(np.dot(u, v))
     return d >= math.cos(tol)

@@ -235,13 +235,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     # the override holds for this call only
-    eps_real = config.EPS_REAL
+    tol = config.IN_FORCE.get()
     if getattr(args, "eps_real", None) is not None:
-        try:
-            config.set_eps_real(args.eps_real)
-        except ValueError as e:
-            sys.stderr.write(f"hyperlog: error: {e}\n")
+        if not 1e-14 <= args.eps_real <= 1e-4:
+            sys.stderr.write("hyperlog: error: eps-real override must lie in [1e-14, 1e-4]\n")
             return 1
+        tol = replace(config.DEFAULT, eps_real=args.eps_real)
+    token = config.IN_FORCE.set(tol)
     try:
         return args.fn(args)
     except (NotLiftable, TwistedLoop) as e:
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"hyperlog: error: {e}\n")
         return 1
     finally:
-        config.EPS_REAL = eps_real
+        config.IN_FORCE.reset(token)
 
 
 if __name__ == "__main__":

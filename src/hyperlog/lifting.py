@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import config
 from .companion import argument_steps, unit_field
 from .errors import HypothesisViolated, InitialMismatch, MissingInitialUnit
 from .obstruction import (
@@ -122,7 +121,7 @@ def _seed_and_start_arg(sampled, k0, initial_unit):
         seed = raw if k0 % 2 == 0 else -raw
         if init_vec is not None:
             d = float(np.dot(init_vec, raw))
-            if abs(d) < math.cos(config.THETA_TOL):
+            if abs(d) < math.cos(sampled.tol.theta_tol):
                 raise InitialMismatch(
                     "initial unit is not parallel to the path direction"
                 )
@@ -188,7 +187,7 @@ def lift_path(
     # direction; a sideways initial unit has no continuation
     if seed is not None and sampled.real[0] and not sampled.real.all():
         first = int(np.argmax(~sampled.real))
-        if float(np.dot(seed, units[first])) < math.cos(config.THETA_TOL):
+        if float(np.dot(seed, units[first])) < math.cos(sampled.tol.theta_tol):
             raise InitialMismatch(
                 "initial unit is not parallel to the outgoing direction"
             )
@@ -226,7 +225,7 @@ def lift_path(
     closed_lift = None
     if spec.closed:
         gap = float(np.linalg.norm(values[-1] - values[0]))
-        closed_lift = gap <= config.TOL_LIFT * max(
+        closed_lift = gap <= sampled.tol.tol_lift * max(
             1.0, float(np.linalg.norm(values[0]))
         )
     return LiftResult(

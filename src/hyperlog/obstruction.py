@@ -117,15 +117,15 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(rows, rows))
 
 
-def _im_parts(vals: np.ndarray):
+def _im_parts(vals: np.ndarray, tol):
     """(ims, real) of the rows v of vals: the norms |Im v| and the
-    scale-aware realness flags, bit for bit as one row at a time gives
-    them.  A unit direction is Im v / |Im v| of a non-real row."""
+    realness flags of tol, bit for bit as one row at a time gives them.
+    A unit direction is Im v / |Im v| of a non-real row."""
     ims = _row_norms(vals[:, 1:])
-    return ims, config.is_real(ims, _row_norms(vals))
+    return ims, tol.is_real(ims, _row_norms(vals))
 
 
-def _one_sided_directions(spec: PathSpec, requests) -> list:
+def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
     """one_sided_direction for each request (t, side, h0), all together.
 
     Each round evaluates, in one path call, the next LIMIT_CHUNK offsets
@@ -140,21 +140,21 @@ def _one_sided_directions(spec: PathSpec, requests) -> list:
     # the irrational scale keeps the probe offsets off resonances of
     # periodic direction fields, which a round dyadic ladder can hit;
     # the offsets halve one after the other
-    h = np.full((len(requests), config.LIMIT_HALVINGS), 0.5)
+    h = np.full((len(requests), tol.limit_halvings), 0.5)
     h[:, :1] = h0 / math.sqrt(2.0)
     offsets = t + side * np.multiply.accumulate(h, axis=1)
     inside = (spec.a <= offsets) & (offsets <= spec.b)
     ladders = [row[ok] for row, ok in zip(offsets, inside)]
-    cos_tol = math.cos(config.THETA_TOL)
+    cos_tol = math.cos(tol.theta_tol)
     # the last two directions each request has collected
     tails = [np.empty((0, spec.dim - 1))] * len(requests)
     active = [i for i, ladder in enumerate(ladders) if len(ladder)]
-    for start in range(0, config.LIMIT_HALVINGS, LIMIT_CHUNK):
+    for start in range(0, tol.limit_halvings, LIMIT_CHUNK):
         if not active:
             break
         chunks = [ladders[i][start:start + LIMIT_CHUNK] for i in active]
         vals = spec.values(np.concatenate(chunks))
-        ims, real = _im_parts(vals)
+        ims, real = _im_parts(vals, tol)
         keep = ~real
         units = vals[keep, 1:] / ims[keep, None]
         # each request's directions: its tail, then those of its
@@ -205,7 +205,7 @@ def one_sided_direction(
     """
     if h0 is None:
         h0 = 1e-3 * (spec.b - spec.a)
-    return _one_sided_directions(spec, [(t, side, h0)])[0]
+    return _one_sided_directions(spec, [(t, side, h0)], config.IN_FORCE.get())[0]
 
 
 def classify_point(left_dir, right_dir, interior: bool = True) -> str:
@@ -221,9 +221,10 @@ def classify_point(left_dir, right_dir, interior: bool = True) -> str:
     if left_dir is None or right_dir is None:
         return NOT_TAME
     d = float(np.dot(np.asarray(left_dir), np.asarray(right_dir)))
-    if d >= math.cos(config.THETA_TOL):
+    cos_tol = math.cos(config.IN_FORCE.get().theta_tol)
+    if d >= cos_tol:
         return BOUNCE
-    if d <= -math.cos(config.THETA_TOL):
+    if d <= -cos_tol:
         return FLIP
     return SEMI_TAME
 
@@ -264,7 +265,7 @@ def alternating_sum(signs) -> int:
     return sum(s * (-1) ** (l + 1) for l, s in enumerate(signs))
 
 
-def _bisect_real_edges(spec, edges, ptol) -> list:
+def _bisect_real_edges(spec, edges, ptol, tol) -> list:
     """Refine boundaries between real and non-real path values.
 
     edges holds (t_real, t_nonreal) pairs; the result holds the real
@@ -297,7 +298,7 @@ def _bisect_real_edges(spec, edges, ptol) -> list:
             ts[:, 2 + cols.start:2 + cols.stop] = 0.5 * (
                 ts[:, r_col[cols]] + ts[:, nr_col[cols]])
         mids = ts[:, 2:]
-        real = _im_parts(spec.values(mids.ravel()))[1].reshape(mids.shape)
+        real = _im_parts(spec.values(mids.ravel()), tol)[1].reshape(mids.shape)
         for e, mid, is_real in zip(todo, mids.tolist(), real.tolist()):
             n = 0
             while n < nodes and abs(e[0] - e[1]) > ptol:
@@ -311,7 +312,7 @@ def _bisect_real_edges(spec, edges, ptol) -> list:
     return [e[0] for e in edges]
 
 
-def _localize_contacts(spec, brackets, ptol) -> list:
+def _localize_contacts(spec, brackets, ptol, tol) -> list:
     """Pin down an isolated real contact inside each bracket (tl, tn, tr).
 
     Each bracket gets a Brent solve on (tl, tr): a root of the component
@@ -329,7 +330,7 @@ def _localize_contacts(spec, brackets, ptol) -> list:
         return []
     tri = np.array(brackets, dtype=float)
     vals = spec.values(tri.ravel())
-    ims = _im_parts(vals)[0]
+    ims = _im_parts(vals, tol)[0]
     u_ref = vals[1::3, 1:] / ims[1::3, None]
     comps = _row_dots(vals[:, 1:], np.repeat(u_ref, 3, axis=0))
     root_find = comps[0::3] * comps[2::3] < 0
@@ -378,7 +379,7 @@ def _localize_contacts(spec, brackets, ptol) -> list:
         asked = nxt
     # a solver returns a parameter it has evaluated
     ends = np.array([memo[t][1] for memo, t in zip(memos, done)])
-    return [t if is_real else None for t, is_real in zip(done, _im_parts(ends)[1])]
+    return [t if is_real else None for t, is_real in zip(done, _im_parts(ends, tol)[1])]
 
 
 def _limit_h0s(ts, marks, edge_tol, cap) -> list:
@@ -436,7 +437,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
             edges.append((ts[i], ts[i - 1]))
         if j < n:
             edges.append((ts[j - 1], ts[j]))
-    bisected = iter(_bisect_real_edges(spec, edges, ptol))
+    bisected = iter(_bisect_real_edges(spec, edges, ptol, sampled.tol))
     items = []  # ("contact", t, t) or ("run", t0, t1)
     for i, j in stretches:
         t_lo = next(bisected) if i > 0 else ts[i]
@@ -456,7 +457,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     found = _localize_contacts(spec, [
         (ts[m - 1], ts[m], ts[m + 1])
         for m in np.flatnonzero(~near_real & dips & small) + 1
-    ], ptol)
+    ], ptol, sampled.tol)
     # a contact within 10 run_min of a known item is that item; the
     # nearest known parameters are the two that t_c sorts between
     known = sorted(it[1] for it in items)
@@ -525,7 +526,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     limits = [lim for *_, left, right in probes for lim in (left, right) if lim]
     h0s = _limit_h0s([t for t, _side in limits], marks, edge_tol, 1e-3 * span)
     units = iter(_one_sided_directions(
-        spec, [(t, side, h0) for (t, side), h0 in zip(limits, h0s)]))
+        spec, [(t, side, h0) for (t, side), h0 in zip(limits, h0s)], sampled.tol))
     values = spec.values(np.array([p[4] for p in probes]))[:, 0].tolist()
 
     def direction(limit):

@@ -22,7 +22,7 @@ import csv
 import io
 import math
 import reprlib
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -717,25 +717,27 @@ EVAL_BUDGET = 8 * FALLBACK_SAMPLES
 class SampledPath:
     """Parameter grid and path values; values[n] is never zero.
 
-    Each sample's geometry is computed once, at construction, and every
-    stage after sampling reads it: mags and ims are the norms of the
-    values and of their imaginary parts, real their config.is_real flags,
-    and stretches the (start, stop) rows of each maximal run
-    values[start:stop] of real samples.  They are read-only attributes,
-    not fields.  A value of modulus at most EPS_REAL raises ZeroOnPath.
+    Each sample's geometry is computed once, at construction, under tol,
+    the tolerances in force when it was sampled, and every stage after
+    sampling reads both: mags and ims are the norms of the values and of
+    their imaginary parts, real their tol.is_real flags, and stretches
+    the (start, stop) rows of each maximal run values[start:stop] of real
+    samples; these are read-only attributes, not fields.  A value of
+    modulus at most tol.eps_real raises ZeroOnPath.
     """
 
     params: np.ndarray
     values: np.ndarray
+    tol: config.Tolerances = field(default_factory=config.IN_FORCE.get)
 
     def __post_init__(self):
         mags = np.linalg.norm(self.values, axis=1)
-        zero = mags <= config.EPS_REAL
+        zero = mags <= self.tol.eps_real
         if zero.any():
             raise ZeroOnPath(
                 f"path passes through zero near t={float(self.params[np.argmax(zero)])}")
         ims = np.linalg.norm(self.values[:, 1:], axis=1)
-        real = config.is_real(ims, mags)
+        real = self.tol.is_real(ims, mags)
         change = np.diff(real.astype(np.int8), prepend=0, append=0)
         stretches = np.stack(
             [np.flatnonzero(change == 1), np.flatnonzero(change == -1)], axis=1)
@@ -781,33 +783,34 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     Giving up raises RefinementBudgetExceeded, which is the designed
     failure mode for paths whose direction oscillates without limit near
     the axis.  That happens when an interval still needs a split at
-    depth D_MAX, or when the next level would take the evaluations past
+    depth d_max, or when the next level would take the evaluations past
     EVAL_BUDGET.  The error's ``unresolved`` lists, sorted by their left
     ends, the (t_left, t_right) brackets left unresolved: those still
-    splitting at depth D_MAX, or, when the budget ran out, those still
+    splitting at depth d_max, or, when the budget ran out, those still
     waiting for their midpoint.  Its ``sampled`` is the grid so far,
     which covers [a, b] and holds the ends of those brackets.  A path
-    value of modulus at most EPS_REAL at any evaluated parameter raises
+    value of modulus at most eps_real at any evaluated parameter raises
     ZeroOnPath.  The initial grid has n0 intervals; an n0 that is not an
     integer of at least 1 raises ValueError.
     """
     if not isinstance(n0, (int, np.integer)) or n0 < 1:
         raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
+    tol = config.IN_FORCE.get()
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
-    cos_step = math.cos(config.THETA_STEP)
+    cos_step = math.cos(tol.theta_step)
 
     def rows_at(ts: np.ndarray) -> np.ndarray:
         v = spec.values(ts)
         mag = np.linalg.norm(v, axis=1)
-        zero = mag <= config.EPS_REAL
+        zero = mag <= tol.eps_real
         if zero.any():
             raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
         im = np.linalg.norm(v[:, 1:], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             unit = v[:, 1:] / im[:, None]
-        return np.column_stack((ts, mag, im, config.is_real(im, mag), v, unit))
+        return np.column_stack((ts, mag, im, tol.is_real(im, mag), v, unit))
 
     nodes = rows_at(np.linspace(spec.a, spec.b, n0 + 1))
     evaluations = n0 + 1
@@ -822,7 +825,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
         evaluations += len(k)
         split = _needs_split(left, mid, right, h_cross, cos_step)
         k = k[split]
-        if depth >= config.D_MAX:
+        if depth >= tol.d_max:
             break
         # the midpoint of the j-th split interval becomes row k[j] + j + 1
         k += np.arange(len(k))
@@ -835,7 +838,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
         k = np.add.outer(k, (0, 1)).ravel()
         depth += 1
 
-    sampled = SampledPath(nodes[:, _T].copy(), nodes[:, _V:_V + spec.dim].copy())
+    sampled = SampledPath(nodes[:, _T].copy(), nodes[:, _V:_V + spec.dim].copy(), tol)
     if len(k):
         brackets = list(zip(nodes[k, _T].tolist(), nodes[k + 1, _T].tolist()))
         raise RefinementBudgetExceeded(

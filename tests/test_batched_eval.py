@@ -78,7 +78,7 @@ def same_bits(x, y) -> bool:
 
 def is_real_vec(v):
     """The scale-aware realness test of one path value."""
-    return float(np.linalg.norm(v[1:])) <= config.EPS_REAL * max(1.0, float(np.linalg.norm(v)))
+    return float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * max(1.0, float(np.linalg.norm(v)))
 
 
 def unit(v):
@@ -91,20 +91,20 @@ def reference_sample_adaptive(spec, n0=64):
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
-    cos_step = math.cos(config.THETA_STEP)
+    cos_step = math.cos(config.DEFAULT.theta_step)
     cache = {}
 
     def val(t):
         v = cache.get(t)
         if v is None:
             v = spec.value(t)
-            if float(np.linalg.norm(v)) <= config.EPS_REAL:
+            if float(np.linalg.norm(v)) <= config.DEFAULT.eps_real:
                 raise ZeroOnPath(f"path value vanishes near t={t}")
             cache[t] = v
         return v
 
     def is_real(v):
-        return float(np.linalg.norm(v[1:])) <= config.EPS_REAL * max(
+        return float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * max(
             1.0, float(np.linalg.norm(v)))
 
     def needs_split(tl, tm, tr):
@@ -144,7 +144,7 @@ def reference_sample_adaptive(spec, n0=64):
         if not needs_split(tl, tm, tr):
             ts_out.append(tr)
             continue
-        if depth >= config.D_MAX:
+        if depth >= config.DEFAULT.d_max:
             unresolved.append((tl, tr))
             ts_out.append(tr)
             continue
@@ -161,7 +161,7 @@ def reference_one_sided_direction(spec, t, side, h0=None):
         h0 = 1e-3 * span
     collected = []
     h = h0 / math.sqrt(2.0)
-    for _ in range(config.LIMIT_HALVINGS):
+    for _ in range(config.DEFAULT.limit_halvings):
         tt = t + side * h
         h *= 0.5
         if tt < spec.a or tt > spec.b:
@@ -172,7 +172,7 @@ def reference_one_sided_direction(spec, t, side, h0=None):
         collected.append(unit(v))
         if len(collected) >= 3:
             u1, u2, u3 = collected[-3:]
-            cos_tol = math.cos(config.THETA_TOL)
+            cos_tol = math.cos(config.DEFAULT.theta_tol)
             if (
                 float(np.dot(u1, u2)) >= cos_tol
                 and float(np.dot(u2, u3)) >= cos_tol
@@ -391,7 +391,7 @@ def test_sampler_evaluates_each_point_once_per_level():
     # first intervals and the two halves of every split: as many points
     # as the depth-first sampler, in one call per level
     assert meter.points == 2 * len(sp.params) - 1
-    assert meter.calls <= config.D_MAX + 2
+    assert meter.calls <= config.DEFAULT.d_max + 2
 
 
 @pytest.mark.parametrize("name", SPINNING)
@@ -461,7 +461,7 @@ class Nodes(NamedTuple):
     def of(cls, t, v):
         mag = np.linalg.norm(v, axis=1)
         im = np.linalg.norm(v[:, 1:], axis=1)
-        real = config.is_real(im, mag)
+        real = config.DEFAULT.is_real(im, mag)
         with np.errstate(divide="ignore", invalid="ignore"):
             unit = v[:, 1:] / im[:, None]
         return cls(t, v, mag, im, real, unit)
@@ -501,11 +501,11 @@ def reference_level_sampler(spec, n0=64):
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
-    cos_step = math.cos(config.THETA_STEP)
+    cos_step = math.cos(config.DEFAULT.theta_step)
 
     def nodes_at(ts):
         nodes = Nodes.of(ts, spec.values(ts))
-        zero = nodes.mag <= config.EPS_REAL
+        zero = nodes.mag <= config.DEFAULT.eps_real
         if zero.any():
             raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
         return nodes
@@ -529,7 +529,7 @@ def reference_level_sampler(spec, n0=64):
         evaluations += len(mid.t)
         split = reference_level_needs_split(left, mid, right, h_cross, cos_step)
         leaves.append((right.t[~split], right.v[~split]))
-        if depth >= config.D_MAX:
+        if depth >= config.DEFAULT.d_max:
             lo, hi = left.t[split], right.t[split]
             leaves.append((right.t[split], right.v[split]))
             break
@@ -555,7 +555,7 @@ def reference_level_sampler(spec, n0=64):
 def depth_limit_line():
     """A line whose imaginary part 3e-9 stays just above the realness
     threshold: every interval around its crossing of the imaginary axis
-    at t = 0.5 looks like a contact, so the sampler gives up at D_MAX."""
+    at t = 0.5 looks like a contact, so the sampler gives up at d_max."""
     return PathSpec(0.0, 1.0, (Line(0.0, 1.0, (-1.0, 3e-9, 0.0, 0.0),
                                     (1.0, 3e-9, 0.0, 0.0)),))
 
@@ -590,8 +590,8 @@ def test_depth_limit_gives_up_around_the_crossing(n0):
     unresolved = err.value.unresolved
     assert len(unresolved) == 20
     assert all(abs(lo - 0.5) < 1e-6 and abs(hi - 0.5) < 1e-6 for lo, hi in unresolved)
-    # the brackets of depth D_MAX
-    length = (spec.b - spec.a) / n0 * 2.0 ** -config.D_MAX
+    # the brackets of depth d_max
+    length = (spec.b - spec.a) / n0 * 2.0 ** -config.DEFAULT.d_max
     assert all(hi - lo == pytest.approx(length) for lo, hi in unresolved)
 
 
@@ -607,7 +607,7 @@ def probe_cases():
         rep = hl.find_obstructions(sp, spec)
         ts = [c.t for c in rep.contacts] + [r.t0 for r in rep.runs]
         ims = np.linalg.norm(sp.values[:, 1:], axis=1)
-        real = ims <= config.EPS_REAL * np.maximum(1.0, np.linalg.norm(sp.values, axis=1))
+        real = ims <= config.DEFAULT.eps_real * np.maximum(1.0, np.linalg.norm(sp.values, axis=1))
         edges = [
             (float(sp.params[n]), float(sp.params[n + step]))
             for n in np.flatnonzero(real)
@@ -634,7 +634,7 @@ def test_one_sided_direction_matches_reference():
             assert same_direction(got, want), label
             checked += 1
         # all requests of a path together, as find_obstructions asks them
-        batch = obstruction._one_sided_directions(spec, requests)
+        batch = obstruction._one_sided_directions(spec, requests, config.DEFAULT)
         assert all(same_direction(got, want) for got, want in zip(batch, wants)), label
     assert checked > 100
 
@@ -646,7 +646,7 @@ def test_bisect_real_edge_matches_reference():
         wants = [reference_bisect_real_edge(spec, t_real, t_nonreal, ptol)
                  for t_real, t_nonreal in edges]
         # all edges of a path together, as find_obstructions bisects them
-        assert obstruction._bisect_real_edges(spec, edges, ptol) == wants, label
+        assert obstruction._bisect_real_edges(spec, edges, ptol, config.DEFAULT) == wants, label
         checked += len(edges)
     assert checked > 20
 

@@ -133,7 +133,7 @@ def reference_localize_contact(spec, tl, tn, tr, ptol, brentq, minimize):
     else:
         t_c = minimize(lambda t: float(np.linalg.norm(spec.value(t)[1:])), tl, tr, ptol)
     v = spec.value(t_c)
-    if float(np.linalg.norm(v[1:])) <= config.EPS_REAL * max(1.0, float(np.linalg.norm(v))):
+    if float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * max(1.0, float(np.linalg.norm(v))):
         return t_c
     return None
 
@@ -145,8 +145,8 @@ def localisations():
     made = []
     localize = obstruction._localize_contacts
 
-    def record(spec, brackets, ptol):
-        found = localize(spec, brackets, ptol)
+    def record(spec, brackets, ptol, tol):
+        found = localize(spec, brackets, ptol, tol)
         made.extend((label, spec, tl, tn, tr, ptol, t_c)
                     for (tl, tn, tr), t_c in zip(brackets, found))
         return found
@@ -180,7 +180,8 @@ def test_memoised_localisation_matches_unmemoised_on_the_corpus():
         before += meter.calls
         meter = Meter()
         # the bracket on its own gets the result it got in its batch
-        [got] = obstruction._localize_contacts(counted(spec, meter), [(tl, tn, tr)], ptol)
+        [got] = obstruction._localize_contacts(
+            counted(spec, meter), [(tl, tn, tr)], ptol, config.DEFAULT)
         after += meter.calls
         assert got == t_c == want, label
     # the memo serves the solvers' first two evaluations and the check

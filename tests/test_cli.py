@@ -6,14 +6,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import hyperlog as hl
 from hyperlog import config
 from hyperlog.cli import main
-from hyperlog.obstruction import report_to_json
-from hyperlog.pathkit import sample_path
 
 
 def run_cli(*argv):
@@ -159,16 +158,56 @@ def test_bad_eps_real_rejected():
     assert code == 1
 
 
-def test_eps_real_override_ends_with_the_call(monkeypatch):
-    # monkeypatch puts the threshold back even when main leaks it
-    monkeypatch.setattr(config, "EPS_REAL", config.EPS_REAL)
-    spec = hl.demo("three_exp").path
-    before = report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
-    code, _ = run_cli("analyze", "--demo", "sigma_arc", "--eps-real", "1e-6")
+def with_tolerances(tol, f, *args):
+    """f(*args) with tol in force."""
+    token = config.IN_FORCE.set(tol)
+    try:
+        return f(*args)
+    finally:
+        config.IN_FORCE.reset(token)
+
+
+def test_eps_real_override_ends_with_the_call(tmp_path):
+    # lift and winding sample inside the command; each prints the
+    # library's answer under the overridden value, on a circle small
+    # enough for the threshold to matter
+    name = "slice_circle(i,0.001,1)"
+    spec = hl.demo(name).path
+    tol = replace(config.DEFAULT, eps_real=1e-6)
+    override = ("--demo", name, "--eps-real", "1e-6")
+
+    code, out = run_cli("lift", *override, "--out", str(tmp_path))
+    assert config.IN_FORCE.get() is config.DEFAULT
+    res = with_tolerances(tol, hl.lift_path, spec)
     assert code == 0
-    assert config.EPS_REAL == 1e-9
-    after = report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
-    assert after == before
+    assert json.loads(out) == {
+        "status": "ok",
+        "k0": 0,
+        "branch_trace": [list(piece) for piece in res.lift.branch_trace],
+        "closed_lift": res.closed_lift,
+        "sampling": res.sampling,
+        "start": res.lift.values[0].tolist(),
+        "end": res.lift.values[-1].tolist(),
+    }
+    assert (tmp_path / "slice_circle_i_0.001_1_lift.csv").read_text() == res.lift.to_csv()
+    assert res.lift.to_csv() != hl.lift_path(spec).lift.to_csv()
+    assert run_cli("lift", "--demo", name) != (code, out)
+
+    code, out = run_cli("winding", *override)
+    assert config.IN_FORCE.get() is config.DEFAULT
+    res = with_tolerances(tol, hl.analyze_loop, spec)
+    assert code == 0
+    assert json.loads(out) == json.loads(json.dumps(res.to_json()))
+
+    # the value in force is back to the default after every exit code
+    for argv, want in [
+        (("lift", "--demo", "sigma_arc", "--eps-real", "1e-6"), 2),
+        (("winding", "--demo", "lambda_loop", "--eps-real", "1e-6"), 2),
+        (("winding", "--demo", "slice_circle(i,nan,1)", "--eps-real", "1e-6"), 1),
+        (("analyze", "--demo", "three_exp", "--eps-real", "0.5"), 1),
+    ]:
+        assert run_cli(*argv)[0] == want
+        assert config.IN_FORCE.get() is config.DEFAULT
 
 
 DEMOS = [

@@ -113,7 +113,7 @@ def test_canonical_form_rejects_wrong_field():
     _spec, sp, rep = sampled_and_report("lambda_loop")
     units = np.zeros((len(sp.params), 3))
     units[:, 2] = 1.0  # constant k, never tangent to the loop's slices
-    with pytest.raises(SliceMismatch):
+    with pytest.raises(SliceMismatch, match="at t=0.0"):
         hl.canonical_form(sp, units)
 
 
@@ -156,7 +156,7 @@ def reference_unit_field(sampled, rep, directives=(), seed=None):
     mags = np.linalg.norm(vals, axis=1)
     im_vecs = vals[:, 1:]
     im_norms = np.linalg.norm(im_vecs, axis=1)
-    real = config.is_real(im_norms, mags)
+    real = config.DEFAULT.is_real(im_norms, mags)
 
     units = np.zeros((n, dim - 1))
     if np.all(real):
@@ -264,7 +264,7 @@ def oracle_seeds(sp, rng):
     sample, and a random unit."""
     im = sp.values[:, 1:]
     norms = np.linalg.norm(im, axis=1)
-    real = config.is_real(norms, np.linalg.norm(sp.values, axis=1))
+    real = config.DEFAULT.is_real(norms, np.linalg.norm(sp.values, axis=1))
     k = int(np.argmax(~real))
     start = im[k] / norms[k]
     r = rng.normal(size=im.shape[1])
@@ -281,7 +281,7 @@ def grid_features(sp):
     whether it has a real sample in a field that is not all real."""
     im = sp.values[:, 1:]
     norms = np.linalg.norm(im, axis=1)
-    real = config.is_real(norms, np.linalg.norm(sp.values, axis=1))
+    real = config.DEFAULT.is_real(norms, np.linalg.norm(sp.values, axis=1))
     if np.all(real):
         return set(), False
     r = im[~real] / norms[~real, None]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperlog as hl
-from hyperlog import obstruction
+from hyperlog import config, obstruction
 from hyperlog.obstruction import (
     BAD_KINDS,
     BOUNCE,
@@ -61,6 +61,27 @@ def test_classify_point_table():
     assert classify_point(i, j) == SEMI_TAME
     assert classify_point(i, None) == NOT_TAME
     assert classify_point(None, None) == NOT_TAME
+
+
+@pytest.mark.parametrize("name, eps_real", [
+    ("slice_circle(i,0.001,1)", 1e-6),
+    ("three_exp", 1e-5),
+    ("gamma1m_gamma2(3)", 1e-5),
+])
+def test_tolerances_travel_with_the_sampled_path(name, eps_real):
+    # sampled and obstructed under another realness threshold than the
+    # default, on paths whose report depends on it
+    spec = hl.demo(name).path
+    token = config.IN_FORCE.set(replace(config.DEFAULT, eps_real=eps_real))
+    try:
+        sampled = sample_path(spec)[0]
+        want = report_to_json(hl.find_obstructions(sampled, spec))
+    finally:
+        config.IN_FORCE.reset(token)
+    assert sampled.tol.eps_real == eps_real
+    assert want != report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
+    # the probes after sampling judge realness as the samples were judged
+    assert report_to_json(hl.find_obstructions(sampled, spec)) == want
 
 
 def test_circle_contacts_are_flips():

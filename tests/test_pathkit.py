@@ -514,7 +514,7 @@ def scanned_stretches(real):
 def check_geometry(sp):
     mags = np.linalg.norm(sp.values, axis=1)
     ims = np.linalg.norm(sp.values[:, 1:], axis=1)
-    for got, want in ((sp.mags, mags), (sp.ims, ims), (sp.real, config.is_real(ims, mags))):
+    for got, want in ((sp.mags, mags), (sp.ims, ims), (sp.real, config.DEFAULT.is_real(ims, mags))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert [tuple(row) for row in sp.stretches.tolist()] == scanned_stretches(sp.real)
     for a in (sp.mags, sp.ims, sp.real, sp.stretches):
@@ -543,7 +543,7 @@ def test_sampled_geometry_matches_fresh_norms():
 
 def test_sampled_geometry_is_not_a_field():
     sp = hl.sample_uniform(circle(), 9)
-    assert [f.name for f in dataclasses.fields(sp)] == ["params", "values"]
+    assert [f.name for f in dataclasses.fields(sp)] == ["params", "values", "tol"]
     assert "mags" not in repr(sp)
 
 

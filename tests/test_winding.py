@@ -132,7 +132,7 @@ def test_shadow_winding_rejects_a_half_turn_step():
     # from 1 to -1 in one step: either way round would do
     t = np.array([0.0, 0.5, 1.0])
     shadow = hl.companion.Shadow(t, np.array([1.0, -1.0, 1.0]), np.zeros(3))
-    with pytest.raises(StepTooLarge, match=r"argument step 3\.142 rad near t=(np\.float64\()?0\.0"):
+    with pytest.raises(StepTooLarge, match=r"argument step 3\.142 rad near t=0\.0"):
         hl.shadow_winding(shadow)
 
 
