@@ -67,6 +67,15 @@ expect 2 winding --demo lambda_loop
 # a non-finite radius is unusable input
 expect 1 winding --demo 'slice_circle(i,nan,1)'
 
+# an unusable start of a lift: an initial unit that is not of unit norm,
+# not parallel to the path, not finite or of the wrong size, and a real
+# start without one
+expect 1 lift --demo three_exp --initial-unit 0,2,0,0
+expect 1 lift --demo three_exp --initial-unit 0,0,0,1
+expect 1 lift --demo rocket_neg
+expect 1 lift --demo rocket_neg --initial-unit nan,1,0
+expect 1 lift --demo three_exp --initial-unit 1,0
+
 # --eps-real takes a threshold in [1e-14, 1e-4] for this one call
 expect 1 analyze --demo three_exp --eps-real 0.5
 expect 1 analyze --demo three_exp --eps-real nan

@@ -2,8 +2,9 @@
 
 The package is organised bottom up:
 
-- algebra: quaternions/octonions, argument branches, exp/log, the
-  logarithmic manifold charts
+- algebra: the quaternion/octonion product, exp/log, the branches of
+  the argument and the logarithmic manifold charts, as functions over
+  coefficient arrays
 - pathkit: piecewise path descriptions, path algebra, adaptive sampling,
   JSON/CSV formats
 - obstruction: contacts with the real axis and their classification
@@ -14,23 +15,7 @@ The package is organised bottom up:
 - cli: command line front end
 """
 
-from .algebra import (
-    Hyper,
-    ImaginaryUnit,
-    ManifoldPoint,
-    ProjectiveUnit,
-    basis,
-    branch_angle,
-    branch_argument,
-    embed,
-    exp_h,
-    log_principal,
-    on_manifold,
-    principal_argument,
-    project_log,
-    tangent_chart,
-    unit_im,
-)
+from .algebra import basis, branch_argument, embed, project_log
 from .companion import Shadow, canonical_form, shadow_of, unit_field
 from .corpus import DemoCase, demo, demo_names
 from .lifting import (

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .algebra import row_dots
 from .errors import HypothesisViolated, SliceMismatch, StepTooLarge
-from .obstruction import FLIP, ObstructionReport, _row_dots, run_kinds
+from .obstruction import FLIP, ObstructionReport, run_kinds
 from .pathkit import SampledPath, csv_text
 
 
@@ -93,12 +94,12 @@ def unit_field(
                 flip |= cover
 
     # the sign carry: a cumulative product of +-1 factors that restarts
-    # at each exact zero; _row_dots gives np.dot's bits, zeros included
+    # at each exact zero; row_dots gives np.dot's bits, zeros included
     nonreal = np.flatnonzero(~real)
     dirs = sampled.values[nonreal, 1:] / sampled.ims[nonreal, None]
     s0 = -1.0 if seed is not None and float(np.dot(seed, dirs[0])) < 0 else 1.0
     crossed = np.diff(np.cumsum(flip)[nonreal]) > 0
-    steps = np.sign(_row_dots(dirs[:-1], dirs[1:])) * np.where(crossed, -1.0, 1.0)
+    steps = np.sign(row_dots(dirs[:-1], dirs[1:])) * np.where(crossed, -1.0, 1.0)
     # a leading 1 lets index 0 stand for "no restart yet"
     g = np.concatenate(([1.0, s0], steps))
     reset = g == 0.0
@@ -166,8 +167,13 @@ def shadow_of(
 def argument_steps(z: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Steps of the argument of z between consecutive samples; one
     within theta_tol of a half turn raises StepTooLarge naming its t."""
+    return _argument_steps(z, params, config.IN_FORCE.get())
+
+
+def _argument_steps(z, params, tol):
+    """argument_steps with the theta_tol of tol, as for a sampled path."""
     dphi = np.angle(z[1:] * np.conj(z[:-1]))
-    if np.any(np.abs(dphi) >= math.pi - config.IN_FORCE.get().theta_tol):
+    if np.any(np.abs(dphi) >= math.pi - tol.theta_tol):
         worst = int(np.argmax(np.abs(dphi)))
         raise StepTooLarge(
             f"argument step {abs(dphi[worst]):.3f} rad near t={float(params[worst])}"

@@ -9,10 +9,6 @@ class DimensionMismatch(HyperlogError):
     """Mixed quaternion/octonion arithmetic is rejected rather than promoted."""
 
 
-class ZeroInput(HyperlogError):
-    """The argument of a hypercomplex number is undefined at zero."""
-
-
 class RealInput(HyperlogError):
     """The imaginary-direction of a real number is undefined."""
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .companion import argument_steps, unit_field
+from . import algebra
+from .companion import _argument_steps, unit_field
 from .errors import HypothesisViolated, InitialMismatch, MissingInitialUnit
 from .obstruction import (
     BAD_KINDS,
@@ -74,22 +75,9 @@ class LiftResult:
     sampling: str = "adaptive"
 
 
-def exp_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise exponential of lift samples."""
-    x = values[:, 0]
-    yv = values[:, 1:]
-    yn = np.linalg.norm(yv, axis=1)
-    ex = np.exp(x)
-    out = np.empty_like(values)
-    out[:, 0] = ex * np.cos(yn)
-    factor = np.where(yn > 0.0, np.sin(yn) / np.where(yn > 0.0, yn, 1.0), 1.0)
-    out[:, 1:] = (ex * factor)[:, None] * yv
-    return out
-
-
 def verify_lift(lift: LogLift, sampled: SampledPath) -> float:
     """Largest relative deviation of exp(lift) from the path samples."""
-    model = exp_rows(lift.values)
+    model = algebra.exp(lift.values)
     resid = np.linalg.norm(model - sampled.values, axis=1)
     scale = np.maximum(1.0, sampled.mags)
     return float(np.max(resid / scale))
@@ -102,39 +90,31 @@ def terminal_branch(k0: int, sigma: int) -> int:
 
 
 def _seed_and_start_arg(sampled, k0, initial_unit):
-    """Starting unit field sign and starting argument value."""
+    """Starting unit field sign and starting argument value: the k0-th
+    branch of the argument at the first sample."""
     v0 = sampled.values[0]
     init_vec = None
     if initial_unit is not None:
-        init_vec = np.asarray(
-            initial_unit.value.coeffs[1:]
-            if hasattr(initial_unit, "value")
-            else initial_unit,
-            dtype=float,
-        )
-        n = float(np.linalg.norm(init_vec))
-        if abs(n - 1.0) > 1e-9:
+        init_vec = np.asarray(initial_unit, dtype=float)
+        if init_vec.shape != (sampled.dim - 1,):
+            raise InitialMismatch(
+                f"initial unit must have {sampled.dim - 1} imaginary coefficients, "
+                f"got {init_vec.size}"
+            )
+        if not np.all(np.isfinite(init_vec)):
+            raise InitialMismatch("initial unit must be finite")
+        if abs(float(np.linalg.norm(init_vec)) - 1.0) > 1e-9:
             raise InitialMismatch("initial unit must have unit norm")
     if not sampled.real[0]:
-        # a one-row norm, which ims[0] can differ from in the last bit
-        raw = v0[1:] / float(np.linalg.norm(v0[1:]))
-        seed = raw if k0 % 2 == 0 else -raw
-        if init_vec is not None:
-            d = float(np.dot(init_vec, raw))
-            if abs(d) < math.cos(sampled.tol.theta_tol):
-                raise InitialMismatch(
-                    "initial unit is not parallel to the path direction"
-                )
-            seed = raw if d > 0 else -raw
-        y0 = float(np.dot(v0[1:], seed))
-        theta0 = math.atan2(y0, float(v0[0]))
-        arg0 = theta0 + 2.0 * math.pi * ((k0 + 1) // 2)
+        seed, arg0 = algebra.branch_start(v0, k0, init_vec)
+        if init_vec is not None and abs(float(np.dot(init_vec, seed))) < math.cos(
+            sampled.tol.theta_tol
+        ):
+            raise InitialMismatch(
+                "initial unit is not parallel to the path direction"
+            )
         return seed, arg0
-    # real start
-    if float(v0[0]) > 0:
-        arg0 = 2.0 * math.pi * ((k0 + 1) // 2)
-    else:
-        arg0 = (2.0 * (k0 // 2) + 1.0) * math.pi
+    arg0 = algebra.real_branch_angle(float(v0[0]), k0)
     if abs(arg0) > 1e-12 and init_vec is None:
         raise MissingInitialUnit(
             "a lift from a real start with nonzero argument needs an initial unit"
@@ -195,7 +175,7 @@ def lift_path(
     x = sampled.values[:, 0]
     y = np.einsum("nd,nd->n", sampled.values[:, 1:], units)
     z = x + 1j * y
-    dphi = argument_steps(z, sampled.params)
+    dphi = _argument_steps(z, sampled.params, sampled.tol)
     arg = np.empty(len(z))
     arg[0] = arg0
     arg[1:] = arg0 + np.cumsum(dphi)

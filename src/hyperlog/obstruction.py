@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _brent, config
+from .algebra import row_dots, row_norms
 from .errors import ZeroOnPath
 from .pathkit import PathSpec, SampledPath, to_json
 
@@ -101,28 +102,12 @@ class ObstructionReport:
     closed: bool
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of a with the rows of b.
-
-    A stacked (n,1,d) @ (n,d,1) matmul computes each product as np.dot
-    computes one pair of vectors, so every result equals the one-row
-    np.dot bit for bit; np.linalg.norm(axis=1) sums in another order and
-    differs from the one-row norm in the last bit on some rows.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, bit for bit."""
-    return np.sqrt(_row_dots(rows, rows))
-
-
 def _im_parts(vals: np.ndarray, tol):
     """(ims, real) of the rows v of vals: the norms |Im v| and the
     realness flags of tol, bit for bit as one row at a time gives them.
     A unit direction is Im v / |Im v| of a non-real row."""
-    ims = _row_norms(vals[:, 1:])
-    return ims, tol.is_real(ims, _row_norms(vals))
+    ims = row_norms(vals[:, 1:])
+    return ims, tol.is_real(ims, row_norms(vals))
 
 
 def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
@@ -175,8 +160,8 @@ def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
             [lo + max(2, len(tails[i])) for i, lo in zip(active, starts)], lengths)
         agree = np.zeros(len(seq), dtype=bool)
         if len(seq) > 2:
-            d1 = _row_dots(seq[:-1], seq[1:]) >= cos_tol
-            d2 = _row_dots(seq[:-2], seq[2:]) >= cos_tol
+            d1 = row_dots(seq[:-1], seq[1:]) >= cos_tol
+            d2 = row_dots(seq[:-2], seq[2:]) >= cos_tol
             agree[2:] = d1[:-1] & d1[1:] & d2
         hits = np.flatnonzero(agree & (np.arange(len(seq)) >= first)).tolist()
         still = []
@@ -215,13 +200,18 @@ def classify_point(left_dir, right_dir, interior: bool = True) -> str:
     endpoint_tame when the available limit exists.  The classification is
     symmetric in its two arguments.
     """
+    return _classify_point(left_dir, right_dir, interior, config.IN_FORCE.get())
+
+
+def _classify_point(left_dir, right_dir, interior, tol) -> str:
+    """classify_point with the theta_tol of tol, as for a sampled path."""
     if not interior:
         present = left_dir if left_dir is not None else right_dir
         return ENDPOINT_TAME if present is not None else ENDPOINT_NOT_TAME
     if left_dir is None or right_dir is None:
         return NOT_TAME
     d = float(np.dot(np.asarray(left_dir), np.asarray(right_dir)))
-    cos_tol = math.cos(config.IN_FORCE.get().theta_tol)
+    cos_tol = math.cos(tol.theta_tol)
     if d >= cos_tol:
         return BOUNCE
     if d <= -cos_tol:
@@ -332,7 +322,7 @@ def _localize_contacts(spec, brackets, ptol, tol) -> list:
     vals = spec.values(tri.ravel())
     ims = _im_parts(vals, tol)[0]
     u_ref = vals[1::3, 1:] / ims[1::3, None]
-    comps = _row_dots(vals[:, 1:], np.repeat(u_ref, 3, axis=0))
+    comps = row_dots(vals[:, 1:], np.repeat(u_ref, 3, axis=0))
     root_find = comps[0::3] * comps[2::3] < 0
     rows = vals.reshape(len(tri), 3, -1)
     solves, memos = [], []
@@ -368,7 +358,7 @@ def _localize_contacts(spec, brackets, ptol, tol) -> list:
         # the component along u_ref for a root finder, |Im| = the square
         # root of Im . Im for a minimiser
         refs = np.where(root_find[ks, None], u_ref[ks], vals[:, 1:])
-        dots = _row_dots(vals[:, 1:], refs).tolist()
+        dots = row_dots(vals[:, 1:], refs).tolist()
         nxt = {}
         for k, d, v in zip(ks, dots, vals):
             y = d if root_find[k] else math.sqrt(d)
@@ -540,7 +530,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         interior = spec.closed or (left is not None and right is not None)
         left, right = direction(left), direction(right)
         if kind == "contact":
-            kind = classify_point(left, right, interior)
+            kind = _classify_point(left, right, interior, sampled.tol)
             contacts.append(Contact(t0, value, _sign_of(value), left, right, kind, wrap))
         else:
             runs.append(RealRun(t0, t1, _sign_of(value), left, right, wrap))

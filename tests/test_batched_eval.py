@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hyperlog as hl
-from hyperlog import config, obstruction
+from hyperlog import algebra, config, obstruction
 from hyperlog.errors import OutOfDomain, RefinementBudgetExceeded, ZeroOnPath
 from hyperlog.pathkit import (
     EVAL_BUDGET, Line, PathSpec, PolyFn, SampledPath, Samples, SliceCurve, sample_path)
@@ -667,7 +667,7 @@ def test_row_norms_equal_one_row_norms_bit_for_bit(v):
     with np.errstate(over="ignore", under="ignore"):
         for block in (v, v[:, 1:]):
             want = np.array([np.linalg.norm(r) for r in block])
-            assert same_bits(obstruction._row_norms(block), want)
+            assert same_bits(algebra.row_norms(block), want)
 
 
 # find_obstructions on slice_circle(j,2,n) before its probes were batched:

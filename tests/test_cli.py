@@ -361,3 +361,24 @@ def test_overflowing_number_is_an_input_error(tmp_path):
     assert err.getvalue() == (
         "hyperlog: error: path JSON holds a non-finite number: 1e400\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--demo", "three_exp", "--initial-unit", "nan,1,0"], "initial unit must be finite"),
+    (["--demo", "rocket_neg", "--initial-unit", "nan,1,0"], "initial unit must be finite"),
+    (["--demo", "three_exp", "--initial-unit", "1,0"],
+     "initial unit must have 3 imaginary coefficients, got 2"),
+    (["--demo", "rocket_neg", "--initial-unit", "1,0,0,0,0,0,0"],
+     "initial unit must have 3 imaginary coefficients, got 7"),
+    (["--demo", "three_exp", "--initial-unit", "0,2,0,0"], "initial unit must have unit norm"),
+    (["--demo", "three_exp", "--initial-unit", "0,0,0,1"],
+     "initial unit is not parallel to the outgoing direction"),
+    (["--demo", "rocket_neg"],
+     "a lift from a real start with nonzero argument needs an initial unit"),
+])
+def test_bad_initial_unit_is_an_input_error(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("lift", *argv)
+    assert (code, out) == (1, "")
+    assert err.getvalue() == f"hyperlog: error: {message}\n"

@@ -17,7 +17,7 @@ PI = math.pi
 
 def residual(res, spec, n=2049):
     sp = hl.sample_uniform(spec, n)
-    model = hl.lifting.exp_rows(
+    model = hl.algebra.exp(
         np.column_stack(
             [
                 np.interp(sp.params, res.lift.params, res.lift.values[:, c])
@@ -152,6 +152,19 @@ def test_real_start_requires_initial_unit():
     assert res.status == "ok"
 
 
+@pytest.mark.parametrize("name, unit, match", [
+    ("three_exp", [math.nan, 1.0, 0.0], "finite"),
+    ("rocket_neg", [math.nan, 1.0, 0.0], "finite"),
+    ("three_exp", [1.0, math.inf, 0.0], "finite"),
+    ("three_exp", [1.0, 0.0], "3 imaginary coefficients, got 2"),
+    ("rocket_neg", [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "3 imaginary coefficients, got 7"),
+    ("three_exp", [0.0, 2.0, 0.0], "unit norm"),
+])
+def test_bad_initial_unit_raises_typed(name, unit, match):
+    with pytest.raises(InitialMismatch, match=match):
+        hl.lift_path(hl.demo(name).path, initial_unit=np.array(unit))
+
+
 def test_initial_unit_mismatch_raises():
     spec = hl.demo("slice_circle(i,1,1)").path
     rot = hl.rotate_basepoint(spec, 1.0)  # starts at a non-real point
@@ -202,3 +215,29 @@ def test_lift_csv_has_branch_column():
     assert lines[0].startswith("t,") and lines[0].endswith(",k")
     assert lines[1].split(",")[-1] == "0"
     assert lines[-1].split(",")[-1] == "2"
+
+
+@pytest.mark.parametrize("name, k0", [
+    ("lambda_loop", -1), ("lambda_loop", 0), ("lambda_loop", 1), ("lambda_loop", 2),
+    ("three_exp", -1), ("three_exp", 0),
+    ("meridians", -1), ("meridians", 0),
+    ("sigma_hat", -1), ("sigma_hat", 0),
+    ("slice_circle(j,2,3)", -1), ("slice_circle(j,2,3)", 0),
+])
+def test_lift_follows_the_branches_of_the_argument(name, k0):
+    # at each non-real sample the lift is log|q| plus the branch argument
+    # of q on the branch floor(arg / pi) it has reached
+    spec = hl.demo(name).path
+    res = hl.lift_path(spec, k0=k0)
+    assert res.status == "ok"
+    sampled = hl.pathkit.sample_path(spec)[0]
+    lift = res.lift
+    assert np.array_equal(lift.params, sampled.params)
+    nonreal = np.flatnonzero(~sampled.real)
+    assert len(nonreal) > len(sampled.params) // 2
+    for n in nonreal:
+        q = sampled.values[n]
+        want = hl.branch_argument(q, math.floor(lift.arg[n] / PI))
+        want[0] = math.log(np.linalg.norm(q))
+        assert np.linalg.norm(lift.values[n] - want) <= 1e-12 * max(
+            1.0, np.linalg.norm(want)), (n, lift.values[n], want)

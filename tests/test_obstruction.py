@@ -63,24 +63,33 @@ def test_classify_point_table():
     assert classify_point(None, None) == NOT_TAME
 
 
-@pytest.mark.parametrize("name, eps_real", [
-    ("slice_circle(i,0.001,1)", 1e-6),
-    ("three_exp", 1e-5),
-    ("gamma1m_gamma2(3)", 1e-5),
-])
-def test_tolerances_travel_with_the_sampled_path(name, eps_real):
-    # sampled and obstructed under another realness threshold than the
-    # default, on paths whose report depends on it
+TOLERANCE_CASES = [
+    ("slice_circle(i,0.001,1)", {"eps_real": 1e-6}),
+    ("three_exp", {"eps_real": 1e-5}),
+    ("gamma1m_gamma2(3)", {"eps_real": 1e-5}),
+    # a contact arriving along i and leaving along j bounces within a
+    # 2 rad angle tolerance
+    ("sigma_arc", {"theta_tol": 2.0}),
+]
+
+
+@pytest.mark.parametrize("name, changes", TOLERANCE_CASES, ids=[
+    f"{name}-{value}" for name, changes in TOLERANCE_CASES for value in changes.values()])
+def test_tolerances_travel_with_the_sampled_path(name, changes):
+    # sampled and obstructed under other tolerances than the defaults,
+    # on paths whose report depends on them
     spec = hl.demo(name).path
-    token = config.IN_FORCE.set(replace(config.DEFAULT, eps_real=eps_real))
+    tol = replace(config.DEFAULT, **changes)
+    token = config.IN_FORCE.set(tol)
     try:
         sampled = sample_path(spec)[0]
         want = report_to_json(hl.find_obstructions(sampled, spec))
     finally:
         config.IN_FORCE.reset(token)
-    assert sampled.tol.eps_real == eps_real
+    assert sampled.tol == tol
     assert want != report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
-    # the probes after sampling judge realness as the samples were judged
+    # the probes and the classification after sampling judge realness
+    # and angles as the samples were judged
     assert report_to_json(hl.find_obstructions(sampled, spec)) == want
 
 
