@@ -61,6 +61,21 @@ expect 1 analyze --input "$work/rocket_x_fn.json"
 expect 0 analyze --demo rocket_neg
 grep -qF '"sampling": "uniform_fallback"' "$work/out.txt"
 
+# a circle turning 20 times crosses the axis 40 times inside one slice:
+# each crossing is a bracket of the sampler that find_obstructions solves
+# into a flip
+expect 0 analyze --demo 'slice_circle(j,2,20)'
+python3 - "$work/out.txt" <<'EOF'
+import json, sys
+kinds = [c["kind"] for c in json.load(open(sys.argv[1]))["contacts"]]
+if len(kinds) != 40 or set(kinds) != {"flip"}:
+    sys.exit(f"slice_circle(j,2,20): {len(kinds)} contacts of kinds {sorted(set(kinds))}")
+EOF
+# and one turning 100 times winds 100 times: its crossing brackets do not
+# alias several turns into one
+expect 0 winding --demo 'slice_circle(j,2,100)'
+grep -qE '^  "winding": 100,?$' "$work/out.txt"
+
 expect 0 winding --demo 'slice_circle(i,2,1)'
 # lambda_loop is twisted, which the command reports with exit code 2
 expect 2 winding --demo lambda_loop
@@ -68,9 +83,10 @@ expect 2 winding --demo lambda_loop
 expect 1 winding --demo 'slice_circle(i,nan,1)'
 
 # an unusable start of a lift: an initial unit that is not of unit norm,
-# not parallel to the path, not finite or of the wrong size, and a real
-# start without one
+# has a real part, is not parallel to the path, not finite or of the
+# wrong size, and a real start without one
 expect 1 lift --demo three_exp --initial-unit 0,2,0,0
+expect 1 lift --demo three_exp --initial-unit 0.5,1,0,0
 expect 1 lift --demo three_exp --initial-unit 0,0,0,1
 expect 1 lift --demo rocket_neg
 expect 1 lift --demo rocket_neg --initial-unit nan,1,0

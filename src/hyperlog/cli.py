@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config
 from .corpus import demo, demo_names
-from .errors import HyperlogError, NotLiftable, TwistedLoop, UnknownDemo
+from .errors import HyperlogError, InitialMismatch, NotLiftable, TwistedLoop, UnknownDemo
 from .lifting import lift_path
 from .obstruction import find_obstructions, report_to_json
 from .pathkit import (
@@ -107,6 +107,10 @@ def _cmd_lift(args) -> int:
     if args.initial_unit:
         initial = np.array([float(x) for x in args.initial_unit.split(",")])
         if len(initial) == spec.dim:
+            # a unit written with its real coefficient, which must be zero
+            if initial[0] != 0.0:
+                raise InitialMismatch(
+                    f"initial unit must be purely imaginary, got real part {float(initial[0])!r}")
             initial = initial[1:]
     res = lift_path(
         spec,

@@ -1,11 +1,13 @@
 """Locating and classifying the contacts of a path with the real axis.
 
-A sampled path is scanned for real values.  Isolated contacts become
-Contact records with one-sided imaginary-direction limits; maximal real
-sub-intervals become RealRun records.  Taken in traversal order, two
-consecutive real items of opposite sign join across a big arc; an axis
-interval is the real items from one big arc to the next, and the axis
-intervals drive signatures and winding numbers.
+A sampled path is scanned for real values, and the contacts its grid
+only brackets are solved for: the axis crossings the adaptive sampler
+handed on as brackets, and the small dips of |Im| elsewhere.  Isolated
+contacts become Contact records with one-sided imaginary-direction
+limits; maximal real sub-intervals become RealRun records.  Taken in
+traversal order, two consecutive real items of opposite sign join across
+a big arc; an axis interval is the real items from one big arc to the
+next, and the axis intervals drive signatures and winding numbers.
 """
 
 from __future__ import annotations
@@ -302,31 +304,31 @@ def _bisect_real_edges(spec, edges, ptol, tol) -> list:
     return [e[0] for e in edges]
 
 
-def _localize_contacts(spec, brackets, ptol, tol) -> list:
+def _localize_contacts(spec, ts, values, tri, ptol, tol) -> list:
     """Pin down an isolated real contact inside each bracket (tl, tn, tr).
 
-    Each bracket gets a Brent solve on (tl, tr): a root of the component
-    of Im(gamma) along its direction at tn where that component changes
+    ts and values are a sample grid and its path values, and each row of
+    tri the indices into them of one bracket's tl, tn and tr.  Each
+    bracket gets a Brent solve on (tl, tr): a root of the component of
+    Im(gamma) along its direction at tn where that component changes
     sign on the bracket, else the minimiser of |Im(gamma)|.  The solves
     run in lockstep: each round evaluates, in one path call, the
     parameters the unfinished solves ask for.  Each bracket memoises its
-    own values: its tl, tn and tr are evaluated in the first call, the
-    root finder starts from tl and tr, and the final realness check is
-    made at a parameter its solver has evaluated.  The result holds the
-    contact parameter of each bracket, or None where the path is not
-    real there.
+    own values, starting from the grid's: the root finder starts from tl
+    and tr, and the final realness check is made at a parameter its
+    solver has evaluated.  The result holds the contact parameter of
+    each bracket, or None where the path is not real there.
     """
-    if not brackets:
+    if not len(tri):
         return []
-    tri = np.array(brackets, dtype=float)
-    vals = spec.values(tri.ravel())
+    rows = values[tri]
+    vals = rows.reshape(-1, rows.shape[-1])
     ims = _im_parts(vals, tol)[0]
     u_ref = vals[1::3, 1:] / ims[1::3, None]
     comps = row_dots(vals[:, 1:], np.repeat(u_ref, 3, axis=0))
     root_find = comps[0::3] * comps[2::3] < 0
-    rows = vals.reshape(len(tri), 3, -1)
     solves, memos = [], []
-    for k, (tl, tn, tr) in enumerate(tri.tolist()):
+    for k, (tl, tn, tr) in enumerate(ts[tri].tolist()):
         if root_find[k]:
             solves.append(_brent.brentq_steps(tl, tr, ptol))
             ys = comps[3 * k:3 * k + 3]
@@ -402,7 +404,8 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     - real-edge bisection: the next BISECT_LEVELS halvings of every edge
       between a real and a non-real sample;
     - contact localisation: the next Brent step of every contact the grid
-      only brackets;
+      only brackets, each crossing bracket of the sampler and each small
+      dip of |Im| beside none, solved once from the grid's values;
     - one-sided limits: the next LIMIT_CHUNK offsets of every direction
       limit still unsettled;
     and one more call gives the values of every contact and run.  The
@@ -438,16 +441,23 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
             t_c = 0.5 * (t_lo + t_hi)
             items.append(("contact", float(t_c), float(t_c)))
 
-    # --- contacts the grid only bracketed ---------------------------------
-    # non-real samples m whose |Im| is a small local minimum, localized
-    # together
+    # --- contacts the grid only brackets ----------------------------------
+    # each crossing bracket b of the sampler, solved on (ts[b], ts[b + 1])
+    # along the direction at ts[b], and each non-real sample m beside no
+    # such bracket whose |Im| is a small local minimum, solved on
+    # (ts[m - 1], ts[m + 1]) along the direction at ts[m]; all from the
+    # grid's values, localized together, in grid order
     near_real = real_flags[:-2] | real_flags[1:-1] | real_flags[2:]
     dips = (ims[1:-1] <= ims[:-2]) & (ims[1:-1] <= ims[2:])
     small = ~(ims[1:-1] > 1e-3 * np.maximum(1.0, mags[1:-1]))
-    found = _localize_contacts(spec, [
-        (ts[m - 1], ts[m], ts[m + 1])
-        for m in np.flatnonzero(~near_real & dips & small) + 1
-    ], ptol, sampled.tol)
+    tri = np.flatnonzero(~near_real & dips & small)[:, None] + (0, 1, 2)
+    b = sampled.brackets
+    if len(b):
+        beside = np.zeros(n, dtype=bool)
+        beside[b] = beside[b + 1] = True
+        tri = np.concatenate([b[:, None] + (0, 0, 1), tri[~beside[tri[:, 1]]]])
+        tri = tri[np.argsort(tri[:, 0], kind="stable")]
+    found = _localize_contacts(spec, ts, sampled.values, tri, ptol, sampled.tol)
     # a contact within 10 run_min of a known item is that item; the
     # nearest known parameters are the two that t_c sorts between
     known = sorted(it[1] for it in items)

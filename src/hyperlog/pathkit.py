@@ -22,7 +22,7 @@ import csv
 import io
 import math
 import reprlib
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, InitVar, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -722,15 +722,19 @@ class SampledPath:
     sampling reads both: mags and ims are the norms of the values and of
     their imaginary parts, real their tol.is_real flags, and stretches
     the (start, stop) rows of each maximal run values[start:stop] of real
-    samples; these are read-only attributes, not fields.  A value of
-    modulus at most tol.eps_real raises ZeroOnPath.
+    samples.  brackets holds, in increasing order, each k for which the
+    adaptive sampler left [params[k], params[k + 1]] as the bracket of an
+    axis crossing, for find_obstructions to solve; a grid the sampler did
+    not build has none.  These are read-only attributes, not fields.  A
+    value of modulus at most tol.eps_real raises ZeroOnPath.
     """
 
     params: np.ndarray
     values: np.ndarray
     tol: config.Tolerances = field(default_factory=config.IN_FORCE.get)
+    brackets: InitVar[np.ndarray] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, brackets):
         mags = np.linalg.norm(self.values, axis=1)
         zero = mags <= self.tol.eps_real
         if zero.any():
@@ -741,7 +745,8 @@ class SampledPath:
         change = np.diff(real.astype(np.int8), prepend=0, append=0)
         stretches = np.stack(
             [np.flatnonzero(change == 1), np.flatnonzero(change == -1)], axis=1)
-        _cache_arrays(self, mags=mags, ims=ims, real=real, stretches=stretches)
+        _cache_arrays(self, mags=mags, ims=ims, real=real, stretches=stretches,
+                      brackets=np.asarray(brackets, dtype=np.intp))
 
     @property
     def dim(self):
@@ -774,11 +779,20 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     An interval is split while the imaginary direction rotates more than
     the step tolerance, the modulus changes by more than ten percent, or
     the interval looks like it brackets a contact with the real axis and
-    is still longer than a millionth of the domain.  Refinement runs
-    level by level: the midpoints of all intervals of one depth are
-    evaluated in one call, and the midpoints of the intervals that need
-    a split are inserted into the grid, which stays sorted; the halves
-    of those intervals are the next level's.
+    is still longer than a millionth of the domain.  An interval with no
+    real node whose direction reverses in exactly one half, both halves
+    aligned within theta_tol, over which the argument of x + i<Im, u>
+    (u the direction at its left end) turns by less than a quarter turn,
+    brackets an axis crossing inside one slice, unless its nodes are so
+    near the axis that the crossing's real set could be long: it is not
+    halved down to a millionth of the domain.  Its midpoint is kept, the
+    half that holds the reversal goes into the grid's brackets for
+    find_obstructions to solve, and only the other half is tested
+    further.  Refinement runs level by level: the midpoints of all
+    intervals of one depth are evaluated in one call, and the midpoints
+    of the intervals that need a split, or hold a crossing, are inserted
+    into the grid, which stays sorted; the halves of those intervals
+    that are not brackets are the next level's.
 
     Giving up raises RefinementBudgetExceeded, which is the designed
     failure mode for paths whose direction oscillates without limit near
@@ -799,7 +813,6 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
-    cos_step = math.cos(tol.theta_step)
 
     def rows_at(ts: np.ndarray) -> np.ndarray:
         v = spec.values(ts)
@@ -815,6 +828,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     nodes = rows_at(np.linspace(spec.a, spec.b, n0 + 1))
     evaluations = n0 + 1
     k = np.arange(n0)  # the intervals [nodes[k], nodes[k + 1]] still to test
+    lefts = []  # the left ends of the crossing brackets
     depth = 0
     while len(k):
         k = k[nodes[k + 1, _T] - nodes[k, _T] > h_floor]
@@ -823,22 +837,39 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
         left, right = nodes[k], nodes[k + 1]
         mid = rows_at(0.5 * (left[:, _T] + right[:, _T]))
         evaluations += len(k)
-        split = _needs_split(left, mid, right, h_cross, cos_step)
-        k = k[split]
+        split, halves = _needs_split(left, mid, right, h_cross, tol)
         if depth >= tol.d_max:
+            # no midpoint goes in: a crossing's bracket is its interval
+            lefts.append(left[halves // 2, _T])
+            k = k[split]
             break
-        # the midpoint of the j-th split interval becomes row k[j] + j + 1
+        grow = split
+        if len(halves):
+            grow = split.copy()
+            grow[halves // 2] = True
+            # the same halves, counted among those of the growing intervals
+            halves = 2 * np.cumsum(grow)[halves // 2] - 2 + halves % 2
+        # the midpoint of the j-th growing interval becomes row k[j] + j + 1
+        k = k[grow]
         k += np.arange(len(k))
         fresh = np.zeros(len(nodes) + len(k), dtype=bool)
         fresh[k + 1] = True
         grown = np.empty((len(fresh), nodes.shape[1]))
         grown[~fresh] = nodes
-        grown[fresh] = mid[split]
+        grown[fresh] = mid[grow]
         nodes = grown
+        # both halves of a split go on to the next level; of a crossing,
+        # the half that holds the reversal is its bracket, the other goes on
         k = np.add.outer(k, (0, 1)).ravel()
+        if len(halves):
+            lefts.append(nodes[k[halves], _T])
+            k = np.delete(k, halves)
         depth += 1
 
-    sampled = SampledPath(nodes[:, _T].copy(), nodes[:, _V:_V + spec.dim].copy(), tol)
+    ts = nodes[:, _T].copy()
+    sampled = SampledPath(
+        ts, nodes[:, _V:_V + spec.dim].copy(), tol,
+        np.searchsorted(ts, np.sort(np.concatenate(lefts))) if lefts else ())
     if len(k):
         brackets = list(zip(nodes[k, _T].tolist(), nodes[k + 1, _T].tolist()))
         raise RefinementBudgetExceeded(
@@ -850,15 +881,16 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     return sampled
 
 
-def _needs_split(left, mid, right, h_cross, cos_step) -> np.ndarray:
-    """Which intervals with node rows left, right and midpoint rows mid
-    need a split."""
+def _needs_split(left, mid, right, h_cross, tol) -> tuple:
+    """(split, halves) of the intervals with node rows left, right and
+    midpoint rows mid under the tolerances tol: which need a split, and,
+    for each one left unsplit as an axis crossing, its half that holds
+    the reversal of the direction, numbered 2j for the left half of row
+    j and 2j + 1 for its right half."""
     length = right[:, _T] - left[:, _T]
-    real_l, real_m, real_r = left[:, _REAL] != 0.0, mid[:, _REAL] != 0.0, right[:, _REAL] != 0.0
-    all_real = real_l & real_m & real_r
+    reals = left[:, _REAL] + mid[:, _REAL] + right[:, _REAL]
     # an interval that looks like it brackets a contact
-    contact = real_l | real_m | real_r
-    contact |= mid[:, _IM] < 0.3 * np.minimum(left[:, _IM], right[:, _IM])
+    contact = (reals > 0.0) | (mid[:, _IM] < 0.3 * np.minimum(left[:, _IM], right[:, _IM]))
     mags_max = np.maximum(np.maximum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
     mags_min = np.minimum(np.minimum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
     # a row holds _V + dim + (dim - 1) columns, the unit last
@@ -867,17 +899,44 @@ def _needs_split(left, mid, right, h_cross, cos_step) -> np.ndarray:
     # direction fields that rotate through full turns between nodes
     d1 = np.einsum("nd,nd->n", left[:, unit], mid[:, unit])
     d2 = np.einsum("nd,nd->n", mid[:, unit], right[:, unit])
-    aligned = np.minimum(np.abs(d1), np.abs(d2)) >= cos_step
+    closeness = np.minimum(np.abs(d1), np.abs(d2))
+    back1, back2 = d1 < 0.0, d2 < 0.0
     long = length > h_cross
+    turning = (
+        (mags_max / mags_min > 1.1) | ~(closeness >= math.cos(tol.theta_step)) | (back1 & back2)
+    )
     # a clean reversal of the direction in one half is an axis crossing,
     # not rotation; it is refined only down to the crossing scale
-    turning = (
-        (mags_max / mags_min > 1.1)
-        | ~aligned
-        | ((d1 < 0.0) & (d2 < 0.0))
-        | (((d1 < 0.0) | (d2 < 0.0)) & long)
-    )
-    return np.where(contact, long & ~all_real, turning)
+    crossing = long & (back1 != back2)
+    split = np.where(contact, long & (reals < 3.0), turning | crossing)
+    # unless it lies inside one slice: a crossing between non-real nodes
+    # whose directions agree up to sign within theta_tol is not split for
+    # its length, and its root is left to find_obstructions.  A turn that
+    # only comes near the axis leaves the directions further apart, and
+    # is still refined.
+    c = np.flatnonzero(crossing & (reals == 0.0) & (closeness >= math.cos(tol.theta_tol)))
+    if len(c):
+        # Such a crossing is still split where it turns, or changes its
+        # modulus, away from the axis; and where its nodes are so near
+        # the axis that the real set about a simple root, 2 eps_real
+        # max(1, |q|) (r - l) / (|Im_l| + |Im_r|) long, could reach a
+        # quarter of the crossing scale: halved as before, that real set
+        # shows as a real stretch of the grid.
+        c = c[(contact[c] | ~turning[c]) & (
+            8.0 * tol.eps_real * np.maximum(1.0, mags_max[c]) * length[c]
+            < h_cross * (left[c, _IM] + right[c, _IM]))]
+        # It is a bracket only while the argument of x + i<Im, u> (u the
+        # direction at the left end) turns by less than a quarter turn
+        # over both halves: three nodes of a path that turns by more can
+        # alias several crossings into one.  Aligned as the nodes are,
+        # <Im, u> is |Im| d1 at the midpoint and -|Im| at the right end.
+        z_l = left[c, _V] + 1j * left[c, _IM]
+        z_m = mid[c, _V] + 1j * (mid[c, _IM] * d1[c])
+        z_r = right[c, _V] - 1j * right[c, _IM]
+        c = c[np.abs(np.angle(z_m / z_l)) + np.abs(np.angle(z_r / z_m)) < math.pi / 2]
+        split[c] = False
+        c = 2 * c + back2[c]
+    return split, c
 
 
 def sample_path(spec: PathSpec) -> tuple[SampledPath, str]:

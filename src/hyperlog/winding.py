@@ -170,7 +170,8 @@ def _reroot(sampled, rep, i_star, period):
     """Sample grid and report of a loop re-rooted at sample i_star.
 
     The grid runs one period on from params[i_star] without the seam
-    sample at a, so both ends hold the same value.  Runs before the new
+    sample at a, so both ends hold the same value, and its crossing
+    brackets are the same intervals, re-indexed.  Runs before the new
     basepoint move on by one period; as its sample is not real, no run
     straddles it and none wraps.  Interval order is kept, so directives
     still apply; unit_field reads nothing else that would need re-keying.
@@ -190,6 +191,7 @@ def _reroot(sampled, rep, i_star, period):
         sampled,
         params=np.concatenate([params[i_star:], params[1:i_star + 1] + period]),
         values=np.concatenate([values[i_star:], values[1:i_star + 1]]),
+        brackets=np.sort((sampled.brackets - i_star) % (len(params) - 1)),
     )
     intervals = tuple(replace(iv, runs=shift(iv.runs)) for iv in rep.intervals)
     return grid, replace(rep, runs=shift(rep.runs), intervals=intervals)

@@ -10,6 +10,7 @@ give-up results are also checked against the level-synchronous sampler
 that the sorted-grid one replaced.
 """
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hyperlog as hl
-from hyperlog import algebra, config, obstruction
+from hyperlog import algebra, config, obstruction, pathkit
 from hyperlog.errors import OutOfDomain, RefinementBudgetExceeded, ZeroOnPath
 from hyperlog.pathkit import (
     EVAL_BUDGET, Line, PathSpec, PolyFn, SampledPath, Samples, SliceCurve, sample_path)
@@ -87,11 +88,13 @@ def unit(v):
 
 
 def reference_sample_adaptive(spec, n0=64):
-    """The depth-first sampler with a cap of 32 unresolved brackets."""
+    """The depth-first sampler with a cap of 32 unresolved brackets; it
+    returns the grid's parameters, values and crossing brackets."""
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
     cos_step = math.cos(config.DEFAULT.theta_step)
+    cos_tol = math.cos(config.DEFAULT.theta_tol)
     cache = {}
 
     def val(t):
@@ -107,41 +110,91 @@ def reference_sample_adaptive(spec, n0=64):
         return float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * max(
             1.0, float(np.linalg.norm(v)))
 
+    def crossing_side(vl, vm, vr, length):
+        """-1 or +1 when [tl, tr] brackets an axis crossing whose
+        reversal lies in its left or right half, else 0: the direction
+        reverses in exactly one half, both halves aligned within
+        theta_tol, the real set about a simple root would be shorter
+        than a quarter of h_cross, and the argument of x + i<Im, u_left>
+        turns by less than a quarter turn over both halves."""
+        ul, um, ur = unit(vl), unit(vm), unit(vr)
+        d1, d2 = float(np.dot(ul, um)), float(np.dot(um, ur))
+        if (d1 < 0.0) == (d2 < 0.0) or min(abs(d1), abs(d2)) < cos_tol:
+            return 0
+        thr = config.DEFAULT.eps_real * max(1.0, *(float(np.linalg.norm(v)) for v in (vl, vm, vr)))
+        if 2.0 * thr * length / (np.linalg.norm(vl[1:]) + np.linalg.norm(vr[1:])) >= h_cross / 4:
+            return 0
+        x = [float(v[0]) for v in (vl, vm, vr)]
+        y = [float(np.dot(v[1:], ul)) for v in (vl, vm, vr)]
+        turn = sum(abs(math.atan2(x[i] * y[i + 1] - y[i] * x[i + 1],
+                                  x[i] * x[i + 1] + y[i] * y[i + 1])) for i in (0, 1))
+        if turn >= math.pi / 2:
+            return 0
+        return -1 if d1 < 0.0 else 1
+
     def needs_split(tl, tm, tr):
+        """(split, side) of [tl, tr], side being the crossing_side of an
+        interval left unsplit as an axis crossing, else 0."""
         vl, vm, vr = val(tl), val(tm), val(tr)
         rl, rm, rr = is_real(vl), is_real(vm), is_real(vr)
         length = tr - tl
         if rl and rm and rr:
-            return False
+            return False, 0
+        side = 0
+        if not (rl or rm or rr) and length > h_cross:
+            side = crossing_side(vl, vm, vr, length)
+        long = length > h_cross and not side
+
+        def verdict(split):
+            return (True, 0) if split else (False, side)
+
         iml = float(np.linalg.norm(vl[1:]))
         imm = float(np.linalg.norm(vm[1:]))
         imr = float(np.linalg.norm(vr[1:]))
         if rl or rm or rr or imm < 0.3 * min(iml, imr):
-            return length > h_cross
+            return verdict(long)
         mags = [float(np.linalg.norm(v)) for v in (vl, vm, vr)]
         if max(mags) / min(mags) > 1.1:
-            return True
+            return verdict(True)
         d1 = float(np.dot(vl[1:] / iml, vm[1:] / imm))
         d2 = float(np.dot(vm[1:] / imm, vr[1:] / imr))
         if min(abs(d1), abs(d2)) >= cos_step:
             if d1 < 0.0 and d2 < 0.0:
-                return True
+                return verdict(True)
             if d1 < 0.0 or d2 < 0.0:
-                return length > h_cross
-            return False
-        return True
+                return verdict(long)
+            return verdict(False)
+        return verdict(True)
 
     ts_out = [spec.a]
     unresolved = []
+    brackets = []
     grid = np.linspace(spec.a, spec.b, n0 + 1)
     stack = [(float(grid[n]), float(grid[n + 1]), 0) for n in range(n0 - 1, -1, -1)]
     while stack:
         tl, tr, depth = stack.pop()
         tm = 0.5 * (tl + tr)
-        if tr - tl <= h_floor or len(unresolved) >= 32:
+        # depth None marks the bracket half of a crossing, tested no more
+        if depth is None or tr - tl <= h_floor or len(unresolved) >= 32:
             ts_out.append(tr)
             continue
-        if not needs_split(tl, tm, tr):
+        split, side = needs_split(tl, tm, tr)
+        if side and depth >= config.DEFAULT.d_max:
+            # no midpoint goes in at the depth cap
+            brackets.append(tl)
+            ts_out.append(tr)
+            continue
+        if side:
+            # the midpoint is kept, the half that holds the reversal is
+            # the bracket, and the other half goes on
+            if side < 0:
+                brackets.append(tl)
+                stack += [(tm, tr, depth + 1), (tl, tm, None)]
+            else:
+                brackets.append(tm)
+                stack += [(tm, tr, None), (tl, tm, depth + 1)]
+            continue
+        if not split:
             ts_out.append(tr)
             continue
         if depth >= config.DEFAULT.d_max:
@@ -152,7 +205,8 @@ def reference_sample_adaptive(spec, n0=64):
         stack.append((tl, tm, depth + 1))
     if unresolved:
         raise RefinementBudgetExceeded("unresolved", unresolved=unresolved)
-    return np.array(ts_out), np.array([val(t) for t in ts_out])
+    ts_out = np.array(ts_out)
+    return ts_out, np.array([val(t) for t in ts_out]), np.searchsorted(ts_out, brackets)
 
 
 def reference_one_sided_direction(spec, t, side, h0=None):
@@ -366,20 +420,22 @@ SPINNING = ("rocket_neg", "rocket_pos")
 @pytest.mark.parametrize("name", [n for n in CORPUS if n not in SPINNING])
 def test_sampler_matches_depth_first_reference(name):
     for kind, spec in variants(hl.demo(name).path).items():
-        ts, vals = reference_sample_adaptive(spec)
+        ts, vals, brackets = reference_sample_adaptive(spec)
         got = hl.sample_adaptive(spec)
         assert same_bits(got.params, ts), f"{name}/{kind}"
         assert same_bits(got.values, vals), f"{name}/{kind}"
+        assert same_bits(got.brackets, brackets), f"{name}/{kind}"
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 64]))
 @settings(max_examples=30, deadline=None)
 def test_sampler_matches_reference_on_random_loops(seed, n0):
     spec, _winding, _misses = single_slice_loop(np.random.default_rng(seed))
-    ts, vals = reference_sample_adaptive(spec, n0)
+    ts, vals, brackets = reference_sample_adaptive(spec, n0)
     got = hl.sample_adaptive(spec, n0)
     assert same_bits(got.params, ts)
     assert same_bits(got.values, vals)
+    assert same_bits(got.brackets, brackets)
 
 
 def test_sampler_evaluates_each_point_once_per_level():
@@ -388,10 +444,30 @@ def test_sampler_evaluates_each_point_once_per_level():
     meter.calls = meter.points = 0  # the closure checked by the constructor
     sp = hl.sample_adaptive(spec)
     # the 65 nodes of the first grid and one midpoint for each of the 64
-    # first intervals and the two halves of every split: as many points
-    # as the depth-first sampler, in one call per level
-    assert meter.points == 2 * len(sp.params) - 1
+    # first intervals, the two halves of every split and the half of
+    # every crossing that is not its bracket: as many points as the
+    # depth-first sampler, in one call per level
+    assert len(sp.brackets) > 0
+    assert meter.points == 2 * len(sp.params) - 1 - len(sp.brackets)
     assert meter.calls <= config.DEFAULT.d_max + 2
+
+
+@pytest.mark.parametrize("d_max", [0, 1, 2])
+def test_a_crossing_at_the_depth_cap_is_the_bracket_of_its_interval(d_max):
+    # off the first grid's nodes, each of the circle's six crossings is a
+    # bracket: the half that holds it above the depth cap, and at the cap,
+    # where no midpoint goes in, the whole interval
+    spec = hl.rotate_basepoint(hl.demo("slice_circle(j,2,3)").path, 0.1)
+    token = config.IN_FORCE.set(replace(config.DEFAULT, d_max=d_max))
+    try:
+        sp = hl.sample_adaptive(spec)
+        rep = hl.find_obstructions(sp, spec)
+    finally:
+        config.IN_FORCE.reset(token)
+    assert len(sp.brackets) == 6 and not sp.real.any()
+    width = (spec.b - spec.a) / 64 / (1 if d_max == 0 else 2)
+    assert np.diff(sp.params)[sp.brackets] == pytest.approx(width)
+    assert [c.kind for c in rep.contacts] == ["flip"] * 6
 
 
 @pytest.mark.parametrize("name", SPINNING)
@@ -399,9 +475,10 @@ def test_spinning_paths_give_up(name):
     for kind, spec in variants(hl.demo(name).path).items():
         if kind == "subpath":
             # [0.1, 0.6] stays away from the spin at the ends
-            ts, vals = reference_sample_adaptive(spec)
+            ts, vals, brackets = reference_sample_adaptive(spec)
             got = hl.sample_adaptive(spec)
             assert same_bits(got.params, ts) and same_bits(got.values, vals)
+            assert same_bits(got.brackets, brackets)
             continue
         with pytest.raises(RefinementBudgetExceeded):
             hl.sample_adaptive(spec)
@@ -473,7 +550,8 @@ class Nodes(NamedTuple):
         return Nodes(*map(np.concatenate, zip(self, other)))
 
 
-def reference_level_needs_split(left, mid, right, h_cross, cos_step):
+def reference_level_needs_split(left, mid, right, h_cross, tol):
+    cos_step, cos_tol = math.cos(tol.theta_step), math.cos(tol.theta_tol)
     length = right.t - left.t
     all_real = left.real & mid.real & right.real
     contact = left.real | mid.real | right.real
@@ -484,24 +562,44 @@ def reference_level_needs_split(left, mid, right, h_cross, cos_step):
     d2 = np.einsum("nd,nd->n", mid.unit, right.unit)
     aligned = np.minimum(np.abs(d1), np.abs(d2)) >= cos_step
     long = length > h_cross
+    # an axis crossing: a reversal in exactly one half between non-real
+    # nodes, both halves aligned within theta_tol, a real set about a
+    # simple root shorter than a quarter of h_cross, and under a quarter
+    # turn of the argument of x + i<Im, u_left> over both halves
+    thr = tol.eps_real * np.maximum(1.0, mags_max)
+    near = 8.0 * thr * length >= h_cross * (left.im + right.im)
+    z = [n.v[:, 0] + 1j * np.einsum("nd,nd->n", n.v[:, 1:], left.unit)
+         for n in (left, mid, right)]
+    turn = np.abs(np.angle(z[1] * np.conj(z[0]))) + np.abs(np.angle(z[2] * np.conj(z[1])))
+    crossing = (
+        ((d1 < 0.0) != (d2 < 0.0))
+        & (np.minimum(np.abs(d1), np.abs(d2)) >= cos_tol)
+        & ~(left.real | mid.real | right.real)
+        & (turn < math.pi / 2)
+        & ~near
+        & long
+    )
+    long &= ~crossing
     turning = (
         (mags_max / mags_min > 1.1)
         | ~aligned
         | ((d1 < 0.0) & (d2 < 0.0))
         | (((d1 < 0.0) | (d2 < 0.0)) & long)
     )
-    return np.where(contact, long & ~all_real, turning)
+    split = np.where(contact, long & ~all_real, turning)
+    side = np.where(crossing & ~split, np.where(d1 < 0.0, -1, 1), 0)
+    return split, side
 
 
 def reference_level_sampler(spec, n0=64):
     """The level-synchronous sampler that collects the right end of each
     leaf interval and sorts them at the end: the intervals of a level
     are the left halves of the previous level's splits, then the right
-    halves, and the unresolved brackets are sorted by their left ends."""
+    halves, then the halves of its crossings that are not brackets, and
+    the unresolved brackets are sorted by their left ends."""
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
-    cos_step = math.cos(config.DEFAULT.theta_step)
 
     def nodes_at(ts):
         nodes = Nodes.of(ts, spec.values(ts))
@@ -513,6 +611,7 @@ def reference_level_sampler(spec, n0=64):
     grid = nodes_at(np.linspace(spec.a, spec.b, n0 + 1))
     evaluations = n0 + 1
     leaves = [(grid.t[:1], grid.v[:1])]
+    brackets = []
     left, right = grid.take(slice(0, -1)), grid.take(slice(1, None))
     lo = hi = np.empty(0)
     depth = 0
@@ -527,19 +626,29 @@ def reference_level_sampler(spec, n0=64):
             break
         mid = nodes_at(0.5 * (left.t + right.t))
         evaluations += len(mid.t)
-        split = reference_level_needs_split(left, mid, right, h_cross, cos_step)
-        leaves.append((right.t[~split], right.v[~split]))
+        split, side = reference_level_needs_split(left, mid, right, h_cross, config.DEFAULT)
         if depth >= config.DEFAULT.d_max:
+            brackets.append(left.t[side != 0])
+            leaves.append((right.t[~split], right.v[~split]))
             lo, hi = left.t[split], right.t[split]
             leaves.append((right.t[split], right.v[split]))
             break
-        mid = mid.take(split)
-        left, right = left.take(split).join(mid), mid.join(right.take(split))
+        # a crossing's bracket half is a leaf, its other half goes on
+        lh, rh = side < 0, side > 0
+        leaves.append((right.t[~split & ~lh], right.v[~split & ~lh]))
+        leaves.append((mid.t[lh], mid.v[lh]))
+        brackets += [left.t[lh], mid.t[rh]]
+        left, right = (
+            left.take(split).join(mid.take(split)).join(mid.take(lh)).join(left.take(rh)),
+            mid.take(split).join(right.take(split)).join(right.take(lh)).join(mid.take(rh)),
+        )
         depth += 1
 
     ts = np.concatenate([t for t, _v in leaves])
     order = np.argsort(ts, kind="stable")
-    sampled = SampledPath(ts[order], np.concatenate([v for _t, v in leaves])[order])
+    ts = ts[order]
+    sampled = SampledPath(ts, np.concatenate([v for _t, v in leaves])[order],
+                          brackets=np.searchsorted(ts, np.sort(np.concatenate([np.empty(0)] + brackets))))
     if len(lo):
         first = np.argsort(lo, kind="stable")
         brackets = list(zip(lo[first].tolist(), hi[first].tolist()))
@@ -580,6 +689,7 @@ def test_give_up_matches_level_synchronous_reference(name, n0):
     assert str(got.value) == str(want.value)
     assert same_bits(got.value.sampled.params, want.value.sampled.params)
     assert same_bits(got.value.sampled.values, want.value.sampled.values)
+    assert same_bits(got.value.sampled.brackets, want.value.sampled.brackets)
 
 
 @pytest.mark.parametrize("n0", [1, 7, 64])
@@ -593,6 +703,83 @@ def test_depth_limit_gives_up_around_the_crossing(n0):
     # the brackets of depth d_max
     length = (spec.b - spec.a) / n0 * 2.0 ** -config.DEFAULT.d_max
     assert all(hi - lo == pytest.approx(length) for lo, hi in unresolved)
+
+
+# ---------------------------------------------------------------------------
+# crossing brackets against the halving route
+
+
+def halving_needs_split(left, mid, right, h_cross, tol):
+    """The sampler's split test from before crossings became brackets:
+    every reversal of the direction in one half is halved down to
+    h_cross, and no interval is left as a bracket."""
+    _T, _MAG, _IM, _REAL, _V = range(5)
+    length = right[:, _T] - left[:, _T]
+    real_l, real_m, real_r = left[:, _REAL] != 0.0, mid[:, _REAL] != 0.0, right[:, _REAL] != 0.0
+    all_real = real_l & real_m & real_r
+    contact = real_l | real_m | real_r
+    contact |= mid[:, _IM] < 0.3 * np.minimum(left[:, _IM], right[:, _IM])
+    mags_max = np.maximum(np.maximum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
+    mags_min = np.minimum(np.minimum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
+    unit = slice(_V + (left.shape[1] - _V + 1) // 2, None)
+    d1 = np.einsum("nd,nd->n", left[:, unit], mid[:, unit])
+    d2 = np.einsum("nd,nd->n", mid[:, unit], right[:, unit])
+    aligned = np.minimum(np.abs(d1), np.abs(d2)) >= math.cos(tol.theta_step)
+    long = length > h_cross
+    turning = (
+        (mags_max / mags_min > 1.1)
+        | ~aligned
+        | ((d1 < 0.0) & (d2 < 0.0))
+        | (((d1 < 0.0) | (d2 < 0.0)) & long)
+    )
+    return np.where(contact, long & ~all_real, turning), np.empty(0, dtype=np.intp)
+
+
+@contextlib.contextmanager
+def halving_sampler():
+    """The library's sampler under the halving split test."""
+    needs_split = pathkit._needs_split
+    pathkit._needs_split = halving_needs_split
+    try:
+        yield
+    finally:
+        pathkit._needs_split = needs_split
+
+
+def assert_obstructions_match_the_halving_route(spec, label):
+    with halving_sampler():
+        want_sp, want_sampling = sample_path(spec)
+    assert not len(want_sp.brackets)
+    want = hl.find_obstructions(want_sp, spec)
+    sp, sampling = sample_path(spec)
+    got = hl.find_obstructions(sp, spec)
+    assert sampling == want_sampling, label
+    ptol = 1e-12 * max(1.0, spec.b - spec.a)
+    assert [(c.kind, c.sign, c.wrap) for c in got.contacts] == [
+        (c.kind, c.sign, c.wrap) for c in want.contacts], label
+    assert all(abs(g.t - w.t) <= 2 * ptol for g, w in zip(got.contacts, want.contacts)), label
+    assert got.runs == want.runs, label
+    return len(sp.brackets)
+
+
+def test_crossing_brackets_find_the_contacts_of_the_halving_route():
+    brackets = 0
+    # the corpus, and a circle so small that each crossing's real set,
+    # about 2e-3 long, is a real run: such a crossing is no bracket
+    tiny = hl.demo("slice_circle(j,1e-6,3)").path
+    for label, spec in [*corpus_paths(), ("slice_circle(j,1e-6,3)", tiny)]:
+        brackets += assert_obstructions_match_the_halving_route(spec, label)
+        if spec.closed:
+            brackets += assert_obstructions_match_the_halving_route(
+                replace(spec, closed=False), f"{label}/open")
+    assert brackets > 100
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_crossing_brackets_find_the_contacts_of_the_halving_route_on_random_loops(seed):
+    spec, _winding, _misses = single_slice_loop(np.random.default_rng(seed))
+    assert_obstructions_match_the_halving_route(spec, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -673,19 +860,45 @@ def test_row_norms_equal_one_row_norms_bit_for_bit(v):
 # find_obstructions on slice_circle(j,2,n) before its probes were batched:
 # 7 segment calls per contact, and these points
 UNBATCHED_POINTS = {5: 706, 10: 1412, 20: 2824, 40: 5648}
+# sample_path and find_obstructions together on slice_circle(j,2,n) while
+# the sampler halved every crossing down to a millionth of the domain
+HALVING_POINTS = {5: 1171, 10: 2213, 20: 4297, 40: 8401}
+# path calls of find_obstructions on slice_circle(j,2,n), whatever n: the
+# rounds of its slowest probe
+FIND_CALLS = 10
 
 
 def test_obstruction_probes_make_one_call_per_round():
     calls = {}
-    for n, points in UNBATCHED_POINTS.items():
+    for n in (5, 10, 20, 40, 80):
         spec = hl.demo(f"slice_circle(j,2,{n})").path
-        sp, _sampling = sample_path(spec)
         meter = Meter()
         spec = counted(spec, meter)
         meter.calls = meter.points = 0  # the closure checked by the constructor
+        sp, _sampling = sample_path(spec)
+        sampled = meter.points
+        meter.calls = meter.points = 0
         rep = hl.find_obstructions(sp, spec)
         assert len(rep.contacts) == 2 * n
         calls[n] = meter.calls
-        assert meter.points <= points, n
+        assert meter.points <= UNBATCHED_POINTS.get(n, math.inf), n
+        assert sampled + meter.points <= HALVING_POINTS.get(n, math.inf), n
     # as many rounds however many contacts there are
-    assert len(set(calls.values())) == 1, calls
+    assert max(calls.values()) <= FIND_CALLS, calls
+
+
+# sample_path points on slice_circle(j,2,n) while the sampler halved every
+# crossing down to a millionth of the domain
+HALVING_SAMPLE_POINTS = {5: 465, 10: 801, 20: 1473, 40: 2753}
+
+
+@pytest.mark.parametrize("n", sorted(HALVING_SAMPLE_POINTS))
+def test_crossing_brackets_spare_the_halving_levels(n):
+    meter = Meter()
+    spec = counted(hl.demo(f"slice_circle(j,2,{n})").path, meter)
+    meter.calls = meter.points = 0  # the closure checked by the constructor
+    sp, _sampling = sample_path(spec)
+    # a crossing on a node of the first grid is a real sample, halved
+    # around as before; every other crossing is a bracket
+    assert len(sp.brackets) + len(sp.stretches) == 2 * n + 1
+    assert meter.points < HALVING_SAMPLE_POINTS[n]

@@ -145,10 +145,10 @@ def localisations():
     made = []
     localize = obstruction._localize_contacts
 
-    def record(spec, brackets, ptol, tol):
-        found = localize(spec, brackets, ptol, tol)
+    def record(spec, ts, values, tri, ptol, tol):
+        found = localize(spec, ts, values, tri, ptol, tol)
         made.extend((label, spec, tl, tn, tr, ptol, t_c)
-                    for (tl, tn, tr), t_c in zip(brackets, found))
+                    for (tl, tn, tr), t_c in zip(ts[tri].tolist(), found))
         return found
 
     obstruction._localize_contacts = record
@@ -173,19 +173,26 @@ def test_memoised_localisation_matches_unmemoised_on_the_corpus():
     made = localisations()
     found = [t_c for *_, t_c in made if t_c is not None]
     assert len(found) > 100 and len(found) < len(made)
+    # the sampler's crossing brackets, solved along their left end's
+    # direction, are among them
+    assert sum(tn == tl for _label, _spec, tl, tn, *_ in made) > 100
     before = after = 0
     for label, spec, tl, tn, tr, ptol, t_c in made:
         meter = Meter()
         want = ported(counted(spec, meter), tl, tn, tr, ptol)
         before += meter.calls
         meter = Meter()
-        # the bracket on its own gets the result it got in its batch
+        # the bracket on its own gets the result it got in its batch;
+        # its values at tl, tn and tr are the caller's
+        ts = np.array([tl, tn, tr])
         [got] = obstruction._localize_contacts(
-            counted(spec, meter), [(tl, tn, tr)], ptol, config.DEFAULT)
+            counted(spec, meter), ts, spec.values(ts), np.array([[0, 1, 2]]), ptol,
+            config.DEFAULT)
         after += meter.calls
         assert got == t_c == want, label
-    # the memo serves the solvers' first two evaluations and the check
-    assert after < before - 2 * len(made)
+    # the caller's values serve the direction at tn, the solvers' first
+    # two evaluations and the check
+    assert after <= before - 4 * len(made)
 
 
 def test_localisation_matches_scipy_on_the_corpus():

@@ -76,6 +76,13 @@ def test_lift_with_initial_unit_and_k0():
     assert json.loads(out)["status"] == "ok"
 
 
+def test_initial_unit_may_be_written_with_a_zero_real_part():
+    code, short = run_cli("lift", "--demo", "three_exp", "--initial-unit", "1,0,0")
+    assert code == 0
+    for unit in ("0,1,0,0", "-0.0,1,0,0"):
+        assert run_cli("lift", "--demo", "three_exp", f"--initial-unit={unit}") == (0, short)
+
+
 def test_winding_exit_codes():
     code, out = run_cli(
         "winding", "--demo", "three_exp", "--companion", "J_path"
@@ -375,6 +382,8 @@ def test_overflowing_number_is_an_input_error(tmp_path):
      "initial unit is not parallel to the outgoing direction"),
     (["--demo", "rocket_neg"],
      "a lift from a real start with nonzero argument needs an initial unit"),
+    (["--demo", "three_exp", "--initial-unit", "0.5,1,0,0"],
+     "initial unit must be purely imaginary, got real part 0.5"),
 ])
 def test_bad_initial_unit_is_an_input_error(argv, message):
     err = io.StringIO()

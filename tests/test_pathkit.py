@@ -541,6 +541,40 @@ def test_sampled_geometry_matches_fresh_norms():
     assert any(j == n for _i, j, n in stretches)
 
 
+def test_crossing_brackets_hold_a_reversal_between_non_real_ends():
+    # both halves of a crossing are aligned within theta_tol, so the ends
+    # of the half that holds the reversal are opposite within twice that
+    cos_tol = math.cos(2.0 * config.DEFAULT.theta_tol)
+    seen = 0
+    for key, spec in corpus_paths():
+        sp, sampling = sample_path(spec)
+        k = sp.brackets
+        assert k.dtype == np.intp and not k.flags.writeable
+        assert "brackets" not in repr(sp)
+        if sampling != "adaptive":
+            assert not len(k), key
+            continue
+        assert np.all(np.diff(k) > 0), key
+        assert not len(k) or (0 <= k[0] and k[-1] < len(sp.params) - 1), key
+        assert not (sp.real[k] | sp.real[k + 1]).any(), key
+        u = sp.values[:, 1:] / np.where(sp.real, 1.0, sp.ims)[:, None]
+        assert np.all(np.einsum("nd,nd->n", u[k], u[k + 1]) <= -cos_tol), key
+        seen += len(k)
+        # a grid read back from CSV, or sampled uniformly, has none
+        assert not len(SampledPath.from_csv(sp.to_csv()).brackets)
+        assert not len(hl.sample_uniform(spec, 257).brackets)
+        # re-rooting a loop keeps the same intervals, those before the new
+        # basepoint one period on
+        if spec.closed and len(k):
+            i_star = int(np.argmax(sp.ims))
+            rot = winding._reroot(sp, hl.find_obstructions(sp, spec), i_star, spec.b - spec.a)[0]
+            shift = np.where(k < i_star, spec.b - spec.a, 0.0)
+            want = sorted(zip(sp.params[k] + shift, sp.params[k + 1] + shift))
+            got = list(zip(rot.params[rot.brackets], rot.params[rot.brackets + 1]))
+            assert got == want, key
+    assert seen > 100
+
+
 def test_sampled_geometry_is_not_a_field():
     sp = hl.sample_uniform(circle(), 9)
     assert [f.name for f in dataclasses.fields(sp)] == ["params", "values", "tol"]

@@ -17,7 +17,7 @@ from hyperlog.errors import (
     StepTooLarge,
     TwistedLoop,
 )
-from hyperlog.pathkit import sample_path
+from hyperlog.pathkit import Line, sample_path
 from hyperlog.winding import alternating_sum, reduce_signs
 
 from test_acceptance import single_slice_loop
@@ -351,6 +351,43 @@ def test_reroot_is_a_cyclic_shift():
         assert not r.wrap and t_star < r.t0 < r.t1 < t_star + period
     assert {r for iv in rerooted.intervals for r in iv.runs} == set(rerooted.runs)
     assert [iv.t0 for iv in rerooted.intervals] == [iv.t0 for iv in rep.intervals]
+
+
+@pytest.mark.parametrize("n", [20, 40, 50, 80, 100, 200])
+@pytest.mark.parametrize("axis", ["i", "j"])
+def test_crossing_brackets_do_not_alias_many_turns(axis, n):
+    # the first grid's intervals span more than half a turn from n = 40
+    # on, so three of its nodes can look like one clean crossing; the
+    # quarter-turn guard keeps such an interval from becoming a bracket
+    res = hl.analyze_loop(hl.demo(f"slice_circle({axis},2,{n})").path)
+    assert (res.twisted, res.winding, res.circular_signature) == (False, n, 2 * n)
+
+
+def near_miss_loop(eps):
+    """Three lines through (1, -1, eps, 0), (1, 1, eps, 0) and (1, 0, 2, 0):
+    the direction turns by a half turn within about eps of t = 0.5, and
+    the path never comes nearer than eps to the real axis."""
+    p0, p1, p2 = (1.0, -1.0, eps, 0.0), (1.0, 1.0, eps, 0.0), (1.0, 0.0, 2.0, 0.0)
+    return hl.PathSpec(0.0, 3.0, (Line(0.0, 1.0, p0, p1), Line(1.0, 2.0, p1, p2),
+                                  Line(2.0, 3.0, p2, p0)), closed=True)
+
+
+@pytest.mark.parametrize("eps", [
+    1e-2, 1e-4, 1e-6,
+    pytest.param(1e-8, marks=pytest.mark.xfail(
+        strict=True, reason="the turn reads as a reversal between two samples: the "
+        "sampler leaves it as a crossing bracket, or stops halving it at a "
+        "millionth of the domain")),
+])
+def test_a_near_miss_of_the_axis_is_not_a_flip(eps):
+    # the companion turns with the direction, so the loop is untwisted;
+    # read as a flip, the turn would make it twisted
+    spec = near_miss_loop(eps)
+    sp = hl.sample_adaptive(spec)
+    assert not len(sp.brackets)
+    assert not hl.find_obstructions(sp, spec).contacts
+    res = hl.analyze_loop(spec)
+    assert (res.twisted, res.winding) == (False, 0)
 
 
 @pytest.mark.xfail(strict=True, reason="sample_adaptive aliases on loops that turn "
