@@ -10,7 +10,6 @@ Each solver is written once, as a generator (``brentq_steps``,
 ``minimize_bounded_steps``) that yields the abscissae it needs and is
 sent the function's values there, so that a caller can advance many
 solves together and evaluate their abscissae in one batch.
-``brentq`` and ``minimize_bounded`` drive one solve on a function.
 """
 
 from __future__ import annotations
@@ -40,26 +39,11 @@ def _div(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
-def _drive(steps, f):
-    """Run a solver generator on the function f: send f's value at each
-    abscissa it yields, and return what the solver returns."""
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign."""
-    return _drive(brentq_steps(xa, xb, xtol), f)
-
-
 def brentq_steps(xa: float, xb: float, xtol: float):
-    """brentq as a generator: it yields each abscissa at which it needs
-    the function, is sent the function's value there, and returns a root
-    of the function in [xa, xb], whose ends give values of opposite sign.
+    """Brent's root finder as a generator: it yields each abscissa at
+    which it needs the function, is sent the function's value there, and
+    returns a root of the function in [xa, xb], whose ends give values of
+    opposite sign.
 
     Ported from ``optimize/Zeros/brentq.c`` of SciPy (BSD-3-Clause,
     Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers),
@@ -149,15 +133,10 @@ def brentq_steps(xa: float, xb: float, xtol: float):
     )
 
 
-def minimize_bounded(func, x1: float, x2: float, xatol: float) -> float:
-    """The minimiser of func on [x1, x2] by Brent's bounded method."""
-    return _drive(minimize_bounded_steps(x1, x2, xatol), func)
-
-
 def minimize_bounded_steps(x1: float, x2: float, xatol: float):
-    """minimize_bounded as a generator: it yields each abscissa at which
-    it needs the function, is sent the function's value there, and
-    returns the minimiser on [x1, x2].
+    """Brent's bounded minimiser as a generator: it yields each abscissa
+    at which it needs the function, is sent the function's value there,
+    and returns the minimiser on [x1, x2].
 
     Ported from ``_minimize_scalar_bounded`` in ``optimize/_optimize.py``
     of SciPy (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and

@@ -244,7 +244,7 @@ def main(argv=None) -> int:
         if not 1e-14 <= args.eps_real <= 1e-4:
             sys.stderr.write("hyperlog: error: eps-real override must lie in [1e-14, 1e-4]\n")
             return 1
-        tol = replace(config.DEFAULT, eps_real=args.eps_real)
+        tol = config.Tolerances(args.eps_real)
     token = config.IN_FORCE.set(tol)
     try:
         return args.fn(args)

@@ -145,7 +145,7 @@ def canonical_form(sampled: SampledPath, units: np.ndarray) -> Shadow:
     y = np.einsum("nd,nd->n", vals[:, 1:], units)
     resid = np.linalg.norm(vals[:, 1:] - y[:, None] * units, axis=1)
     scale = np.maximum(1.0, sampled.mags)
-    if np.any(resid > sampled.tol.tol_lift * scale):
+    if np.any(resid > config.TOL_LIFT * scale):
         worst = int(np.argmax(resid / scale))
         raise SliceMismatch(
             f"reconstruction residual {resid[worst]:.3e} at t={float(sampled.params[worst])}"
@@ -166,14 +166,9 @@ def shadow_of(
 
 def argument_steps(z: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Steps of the argument of z between consecutive samples; one
-    within theta_tol of a half turn raises StepTooLarge naming its t."""
-    return _argument_steps(z, params, config.IN_FORCE.get())
-
-
-def _argument_steps(z, params, tol):
-    """argument_steps with the theta_tol of tol, as for a sampled path."""
+    within config.THETA_TOL of a half turn raises StepTooLarge naming its t."""
     dphi = np.angle(z[1:] * np.conj(z[:-1]))
-    if np.any(np.abs(dphi) >= math.pi - tol.theta_tol):
+    if np.any(np.abs(dphi) >= math.pi - config.THETA_TOL):
         worst = int(np.argmax(np.abs(dphi)))
         raise StepTooLarge(
             f"argument step {abs(dphi[worst]):.3f} rad near t={float(params[worst])}"

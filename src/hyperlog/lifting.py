@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import algebra
-from .companion import _argument_steps, unit_field
+from . import algebra, config
+from .companion import argument_steps, unit_field
 from .errors import HypothesisViolated, InitialMismatch, MissingInitialUnit
 from .obstruction import (
     BAD_KINDS,
@@ -108,7 +108,7 @@ def _seed_and_start_arg(sampled, k0, initial_unit):
     if not sampled.real[0]:
         seed, arg0 = algebra.branch_start(v0, k0, init_vec)
         if init_vec is not None and abs(float(np.dot(init_vec, seed))) < math.cos(
-            sampled.tol.theta_tol
+            config.THETA_TOL
         ):
             raise InitialMismatch(
                 "initial unit is not parallel to the path direction"
@@ -167,7 +167,7 @@ def lift_path(
     # direction; a sideways initial unit has no continuation
     if seed is not None and sampled.real[0] and not sampled.real.all():
         first = int(np.argmax(~sampled.real))
-        if float(np.dot(seed, units[first])) < math.cos(sampled.tol.theta_tol):
+        if float(np.dot(seed, units[first])) < math.cos(config.THETA_TOL):
             raise InitialMismatch(
                 "initial unit is not parallel to the outgoing direction"
             )
@@ -175,7 +175,7 @@ def lift_path(
     x = sampled.values[:, 0]
     y = np.einsum("nd,nd->n", sampled.values[:, 1:], units)
     z = x + 1j * y
-    dphi = _argument_steps(z, sampled.params, sampled.tol)
+    dphi = argument_steps(z, sampled.params)
     arg = np.empty(len(z))
     arg[0] = arg0
     arg[1:] = arg0 + np.cumsum(dphi)
@@ -205,7 +205,7 @@ def lift_path(
     closed_lift = None
     if spec.closed:
         gap = float(np.linalg.norm(values[-1] - values[0]))
-        closed_lift = gap <= sampled.tol.tol_lift * max(
+        closed_lift = gap <= config.TOL_LIFT * max(
             1.0, float(np.linalg.norm(values[0]))
         )
     return LiftResult(

@@ -40,6 +40,8 @@ BAD_KINDS = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME)
 
 # offsets of a one-sided limit evaluated per path call
 LIMIT_CHUNK = 8
+# halvings of the offset used when chasing a one-sided direction limit
+LIMIT_HALVINGS = 40
 # halvings of a real/non-real edge resolved per path call
 BISECT_LEVELS = 5
 
@@ -127,16 +129,16 @@ def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
     # the irrational scale keeps the probe offsets off resonances of
     # periodic direction fields, which a round dyadic ladder can hit;
     # the offsets halve one after the other
-    h = np.full((len(requests), tol.limit_halvings), 0.5)
+    h = np.full((len(requests), LIMIT_HALVINGS), 0.5)
     h[:, :1] = h0 / math.sqrt(2.0)
     offsets = t + side * np.multiply.accumulate(h, axis=1)
     inside = (spec.a <= offsets) & (offsets <= spec.b)
     ladders = [row[ok] for row, ok in zip(offsets, inside)]
-    cos_tol = math.cos(tol.theta_tol)
+    cos_tol = math.cos(config.THETA_TOL)
     # the last two directions each request has collected
     tails = [np.empty((0, spec.dim - 1))] * len(requests)
     active = [i for i, ladder in enumerate(ladders) if len(ladder)]
-    for start in range(0, tol.limit_halvings, LIMIT_CHUNK):
+    for start in range(0, LIMIT_HALVINGS, LIMIT_CHUNK):
         if not active:
             break
         chunks = [ladders[i][start:start + LIMIT_CHUNK] for i in active]
@@ -202,18 +204,13 @@ def classify_point(left_dir, right_dir, interior: bool = True) -> str:
     endpoint_tame when the available limit exists.  The classification is
     symmetric in its two arguments.
     """
-    return _classify_point(left_dir, right_dir, interior, config.IN_FORCE.get())
-
-
-def _classify_point(left_dir, right_dir, interior, tol) -> str:
-    """classify_point with the theta_tol of tol, as for a sampled path."""
     if not interior:
         present = left_dir if left_dir is not None else right_dir
         return ENDPOINT_TAME if present is not None else ENDPOINT_NOT_TAME
     if left_dir is None or right_dir is None:
         return NOT_TAME
     d = float(np.dot(np.asarray(left_dir), np.asarray(right_dir)))
-    cos_tol = math.cos(tol.theta_tol)
+    cos_tol = math.cos(config.THETA_TOL)
     if d >= cos_tol:
         return BOUNCE
     if d <= -cos_tol:
@@ -540,7 +537,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         interior = spec.closed or (left is not None and right is not None)
         left, right = direction(left), direction(right)
         if kind == "contact":
-            kind = _classify_point(left, right, interior, sampled.tol)
+            kind = classify_point(left, right, interior)
             contacts.append(Contact(t0, value, _sign_of(value), left, right, kind, wrap))
         else:
             runs.append(RealRun(t0, t1, _sign_of(value), left, right, wrap))

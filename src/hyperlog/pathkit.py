@@ -711,6 +711,10 @@ FALLBACK_SAMPLES = 4097
 # evaluations one adaptive sampling may spend; a path that needs more is
 # left to the uniform fallback
 EVAL_BUDGET = 8 * FALLBACK_SAMPLES
+# maximal rotation of the imaginary direction between neighbouring
+# samples, and the depth at which refinement gives up
+THETA_STEP = 0.1
+D_MAX = 24
 
 
 @dataclass(frozen=True)
@@ -781,7 +785,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     the interval looks like it brackets a contact with the real axis and
     is still longer than a millionth of the domain.  An interval with no
     real node whose direction reverses in exactly one half, both halves
-    aligned within theta_tol, over which the argument of x + i<Im, u>
+    aligned within THETA_TOL, over which the argument of x + i<Im, u>
     (u the direction at its left end) turns by less than a quarter turn,
     brackets an axis crossing inside one slice, unless its nodes are so
     near the axis that the crossing's real set could be long: it is not
@@ -797,10 +801,10 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     Giving up raises RefinementBudgetExceeded, which is the designed
     failure mode for paths whose direction oscillates without limit near
     the axis.  That happens when an interval still needs a split at
-    depth d_max, or when the next level would take the evaluations past
+    depth D_MAX, or when the next level would take the evaluations past
     EVAL_BUDGET.  The error's ``unresolved`` lists, sorted by their left
     ends, the (t_left, t_right) brackets left unresolved: those still
-    splitting at depth d_max, or, when the budget ran out, those still
+    splitting at depth D_MAX, or, when the budget ran out, those still
     waiting for their midpoint.  Its ``sampled`` is the grid so far,
     which covers [a, b] and holds the ends of those brackets.  A path
     value of modulus at most eps_real at any evaluated parameter raises
@@ -838,7 +842,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
         mid = rows_at(0.5 * (left[:, _T] + right[:, _T]))
         evaluations += len(k)
         split, halves = _needs_split(left, mid, right, h_cross, tol)
-        if depth >= tol.d_max:
+        if depth >= D_MAX:
             # no midpoint goes in: a crossing's bracket is its interval
             lefts.append(left[halves // 2, _T])
             k = k[split]
@@ -903,18 +907,18 @@ def _needs_split(left, mid, right, h_cross, tol) -> tuple:
     back1, back2 = d1 < 0.0, d2 < 0.0
     long = length > h_cross
     turning = (
-        (mags_max / mags_min > 1.1) | ~(closeness >= math.cos(tol.theta_step)) | (back1 & back2)
+        (mags_max / mags_min > 1.1) | ~(closeness >= math.cos(THETA_STEP)) | (back1 & back2)
     )
     # a clean reversal of the direction in one half is an axis crossing,
     # not rotation; it is refined only down to the crossing scale
     crossing = long & (back1 != back2)
     split = np.where(contact, long & (reals < 3.0), turning | crossing)
     # unless it lies inside one slice: a crossing between non-real nodes
-    # whose directions agree up to sign within theta_tol is not split for
+    # whose directions agree up to sign within THETA_TOL is not split for
     # its length, and its root is left to find_obstructions.  A turn that
     # only comes near the axis leaves the directions further apart, and
     # is still refined.
-    c = np.flatnonzero(crossing & (reals == 0.0) & (closeness >= math.cos(tol.theta_tol)))
+    c = np.flatnonzero(crossing & (reals == 0.0) & (closeness >= math.cos(config.THETA_TOL)))
     if len(c):
         # Such a crossing is still split where it turns, or changes its
         # modulus, away from the axis; and where its nodes are so near

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import config
-from .companion import Shadow, _argument_steps, canonical_form, unit_field, whole_turns
+from .companion import Shadow, argument_steps, canonical_form, unit_field, whole_turns
 from .errors import (
     AllRealLoop,
     HypothesisViolated,
@@ -81,15 +80,10 @@ def circular_signature(rep: ObstructionReport, directives=()) -> int:
 
 def shadow_winding(shadow: Shadow) -> int:
     """Planar winding number of a closed shadow around the origin."""
-    return _shadow_winding(shadow, config.IN_FORCE.get())
-
-
-def _shadow_winding(shadow, tol):
-    """shadow_winding with the theta_tol of tol, as for a sampled path."""
     z = shadow.x + 1j * shadow.y
     if np.any(np.abs(z) == 0.0):
         raise HypothesisViolated("shadow passes through the origin")
-    dphi = _argument_steps(z, shadow.params, tol)
+    dphi = argument_steps(z, shadow.params)
     return whole_turns(float(np.sum(dphi)), "shadow winding")
 
 
@@ -161,7 +155,7 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     winding = sw = None
     if not twisted:
         shadow = canonical_form(rot_sampled, units)
-        sw = _shadow_winding(shadow, rot_sampled.tol)
+        sw = shadow_winding(shadow)
         winding = abs(sw)
     return WindingResult(twisted, sig, csig, winding, sw, flips, prov)
 

@@ -93,8 +93,8 @@ def reference_sample_adaptive(spec, n0=64):
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
-    cos_step = math.cos(config.DEFAULT.theta_step)
-    cos_tol = math.cos(config.DEFAULT.theta_tol)
+    cos_step = math.cos(pathkit.THETA_STEP)
+    cos_tol = math.cos(config.THETA_TOL)
     cache = {}
 
     def val(t):
@@ -114,7 +114,7 @@ def reference_sample_adaptive(spec, n0=64):
         """-1 or +1 when [tl, tr] brackets an axis crossing whose
         reversal lies in its left or right half, else 0: the direction
         reverses in exactly one half, both halves aligned within
-        theta_tol, the real set about a simple root would be shorter
+        THETA_TOL, the real set about a simple root would be shorter
         than a quarter of h_cross, and the argument of x + i<Im, u_left>
         turns by less than a quarter turn over both halves."""
         ul, um, ur = unit(vl), unit(vm), unit(vr)
@@ -179,7 +179,7 @@ def reference_sample_adaptive(spec, n0=64):
             ts_out.append(tr)
             continue
         split, side = needs_split(tl, tm, tr)
-        if side and depth >= config.DEFAULT.d_max:
+        if side and depth >= pathkit.D_MAX:
             # no midpoint goes in at the depth cap
             brackets.append(tl)
             ts_out.append(tr)
@@ -197,7 +197,7 @@ def reference_sample_adaptive(spec, n0=64):
         if not split:
             ts_out.append(tr)
             continue
-        if depth >= config.DEFAULT.d_max:
+        if depth >= pathkit.D_MAX:
             unresolved.append((tl, tr))
             ts_out.append(tr)
             continue
@@ -215,7 +215,7 @@ def reference_one_sided_direction(spec, t, side, h0=None):
         h0 = 1e-3 * span
     collected = []
     h = h0 / math.sqrt(2.0)
-    for _ in range(config.DEFAULT.limit_halvings):
+    for _ in range(obstruction.LIMIT_HALVINGS):
         tt = t + side * h
         h *= 0.5
         if tt < spec.a or tt > spec.b:
@@ -226,7 +226,7 @@ def reference_one_sided_direction(spec, t, side, h0=None):
         collected.append(unit(v))
         if len(collected) >= 3:
             u1, u2, u3 = collected[-3:]
-            cos_tol = math.cos(config.DEFAULT.theta_tol)
+            cos_tol = math.cos(config.THETA_TOL)
             if (
                 float(np.dot(u1, u2)) >= cos_tol
                 and float(np.dot(u2, u3)) >= cos_tol
@@ -449,21 +449,18 @@ def test_sampler_evaluates_each_point_once_per_level():
     # depth-first sampler, in one call per level
     assert len(sp.brackets) > 0
     assert meter.points == 2 * len(sp.params) - 1 - len(sp.brackets)
-    assert meter.calls <= config.DEFAULT.d_max + 2
+    assert meter.calls <= pathkit.D_MAX + 2
 
 
 @pytest.mark.parametrize("d_max", [0, 1, 2])
-def test_a_crossing_at_the_depth_cap_is_the_bracket_of_its_interval(d_max):
+def test_a_crossing_at_the_depth_cap_is_the_bracket_of_its_interval(d_max, monkeypatch):
     # off the first grid's nodes, each of the circle's six crossings is a
     # bracket: the half that holds it above the depth cap, and at the cap,
     # where no midpoint goes in, the whole interval
     spec = hl.rotate_basepoint(hl.demo("slice_circle(j,2,3)").path, 0.1)
-    token = config.IN_FORCE.set(replace(config.DEFAULT, d_max=d_max))
-    try:
-        sp = hl.sample_adaptive(spec)
-        rep = hl.find_obstructions(sp, spec)
-    finally:
-        config.IN_FORCE.reset(token)
+    monkeypatch.setattr(pathkit, "D_MAX", d_max)
+    sp = hl.sample_adaptive(spec)
+    rep = hl.find_obstructions(sp, spec)
     assert len(sp.brackets) == 6 and not sp.real.any()
     width = (spec.b - spec.a) / 64 / (1 if d_max == 0 else 2)
     assert np.diff(sp.params)[sp.brackets] == pytest.approx(width)
@@ -551,7 +548,7 @@ class Nodes(NamedTuple):
 
 
 def reference_level_needs_split(left, mid, right, h_cross, tol):
-    cos_step, cos_tol = math.cos(tol.theta_step), math.cos(tol.theta_tol)
+    cos_step, cos_tol = math.cos(pathkit.THETA_STEP), math.cos(config.THETA_TOL)
     length = right.t - left.t
     all_real = left.real & mid.real & right.real
     contact = left.real | mid.real | right.real
@@ -563,7 +560,7 @@ def reference_level_needs_split(left, mid, right, h_cross, tol):
     aligned = np.minimum(np.abs(d1), np.abs(d2)) >= cos_step
     long = length > h_cross
     # an axis crossing: a reversal in exactly one half between non-real
-    # nodes, both halves aligned within theta_tol, a real set about a
+    # nodes, both halves aligned within THETA_TOL, a real set about a
     # simple root shorter than a quarter of h_cross, and under a quarter
     # turn of the argument of x + i<Im, u_left> over both halves
     thr = tol.eps_real * np.maximum(1.0, mags_max)
@@ -627,7 +624,7 @@ def reference_level_sampler(spec, n0=64):
         mid = nodes_at(0.5 * (left.t + right.t))
         evaluations += len(mid.t)
         split, side = reference_level_needs_split(left, mid, right, h_cross, config.DEFAULT)
-        if depth >= config.DEFAULT.d_max:
+        if depth >= pathkit.D_MAX:
             brackets.append(left.t[side != 0])
             leaves.append((right.t[~split], right.v[~split]))
             lo, hi = left.t[split], right.t[split]
@@ -664,7 +661,7 @@ def reference_level_sampler(spec, n0=64):
 def depth_limit_line():
     """A line whose imaginary part 3e-9 stays just above the realness
     threshold: every interval around its crossing of the imaginary axis
-    at t = 0.5 looks like a contact, so the sampler gives up at d_max."""
+    at t = 0.5 looks like a contact, so the sampler gives up at D_MAX."""
     return PathSpec(0.0, 1.0, (Line(0.0, 1.0, (-1.0, 3e-9, 0.0, 0.0),
                                     (1.0, 3e-9, 0.0, 0.0)),))
 
@@ -700,8 +697,8 @@ def test_depth_limit_gives_up_around_the_crossing(n0):
     unresolved = err.value.unresolved
     assert len(unresolved) == 20
     assert all(abs(lo - 0.5) < 1e-6 and abs(hi - 0.5) < 1e-6 for lo, hi in unresolved)
-    # the brackets of depth d_max
-    length = (spec.b - spec.a) / n0 * 2.0 ** -config.DEFAULT.d_max
+    # the brackets of depth D_MAX
+    length = (spec.b - spec.a) / n0 * 2.0 ** -pathkit.D_MAX
     assert all(hi - lo == pytest.approx(length) for lo, hi in unresolved)
 
 
@@ -724,7 +721,7 @@ def halving_needs_split(left, mid, right, h_cross, tol):
     unit = slice(_V + (left.shape[1] - _V + 1) // 2, None)
     d1 = np.einsum("nd,nd->n", left[:, unit], mid[:, unit])
     d2 = np.einsum("nd,nd->n", mid[:, unit], right[:, unit])
-    aligned = np.minimum(np.abs(d1), np.abs(d2)) >= math.cos(tol.theta_step)
+    aligned = np.minimum(np.abs(d1), np.abs(d2)) >= math.cos(pathkit.THETA_STEP)
     long = length > h_cross
     turning = (
         (mags_max / mags_min > 1.1)

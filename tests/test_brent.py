@@ -1,7 +1,8 @@
 """The in-house Brent solvers and the contact localisation built on them.
 
-The solvers are ports of SciPy's; where SciPy is installed they are
-compared with it bit for bit.  The memoised contact localisation is
+The solvers are ports of SciPy's, written as generators; a driver here
+runs each on a function, and where SciPy is installed the result is
+compared with SciPy's bit for bit.  The memoised contact localisation is
 compared with an unmemoised reference that evaluates the path once per
 solver step.
 """
@@ -48,6 +49,27 @@ widths = st.floats(-10.0, 1.0).map(lambda e: 10.0 ** e)
 tolerances = st.floats(-15.0, -1.0).map(lambda e: 10.0 ** e)
 
 
+def drive(steps, f):
+    """Run a solver generator on the function f: send f's value at each
+    abscissa it yields, and return what the solver returns."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def brentq(f, xa, xb, xtol):
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign."""
+    return drive(_brent.brentq_steps(xa, xb, xtol), f)
+
+
+def minimize_bounded(f, x1, x2, xatol):
+    """The minimiser of f on [x1, x2] by Brent's bounded method."""
+    return drive(_brent.minimize_bounded_steps(x1, x2, xatol), f)
+
+
 def make(fn):
     family, mag, sign, k, c, r = fn
     f = FAMILIES[family]
@@ -75,7 +97,7 @@ def test_brentq_matches_scipy_bit_for_bit(fn, left, right, xtol):
     r, f = make(fn)
     lo, hi = r - left, r + right
     want = outcome(lambda: optimize.brentq(f, lo, hi, xtol=xtol))
-    got = outcome(lambda: _brent.brentq(f, lo, hi, xtol))
+    got = outcome(lambda: brentq(f, lo, hi, xtol))
     assert same(got, want), (want, got)
 
 
@@ -91,28 +113,28 @@ def test_minimize_bounded_matches_scipy_bit_for_bit(fn, left, right, xatol):
 
     want = outcome(lambda: float(optimize.minimize_scalar(
         g, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x))
-    got = outcome(lambda: _brent.minimize_bounded(g, lo, hi, xatol))
+    got = outcome(lambda: minimize_bounded(g, lo, hi, xatol))
     assert same(got, want), (want, got)
 
 
 def test_brentq_finds_roots_and_rejects_bad_brackets(monkeypatch):
-    root = _brent.brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-14)
+    root = brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-14)
     assert abs(root - math.sqrt(2.0)) <= 1e-14 + 4 * _brent.EPS * root
-    assert _brent.brentq(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
+    assert brentq(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
     with pytest.raises(ValueError):
-        _brent.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
     with pytest.raises(ValueError):
-        _brent.brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-12)
+        brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-12)
     monkeypatch.setattr(_brent, "MAXITER", 3)
     with pytest.raises(RuntimeError):
-        _brent.brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, 1e-300)
+        brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, 1e-300)
 
 
 @given(st.floats(-5.0, 5.0), widths, widths, tolerances)
 @settings(max_examples=100, deadline=None)
 def test_minimize_bounded_finds_a_parabola_vertex(x0, left, right, xatol):
     assume(left > 1e-6 and right > 1e-6)
-    x = _brent.minimize_bounded(
+    x = minimize_bounded(
         lambda t: (t - x0) ** 2, x0 - left, x0 + right, xatol)
     assert abs(x - x0) <= 3 * xatol + 1e-7 * (abs(x0) + left + right)
 
@@ -166,7 +188,7 @@ def localisations():
 
 def ported(spec, tl, tn, tr, ptol):
     return reference_localize_contact(
-        spec, tl, tn, tr, ptol, _brent.brentq, _brent.minimize_bounded)
+        spec, tl, tn, tr, ptol, brentq, minimize_bounded)
 
 
 def test_memoised_localisation_matches_unmemoised_on_the_corpus():
@@ -198,17 +220,18 @@ def test_memoised_localisation_matches_unmemoised_on_the_corpus():
 def test_localisation_matches_scipy_on_the_corpus():
     optimize = pytest.importorskip("scipy.optimize")
 
-    def brentq(f, a, b, xtol):
+    def scipy_brentq(f, a, b, xtol):
         return optimize.brentq(f, a, b, xtol=xtol)
 
-    def minimize(f, a, b, xatol):
+    def scipy_minimize(f, a, b, xatol):
         return float(optimize.minimize_scalar(
             f, bounds=(a, b), method="bounded", options={"xatol": xatol}).x)
 
     made = localisations()
     assert len(made) > 100
     for label, spec, tl, tn, tr, ptol, t_c in made:
-        want = reference_localize_contact(spec, tl, tn, tr, ptol, brentq, minimize)
+        want = reference_localize_contact(
+            spec, tl, tn, tr, ptol, scipy_brentq, scipy_minimize)
         assert t_c == want, label
 
 

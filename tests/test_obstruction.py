@@ -63,23 +63,21 @@ def test_classify_point_table():
     assert classify_point(None, None) == NOT_TAME
 
 
-TOLERANCE_CASES = [
-    ("slice_circle(i,0.001,1)", {"eps_real": 1e-6}),
-    ("three_exp", {"eps_real": 1e-5}),
-    ("gamma1m_gamma2(3)", {"eps_real": 1e-5}),
-    # a contact arriving along i and leaving along j bounces within a
-    # 2 rad angle tolerance
-    ("sigma_arc", {"theta_tol": 2.0}),
+# paths whose report depends on the realness threshold, with a threshold
+# other than the default
+EPS_REAL_CASES = [
+    ("slice_circle(i,0.001,1)", 1e-6),
+    ("three_exp", 1e-5),
+    ("gamma1m_gamma2(3)", 1e-5),
 ]
 
 
-@pytest.mark.parametrize("name, changes", TOLERANCE_CASES, ids=[
-    f"{name}-{value}" for name, changes in TOLERANCE_CASES for value in changes.values()])
-def test_tolerances_travel_with_the_sampled_path(name, changes):
-    # sampled and obstructed under other tolerances than the defaults,
-    # on paths whose report depends on them
+@pytest.mark.parametrize("name, eps_real", EPS_REAL_CASES, ids=[
+    f"{name}-{eps_real}" for name, eps_real in EPS_REAL_CASES])
+def test_tolerances_travel_with_the_sampled_path(name, eps_real):
+    # sampled and obstructed under another threshold than the default
     spec = hl.demo(name).path
-    tol = replace(config.DEFAULT, **changes)
+    tol = config.Tolerances(eps_real)
     token = config.IN_FORCE.set(tol)
     try:
         sampled = sample_path(spec)[0]
@@ -88,8 +86,7 @@ def test_tolerances_travel_with_the_sampled_path(name, changes):
         config.IN_FORCE.reset(token)
     assert sampled.tol == tol
     assert want != report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
-    # the probes and the classification after sampling judge realness
-    # and angles as the samples were judged
+    # the probes after sampling judge realness as the samples were judged
     assert report_to_json(hl.find_obstructions(sampled, spec)) == want
 
 

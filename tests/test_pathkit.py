@@ -544,7 +544,7 @@ def test_sampled_geometry_matches_fresh_norms():
 def test_crossing_brackets_hold_a_reversal_between_non_real_ends():
     # both halves of a crossing are aligned within theta_tol, so the ends
     # of the half that holds the reversal are opposite within twice that
-    cos_tol = math.cos(2.0 * config.DEFAULT.theta_tol)
+    cos_tol = math.cos(2.0 * config.THETA_TOL)
     seen = 0
     for key, spec in corpus_paths():
         sp, sampling = sample_path(spec)
