@@ -20,13 +20,14 @@ TOL_LIFT = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
-    # base threshold for treating an imaginary part as zero; the effective
-    # threshold scales with the magnitude of the value being tested
+    # a value q counts as real when |Im q| <= eps_real |q|, which a
+    # positive real factor does not change
     eps_real: float = 1e-9
 
     def is_real(self, im_norm, norm):
-        """Scale-aware realness test, elementwise on arrays."""
-        return im_norm <= self.eps_real * np.maximum(1.0, norm)
+        """Relative realness test of values with |Im q| = im_norm and
+        |q| = norm, elementwise on arrays."""
+        return im_norm <= self.eps_real * norm
 
 
 DEFAULT = Tolerances()

@@ -78,8 +78,8 @@ def same_bits(x, y) -> bool:
 
 
 def is_real_vec(v):
-    """The scale-aware realness test of one path value."""
-    return float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * max(1.0, float(np.linalg.norm(v)))
+    """The relative realness test of one path value."""
+    return float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * float(np.linalg.norm(v))
 
 
 def unit(v):
@@ -107,8 +107,7 @@ def reference_sample_adaptive(spec, n0=64):
         return v
 
     def is_real(v):
-        return float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * max(
-            1.0, float(np.linalg.norm(v)))
+        return float(np.linalg.norm(v[1:])) <= config.DEFAULT.eps_real * float(np.linalg.norm(v))
 
     def crossing_side(vl, vm, vr, length):
         """-1 or +1 when [tl, tr] brackets an axis crossing whose
@@ -791,7 +790,7 @@ def probe_cases():
         rep = hl.find_obstructions(sp, spec)
         ts = [c.t for c in rep.contacts] + [r.t0 for r in rep.runs]
         ims = np.linalg.norm(sp.values[:, 1:], axis=1)
-        real = ims <= config.DEFAULT.eps_real * np.maximum(1.0, np.linalg.norm(sp.values, axis=1))
+        real = ims <= config.DEFAULT.eps_real * np.linalg.norm(sp.values, axis=1)
         edges = [
             (float(sp.params[n]), float(sp.params[n + step]))
             for n in np.flatnonzero(real)

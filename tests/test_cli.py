@@ -6,7 +6,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -177,11 +176,12 @@ def with_tolerances(tol, f, *args):
 def test_eps_real_override_ends_with_the_call(tmp_path):
     # lift and winding sample inside the command; each prints the
     # library's answer under the overridden value, on a circle small
-    # enough for the threshold to matter
-    name = "slice_circle(i,0.001,1)"
+    # enough for the sampler's near-axis test to see the threshold: the
+    # lift under 1e-12 has 125 samples, under the default 177
+    name = "slice_circle(j,1e-06,3)"
     spec = hl.demo(name).path
-    tol = replace(config.DEFAULT, eps_real=1e-6)
-    override = ("--demo", name, "--eps-real", "1e-6")
+    tol = config.Tolerances(1e-12)
+    override = ("--demo", name, "--eps-real", "1e-12")
 
     code, out = run_cli("lift", *override, "--out", str(tmp_path))
     assert config.IN_FORCE.get() is config.DEFAULT
@@ -196,7 +196,7 @@ def test_eps_real_override_ends_with_the_call(tmp_path):
         "start": res.lift.values[0].tolist(),
         "end": res.lift.values[-1].tolist(),
     }
-    assert (tmp_path / "slice_circle_i_0.001_1_lift.csv").read_text() == res.lift.to_csv()
+    assert (tmp_path / "slice_circle_j_1e-06_3_lift.csv").read_text() == res.lift.to_csv()
     assert res.lift.to_csv() != hl.lift_path(spec).lift.to_csv()
     assert run_cli("lift", "--demo", name) != (code, out)
 

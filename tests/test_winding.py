@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from hyperlog.errors import (
     NotApplicable,
     StepTooLarge,
     TwistedLoop,
+    ZeroOnPath,
 )
 from hyperlog.pathkit import Line, sample_path
 from hyperlog.winding import alternating_sum, reduce_signs
@@ -399,3 +400,50 @@ def test_many_turn_slice_circle_is_not_aliased():
     rep = hl.find_obstructions(hl.sample_adaptive(spec), spec)
     assert len(rep.contacts) == 600
     assert hl.analyze_loop(spec).winding == 300
+
+
+@dataclass(frozen=True)
+class Scaled:
+    """A segment whose values are those of its inner times lam."""
+
+    ta: float
+    tb: float
+    inner: object
+    lam: float
+
+    def values(self, ts):
+        return self.lam * self.inner.values(ts)
+
+
+def scaled(spec, lam):
+    return replace(spec, segments=tuple(Scaled(s.ta, s.tb, s, lam) for s in spec.segments))
+
+
+SCALED_LOOPS = [
+    "lambda_loop", "three_exp", "meridians",
+    "gamma1m_gamma2(1)", "gamma1m_gamma2(2)", "gamma1m_gamma2(3)", "gamma1m_gamma2(4)",
+    "slice_circle(i,1,1)", "slice_circle(j,2,3)", "slice_circle(k,0.5,2)",
+    "slice_circle(i,1,4)",
+]
+
+
+def test_loop_answers_do_not_depend_on_the_scale():
+    # a positive real factor moves no value onto or off the real axis,
+    # and realness is judged relative to |q|; under a threshold absolute
+    # below |q| = 1, 28 of these 66 answers differed
+    def answers(spec):
+        res = hl.analyze_loop(spec)
+        return res.twisted, res.winding, res.signature, res.circular_signature
+
+    for name in SCALED_LOOPS:
+        spec = hl.demo(name).path
+        want = answers(spec)
+        for lam in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
+            assert answers(scaled(spec, lam)) == want, (name, lam)
+
+
+def test_a_path_scaled_to_the_realness_threshold_passes_through_zero():
+    # the zero test is absolute: |q| <= eps_real
+    spec = scaled(hl.demo("slice_circle(i,1,1)").path, 1e-9)
+    with pytest.raises(ZeroOnPath):
+        hl.analyze_loop(spec)
