@@ -783,11 +783,13 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     An interval is split while the imaginary direction rotates more than
     the step tolerance, the modulus changes by more than ten percent, or
     the interval looks like it brackets a contact with the real axis and
-    is still longer than a millionth of the domain.  An interval with no
-    real node whose direction reverses in exactly one half, both halves
-    aligned within THETA_TOL, over which the argument of x + i<Im, u>
-    (u the direction at its left end) turns by less than a quarter turn,
-    brackets an axis crossing inside one slice, unless its nodes are so
+    is still longer than a millionth of the domain; one whose nodes and
+    midpoint are all real is a real run and is not split, unless their
+    real parts differ in sign.  An interval with no real node whose
+    direction reverses in exactly one half, both halves aligned within
+    THETA_TOL, over which the argument of x + i<Im, u> (u the direction
+    at its left end) turns by less than a quarter turn, brackets an axis
+    crossing inside one slice, unless its nodes are so
     near the axis that the crossing's real set could be long: it is not
     halved down to a millionth of the domain.  Its midpoint is kept, the
     half that holds the reversal goes into the grid's brackets for
@@ -912,7 +914,12 @@ def _needs_split(left, mid, right, h_cross, tol) -> tuple:
     # a clean reversal of the direction in one half is an axis crossing,
     # not rotation; it is refined only down to the crossing scale
     crossing = long & (back1 != back2)
-    split = np.where(contact, long & (reals < 3.0), turning | crossing)
+    # a real run cannot pass through 0, so three real rows whose real
+    # parts differ in sign are not one run: a grid whose spacing a loop's
+    # period divides can put every node and midpoint on the axis
+    sign = np.sign(mid[:, _V])
+    mixed = (np.sign(left[:, _V]) != sign) | (np.sign(right[:, _V]) != sign)
+    split = np.where(contact, long & ((reals < 3.0) | mixed), turning | crossing)
     # unless it lies inside one slice: a crossing between non-real nodes
     # whose directions agree up to sign within THETA_TOL is not split for
     # its length, and its root is left to find_obstructions.  A turn that

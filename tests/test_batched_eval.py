@@ -137,7 +137,8 @@ def reference_sample_adaptive(spec, n0=64):
         vl, vm, vr = val(tl), val(tm), val(tr)
         rl, rm, rr = is_real(vl), is_real(vm), is_real(vr)
         length = tr - tl
-        if rl and rm and rr:
+        if rl and rm and rr and len({np.sign(v[0]) for v in (vl, vm, vr)}) == 1:
+            # a real run, which cannot pass through 0
             return False, 0
         side = 0
         if not (rl or rm or rr) and length > h_cross:
@@ -426,6 +427,18 @@ def test_sampler_matches_depth_first_reference(name):
         assert same_bits(got.brackets, brackets), f"{name}/{kind}"
 
 
+@pytest.mark.parametrize("n", [64, 192])
+def test_sampler_matches_depth_first_reference_on_a_grid_in_resonance(n):
+    # every node of the first grid is 2 and every midpoint -2
+    spec = hl.demo(f"slice_circle(j,2,{n})").path
+    ts, vals, brackets = reference_sample_adaptive(spec)
+    got = hl.sample_adaptive(spec)
+    assert len(ts) > 65 and not got.real.all()
+    assert same_bits(got.params, ts)
+    assert same_bits(got.values, vals)
+    assert same_bits(got.brackets, brackets)
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 64]))
 @settings(max_examples=30, deadline=None)
 def test_sampler_matches_reference_on_random_loops(seed, n0):
@@ -582,7 +595,10 @@ def reference_level_needs_split(left, mid, right, h_cross, tol):
         | ((d1 < 0.0) & (d2 < 0.0))
         | (((d1 < 0.0) | (d2 < 0.0)) & long)
     )
-    split = np.where(contact, long & ~all_real, turning)
+    # a real run cannot pass through 0
+    x = np.sign([left.v[:, 0], mid.v[:, 0], right.v[:, 0]])
+    run = all_real & (x[0] == x[1]) & (x[1] == x[2])
+    split = np.where(contact, long & ~run, turning)
     side = np.where(crossing & ~split, np.where(d1 < 0.0, -1, 1), 0)
     return split, side
 
@@ -728,7 +744,10 @@ def halving_needs_split(left, mid, right, h_cross, tol):
         | ((d1 < 0.0) & (d2 < 0.0))
         | (((d1 < 0.0) | (d2 < 0.0)) & long)
     )
-    return np.where(contact, long & ~all_real, turning), np.empty(0, dtype=np.intp)
+    # a real run cannot pass through 0
+    x = np.sign([left[:, _V], mid[:, _V], right[:, _V]])
+    run = all_real & (x[0] == x[1]) & (x[1] == x[2])
+    return np.where(contact, long & ~run, turning), np.empty(0, dtype=np.intp)
 
 
 @contextlib.contextmanager

@@ -364,6 +364,29 @@ def test_crossing_brackets_do_not_alias_many_turns(axis, n):
     assert (res.twisted, res.winding, res.circular_signature) == (False, n, 2 * n)
 
 
+@pytest.mark.parametrize("n", [
+    64,
+    pytest.param(128, marks=pytest.mark.xfail(
+        strict=True, raises=AllRealLoop,
+        reason="every node and midpoint of the first grid is 2: it needs a first "
+        "grid whose step no segment period divides")),
+    192,
+])
+@pytest.mark.parametrize("axis", ["i", "j", "k"])
+def test_a_grid_in_resonance_with_the_loop_is_not_a_real_run(axis, n):
+    # each of the first grid's 64 intervals spans n / 64 whole turns, so
+    # every node is 2; at n = 64 and 192 every midpoint is -2, and a real
+    # run cannot pass through 0
+    spec = hl.demo(f"slice_circle({axis},2,{n})").path
+    res = hl.analyze_loop(spec)
+    assert (res.twisted, res.winding, res.circular_signature) == (False, n, 2 * n)
+    # the lift ends at log 2 + 2 n pi u, u the slice unit
+    want = np.zeros(4)
+    want[0], want[1 + "ijk".index(axis)] = math.log(2.0), 2.0 * n * PI
+    end = hl.lift_path(spec).lift.values[-1]
+    assert end == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 def near_miss_loop(eps):
     """Three lines through (1, -1, eps, 0), (1, 1, eps, 0) and (1, 0, 2, 0):
     the direction turns by a half turn within about eps of t = 0.5, and
