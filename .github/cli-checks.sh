@@ -77,6 +77,14 @@ expect 0 winding --demo 'slice_circle(j,2,100)'
 grep -qE '^  "winding": 100,?$' "$work/out.txt"
 
 expect 0 winding --demo 'slice_circle(i,2,1)'
+# realness is judged relative to |q|, so a small circle that starts on
+# the axis winds once, as a large one does
+expect 0 winding --demo 'slice_circle(i,0.001,1)'
+grep -qE '^  "winding": 1,?$' "$work/out.txt"
+# every node of the first grid of this circle is 2 and every midpoint -2:
+# a real run cannot pass through 0, so the loop is not read as real
+expect 0 winding --demo 'slice_circle(j,2,64)'
+grep -qE '^  "winding": 64,?$' "$work/out.txt"
 # lambda_loop is twisted, which the command reports with exit code 2
 expect 2 winding --demo lambda_loop
 # a non-finite radius is unusable input
