@@ -193,7 +193,8 @@ def _add_common(p):
     p.add_argument("--out", help="directory for output files")
     p.add_argument(
         "--eps-real", type=float, default=None,
-        help="override the realness threshold",
+        help="realness threshold for this call: q is real when "
+        "|Im q| <= EPS_REAL |q| (default 1e-9, allowed [1e-14, 1e-4])",
     )
     p.add_argument(
         "--directive", action="append", metavar="M=KIND",
