@@ -789,9 +789,9 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     direction reverses in exactly one half, both halves aligned within
     THETA_TOL, over which the argument of x + i<Im, u> (u the direction
     at its left end) turns by less than a quarter turn, brackets an axis
-    crossing inside one slice, unless its nodes are so
-    near the axis that the crossing's real set could be long: it is not
-    halved down to a millionth of the domain.  Its midpoint is kept, the
+    crossing inside one slice, unless its nodes are so near the axis
+    that the crossing's real set could be long: it is not halved down
+    to a millionth of the domain.  Its midpoint is kept, the
     half that holds the reversal goes into the grid's brackets for
     find_obstructions to solve, and only the other half is tested
     further.  Refinement runs level by level: the midpoints of all
