@@ -57,9 +57,13 @@ EOF
 expect 1 analyze --input "$work/rocket_x_fn.json"
 
 # rocket_neg spins without limit at its contact: the adaptive sampler gives
-# up and the report names the uniform fallback
-expect 0 analyze --demo rocket_neg
-grep -qF '"sampling": "uniform_fallback"' "$work/out.txt"
+# up and the report names the uniform fallback; so does its reflection,
+# rocket_pos, although the sampler stops halving beside a real node once
+# the direction there no longer turns
+for name in rocket_neg rocket_pos; do
+  expect 0 analyze --demo "$name"
+  grep -qF '"sampling": "uniform_fallback"' "$work/out.txt"
+done
 
 # a circle turning 20 times crosses the axis 40 times inside one slice:
 # each crossing is a bracket of the sampler that find_obstructions solves
@@ -85,6 +89,11 @@ grep -qE '^  "winding": 1,?$' "$work/out.txt"
 # a real run cannot pass through 0, so the loop is not read as real
 expect 0 winding --demo 'slice_circle(j,2,64)'
 grep -qE '^  "winding": 64,?$' "$work/out.txt"
+# under a coarse threshold the real set about the basepoint on the axis
+# is about 1e-7 wide: its ends, not its middle, put it at the seam, so it
+# is one wrap flip and the circle winds once
+expect 0 winding --demo 'slice_circle(i,2,1)' --eps-real 1e-7
+grep -qE '^  "winding": 1,?$' "$work/out.txt"
 # lambda_loop is twisted, which the command reports with exit code 2
 expect 2 winding --demo lambda_loop
 # a non-finite radius is unusable input

@@ -63,8 +63,12 @@ def unit_field(
     sample between the two lies in a run resolved as a flip (see
     run_kinds); an exactly zero r_{k-1}.r_k restarts the carry at +1.
     A real stretch is bridged by a slerp from the direction before it to
-    the one after it; a trailing stretch turns to the last direction,
-    negated after a flip.  A leading stretch, or a path that is real
+    the one after it.  A trailing stretch turns, by its last sample, to
+    the path's arrival direction there (see arrival), taken with the
+    sign of the direction before it (that direction when there is no
+    limit) and negated after a flip: the grid's last non-real sample can
+    lie a whole grid step before the stretch, and the limit does not
+    depend on the grid.  A leading stretch, or a path that is real
     throughout, takes the seed, or else the first direction (+i when
     there is none); the seed must be parallel to the path's direction at
     a non-real start.
@@ -114,9 +118,42 @@ def unit_field(
             units[:j] = seed if seed is not None else units[j]
             continue
         prev = units[i - 1]
-        end = units[j] if j < n else (-prev if flip[i:].any() else prev)
-        units[i:j] = _slerp(prev, end, np.linspace(0.0, 1.0, j - i + 2)[1:-1])
+        if j < n:
+            units[i:j] = _slerp(prev, units[j], np.linspace(0.0, 1.0, j - i + 2)[1:-1])
+            continue
+        end = arrival(rep, b)
+        if end is None:
+            end = prev
+        elif float(np.dot(prev, end)) < 0:
+            end = -end
+        if flip[i:].any():
+            end = -end
+        units[i:] = _slerp(prev, end, np.linspace(0.0, 1.0, n - i + 1)[1:])
     return units
+
+
+def arrival(rep: ObstructionReport, b: float) -> np.ndarray | None:
+    """The direction limit from the left at the last real item of the
+    report of a path on [a, b], where a trailing real stretch begins:
+    the direction with which the path arrives at the axis there.  None
+    when there is no item or the item has no such limit."""
+    items = [(b if c.wrap else c.t, c.left_dir) for c in rep.contacts]
+    items += [(r.t0, r.in_dir) for r in rep.runs]
+    return _limit(max(items, key=lambda it: it[0], default=(0.0, None))[1])
+
+
+def departure(rep: ObstructionReport, a: float) -> np.ndarray | None:
+    """The direction limit from the right at the first real item of the
+    report of a path on [a, b], where a leading real stretch ends: the
+    direction with which the path leaves the axis there.  None when
+    there is no item or the item has no such limit."""
+    items = [(c.t, c.right_dir) for c in rep.contacts]
+    items += [(a if r.wrap else r.t1, r.out_dir) for r in rep.runs]
+    return _limit(min(items, key=lambda it: it[0], default=(0.0, None))[1])
+
+
+def _limit(direction) -> np.ndarray | None:
+    return None if direction is None else np.array(direction)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebra, config
-from .companion import argument_steps, unit_field
+from .companion import argument_steps, departure, unit_field
 from .errors import HypothesisViolated, InitialMismatch, MissingInitialUnit
 from .obstruction import (
     BAD_KINDS,
@@ -164,10 +164,14 @@ def lift_path(
     units = unit_field(sampled, rep, directives, seed)
 
     # at a real start the field can only leave along the path's own
-    # direction; a sideways initial unit has no continuation
+    # direction, its one-sided limit where the start's real stretch ends
+    # (the grid's first non-real sample can lie a grid step further on);
+    # a sideways initial unit has no continuation
     if seed is not None and sampled.real[0] and not sampled.real.all():
-        first = int(np.argmax(~sampled.real))
-        if float(np.dot(seed, units[first])) < math.cos(config.THETA_TOL):
+        leaving = departure(rep, spec.a)
+        if leaving is None:
+            leaving = units[int(np.argmax(~sampled.real))]
+        if abs(float(np.dot(seed, leaving))) < math.cos(config.THETA_TOL):
             raise InitialMismatch(
                 "initial unit is not parallel to the outgoing direction"
             )

@@ -1,8 +1,10 @@
 """Locating and classifying the contacts of a path with the real axis.
 
-A sampled path is scanned for real values, and the contacts its grid
-only brackets are solved for: the axis crossings the adaptive sampler
-handed on as brackets, and the small dips of |Im| elsewhere.  Isolated
+A sampled path is scanned for real values, the end of the real set at
+each edge between a real and a non-real sample is solved for, and so
+are the contacts its grid only brackets: the axis crossings the
+adaptive sampler handed on as brackets, and the small dips of |Im|
+elsewhere.  Isolated
 contacts become Contact records with one-sided imaginary-direction
 limits; maximal real sub-intervals become RealRun records.  Taken in
 traversal order, two consecutive real items of opposite sign join across
@@ -42,8 +44,9 @@ BAD_KINDS = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME)
 LIMIT_CHUNK = 8
 # halvings of the offset used when chasing a one-sided direction limit
 LIMIT_HALVINGS = 40
-# halvings of a real/non-real edge resolved per path call
-BISECT_LEVELS = 5
+# what a Brent solve of _localize_contacts reads off a path value: the
+# component of Im along a direction, |Im|, or |Im| - eps_real |q|
+_ROOT, _MIN, _EDGE = range(3)
 
 
 @dataclass(frozen=True)
@@ -254,88 +257,63 @@ def alternating_sum(signs) -> int:
     return sum(s * (-1) ** (l + 1) for l, s in enumerate(signs))
 
 
-def _bisect_real_edges(spec, edges, ptol, tol) -> list:
-    """Refine boundaries between real and non-real path values.
+def _localize_contacts(spec, sampled, tri, edges, ptol) -> tuple:
+    """(found, ends): the contacts inside the brackets tri of a sampled
+    path, and the ends of the real sets at its edges.
 
-    edges holds (t_real, t_nonreal) pairs; the result holds the real
-    end of each once the two ends are within ptol.  Each round
-    evaluates, in one path call, the midpoints of the next BISECT_LEVELS
-    halvings of every unfinished edge for every outcome, in heap order
-    (node n is followed by node 2n+1 when its midpoint is real and by
-    2n+2 otherwise); walking them gives each edge the same midpoints,
-    from the same endpoints, as one halving per call.
-    """
-    edges = [list(e) for e in edges]
-    todo = [e for e in edges if abs(e[0] - e[1]) > ptol]
-    if not todo:
-        return [e[0] for e in edges]
-    nodes = 2 ** BISECT_LEVELS - 1
-    # the columns of the real and the non-real end of each node's bracket
-    # in [t_real, t_nonreal, midpoint of node 0, ..., of node nodes-1]
-    ends = [(0, 1)]
-    for n in range(nodes):
-        r, nr = ends[n]
-        ends += [(n + 2, nr), (r, n + 2)]
-    r_col, nr_col = np.array(ends[:nodes]).T
-    while todo:
-        ts = np.empty((len(todo), nodes + 2))
-        ts[:, :2] = todo
-        # one level of the heap at a time: its brackets end at earlier
-        # midpoints
-        for level in range(BISECT_LEVELS):
-            cols = slice(2 ** level - 1, 2 ** (level + 1) - 1)
-            ts[:, 2 + cols.start:2 + cols.stop] = 0.5 * (
-                ts[:, r_col[cols]] + ts[:, nr_col[cols]])
-        mids = ts[:, 2:]
-        real = _im_parts(spec.values(mids.ravel()), tol)[1].reshape(mids.shape)
-        for e, mid, is_real in zip(todo, mids.tolist(), real.tolist()):
-            n = 0
-            while n < nodes and abs(e[0] - e[1]) > ptol:
-                if is_real[n]:
-                    e[0] = mid[n]
-                    n = 2 * n + 1
-                else:
-                    e[1] = mid[n]
-                    n = 2 * n + 2
-        todo = [e for e in todo if abs(e[0] - e[1]) > ptol]
-    return [e[0] for e in edges]
-
-
-def _localize_contacts(spec, ts, values, tri, ptol, tol) -> list:
-    """Pin down an isolated real contact inside each bracket (tl, tn, tr).
-
-    ts and values are a sample grid and its path values, and each row of
-    tri the indices into them of one bracket's tl, tn and tr.  Each
-    bracket gets a Brent solve on (tl, tr): a root of the component of
+    Each row of tri holds the grid indices of one bracket's tl, tn and
+    tr, and gets a Brent solve on (tl, tr): a root of the component of
     Im(gamma) along its direction at tn where that component changes
-    sign on the bracket, else the minimiser of |Im(gamma)|.  The solves
-    run in lockstep: each round evaluates, in one path call, the
-    parameters the unfinished solves ask for.  Each bracket memoises its
-    own values, starting from the grid's: the root finder starts from tl
-    and tr, and the final realness check is made at a parameter its
-    solver has evaluated.  The result holds the contact parameter of
-    each bracket, or None where the path is not real there.
+    sign on the bracket, else the minimiser of |Im(gamma)|.  found holds
+    the contact parameter of each bracket, or None where the path is not
+    real there.  Each row of edges holds the grid indices of a real
+    sample and of the non-real sample beside it, and gets a Brent root
+    of f = |Im(gamma)| - eps_real |gamma|, which is at most 0 exactly
+    where the path is real; ends holds the root of each edge.  The
+    solves run in lockstep: each round evaluates, in one path call, the
+    parameters the unfinished solves ask for.  Each solve memoises its
+    own values, starting from the grid's: a root finder starts from its
+    two ends, and a contact's final realness check is made at a
+    parameter its solver has evaluated.
     """
-    if not len(tri):
-        return []
-    rows = values[tri]
-    vals = rows.reshape(-1, rows.shape[-1])
-    ims = _im_parts(vals, tol)[0]
-    u_ref = vals[1::3, 1:] / ims[1::3, None]
-    comps = row_dots(vals[:, 1:], np.repeat(u_ref, 3, axis=0))
-    root_find = comps[0::3] * comps[2::3] < 0
+    ts, values, tol = sampled.params, sampled.values, sampled.tol
     solves, memos = [], []
-    for k, (tl, tn, tr) in enumerate(ts[tri].tolist()):
-        if root_find[k]:
-            solves.append(_brent.brentq_steps(tl, tr, ptol))
-            ys = comps[3 * k:3 * k + 3]
-        else:
-            solves.append(_brent.minimize_bounded_steps(tl, tr, ptol))
-            ys = ims[3 * k:3 * k + 3]
-        # parameter -> (solver's function value, path value)
-        memos.append(dict(zip((tl, tn, tr), zip(ys.tolist(), rows[k]))))
+    # what each solve reads off a path value: the component along
+    # u_ref[k] for a root finder, |Im| = the square root of Im . Im for a
+    # minimiser, and f for an edge
+    kinds = []
+    u_ref = np.zeros((len(tri) + len(edges), values.shape[1] - 1))
+    if len(tri):
+        rows = values[tri]
+        vals = rows.reshape(-1, rows.shape[-1])
+        ims = _im_parts(vals, tol)[0]
+        u_ref[:len(tri)] = vals[1::3, 1:] / ims[1::3, None]
+        comps = row_dots(vals[:, 1:], np.repeat(u_ref[:len(tri)], 3, axis=0))
+        root_find = (comps[0::3] * comps[2::3] < 0).tolist()
+        for k, (tl, tn, tr) in enumerate(ts[tri].tolist()):
+            if root_find[k]:
+                kinds.append(_ROOT)
+                solves.append(_brent.brentq_steps(tl, tr, ptol))
+                ys = comps[3 * k:3 * k + 3]
+            else:
+                kinds.append(_MIN)
+                solves.append(_brent.minimize_bounded_steps(tl, tr, ptol))
+                ys = ims[3 * k:3 * k + 3]
+            # parameter -> (solver's function value, path value)
+            memos.append(dict(zip((tl, tn, tr), zip(ys.tolist(), rows[k]))))
+    if edges:
+        # at the grid's samples f is read off the grid's own norms, so
+        # its sign is the grid's realness flag
+        f = (sampled.ims - tol.eps_real * sampled.mags).tolist()
+        t_list = ts.tolist()
+        for i, j in edges:
+            kinds.append(_EDGE)
+            solves.append(_brent.brentq_steps(min(t_list[i], t_list[j]),
+                                              max(t_list[i], t_list[j]), ptol))
+            memos.append({t_list[i]: (f[i], values[i]), t_list[j]: (f[j], values[j])})
+    root = np.array(kinds) == _ROOT
 
-    done = [None] * len(tri)
+    done = [None] * len(solves)
 
     def advance(k, y):
         """Send y to solve k and serve it from the memo; the parameter
@@ -349,26 +327,29 @@ def _localize_contacts(spec, ts, values, tri, ptol, tol) -> list:
             done[k] = stop.value
         return None
 
-    asked = {k: advance(k, None) for k in range(len(tri))}
+    asked = {k: advance(k, None) for k in range(len(solves))}
     asked = {k: t for k, t in asked.items() if t is not None}
     while asked:
         ks = list(asked)
         vals = spec.values(np.array(list(asked.values())))
-        # the component along u_ref for a root finder, |Im| = the square
-        # root of Im . Im for a minimiser
-        refs = np.where(root_find[ks, None], u_ref[ks], vals[:, 1:])
+        refs = np.where(root[ks, None], u_ref[ks], vals[:, 1:])
         dots = row_dots(vals[:, 1:], refs).tolist()
         nxt = {}
         for k, d, v in zip(ks, dots, vals):
-            y = d if root_find[k] else math.sqrt(d)
+            y = d if kinds[k] == _ROOT else math.sqrt(d)
+            if kinds[k] == _EDGE:
+                y -= tol.eps_real * math.sqrt(d + v[0] * v[0])
             memos[k][asked[k]] = (y, v)
             t = advance(k, y)
             if t is not None:
                 nxt[k] = t
         asked = nxt
-    # a solver returns a parameter it has evaluated
-    ends = np.array([memo[t][1] for memo, t in zip(memos, done)])
-    return [t if is_real else None for t, is_real in zip(done, _im_parts(ends, tol)[1])]
+    found, ends = done[:len(tri)], done[len(tri):]
+    if found:
+        # a solver returns a parameter it has evaluated
+        at = np.array([memo[t][1] for memo, t in zip(memos, found)])
+        found = [t if is_real else None for t, is_real in zip(found, _im_parts(at, tol)[1])]
+    return found, ends
 
 
 def _limit_h0s(ts, marks, edge_tol, cap) -> list:
@@ -398,16 +379,21 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
 
     The path is probed beyond its samples for all contacts together; each
     round of a probe is one path call:
-    - real-edge bisection: the next BISECT_LEVELS halvings of every edge
-      between a real and a non-real sample;
-    - contact localisation: the next Brent step of every contact the grid
-      only brackets, each crossing bracket of the sampler and each small
-      dip of |Im| beside none, solved once from the grid's values;
+    - Brent solves, all in lockstep, each from the grid's values: the end
+      of the real set at every edge between a real and a non-real sample,
+      a root of |Im| - eps_real |q|, which is at most 0 exactly where the
+      path is real (an edge can be a whole grid step wide, since the
+      sampler stops beside a real node); and every contact the grid only
+      brackets, each crossing bracket of the sampler and each small dip
+      of |Im| beside none;
     - one-sided limits: the next LIMIT_CHUNK offsets of every direction
       limit still unsettled;
     and one more call gives the values of every contact and run.  The
     number of calls grows with the rounds of the slowest probe, not with
-    the number of contacts.
+    the number of contacts.  A real stretch is a run when its real set
+    is longer than run_min, else a contact at its middle.  On a closed
+    path the real items at a and at b are one wrap item when the ends of
+    their real sets lie within edge_tol of the domain's ends.
     """
     span = spec.b - spec.a
     ptol = 1e-12 * max(1.0, span)
@@ -417,33 +403,21 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     mags, ims, real_flags = sampled.mags, sampled.ims, sampled.real
     n = len(ts)
 
-    # --- raw real items from runs of real samples -------------------------
-    # each maximal stretch i..j-1 of real samples, with its edges to the
-    # non-real samples beside it bisected, all edges together
-    stretches = sampled.stretches.tolist()
-    edges = []
-    for i, j in stretches:
-        if i > 0:
-            edges.append((ts[i], ts[i - 1]))
-        if j < n:
-            edges.append((ts[j - 1], ts[j]))
-    bisected = iter(_bisect_real_edges(spec, edges, ptol, sampled.tol))
-    items = []  # ("contact", t, t) or ("run", t0, t1)
-    for i, j in stretches:
-        t_lo = next(bisected) if i > 0 else ts[i]
-        t_hi = next(bisected) if j < n else ts[j - 1]
-        if t_hi - t_lo > run_min:
-            items.append(("run", float(t_lo), float(t_hi)))
-        else:
-            t_c = 0.5 * (t_lo + t_hi)
-            items.append(("contact", float(t_c), float(t_c)))
-
-    # --- contacts the grid only brackets ----------------------------------
+    # --- real stretches, and contacts the grid only brackets -------------
+    # each maximal stretch i..j-1 of real samples, with the end of its
+    # real set solved for on each edge to a non-real sample beside it;
     # each crossing bracket b of the sampler, solved on (ts[b], ts[b + 1])
     # along the direction at ts[b], and each non-real sample m beside no
     # such bracket whose |Im| is a small local minimum, solved on
     # (ts[m - 1], ts[m + 1]) along the direction at ts[m]; all from the
-    # grid's values, localized together, in grid order
+    # grid's values, solved together, brackets in grid order
+    stretches = sampled.stretches.tolist()
+    edges = []
+    for i, j in stretches:
+        if i > 0:
+            edges.append((i, i - 1))
+        if j < n:
+            edges.append((j - 1, j))
     near_real = real_flags[:-2] | real_flags[1:-1] | real_flags[2:]
     dips = (ims[1:-1] <= ims[:-2]) & (ims[1:-1] <= ims[2:])
     small = ~(ims[1:-1] > 1e-3 * np.maximum(1.0, mags[1:-1]))
@@ -454,7 +428,19 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         beside[b] = beside[b + 1] = True
         tri = np.concatenate([b[:, None] + (0, 0, 1), tri[~beside[tri[:, 1]]]])
         tri = tri[np.argsort(tri[:, 0], kind="stable")]
-    found = _localize_contacts(spec, ts, sampled.values, tri, ptol, sampled.tol)
+    found, ends = _localize_contacts(spec, sampled, tri, edges, ptol)
+    ends = iter(ends)
+    # each real item as (kind, t0, t1, lo, hi), lo and hi the ends of its
+    # real set; a contact is the middle of its real set
+    items = []
+    for i, j in stretches:
+        t_lo = next(ends) if i > 0 else float(ts[i])
+        t_hi = next(ends) if j < n else float(ts[j - 1])
+        if t_hi - t_lo > run_min:
+            items.append(("run", t_lo, t_hi, t_lo, t_hi))
+        else:
+            t_c = 0.5 * (t_lo + t_hi)
+            items.append(("contact", t_c, t_c, t_lo, t_hi))
     # a contact within 10 run_min of a known item is that item; the
     # nearest known parameters are the two that t_c sorts between
     known = sorted(it[1] for it in items)
@@ -464,7 +450,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
         k = bisect.bisect_left(known, t_c)
         if any(abs(t_c - tk) < 10 * run_min for tk in known[max(k - 1, 0):k + 1]):
             continue
-        items.append(("contact", t_c, t_c))
+        items.append(("contact", t_c, t_c, t_c, t_c))
         bisect.insort(known, t_c)
     items.sort(key=lambda it: it[1])
 
@@ -476,8 +462,10 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     wrap_probes = []
     if spec.closed and items:
         first, last = items[0], items[-1]
-        starts_at_a = first[1] - spec.a <= edge_tol
-        ends_at_b = last[2] >= spec.b - edge_tol
+        # the ends of the real sets, not a contact's middle: a real set
+        # about a basepoint on the axis is as wide as eps_real makes it
+        starts_at_a = first[3] - spec.a <= edge_tol
+        ends_at_b = last[4] >= spec.b - edge_tol
         # a single run covering the whole domain, a real loop, stays as it is
         if starts_at_a and ends_at_b and first is not last:
             items = items[1:-1]
@@ -503,7 +491,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     # limit, right limit), a limit being (t, side), or None where the item
     # has none
     probes = []
-    for kind, t0, t1 in items:
+    for kind, t0, t1, _lo, _hi in items:
         if kind == "contact":
             # a contact's real stretch is shorter than run_min, so its
             # localized parameter sits within run_min of a domain edge

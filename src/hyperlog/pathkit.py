@@ -778,14 +778,26 @@ _T, _MAG, _IM, _REAL, _V = range(5)
 
 
 def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
-    """Refine a uniform grid until the path is geometrically resolved.
+    """Refine a first grid until the path is geometrically resolved.
 
+    The first grid is n0 equal intervals with the joins of the path's
+    segments added as nodes, so that a contact at a join lies on a node.
     An interval is split while the imaginary direction rotates more than
     the step tolerance, the modulus changes by more than ten percent, or
     the interval looks like it brackets a contact with the real axis and
     is still longer than a millionth of the domain; one whose nodes and
     midpoint are all real is a real run and is not split, unless their
-    real parts differ in sign.  An interval with no real node whose
+    real parts differ in sign.  An interval with exactly one real node
+    and a non-real midpoint stops splitting once only the end of the
+    real set is left to find: when its non-real half is aligned within
+    THETA_STEP, its modulus changes by at most ten percent, and the
+    interval beside it on its non-real side is neither split nor a
+    crossing at this level (one at an end of the domain, with no such
+    neighbour, is split, so that its halves have one).  find_obstructions
+    solves for that end.  The neighbour's test keeps a direction that
+    spins without limit towards the node, which dyadic nodes alias, in
+    refinement until the sampler gives up.  An interval with no real
+    node whose
     direction reverses in exactly one half, both halves aligned within
     THETA_TOL, over which the argument of x + i<Im, u> (u the direction
     at its left end) turns by less than a quarter turn, brackets an axis
@@ -810,8 +822,8 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     waiting for their midpoint.  Its ``sampled`` is the grid so far,
     which covers [a, b] and holds the ends of those brackets.  A path
     value of modulus at most eps_real at any evaluated parameter raises
-    ZeroOnPath.  The initial grid has n0 intervals; an n0 that is not an
-    integer of at least 1 raises ValueError.
+    ZeroOnPath.  An n0 that is not an integer of at least 1 raises
+    ValueError.
     """
     if not isinstance(n0, (int, np.integer)) or n0 < 1:
         raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
@@ -831,9 +843,9 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
             unit = v[:, 1:] / im[:, None]
         return np.column_stack((ts, mag, im, tol.is_real(im, mag), v, unit))
 
-    nodes = rows_at(np.linspace(spec.a, spec.b, n0 + 1))
-    evaluations = n0 + 1
-    k = np.arange(n0)  # the intervals [nodes[k], nodes[k + 1]] still to test
+    nodes = rows_at(np.union1d(np.linspace(spec.a, spec.b, n0 + 1), spec._cuts))
+    evaluations = len(nodes)
+    k = np.arange(len(nodes) - 1)  # the intervals [nodes[k], nodes[k + 1]] still to test
     lefts = []  # the left ends of the crossing brackets
     depth = 0
     while len(k):
@@ -843,7 +855,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
         left, right = nodes[k], nodes[k + 1]
         mid = rows_at(0.5 * (left[:, _T] + right[:, _T]))
         evaluations += len(k)
-        split, halves = _needs_split(left, mid, right, h_cross, tol)
+        split, halves = _needs_split(left, mid, right, h_cross, tol, k, len(nodes) - 1)
         if depth >= D_MAX:
             # no midpoint goes in: a crossing's bracket is its interval
             lefts.append(left[halves // 2, _T])
@@ -887,9 +899,10 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     return sampled
 
 
-def _needs_split(left, mid, right, h_cross, tol) -> tuple:
+def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
     """(split, halves) of the intervals with node rows left, right and
-    midpoint rows mid under the tolerances tol: which need a split, and,
+    midpoint rows mid under the tolerances tol, intervals k, in
+    increasing order, of a grid of count intervals: which need a split, and,
     for each one left unsplit as an axis crossing, its half that holds
     the reversal of the direction, numbered 2j for the left half of row
     j and 2j + 1 for its right half."""
@@ -920,9 +933,28 @@ def _needs_split(left, mid, right, h_cross, tol) -> tuple:
     sign = np.sign(mid[:, _V])
     mixed = (np.sign(left[:, _V]) != sign) | (np.sign(right[:, _V]) != sign)
     split = np.where(contact, long & ((reals < 3.0) | mixed), turning | crossing)
-    # unless it lies inside one slice: a crossing between non-real nodes
-    # whose directions agree up to sign within THETA_TOL is not split for
-    # its length, and its root is left to find_obstructions.  A turn that
+    # An interval with one real node and a non-real midpoint stops when
+    # its non-real half (the midpoint and the non-real node) is aligned
+    # within THETA_STEP, its modulus is steady, and the interval beside
+    # it on its non-real side is neither split nor a crossing (a crossing
+    # is split until the test below): dyadic nodes can alias a direction
+    # that spins towards the node, but the intervals beside still turn.
+    # Without such a neighbour, at an end of the domain, it splits, so
+    # that its halves have one.
+    e = np.flatnonzero(reals == 1.0)
+    if len(e):
+        e = e[split[e] & (mid[e, _REAL] == 0.0)]
+        on_left = left[e, _REAL] != 0.0
+        steady = (np.where(on_left, d2[e], d1[e]) >= math.cos(THETA_STEP)) & (
+            mags_max[e] / mags_min[e] <= 1.1)
+        e, on_left = e[steady], on_left[steady]
+        # the neighbour's interval, and its row if it is tested at this level
+        g = k[e] + np.where(on_left, 1, -1)
+        row = np.minimum(np.searchsorted(k, g), len(k) - 1)
+        split[e[~np.where(k[row] == g, split[row], (g < 0) | (g >= count))]] = False
+    # A crossing inside one slice, between non-real nodes whose
+    # directions agree up to sign within THETA_TOL, is not split for its
+    # length, and its root is left to find_obstructions.  A turn that
     # only comes near the axis leaves the directions further apart, and
     # is still refined.
     c = np.flatnonzero(crossing & (reals == 0.0) & (closeness >= math.cos(config.THETA_TOL)))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import hyperlog as hl
 from hyperlog import _brent, config, obstruction
 from hyperlog.errors import HyperlogError
-from hyperlog.pathkit import sample_path
+from hyperlog.pathkit import SampledPath, sample_path
 
 from test_batched_eval import Meter, corpus_paths, counted, unit
 
@@ -167,11 +167,11 @@ def localisations():
     made = []
     localize = obstruction._localize_contacts
 
-    def record(spec, ts, values, tri, ptol, tol):
-        found = localize(spec, ts, values, tri, ptol, tol)
+    def record(spec, sampled, tri, edges, ptol):
+        found, ends = localize(spec, sampled, tri, edges, ptol)
         made.extend((label, spec, tl, tn, tr, ptol, t_c)
-                    for (tl, tn, tr), t_c in zip(ts[tri].tolist(), found))
-        return found
+                    for (tl, tn, tr), t_c in zip(sampled.params[tri].tolist(), found))
+        return found, ends
 
     obstruction._localize_contacts = record
     try:
@@ -207,9 +207,9 @@ def test_memoised_localisation_matches_unmemoised_on_the_corpus():
         # the bracket on its own gets the result it got in its batch;
         # its values at tl, tn and tr are the caller's
         ts = np.array([tl, tn, tr])
-        [got] = obstruction._localize_contacts(
-            counted(spec, meter), ts, spec.values(ts), np.array([[0, 1, 2]]), ptol,
-            config.DEFAULT)
+        [got], _ends = obstruction._localize_contacts(
+            counted(spec, meter), SampledPath(ts, spec.values(ts), config.DEFAULT),
+            np.array([[0, 1, 2]]), [], ptol)
         after += meter.calls
         assert got == t_c == want, label
     # the caller's values serve the direction at tn, the solvers' first

@@ -213,10 +213,28 @@ def reference_unit_field(sampled, rep, directives=(), seed=None):
         units[m] = u
         prev = u
     if pending_real:
-        tail = -prev if pending_flip else prev
-        fr = np.linspace(0.0, 1.0, len(pending_real) + 2)[1:-1]
+        # a trailing stretch turns to the left limit at the last real
+        # item, sign-matched, by its last sample
+        tail = prev
+        limit = reference_last_limit(rep, b)
+        if limit is not None:
+            tail = limit if float(np.dot(prev, limit)) >= 0 else -limit
+        if pending_flip:
+            tail = -tail
+        fr = np.linspace(0.0, 1.0, len(pending_real) + 1)[1:]
         units[pending_real] = _slerp(prev, tail, fr)
     return units
+
+
+def reference_last_limit(rep, b):
+    """The left direction limit of the report item that starts last, a
+    wrap contact starting at b; None without items or limit."""
+    last_t, limit = -math.inf, None
+    for t, left in [(b if c.wrap else c.t, c.left_dir) for c in rep.contacts] + [
+            (r.t0, r.in_dir) for r in rep.runs]:
+        if t > last_t:
+            last_t, limit = t, left
+    return None if limit is None else np.array(limit)
 
 
 ORACLE_CORPUS = [

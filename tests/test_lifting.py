@@ -1,6 +1,7 @@
 """Continuous logarithms along paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,10 +229,48 @@ def test_lift_follows_the_branches_of_the_argument(name, k0):
     lift = res.lift
     assert np.array_equal(lift.params, sampled.params)
     nonreal = np.flatnonzero(~sampled.real)
-    assert len(nonreal) > len(sampled.params) // 2
+    # the real runs of three_exp take two thirds of its domain
+    assert len(nonreal) > len(sampled.params) // 4
     for n in nonreal:
         q = sampled.values[n]
         want = hl.branch_argument(q, math.floor(lift.arg[n] / PI))
         want[0] = math.log(np.linalg.norm(q))
         assert np.linalg.norm(lift.values[n] - want) <= 1e-12 * max(
             1.0, np.linalg.norm(want)), (n, lift.values[n], want)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_a_trailing_real_sample_takes_the_limit_whatever_the_grid(m, monkeypatch):
+    # gamma1m_gamma2(m) ends on the axis at -1; the unit at its last, real,
+    # sample is the one-sided limit at the end contact, sign-matched, and
+    # not the direction at the grid's last non-real sample, which can lie
+    # a whole grid step before it
+    spec = hl.demo(f"gamma1m_gamma2({m})").path
+    res = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0))
+    sampled = hl.pathkit.sample_path(spec)[0]
+    assert sampled.real[-1] and not sampled.real[-2]
+    end = hl.find_obstructions(sampled, replace(spec, closed=False)).contacts[-1]
+    limit = np.array(end.left_dir)
+    unit = res.lift.units[-1]
+    assert min(np.linalg.norm(unit - limit), np.linalg.norm(unit + limit)) <= 1e-12
+    # so a lift over a uniform grid ends at the same value
+    monkeypatch.setattr(hl.lifting, "sample_path",
+                        lambda p: (hl.sample_uniform(p, 4097), "uniform_fallback"))
+    uniform = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0)).lift.values[-1]
+    want = res.lift.values[-1]
+    assert np.linalg.norm(uniform - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("turn", [1.0, 10.0, 100.0])
+def test_a_real_start_is_left_along_the_limit_whatever_the_grid(turn):
+    # from -2 on the axis the arc leaves along i, its direction turning
+    # towards j at a rate of about turn / 2: the initial unit i is
+    # parallel to the limit there, though not to the direction at the
+    # grid's first non-real sample, and j is not
+    arc = hl.pathkit.Arc(0.0, 1.0, (-2.0, 0.0, turn, 0.0), (0.0, 0.0, -turn, 0.0),
+                         (0.0, 1.0, 0.0, 0.0), 0.0, 1.0)
+    spec = hl.PathSpec(0.0, 1.0, (arc,))
+    for unit in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)):
+        assert hl.lift_path(spec, initial_unit=unit).status == "ok"
+    with pytest.raises(InitialMismatch, match="not parallel to the outgoing direction"):
+        hl.lift_path(spec, initial_unit=(0.0, 1.0, 0.0))

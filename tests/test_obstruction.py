@@ -66,7 +66,7 @@ def test_classify_point_table():
 # paths whose report depends on the realness threshold, with a threshold
 # other than the default
 EPS_REAL_CASES = [
-    ("slice_circle(i,0.001,1)", 1e-6),
+    ("slice_circle(j,1e-06,3)", 1e-12),
     ("three_exp", 1e-5),
     ("gamma1m_gamma2(3)", 1e-5),
 ]
@@ -88,6 +88,22 @@ def test_tolerances_travel_with_the_sampled_path(name, eps_real):
     assert want != report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
     # the probes after sampling judge realness as the samples were judged
     assert report_to_json(hl.find_obstructions(sampled, spec)) == want
+
+
+@pytest.mark.parametrize("eps_real", [1e-9, 1e-7, 1e-5])
+def test_a_real_set_at_the_seam_is_one_wrap_contact(eps_real):
+    # the real set about the basepoint of this circle, on the axis, runs
+    # from 2 pi - eps_real to eps_real; its ends, not its middle, lie
+    # within the seam's tolerance of the domain's ends
+    spec = hl.demo("slice_circle(i,2,1)").path
+    token = config.IN_FORCE.set(config.Tolerances(eps_real))
+    try:
+        rep = hl.find_obstructions(sample_path(spec)[0], spec)
+    finally:
+        config.IN_FORCE.reset(token)
+    assert [(c.kind, c.sign, c.wrap) for c in rep.contacts] == [
+        (FLIP, -1, False), (FLIP, 1, True)]
+    assert not rep.runs
 
 
 def test_circle_contacts_are_flips():

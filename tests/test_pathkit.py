@@ -489,10 +489,24 @@ def test_adaptive_sampler_needs_at_least_one_interval(n0):
 
 
 def test_adaptive_sampler_splits_near_contacts():
-    sp = hl.sample_adaptive(circle(), n0=64)
+    # beside a real node the sampler halves while the direction still
+    # turns: near its contact with the axis at t = 0, the direction of
+    # this arc, (sin t) i + 100 (1 - cos t) j, turns about 100 times as
+    # fast as t runs
+    arc = Arc(-1.0, 1.0, (2.0, 0.0, 100.0, 0.0), (0.0, 0.0, -100.0, 0.0),
+              (0.0, 1.0, 0.0, 0.0), -1.0, 1.0)
+    sp = hl.sample_adaptive(hl.PathSpec(-1.0, 1.0, (arc,)), n0=64)
     gaps = np.diff(sp.params)
-    near = np.abs(sp.params[:-1] - PI) < 0.05
-    assert gaps[near].min() < gaps.max() / 100.0
+    near = np.abs(sp.params[:-1]) < 0.05
+    assert sp.real[sp.params == 0.0].tolist() == [True]
+    assert gaps[near].min() <= gaps.max() / 8.0
+    # and stops where it does not, leaving the end of the real set to
+    # find_obstructions: beside the circle's real node at pi the first
+    # grid's step stays
+    sp = hl.sample_adaptive(circle(), n0=64)
+    k = np.flatnonzero(sp.real & (np.abs(sp.params - PI) < 1e-9))
+    assert len(k) == 1
+    assert np.diff(sp.params)[k[0] - 1:k[0] + 1] == pytest.approx([2 * PI / 64] * 2)
 
 
 # ---------------------------------------------------------------------------
