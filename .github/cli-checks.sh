@@ -94,6 +94,35 @@ grep -qE '^  "winding": 64,?$' "$work/out.txt"
 # is one wrap flip and the circle winds once
 expect 0 winding --demo 'slice_circle(i,2,1)' --eps-real 1e-7
 grep -qE '^  "winding": 1,?$' "$work/out.txt"
+# the parameter tolerances are fractions of the domain's span: with its
+# parameter squeezed by 1e-8, the circle turning 20 times keeps its 40
+# flips
+"${hyperlog[@]}" demo 'slice_circle(j,2,20)' --export > "$work/squeezed.json"
+python3 - "$work/squeezed.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+d["domain"] = [1e-8 * t for t in d["domain"]]
+for s in d["segments"]:
+    for key in ("ta", "tb", "anchor_a", "anchor_b"):
+        s[key] *= 1e-8
+json.dump(d, open(sys.argv[1], "w"))
+EOF
+expect 0 winding --input "$work/squeezed.json"
+grep -qE '^  "winding": 20,?$' "$work/out.txt"
+grep -qE '^  "circular_signature": 40,?$' "$work/out.txt"
+# a circle starting 1e-6 rad past its contact at +1: the contact lies
+# near the seam but not at it, so it is a flip with both limits
+"${hyperlog[@]}" demo 'slice_circle(i,1,1)' --export > "$work/past.json"
+python3 - "$work/past.json" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+for s in d["segments"]:
+    s["angle_a"] += 1e-6
+    s["angle_b"] += 1e-6
+json.dump(d, open(sys.argv[1], "w"))
+EOF
+expect 0 winding --input "$work/past.json"
+grep -qE '^  "winding": 1,?$' "$work/out.txt"
 # lambda_loop is twisted, which the command reports with exit code 2
 expect 2 winding --demo lambda_loop
 # a non-finite radius is unusable input

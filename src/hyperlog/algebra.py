@@ -161,12 +161,13 @@ def embed(q) -> tuple:
     return exp(q), p
 
 
-def project_log(q, p, tol: float = 1e-9) -> np.ndarray:
+def project_log(q, p) -> np.ndarray:
     """L(q, p) = log|q| + p, the inverse of embed on the manifold.
 
     A pair off the manifold raises NotOnManifold: q = 0, |Re p| > tol,
-    or |q - |q| exp(p)| > tol max(1, |q|).
+    or |q - |q| exp(p)| > tol max(1, |q|), with tol = 1e-9.
     """
+    tol = 1e-9
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     if q.shape[-1] != p.shape[-1]:
         raise DimensionMismatch("q and p must have the same dimension")

@@ -88,11 +88,12 @@ def unit_field(
     # real samples in a run resolved as a flip: the first run (a wrap
     # run being its two pieces) that covers a real sample decides
     a, b = float(params[0]), float(params[-1])
+    tol = config.PARAM_SAME * (b - a)
     flip = np.zeros(n, dtype=bool)
     uncovered = real.copy()
     for r, kind in zip(rep.runs, run_kinds(rep, directives)):
         for t0, t1 in [(r.t0, b), (a, a + (r.t1 - b))] if r.wrap else [(r.t0, r.t1)]:
-            cover = uncovered & (t0 - 1e-9 <= params) & (params <= t1 + 1e-9)
+            cover = uncovered & (t0 - tol <= params) & (params <= t1 + tol)
             uncovered &= ~cover
             if kind == FLIP:
                 flip |= cover
@@ -191,14 +192,10 @@ def canonical_form(sampled: SampledPath, units: np.ndarray) -> Shadow:
 
 
 def shadow_of(
-    sampled: SampledPath,
-    rep: ObstructionReport,
-    directives: tuple = (),
-    seed: np.ndarray | None = None,
+    sampled: SampledPath, rep: ObstructionReport, directives: tuple = ()
 ) -> Shadow:
-    """Convenience: canonical form along the companion picked by the seed."""
-    units = unit_field(sampled, rep, directives, seed)
-    return canonical_form(sampled, units)
+    """Convenience: canonical form along the companion of unit_field."""
+    return canonical_form(sampled, unit_field(sampled, rep, directives))
 
 
 def argument_steps(z: np.ndarray, params: np.ndarray) -> np.ndarray:

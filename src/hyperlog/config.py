@@ -16,6 +16,12 @@ import numpy as np
 THETA_TOL = 1e-6
 # relative residual allowed when checking exp(lift) against the path
 TOL_LIFT = 1e-8
+# the parameter tolerances, fractions of the span b - a of a path's
+# domain so that they scale with its parameter: the resolution to which
+# parameters are solved and compared, and the distance within which two
+# parameters are one place
+PARAM_RESOLUTION = 1e-12
+PARAM_SAME = 1e-9
 
 
 @dataclass(frozen=True)

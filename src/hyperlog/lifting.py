@@ -133,7 +133,7 @@ def _branch_trace(rep: ObstructionReport, params, arg, a, b):
     edges = sorted(cuts)
     trace = []
     for lo, hi in zip(edges, edges[1:]):
-        if hi - lo <= 1e-12 * max(1.0, b - a):
+        if hi - lo <= config.PARAM_RESOLUTION * (b - a):
             continue
         mid = 0.5 * (lo + hi)
         n = min(int(np.searchsorted(params, mid)), len(params) - 1)

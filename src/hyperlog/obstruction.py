@@ -393,10 +393,14 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     the number of contacts.  A real stretch is a run when its real set
     is longer than run_min, else a contact at its middle.  On a closed
     path the real items at a and at b are one wrap item when the ends of
-    their real sets lie within edge_tol of the domain's ends.
+    their real sets lie within edge_tol of the domain's ends; on an open
+    path an item whose real set ends that near an end has no limit on
+    that side.  ptol and edge_tol are config.PARAM_RESOLUTION and
+    config.PARAM_SAME times the domain's span.
     """
     span = spec.b - spec.a
-    ptol = 1e-12 * max(1.0, span)
+    ptol = config.PARAM_RESOLUTION * span
+    edge_tol = config.PARAM_SAME * span
     run_min = 1e-5 * span
 
     ts = sampled.params
@@ -457,7 +461,6 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     # --- wrap merging for closed paths ------------------------------------
     # the wrap item is kept as its probe, in the form described below; a
     # wrap contact is always probed at a
-    edge_tol = max(10 * ptol, 1e-9 * span)
     wrap_contact = ("contact", spec.a, spec.a, True, spec.a, (spec.b, -1), (spec.a, +1))
     wrap_probes = []
     if spec.closed and items:
@@ -489,23 +492,13 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
 
     # each real item as (kind, t0, t1, wrap, parameter of its value, left
     # limit, right limit), a limit being (t, side), or None where the item
-    # has none
-    probes = []
-    for kind, t0, t1, _lo, _hi in items:
-        if kind == "contact":
-            # a contact's real stretch is shorter than run_min, so its
-            # localized parameter sits within run_min of a domain edge
-            # whenever the stretch touches that edge
-            at_a = t0 - spec.a <= run_min
-            at_b = spec.b - t0 <= run_min
-            probes.append((kind, t0, t1, False, t0,
-                           None if at_a else (t0, -1), None if at_b else (t0, +1)))
-        else:
-            # t1 <= b: only the wrap run reaches past the end
-            probes.append((kind, t0, t1, False, 0.5 * (t0 + t1),
-                           (t0, -1) if t0 - spec.a > edge_tol else None,
-                           (t1, +1) if spec.b - t1 > edge_tol else None))
-    probes += wrap_probes
+    # has none: only where its real set ends within edge_tol of an end of
+    # an open path (on a closed path such an item is the wrap item)
+    is_open = not spec.closed
+    probes = [(kind, t0, t1, False, 0.5 * (t0 + t1),
+               None if is_open and lo - spec.a <= edge_tol else (t0, -1),
+               None if is_open and spec.b - hi <= edge_tol else (t1, +1))
+              for kind, t0, t1, lo, hi in items] + wrap_probes
 
     # every limit in one batch of requests, every value in one path call
     limits = [lim for *_, left, right in probes for lim in (left, right) if lim]
@@ -521,8 +514,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     contacts = []
     runs = []
     for (kind, t0, t1, wrap, _t, left, right), value in zip(probes, values):
-        # only a contact at an end of an open path lacks a limit
-        interior = spec.closed or (left is not None and right is not None)
+        interior = left is not None and right is not None
         left, right = direction(left), direction(right)
         if kind == "contact":
             kind = classify_point(left, right, interior)

@@ -353,7 +353,7 @@ class PathSpec:
         span = self.b - self.a
         if span <= 0:
             raise ValueError("domain must have positive length")
-        tol = 1e-9 * max(1.0, span)
+        tol = config.PARAM_SAME * span
         segs = self.segments
         if abs(segs[0].ta - self.a) > tol or abs(segs[-1].tb - self.b) > tol:
             raise EndpointMismatch("segments do not cover the domain")
@@ -455,7 +455,7 @@ class PathSpec:
             return np.empty((0, self.dim))
         lo, hi = ts.min(), ts.max()
         if lo < self.a or hi > self.b:
-            tol = 1e-12 * max(1.0, self.b - self.a)
+            tol = config.PARAM_RESOLUTION * (self.b - self.a)
             outside = (ts < self.a - tol) | (ts > self.b + tol)
             if outside.any():
                 t = float(ts[np.argmax(outside)])
@@ -525,8 +525,7 @@ def reflect_negconj(p: PathSpec) -> PathSpec:
 
 def subpath(p: PathSpec, t0: float, t1: float) -> PathSpec:
     """Restriction of the path to [t0, t1]."""
-    span = p.b - p.a
-    tol = 1e-12 * max(1.0, span)
+    tol = config.PARAM_RESOLUTION * (p.b - p.a)
     if t0 < p.a - tol or t1 > p.b + tol or t1 - t0 <= tol:
         raise OutOfDomain("subpath bounds outside the domain")
     segs = []
@@ -542,7 +541,7 @@ def rotate_basepoint(p: PathSpec, t_star: float) -> PathSpec:
     """Re-root a closed path at parameter t_star, keeping its orientation."""
     if not p.closed:
         raise EndpointMismatch("only closed paths can be re-rooted")
-    tol = 1e-12 * max(1.0, p.b - p.a)
+    tol = config.PARAM_RESOLUTION * (p.b - p.a)
     if abs(t_star - p.a) <= tol or abs(t_star - p.b) <= tol:
         return p
     tail = subpath(p, t_star, p.b)

@@ -49,16 +49,15 @@ def reduce_signs(signs) -> list:
     return stack
 
 
-def flips_of(rep: ObstructionReport, directives=(), include_wrap=True):
+def flips_of(rep: ObstructionReport, directives=()):
     """Flip positions and signs in traversal order, the wrap flip last,
-    with the kinds of real runs resolved by directive."""
+    with the kinds of real runs resolved by directive.  A contact in
+    BAD_KINDS, the wrap contact included, raises HypothesisViolated."""
     items = [(c.t, c.sign, c.kind, c.wrap) for c in rep.contacts]
     items += [(r.t0, r.sign, kind, r.wrap)
               for r, kind in zip(rep.runs, run_kinds(rep, directives))]
     out = []
     for t, sign, kind, wrap in sorted(items, key=lambda it: (it[3], it[0])):
-        if wrap and not include_wrap:
-            continue
         if kind in BAD_KINDS:
             raise HypothesisViolated(
                 f"signature undefined: contact of kind {kind} at t={t}"
@@ -70,12 +69,12 @@ def flips_of(rep: ObstructionReport, directives=(), include_wrap=True):
 
 def signature(rep: ObstructionReport, directives=()) -> int:
     """Alternating flip-sign sum, without any flip at the traversal end."""
-    return alternating_sum([s for _t, s, _w in flips_of(rep, directives, False)])
+    return alternating_sum([s for _t, s, wrap in flips_of(rep, directives) if not wrap])
 
 
 def circular_signature(rep: ObstructionReport, directives=()) -> int:
     """Alternating flip-sign sum including a flip at the loop basepoint."""
-    return alternating_sum([s for _t, s, _w in flips_of(rep, directives, True)])
+    return alternating_sum([s for _t, s, _w in flips_of(rep, directives)])
 
 
 def shadow_winding(shadow: Shadow) -> int:

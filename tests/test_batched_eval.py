@@ -327,7 +327,7 @@ def assert_same_report(got, want, spec, label):
     of |Im|, can lie further apart, within the real set: then the path
     is real at both parameters, which are closer than the shortest run."""
     span = spec.b - spec.a
-    ptol = 1e-12 * max(1.0, span)
+    ptol = config.PARAM_RESOLUTION * span
     assert [(c.kind, c.sign, c.wrap) for c in got.contacts] == [
         (c.kind, c.sign, c.wrap) for c in want.contacts], label
     for g, w in zip(got.contacts, want.contacts):
@@ -386,7 +386,7 @@ def reference_values(spec, ts):
     """PathSpec.values as one call per segment present, each segment
     evaluated through its own wrappers."""
     ts = np.asarray(ts, dtype=float)
-    tol = 1e-12 * max(1.0, spec.b - spec.a)
+    tol = config.PARAM_RESOLUTION * (spec.b - spec.a)
     if ((ts < spec.a - tol) | (ts > spec.b + tol)).any():
         raise OutOfDomain("outside the domain")
     ts = np.clip(ts, spec.a, spec.b)
@@ -983,7 +983,7 @@ def test_bisect_real_edge_matches_reference():
     # relative tolerance
     checked = 0
     for label, spec, sp, _ts, edges in probe_cases():
-        ptol = 1e-12 * max(1.0, spec.b - spec.a)
+        ptol = config.PARAM_RESOLUTION * (spec.b - spec.a)
         pairs = [(sp.params[i], sp.params[j]) for i, j in edges]
         wants = [reference_bisect_real_edge(spec, t_real, t_nonreal, ptol)
                  for t_real, t_nonreal in pairs]

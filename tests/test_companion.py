@@ -168,6 +168,7 @@ def reference_unit_field(sampled, rep, directives=(), seed=None):
 
     a = float(sampled.params[0])
     b = float(sampled.params[-1])
+    tol = config.PARAM_SAME * (b - a)
     run_bounds = []
     for r in rep.runs:
         kind = reference_directive_for_run(rep, r, directives)
@@ -179,7 +180,7 @@ def reference_unit_field(sampled, rep, directives=(), seed=None):
 
     def run_kind_at(t):
         for t0, t1, kind in run_bounds:
-            if t0 - 1e-9 <= t <= t1 + 1e-9:
+            if t0 - tol <= t <= t1 + tol:
                 return kind
         return None
 

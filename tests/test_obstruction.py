@@ -15,6 +15,7 @@ from hyperlog import config, obstruction
 from hyperlog.obstruction import (
     BAD_KINDS,
     BOUNCE,
+    ENDPOINT_TAME,
     FLIP,
     NOT_TAME,
     SEMI_TAME,
@@ -206,7 +207,7 @@ def test_interval_members_match_a_scan_of_all_keys():
     for label, spec in corpus_paths():
         sp, _sampling = sample_path(spec)
         span = spec.b - spec.a
-        edge_tol = max(10 * 1e-12 * max(1.0, span), 1e-9 * span)
+        edge_tol = config.PARAM_SAME * span
         for closed in (True, False) if spec.closed else (False,):
             rep = hl.find_obstructions(sp, replace(spec, closed=closed))
             for iv in rep.intervals:
@@ -236,6 +237,18 @@ def test_open_path_endpoint_contacts():
     assert kinds[round(PI, 3)] == FLIP
     end_kinds = [k for t, k in kinds.items() if t != round(PI, 3)]
     assert end_kinds and all(k == "endpoint_tame" for k in end_kinds)
+
+
+@pytest.mark.parametrize("d", [1e-9, 1e-7, 1e-6])
+def test_only_a_real_set_at_an_end_of_an_open_path_lacks_a_limit(d):
+    # the arc starts d turns before its crossing at pi, more than the
+    # seam's tolerance away: that crossing is a flip, and only the end at
+    # 2 pi, on the axis, is an endpoint contact
+    circle = hl.demo("slice_circle(i,1,1)").path
+    spec = hl.subpath(circle, PI - d * 2 * PI, 2 * PI)
+    rep = hl.find_obstructions(sample_path(spec)[0], spec)
+    assert [c.kind for c in rep.contacts] == [FLIP, ENDPOINT_TAME]
+    assert abs(rep.contacts[0].t - PI) < 1e-9
 
 
 def test_interval_sign_and_wrap_on_circle():
@@ -408,7 +421,7 @@ def interval_fields(iv):
 
 def assert_report_matches_the_reference(rep, spec, label=""):
     span = spec.b - spec.a
-    edge_tol = max(10 * 1e-12 * max(1.0, span), 1e-9 * span)
+    edge_tol = config.PARAM_SAME * span
     big_arcs, intervals = reference_axis_geometry(spec, rep.contacts, rep.runs, edge_tol)
     assert rep.big_arcs == big_arcs, label
     assert [interval_fields(iv) for iv in rep.intervals] == intervals, label

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperlog as hl
+from hyperlog import config
 from hyperlog.errors import (
     AllRealLoop,
     HypothesisViolated,
@@ -58,6 +59,34 @@ def test_circle_signatures():
     rep = hl.find_obstructions(sp, spec)
     assert hl.signature(rep) == 1
     assert hl.circular_signature(rep) == 2
+
+
+@pytest.mark.parametrize("name", ["rocket_neg", "rocket_pos"])
+def test_a_not_tame_wrap_contact_leaves_both_signatures_undefined(name):
+    # the rockets' one contact is the wrap contact, at the basepoint, and
+    # it has no direction limit: neither signature is defined, as in
+    # analyze_loop
+    spec = hl.demo(name).path
+    rep = hl.find_obstructions(sample_path(spec)[0], spec)
+    assert [(c.kind, c.wrap) for c in rep.contacts] == [(hl.obstruction.NOT_TAME, True)]
+    for signature in (hl.signature, hl.circular_signature):
+        with pytest.raises(HypothesisViolated):
+            signature(rep)
+    res = hl.analyze_loop(spec)
+    assert (res.signature, res.circular_signature) == (None, None)
+
+
+@pytest.mark.parametrize("angle_a", [s * d for s in (1, -1)
+                                     for d in (1e-8, 1e-7, 1e-6, 1e-5, 3e-5)])
+@pytest.mark.parametrize("axis", ["i", "j", "k"])
+def test_a_circle_starting_just_off_its_contact_winds_once(axis, angle_a):
+    # the contact at +1 lies within a few 1e-5 of an end of the domain,
+    # yet not within the seam's tolerance: it is an interior flip
+    unit = {"i": (0.0, 1.0, 0.0, 0.0), "j": (0.0, 0.0, 1.0, 0.0),
+            "k": (0.0, 0.0, 0.0, 1.0)}[axis]
+    arc = hl.pathkit.SliceArc(0.0, 2 * PI, unit, angle_a, angle_a + 2 * PI)
+    res = hl.analyze_loop(hl.PathSpec(0.0, 2 * PI, (arc,), closed=True))
+    assert (res.twisted, res.winding, abs(res.circular_signature)) == (False, 1, 2)
 
 
 def test_multi_turn_circle():
@@ -210,6 +239,7 @@ def reference_transport_directives(spec, rep, directives, rot, rep_rot):
     if not directives:
         return ()
     period = spec.b - spec.a
+    tol = config.PARAM_SAME * period
     out = [None] * len(rep_rot.intervals)
     for m, iv in enumerate(rep.intervals):
         d = directives[m] if m < len(directives) else None
@@ -220,7 +250,7 @@ def reference_transport_directives(spec, rep, directives, rot, rep_rot):
             mid -= period
         mid_rot = mid if mid >= rot.a else mid + period
         for mm, ivr in enumerate(rep_rot.intervals):
-            if ivr.t0 - 1e-9 <= mid_rot <= ivr.t1 + 1e-9:
+            if ivr.t0 - tol <= mid_rot <= ivr.t1 + tol:
                 out[mm] = d
                 break
     return tuple(out)
@@ -463,6 +493,42 @@ def test_loop_answers_do_not_depend_on_the_scale():
         want = answers(spec)
         for lam in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
             assert answers(scaled(spec, lam)) == want, (name, lam)
+
+
+@dataclass(frozen=True)
+class Squeezed:
+    """A segment on [lam ta, lam tb] whose value at s is that of its
+    inner at s / lam: the inner reparametrised, orientation kept."""
+
+    ta: float
+    tb: float
+    inner: object
+    lam: float
+
+    def values(self, ts):
+        return self.inner.values(np.asarray(ts) / self.lam)
+
+
+def squeezed(spec, lam):
+    segs = tuple(Squeezed(lam * s.ta, lam * s.tb, s, lam) for s in spec.segments)
+    return hl.PathSpec(lam * spec.a, lam * spec.b, segs, spec.closed)
+
+
+def test_loop_answers_do_not_depend_on_the_parameter_scale():
+    # the parameter tolerances are fractions of the domain's span; with a
+    # floor of 1 on the span, 6 of these 18 (loop, companion) pairs
+    # changed their answer for some lam
+    def answers(spec, directives):
+        res = hl.analyze_loop(spec, directives)
+        return res.twisted, res.winding, res.signature, res.circular_signature
+
+    for name in dict.fromkeys(CLOSED_CORPUS + SCALED_LOOPS):
+        case = hl.demo(name)
+        for companion, directives in {"default": (), **case.directives}.items():
+            want = answers(case.path, directives)
+            for lam in (1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e6):
+                got = answers(squeezed(case.path, lam), directives)
+                assert got == want, (name, companion, lam)
 
 
 def test_a_path_scaled_to_the_realness_threshold_passes_through_zero():
