@@ -12,9 +12,11 @@ trap 'rm -rf "$work"' EXIT
 
 # run the command line, expecting the given exit code and, for an error,
 # exactly one line on stderr
+last=none
 expect() {
   local want=$1 code=0
   shift
+  last="hyperlog $*"
   "${hyperlog[@]}" "$@" > "$work/out.txt" 2> "$work/error.txt" || code=$?
   if [ "$code" -ne "$want" ]; then
     echo "hyperlog $*: exit code $code, expected $want"; cat "$work/error.txt"; exit 1
@@ -22,6 +24,13 @@ expect() {
   if [ "$want" -eq 1 ] && [ "$(wc -l < "$work/error.txt")" -ne 1 ]; then
     echo "hyperlog $*: expected one error line"; cat "$work/error.txt"; exit 1
   fi
+}
+
+# require a line of the file that matches the extended regular
+# expression, naming the last command run by expect when none does
+has() {
+  grep -qE "$2" "$1" || {
+    echo "after $last: no line of $1 matches $2"; cat "$1"; exit 1; }
 }
 
 # each command exits 0 on three_exp
@@ -39,12 +48,17 @@ for name in three_exp lambda_loop; do
   "${hyperlog[@]}" analyze --demo "$name" > "$work/from_demo.json"
   diff "$work/from_file.json" "$work/from_demo.json"
 done
+# a companion belongs to a demo: on a path read from a file it is an
+# error, not ignored; so is a directive with a negative index
+expect 1 winding --input "$work/lambda_loop.json" --companion no_such_companion
+expect 1 winding --demo lambda_loop --companion no_such_companion
+expect 1 lift --demo three_exp --directive=-1=flip
 
 # a radius written as a string is unusable input: exit code 1 and one
 # error line, not a traceback
 "${hyperlog[@]}" demo 'slice_circle(i,1,1)' --export \
   | sed 's/"radius": 1.0/"radius": "2"/' > "$work/string_radius.json"
-grep -qF '"radius": "2"' "$work/string_radius.json"
+has "$work/string_radius.json" '"radius": "2"'
 expect 1 analyze --input "$work/string_radius.json"
 
 # so is a segment where a coordinate function belongs
@@ -62,7 +76,7 @@ expect 1 analyze --input "$work/rocket_x_fn.json"
 # the direction there no longer turns
 for name in rocket_neg rocket_pos; do
   expect 0 analyze --demo "$name"
-  grep -qF '"sampling": "uniform_fallback"' "$work/out.txt"
+  has "$work/out.txt" '"sampling": "uniform_fallback"'
 done
 
 # a circle turning 20 times crosses the axis 40 times inside one slice:
@@ -78,22 +92,22 @@ EOF
 # and one turning 100 times winds 100 times: its crossing brackets do not
 # alias several turns into one
 expect 0 winding --demo 'slice_circle(j,2,100)'
-grep -qE '^  "winding": 100,?$' "$work/out.txt"
+has "$work/out.txt" '^  "winding": 100,?$'
 
 expect 0 winding --demo 'slice_circle(i,2,1)'
 # realness is judged relative to |q|, so a small circle that starts on
 # the axis winds once, as a large one does
 expect 0 winding --demo 'slice_circle(i,0.001,1)'
-grep -qE '^  "winding": 1,?$' "$work/out.txt"
+has "$work/out.txt" '^  "winding": 1,?$'
 # every node of the first grid of this circle is 2 and every midpoint -2:
 # a real run cannot pass through 0, so the loop is not read as real
 expect 0 winding --demo 'slice_circle(j,2,64)'
-grep -qE '^  "winding": 64,?$' "$work/out.txt"
+has "$work/out.txt" '^  "winding": 64,?$'
 # under a coarse threshold the real set about the basepoint on the axis
 # is about 1e-7 wide: its ends, not its middle, put it at the seam, so it
 # is one wrap flip and the circle winds once
 expect 0 winding --demo 'slice_circle(i,2,1)' --eps-real 1e-7
-grep -qE '^  "winding": 1,?$' "$work/out.txt"
+has "$work/out.txt" '^  "winding": 1,?$'
 # the parameter tolerances are fractions of the domain's span: with its
 # parameter squeezed by 1e-8, the circle turning 20 times keeps its 40
 # flips
@@ -108,8 +122,8 @@ for s in d["segments"]:
 json.dump(d, open(sys.argv[1], "w"))
 EOF
 expect 0 winding --input "$work/squeezed.json"
-grep -qE '^  "winding": 20,?$' "$work/out.txt"
-grep -qE '^  "circular_signature": 40,?$' "$work/out.txt"
+has "$work/out.txt" '^  "winding": 20,?$'
+has "$work/out.txt" '^  "circular_signature": 40,?$'
 # a circle starting 1e-6 rad past its contact at +1: the contact lies
 # near the seam but not at it, so it is a flip with both limits
 "${hyperlog[@]}" demo 'slice_circle(i,1,1)' --export > "$work/past.json"
@@ -122,7 +136,7 @@ for s in d["segments"]:
 json.dump(d, open(sys.argv[1], "w"))
 EOF
 expect 0 winding --input "$work/past.json"
-grep -qE '^  "winding": 1,?$' "$work/out.txt"
+has "$work/out.txt" '^  "winding": 1,?$'
 # lambda_loop is twisted, which the command reports with exit code 2
 expect 2 winding --demo lambda_loop
 # a non-finite radius is unusable input

@@ -164,17 +164,16 @@ def embed(q) -> tuple:
 def project_log(q, p) -> np.ndarray:
     """L(q, p) = log|q| + p, the inverse of embed on the manifold.
 
-    A pair off the manifold raises NotOnManifold: q = 0, |Re p| > tol,
-    or |q - |q| exp(p)| > tol max(1, |q|), with tol = 1e-9.
+    A pair off the manifold raises NotOnManifold: q = 0,
+    |Re p| > VALUE_SAME, or |q - |q| exp(p)| > VALUE_SAME |q|.
     """
-    tol = 1e-9
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     if q.shape[-1] != p.shape[-1]:
         raise DimensionMismatch("q and p must have the same dimension")
     n = np.linalg.norm(q, axis=-1)
     resid = np.linalg.norm(exp(p) * n[..., None] - q, axis=-1)
-    if np.any(n == 0.0) or np.any(np.abs(p[..., 0]) > tol) or np.any(
-        resid > tol * np.maximum(1.0, n)
+    if np.any(n == 0.0) or np.any(np.abs(p[..., 0]) > config.VALUE_SAME) or np.any(
+        resid > config.VALUE_SAME * n
     ):
         raise NotOnManifold("point fails the manifold membership check")
     out = p.copy()

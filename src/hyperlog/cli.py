@@ -61,7 +61,9 @@ def _load_path(args) -> tuple[PathSpec, str]:
 
 
 def _demo_directives(args):
-    if args.demo and args.companion:
+    if args.companion:
+        if not args.demo:
+            raise UnknownDemo("--companion names a companion of a demo and needs --demo")
         case = demo(args.demo)
         if args.companion not in case.directives:
             raise UnknownDemo(
@@ -71,7 +73,7 @@ def _demo_directives(args):
     out = {}
     for d in args.directive or []:
         key, _, val = d.partition("=")
-        if val not in ("flip", "bounce"):
+        if not key.isdecimal() or val not in ("flip", "bounce"):
             raise UnknownDemo(f"directive must be <index>=flip|bounce, got {d!r}")
         out[int(key)] = val
     if not out:

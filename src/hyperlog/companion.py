@@ -182,9 +182,8 @@ def canonical_form(sampled: SampledPath, units: np.ndarray) -> Shadow:
     x = vals[:, 0].copy()
     y = np.einsum("nd,nd->n", vals[:, 1:], units)
     resid = np.linalg.norm(vals[:, 1:] - y[:, None] * units, axis=1)
-    scale = np.maximum(1.0, sampled.mags)
-    if np.any(resid > config.TOL_LIFT * scale):
-        worst = int(np.argmax(resid / scale))
+    if np.any(resid > config.TOL_LIFT * sampled.mags):
+        worst = int(np.argmax(resid / sampled.mags))
         raise SliceMismatch(
             f"reconstruction residual {resid[worst]:.3e} at t={float(sampled.params[worst])}"
         )

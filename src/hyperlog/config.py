@@ -22,6 +22,8 @@ TOL_LIFT = 1e-8
 # parameters are one place
 PARAM_RESOLUTION = 1e-12
 PARAM_SAME = 1e-9
+# two values p and q of a path are one value when |p - q| <= VALUE_SAME |q|
+VALUE_SAME = 1e-9
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,7 @@ def verify_lift(lift: LogLift, sampled: SampledPath) -> float:
     """Largest relative deviation of exp(lift) from the path samples."""
     model = algebra.exp(lift.values)
     resid = np.linalg.norm(model - sampled.values, axis=1)
-    scale = np.maximum(1.0, sampled.mags)
-    return float(np.max(resid / scale))
+    return float(np.max(resid / sampled.mags))
 
 
 def terminal_branch(k0: int, sigma: int) -> int:
@@ -208,10 +207,8 @@ def lift_path(
     )
     closed_lift = None
     if spec.closed:
-        gap = float(np.linalg.norm(values[-1] - values[0]))
-        closed_lift = gap <= config.TOL_LIFT * max(
-            1.0, float(np.linalg.norm(values[0]))
-        )
+        # log values: a factor lambda shifts both ends by log lambda
+        closed_lift = float(np.linalg.norm(values[-1] - values[0])) <= config.TOL_LIFT
     return LiftResult(
         status="ok", lift=lift, closed_lift=closed_lift, sampling=sampling
     )

@@ -424,7 +424,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
             edges.append((j - 1, j))
     near_real = real_flags[:-2] | real_flags[1:-1] | real_flags[2:]
     dips = (ims[1:-1] <= ims[:-2]) & (ims[1:-1] <= ims[2:])
-    small = ~(ims[1:-1] > 1e-3 * np.maximum(1.0, mags[1:-1]))
+    small = ~(ims[1:-1] > 1e-3 * mags[1:-1])
     tri = np.flatnonzero(~near_real & dips & small)[:, None] + (0, 1, 2)
     b = sampled.brackets
     if len(b):

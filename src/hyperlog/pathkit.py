@@ -397,8 +397,7 @@ class PathSpec:
             self._check_joins(tol, width, ends)
         if self.closed:
             va, vb = ends[0, 0], ends[-1, 1]
-            scale = max(1.0, float(np.linalg.norm(va)))
-            if float(np.linalg.norm(va - vb)) > 1e-9 * scale:
+            if np.linalg.norm(va - vb) > config.VALUE_SAME * np.linalg.norm(va):
                 raise EndpointMismatch("closed path does not return to its start")
 
     def _check_joins(self, tol, width, ends) -> None:
@@ -411,8 +410,8 @@ class PathSpec:
         gap = np.abs(tbs[:-1] - tas[1:]) > tol
         wide = width[1:] != self.dim
         left, right = ends[:-1, 1], ends[1:, 0]
-        scale = np.maximum(1.0, np.linalg.norm(left, axis=1))
-        jump = np.linalg.norm(left - right, axis=1) > 1e-9 * scale
+        jump = np.linalg.norm(left - right, axis=1) > config.VALUE_SAME * np.linalg.norm(
+            left, axis=1)
         bad = np.flatnonzero(gap | wide | jump)
         if len(bad):
             k = int(bad[0]) + 1
@@ -716,6 +715,18 @@ THETA_STEP = 0.1
 D_MAX = 24
 
 
+def _geometry(ts, values, tol) -> tuple:
+    """|q|, |Im q| and the tol.is_real flag of each row q of values,
+    taken at the parameters ts.  A value of modulus at most tol.eps_real,
+    the one absolute test of a value, raises ZeroOnPath."""
+    mags = np.linalg.norm(values, axis=1)
+    zero = mags <= tol.eps_real
+    if zero.any():
+        raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
+    ims = np.linalg.norm(values[:, 1:], axis=1)
+    return mags, ims, tol.is_real(ims, mags)
+
+
 @dataclass(frozen=True)
 class SampledPath:
     """Parameter grid and path values; values[n] is never zero.
@@ -738,13 +749,7 @@ class SampledPath:
     brackets: InitVar[np.ndarray] = ()
 
     def __post_init__(self, brackets):
-        mags = np.linalg.norm(self.values, axis=1)
-        zero = mags <= self.tol.eps_real
-        if zero.any():
-            raise ZeroOnPath(
-                f"path passes through zero near t={float(self.params[np.argmax(zero)])}")
-        ims = np.linalg.norm(self.values[:, 1:], axis=1)
-        real = self.tol.is_real(ims, mags)
+        mags, ims, real = _geometry(self.params, self.values, self.tol)
         change = np.diff(real.astype(np.int8), prepend=0, append=0)
         stretches = np.stack(
             [np.flatnonzero(change == 1), np.flatnonzero(change == -1)], axis=1)
@@ -833,14 +838,10 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
 
     def rows_at(ts: np.ndarray) -> np.ndarray:
         v = spec.values(ts)
-        mag = np.linalg.norm(v, axis=1)
-        zero = mag <= tol.eps_real
-        if zero.any():
-            raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
-        im = np.linalg.norm(v[:, 1:], axis=1)
+        mag, im, real = _geometry(ts, v, tol)
         with np.errstate(divide="ignore", invalid="ignore"):
             unit = v[:, 1:] / im[:, None]
-        return np.column_stack((ts, mag, im, tol.is_real(im, mag), v, unit))
+        return np.column_stack((ts, mag, im, real, v, unit))
 
     nodes = rows_at(np.union1d(np.linspace(spec.a, spec.b, n0 + 1), spec._cuts))
     evaluations = len(nodes)
@@ -960,12 +961,12 @@ def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
     if len(c):
         # Such a crossing is still split where it turns, or changes its
         # modulus, away from the axis; and where its nodes are so near
-        # the axis that the real set about a simple root, 2 eps_real
-        # max(1, |q|) (r - l) / (|Im_l| + |Im_r|) long, could reach a
-        # quarter of the crossing scale: halved as before, that real set
-        # shows as a real stretch of the grid.
+        # the axis that the real set about a simple root, 2 eps_real |q|
+        # (r - l) / (|Im_l| + |Im_r|) long, could reach a quarter of the
+        # crossing scale: halved as before, that real set shows as a real
+        # stretch of the grid.
         c = c[(contact[c] | ~turning[c]) & (
-            8.0 * tol.eps_real * np.maximum(1.0, mags_max[c]) * length[c]
+            8.0 * tol.eps_real * mags_max[c] * length[c]
             < h_cross * (left[c, _IM] + right[c, _IM]))]
         # It is a bracket only while the argument of x + i<Im, u> (u the
         # direction at the left end) turns by less than a quarter turn

@@ -130,7 +130,7 @@ def reference_sample_adaptive(spec, n0=64):
         d1, d2 = float(np.dot(ul, um)), float(np.dot(um, ur))
         if (d1 < 0.0) == (d2 < 0.0) or min(abs(d1), abs(d2)) < cos_tol:
             return 0
-        thr = config.DEFAULT.eps_real * max(1.0, *(float(np.linalg.norm(v)) for v in (vl, vm, vr)))
+        thr = config.DEFAULT.eps_real * max(float(np.linalg.norm(v)) for v in (vl, vm, vr))
         if 2.0 * thr * length / (np.linalg.norm(vl[1:]) + np.linalg.norm(vr[1:])) >= h_cross / 4:
             return 0
         x = [float(v[0]) for v in (vl, vm, vr)]
@@ -698,7 +698,7 @@ def reference_level_needs_split(left, mid, right, h_cross, tol):
     # nodes, both halves aligned within THETA_TOL, a real set about a
     # simple root shorter than a quarter of h_cross, and under a quarter
     # turn of the argument of x + i<Im, u_left> over both halves
-    thr = tol.eps_real * np.maximum(1.0, mags_max)
+    thr = tol.eps_real * mags_max
     near = 8.0 * thr * length >= h_cross * (left.im + right.im)
     z = [n.v[:, 0] + 1j * np.einsum("nd,nd->n", n.v[:, 1:], left.unit)
          for n in (left, mid, right)]

@@ -109,6 +109,33 @@ def test_winding_with_explicit_directives():
     assert json.loads(out)["winding"] == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    # a companion is a demo's, and is not ignored on a path from a file
+    (["winding", "--demo", "lambda_loop", "--companion", "no_such_companion"],
+     "demo lambda_loop has no companion named 'no_such_companion'"),
+    (["winding", "--input", "lambda_loop.json", "--companion", "no_such_companion"],
+     "--companion names a companion of a demo and needs --demo"),
+    (["winding", "--input", "lambda_loop.json", "--companion", "J_path"],
+     "--companion names a companion of a demo and needs --demo"),
+    # an index is a non-negative integer; -1 selected no axis interval
+    (["lift", "--demo", "three_exp", "--directive=-1=flip"],
+     "directive must be <index>=flip|bounce, got '-1=flip'"),
+    (["lift", "--demo", "three_exp", "--directive", "x=flip"],
+     "directive must be <index>=flip|bounce, got 'x=flip'"),
+    (["lift", "--demo", "three_exp", "--directive", "0=twist"],
+     "directive must be <index>=flip|bounce, got '0=twist'"),
+])
+def test_unusable_companion_or_directive_is_an_input_error(tmp_path, argv, message):
+    _code, exported = run_cli("demo", "lambda_loop", "--export")
+    (tmp_path / "lambda_loop.json").write_text(exported)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.getvalue() == f"hyperlog: error: {message}\n"
+
+
 def test_shadow_csv():
     code, out = run_cli("shadow", "--demo", "slice_circle(i,1,1)")
     assert code == 0
@@ -175,13 +202,14 @@ def with_tolerances(tol, f, *args):
 
 def test_eps_real_override_ends_with_the_call(tmp_path):
     # lift and winding sample inside the command; each prints the
-    # library's answer under the overridden value, on a circle small
-    # enough for the sampler's near-axis test to see the threshold: the
-    # lift under 1e-12 has 125 samples, under the default 177
-    name = "slice_circle(j,1e-06,3)"
+    # library's answer under the overridden value, on a path whose lift
+    # and loop answers both depend on the threshold: under 1e-5 its lift
+    # takes other directions near the axis and its loop is analysed,
+    # under the default its loop analysis fails
+    name = "rocket_pos"
     spec = hl.demo(name).path
-    tol = config.Tolerances(1e-12)
-    override = ("--demo", name, "--eps-real", "1e-12")
+    tol = config.Tolerances(1e-5)
+    override = ("--demo", name, "--eps-real", "1e-5")
 
     code, out = run_cli("lift", *override, "--out", str(tmp_path))
     assert config.IN_FORCE.get() is config.DEFAULT
@@ -196,7 +224,7 @@ def test_eps_real_override_ends_with_the_call(tmp_path):
         "start": res.lift.values[0].tolist(),
         "end": res.lift.values[-1].tolist(),
     }
-    assert (tmp_path / "slice_circle_j_1e-06_3_lift.csv").read_text() == res.lift.to_csv()
+    assert (tmp_path / "rocket_pos_lift.csv").read_text() == res.lift.to_csv()
     assert res.lift.to_csv() != hl.lift_path(spec).lift.to_csv()
     assert run_cli("lift", "--demo", name) != (code, out)
 

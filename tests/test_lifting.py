@@ -13,6 +13,8 @@ from hyperlog.errors import (
     MissingInitialUnit,
 )
 
+from test_winding import scaled
+
 PI = math.pi
 
 
@@ -52,6 +54,17 @@ def test_circle_lift_exponentiates_back():
         2 * PI, abs=1e-9
     )
     assert res.closed_lift is False
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0 ** -20])
+def test_verify_lift_is_relative_to_the_modulus(lam):
+    # a lift with its imaginary part negated exponentiates to the
+    # conjugate, at 2 |Im q| / |q| from the path, which reaches 2 on the
+    # circle at any scale; floored at |q| = 1, 2^-20 gave 1.9e-6
+    spec = scaled(hl.demo("slice_circle(i,1,1)").path, lam)
+    lift = hl.lift_path(spec).lift
+    flipped = replace(lift, values=lift.values * [1.0, -1.0, -1.0, -1.0])
+    assert hl.verify_lift(flipped, hl.sample_adaptive(spec)) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_branch_trace_of_the_circle():

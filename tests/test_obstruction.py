@@ -67,7 +67,7 @@ def test_classify_point_table():
 # paths whose report depends on the realness threshold, with a threshold
 # other than the default
 EPS_REAL_CASES = [
-    ("slice_circle(j,1e-06,3)", 1e-12),
+    ("lambda_loop", 1e-5),
     ("three_exp", 1e-5),
     ("gamma1m_gamma2(3)", 1e-5),
 ]

@@ -81,6 +81,19 @@ def test_closure_mismatch_rejected():
         hl.PathSpec(0.0, 1.0, (a,), closed=True)
 
 
+@pytest.mark.parametrize("lam", [1e-12, 1e-6, 1.0, 1e6])
+def test_a_gap_of_a_millionth_of_the_modulus_is_rejected_at_any_scale(lam):
+    # the join and closure checks are relative to |q|; floored at
+    # |q| = 1, they let this gap through below modulus 1
+    p, q = lam * np.array([0.0, 0.6, 0.8, 0.0]), lam * np.array([0.6, 0.8, 0.0, 0.0])
+    gap = lam * np.array([0.0, 0.0, 0.0, 1e-6])
+    hl.PathSpec(0.0, 2.0, (Line(0.0, 1.0, p, q), Line(1.0, 2.0, q, p)), closed=True)
+    with pytest.raises(EndpointMismatch, match="segments do not join continuously"):
+        hl.PathSpec(0.0, 2.0, (Line(0.0, 1.0, p, q), Line(1.0, 2.0, q + gap, p)))
+    with pytest.raises(EndpointMismatch, match="closed path does not return to its start"):
+        hl.PathSpec(0.0, 2.0, (Line(0.0, 1.0, q, p), Line(1.0, 2.0, p, q + gap)), closed=True)
+
+
 def test_concat_and_reverse():
     spec = circle()
     rev = hl.reverse(spec)

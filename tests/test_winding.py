@@ -15,6 +15,7 @@ from hyperlog.errors import (
     AllRealLoop,
     HypothesisViolated,
     NotApplicable,
+    NotLiftable,
     StepTooLarge,
     TwistedLoop,
     ZeroOnPath,
@@ -132,6 +133,15 @@ def test_branch_changes_lambda():
         initial_unit=np.array(case.initial_units["minus_one"])[1:],
     )
     assert got == 0
+
+
+def test_branch_change_through_a_bad_contact_is_not_liftable():
+    # the direction of rocket_neg spins without limit at its contact with
+    # -1 at t = 0; re-rooted at 0.5, the domain is [0.5, 1.5] and the
+    # contact lies at t = 1.0
+    with pytest.raises(NotLiftable) as e:
+        hl.branch_change_report(hl.demo("rocket_neg").path, 0.5, initial_unit=(1.0, 0.0, 0.0))
+    assert (e.value.kind, e.value.t) == ("not_tame", 1.0)
 
 
 def test_branch_changes_gamma_copies():
@@ -493,6 +503,35 @@ def test_loop_answers_do_not_depend_on_the_scale():
         want = answers(spec)
         for lam in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
             assert answers(scaled(spec, lam)) == want, (name, lam)
+
+
+# the corpus paths whose grids and contacts a power-of-two factor must
+# leave unchanged
+SCALED_CORPUS = list(dict.fromkeys(
+    SCALED_LOOPS + ["sigma_arc", "sigma_hat", "rocket_neg", "rocket_pos",
+                    "slice_circle(j,2,20)", "gamma1m_gamma2(8)"]))
+
+
+@pytest.mark.parametrize("name", SCALED_CORPUS)
+def test_grids_and_contacts_do_not_depend_on_the_scale(name):
+    # a factor 2^k scales every value, norm and |Im| exactly, and every
+    # value test is relative to |q|: the sampler takes the same grid and
+    # find_obstructions the same contacts, each value lam times as large;
+    # with the value tests floored at |q| = 1, 16 of these 136 cases
+    # differed, all under lam <= 2^-10
+    base = hl.demo(name).path
+    for spec in (base, replace(base, closed=False)):
+        sampled, label = sample_path(spec)
+        rep = hl.find_obstructions(sampled, spec)
+        for lam in (2.0 ** -20, 2.0 ** -10, 2.0 ** 10, 2.0 ** 20):
+            s = scaled(spec, lam)
+            got, got_label = sample_path(s)
+            assert got_label == label, (spec.closed, lam)
+            assert got.params.tobytes() == sampled.params.tobytes(), (spec.closed, lam)
+            got_rep = hl.find_obstructions(got, s)
+            assert got_rep.contacts == tuple(
+                replace(c, value=lam * c.value) for c in rep.contacts), (spec.closed, lam)
+            assert got_rep.runs == rep.runs, (spec.closed, lam)
 
 
 @dataclass(frozen=True)
