@@ -53,6 +53,10 @@ done
 expect 1 winding --input "$work/lambda_loop.json" --companion no_such_companion
 expect 1 winding --demo lambda_loop --companion no_such_companion
 expect 1 lift --demo three_exp --directive=-1=flip
+# the report of analyze takes no companion choice: either option is an
+# error there, not ignored
+expect 1 analyze --demo three_exp --companion J_path
+expect 1 analyze --demo three_exp --directive 0=flip
 
 # a radius written as a string is unusable input: exit code 1 and one
 # error line, not a traceback

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config
 from .corpus import demo, demo_names
-from .errors import HyperlogError, InitialMismatch, NotLiftable, TwistedLoop, UnknownDemo
+from .errors import HyperlogError, InitialMismatch, UnknownDemo
 from .lifting import lift_path
 from .obstruction import find_obstructions, report_to_json
 from .pathkit import (
@@ -190,6 +190,7 @@ def _cmd_demo(args) -> int:
 
 
 def _add_common(p):
+    """The options every path command reads."""
     p.add_argument("--demo", help="name of a built-in example path")
     p.add_argument("--input", help="path description as a JSON file")
     p.add_argument("--out", help="directory for output files")
@@ -198,6 +199,10 @@ def _add_common(p):
         help="realness threshold for this call: q is real when "
         "|Im q| <= EPS_REAL |q| (default 1e-9, allowed [1e-14, 1e-4])",
     )
+
+
+def _add_companion(p):
+    """The companion choice, for the commands that follow a companion."""
     p.add_argument(
         "--directive", action="append", metavar="M=KIND",
         help="flip/bounce choice for axis interval M (repeatable)",
@@ -217,6 +222,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("lift", help="continuous logarithm along a path")
     _add_common(p)
+    _add_companion(p)
     p.add_argument("--k0", type=int, default=0, help="starting branch index")
     p.add_argument(
         "--initial-unit",
@@ -226,10 +232,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("winding", help="twistedness and winding of a loop")
     _add_common(p)
+    _add_companion(p)
     p.set_defaults(fn=_cmd_winding)
 
     p = sub.add_parser("shadow", help="planar shadow of a path")
     _add_common(p)
+    _add_companion(p)
     p.set_defaults(fn=_cmd_shadow)
 
     p = sub.add_parser("demo", help="list or inspect the example corpus")
@@ -251,9 +259,6 @@ def main(argv=None) -> int:
     token = config.IN_FORCE.set(tol)
     try:
         return args.fn(args)
-    except (NotLiftable, TwistedLoop) as e:
-        sys.stderr.write(f"hyperlog: {e}\n")
-        return 2
     except HyperlogError as e:
         sys.stderr.write(f"hyperlog: error: {e}\n")
         return 1

@@ -85,15 +85,19 @@ def unit_field(
             units[:, 0] = 1.0
         return units
 
-    # real samples in a run resolved as a flip: the first run (a wrap
-    # run being its two pieces) that covers a real sample decides
+    # real samples in a run resolved as a flip: the first run that covers
+    # a real sample decides.  A run covers the samples within tol of
+    # [t0, t1] and, on a closed report, of that interval moved back or on
+    # by the grid's span: a closed report's runs are read modulo its
+    # period, so one report serves a grid that starts anywhere on the loop
     a, b = float(params[0]), float(params[-1])
     tol = config.PARAM_SAME * (b - a)
+    shifts = (0.0, a - b, b - a) if rep.closed else (0.0,)
     flip = np.zeros(n, dtype=bool)
     uncovered = real.copy()
     for r, kind in zip(rep.runs, run_kinds(rep, directives)):
-        for t0, t1 in [(r.t0, b), (a, a + (r.t1 - b))] if r.wrap else [(r.t0, r.t1)]:
-            cover = uncovered & (t0 - tol <= params) & (params <= t1 + tol)
+        for s in shifts:
+            cover = uncovered & (r.t0 + s - tol <= params) & (params <= r.t1 + s + tol)
             uncovered &= ~cover
             if kind == FLIP:
                 flip |= cover

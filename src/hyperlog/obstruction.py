@@ -84,8 +84,8 @@ class AxisInterval:
 
     t0 is where the first big arc ends and t1 where the next one starts;
     the two coincide when a single contact lies between them.
-    contacts and runs hold the items, each in report order; the JSON
-    form leaves them out, since the report lists them itself.
+    runs holds the interval's real runs in report order, for run_kinds;
+    the JSON form leaves it out, since the report lists them itself.
     """
 
     t0: float
@@ -94,7 +94,6 @@ class AxisInterval:
     kind: str
     non_unique: bool
     wrap: bool
-    contacts: tuple = field(metadata={"json": False})
     runs: tuple = field(metadata={"json": False})
 
 
@@ -228,7 +227,7 @@ def classify_interval(interval: AxisInterval, directive: str | None = None) -> s
     and a bounce continuation; the directive picks one, defaulting to
     bounce.
     """
-    if interval.runs:
+    if interval.non_unique:
         if directive in (FLIP, BOUNCE):
             return directive
         if directive is not None:
@@ -597,11 +596,7 @@ def _axis_geometry(spec, contacts, runs, edge_tol) -> tuple:
         # every interval holds at least the item after its first cut
         sign = (inner_contacts or inner_runs)[0].sign
         intervals.append(
-            AxisInterval(
-                g0, g1, sign, kind,
-                bool(inner_runs), wrap, inner_contacts, inner_runs,
-            )
-        )
+            AxisInterval(g0, g1, sign, kind, bool(inner_runs), wrap, inner_runs))
     # keep the wrap interval last
     intervals.sort(key=lambda iv: (iv.wrap, iv.t0))
     return big_arcs, tuple(intervals)

@@ -116,7 +116,8 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     Twistedness and the winding number are computed after re-rooting the
     loop at its sample farthest from the real axis, so that the
     companion lift starts and ends at an honest direction; re-rooting is
-    a cyclic shift of the one sample grid and report (see _reroot).
+    a cyclic shift of the one sample grid (see _reroot), read with the
+    loop's own report.
     Signatures are reported in the loop's own parameterisation.
     """
     if not spec.closed:
@@ -146,8 +147,8 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
 
     i_star = int(np.argmax(sampled.ims))
     t_star = float(sampled.params[i_star])
-    rot_sampled, rep_rot = _reroot(sampled, rep, i_star, spec.b - spec.a)
-    units = unit_field(rot_sampled, rep_rot, directives)
+    rot_sampled = _reroot(sampled, i_star, spec.b - spec.a)
+    units = unit_field(rot_sampled, rep, directives)
     twisted = float(np.dot(units[0], units[-1])) < 0.0
     prov["basepoint"] = t_star
 
@@ -159,35 +160,22 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     return WindingResult(twisted, sig, csig, winding, sw, flips, prov)
 
 
-def _reroot(sampled, rep, i_star, period):
-    """Sample grid and report of a loop re-rooted at sample i_star.
+def _reroot(sampled, i_star, period):
+    """Sample grid of a loop re-rooted at sample i_star.
 
     The grid runs one period on from params[i_star] without the seam
     sample at a, so both ends hold the same value, and its crossing
-    brackets are the same intervals, re-indexed.  Runs before the new
-    basepoint move on by one period; as its sample is not real, no run
-    straddles it and none wraps.  Interval order is kept, so directives
-    still apply; unit_field reads nothing else that would need re-keying.
+    brackets are the same intervals, re-indexed.  The loop's report is
+    not rewritten: unit_field reads a closed report's runs modulo the
+    period.
     """
     params, values = sampled.params, sampled.values
-    t_star = params[i_star]
-
-    def shift(runs):
-        return tuple(
-            replace(r, t0=r.t0 + period, t1=r.t1 + period, wrap=False)
-            if r.t0 < t_star
-            else replace(r, wrap=False)
-            for r in runs
-        )
-
-    grid = replace(
+    return replace(
         sampled,
         params=np.concatenate([params[i_star:], params[1:i_star + 1] + period]),
         values=np.concatenate([values[i_star:], values[1:i_star + 1]]),
         brackets=np.sort((sampled.brackets - i_star) % (len(params) - 1)),
     )
-    intervals = tuple(replace(iv, runs=shift(iv.runs)) for iv in rep.intervals)
-    return grid, replace(rep, runs=shift(rep.runs), intervals=intervals)
 
 
 def is_twisted(spec: PathSpec, directives: tuple = ()) -> bool:

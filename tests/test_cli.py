@@ -185,6 +185,21 @@ def test_n0_is_not_an_option():
     assert "unrecognized arguments: --n0 0" in err.getvalue()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--companion", "J_path"],
+    ["--directive", "0=flip"],
+    ["--companion", "foo", "--directive=-1=flip"],
+])
+def test_analyze_takes_no_companion_options(extra):
+    # the report does not depend on a companion choice, so analyze
+    # rejects one rather than ignoring it
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        run_cli("analyze", "--demo", "three_exp", *extra)
+    assert exit_.value.code == 1
+    assert err.getvalue() == f"hyperlog: error: unrecognized arguments: {' '.join(extra)}\n"
+
+
 
 def test_bad_eps_real_rejected():
     code, _ = run_cli("analyze", "--demo", "sigma_arc", "--eps-real", "0.5")

@@ -265,17 +265,35 @@ def oracle_variants(spec):
     return out
 
 
+def rerooted_report(rep, t_star, period):
+    """A loop's report re-keyed to its grid re-rooted at t_star: runs
+    before t_star move on by one period, and none wraps.  The reference
+    reads it, so that the library, which reads the loop's own report
+    modulo the period, is checked against this explicit shift."""
+    def shift(runs):
+        return tuple(
+            replace(r, t0=r.t0 + period, t1=r.t1 + period, wrap=False)
+            if r.t0 < t_star else replace(r, wrap=False)
+            for r in runs)
+
+    intervals = tuple(replace(iv, runs=shift(iv.runs)) for iv in rep.intervals)
+    return replace(rep, runs=shift(rep.runs), intervals=intervals)
+
+
 def oracle_inputs(spec, label):
-    """(label, sampled, report) of a path, closed and open, and of its
-    re-rooted grid when it is a loop."""
+    """(label, sampled, report, reference report) of a path, closed and
+    open, and of its re-rooted grid when it is a loop; the reference
+    report is the report itself but on the re-rooted grid."""
     sp, _sampling = sample_path(spec)
     for closed in (True, False) if spec.closed else (False,):
         rep = hl.find_obstructions(sp, replace(spec, closed=closed))
-        yield f"{label}/closed={closed}", sp, rep
+        yield f"{label}/closed={closed}", sp, rep, rep
         if closed:
-            im = np.linalg.norm(sp.values[:, 1:], axis=1)
-            grid, rep_rot = winding._reroot(sp, rep, int(np.argmax(im)), spec.b - spec.a)
-            yield f"{label}/reroot", grid, rep_rot
+            i_star = int(np.argmax(np.linalg.norm(sp.values[:, 1:], axis=1)))
+            period = spec.b - spec.a
+            grid = winding._reroot(sp, i_star, period)
+            yield (f"{label}/reroot", grid, rep,
+                   rerooted_report(rep, sp.params[i_star], period))
 
 
 def oracle_seeds(sp, rng):
@@ -311,19 +329,20 @@ def grid_features(sp):
     return {name for name, hit in hits if hit}, bool(np.any(real))
 
 
-def check_against_reference(sp, rep, seeds, label):
-    """unit_field equals the reference byte for byte under every
-    directive tuple and seed; the reference runs once per distinct
-    resolution of the runs.  Returns the features seen."""
+def check_against_reference(sp, rep, ref_rep, seeds, label):
+    """unit_field on rep equals the reference on ref_rep byte for byte
+    under every directive tuple and seed; the reference runs once per
+    distinct resolution of the runs.  Returns the features seen."""
     seen, bridged = grid_features(sp)
     cache = {}
     for directives in directive_tuples(rep):
-        resolved = tuple(reference_directive_for_run(rep, r, directives) for r in rep.runs)
+        resolved = tuple(reference_directive_for_run(ref_rep, r, directives)
+                         for r in ref_rep.runs)
         if FLIP in resolved and bridged:
             seen.add("flip_run")
         for k, seed in enumerate(seeds):
             if (resolved, k) not in cache:
-                cache[resolved, k] = reference_unit_field(sp, rep, directives, seed)
+                cache[resolved, k] = reference_unit_field(sp, ref_rep, directives, seed)
             want = cache[resolved, k]
             got = hl.unit_field(sp, rep, directives, seed)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
@@ -337,8 +356,9 @@ def test_unit_field_matches_the_per_sample_reference():
     checked = 0
     for name in ORACLE_CORPUS:
         for kind, spec in oracle_variants(hl.demo(name).path).items():
-            for label, sp, rep in oracle_inputs(spec, f"{name}/{kind}"):
-                seen |= check_against_reference(sp, rep, oracle_seeds(sp, rng), label)
+            for label, sp, rep, ref_rep in oracle_inputs(spec, f"{name}/{kind}"):
+                seen |= check_against_reference(
+                    sp, rep, ref_rep, oracle_seeds(sp, rng), label)
                 checked += 1
     assert checked > 100
     # the inputs reach every branch of the carry rule
@@ -351,5 +371,5 @@ def test_unit_field_matches_the_reference_on_random_loops(loop_seed, where):
     rng = np.random.default_rng(loop_seed)
     spec, _winding, _misses = single_slice_loop(rng)
     spec = hl.rotate_basepoint(spec, spec.a + where * (spec.b - spec.a))
-    for label, sp, rep in oracle_inputs(spec, "single_slice_loop"):
-        check_against_reference(sp, rep, oracle_seeds(sp, rng), label)
+    for label, sp, rep, ref_rep in oracle_inputs(spec, "single_slice_loop"):
+        check_against_reference(sp, rep, ref_rep, oracle_seeds(sp, rng), label)

@@ -158,6 +158,34 @@ def test_closed_nontame_liftable_hypotheses():
         hl.closed_nontame_liftable(hl.demo("slice_circle(i,1,1)").path)
 
 
+def test_closed_nontame_liftable_reads_every_bad_contact():
+    # two laps of meridians hold two bad contacts, and the criterion
+    # fails on a piece between them as it does on the one lap
+    meridians = hl.demo("meridians").path
+    assert hl.closed_nontame_liftable(hl.repeat(meridians, 2)) is False
+    # the contact of rocket_neg with -1 is bad and off the positive reals
+    with pytest.raises(HypothesisViolated, match="bad contact away from the positive reals"):
+        hl.closed_nontame_liftable(hl.demo("rocket_neg").path)
+
+
+def test_a_path_real_throughout_lifts_along_its_seed():
+    # from 1 to 2 on the real axis: the unit field is the initial unit,
+    # else i, and the argument stays at its k0-th branch, 2 pi k0
+    spec = hl.PathSpec(0.0, 1.0, (hl.pathkit.Line(0.0, 1.0, (1.0, 0.0, 0.0, 0.0),
+                                                  (2.0, 0.0, 0.0, 0.0)),))
+    res = hl.lift_path(spec)
+    assert res.status == "ok"
+    assert (res.lift.units == [1.0, 0.0, 0.0]).all()
+    assert res.lift.values[-1] == pytest.approx([math.log(2.0), 0.0, 0.0, 0.0], abs=1e-12)
+    res = hl.lift_path(spec, k0=1, initial_unit=(0.0, 1.0, 0.0))
+    assert res.status == "ok"
+    assert (res.lift.units == [0.0, 1.0, 0.0]).all()
+    assert res.lift.values[-1] == pytest.approx(
+        [math.log(2.0), 0.0, 2.0 * math.pi, 0.0], abs=1e-12)
+    with pytest.raises(MissingInitialUnit):
+        hl.lift_path(spec, k0=1)
+
+
 def test_real_start_requires_initial_unit():
     spec = hl.demo("gamma1m_gamma2(1)").path  # starts at -1
     with pytest.raises(MissingInitialUnit):

@@ -201,8 +201,8 @@ def test_runs_in_no_interval_bounce():
 
 
 def test_interval_members_match_a_scan_of_all_keys():
-    # an interval holds the contacts and runs whose parameter t, or
-    # t +- period, lies in it widened by find_obstructions' edge tolerance
+    # an interval holds the runs whose parameter t0, or t0 +- period, lies
+    # in it widened by find_obstructions' edge tolerance
     checked = 0
     for label, spec in corpus_paths():
         sp, _sampling = sample_path(spec)
@@ -214,7 +214,6 @@ def test_interval_members_match_a_scan_of_all_keys():
                 def inside(t):
                     return any(iv.t0 - edge_tol <= tt <= iv.t1 + edge_tol
                                for tt in (t, t + span, t - span))
-                assert iv.contacts == tuple(c for c in rep.contacts if inside(c.t)), label
                 assert iv.runs == tuple(r for r in rep.runs if inside(r.t0)), label
                 checked += 1
     assert checked > 300
@@ -409,14 +408,13 @@ def reference_axis_geometry(spec, contacts, runs, edge_tol):
             kind = UNRESOLVED
         else:
             kind = FLIP if sum(1 for k in kinds if k == FLIP) % 2 == 1 else BOUNCE
-        intervals.append((g0, g1, sign, kind, bool(inner_runs), wrap,
-                          inner_contacts, inner_runs))
+        intervals.append((g0, g1, sign, kind, bool(inner_runs), wrap, inner_runs))
     intervals.sort(key=lambda iv: (iv[5], iv[0]))
     return big_arcs, intervals
 
 
 def interval_fields(iv):
-    return (iv.t0, iv.t1, iv.sign, iv.kind, iv.non_unique, iv.wrap, iv.contacts, iv.runs)
+    return (iv.t0, iv.t1, iv.sign, iv.kind, iv.non_unique, iv.wrap, iv.runs)
 
 
 def assert_report_matches_the_reference(rep, spec, label=""):
@@ -536,7 +534,7 @@ def test_axis_geometry_matches_the_reference_on_synthetic_items(args):
     want_arcs, want_intervals = reference_axis_geometry(spec, contacts, runs, EDGE_TOL)
     assert big_arcs == want_arcs
     assert [interval_fields(iv) for iv in intervals] == want_intervals
-    # every item sits in one interval when there are any
+    # every run sits in one interval when there are any
     if intervals and spec.closed:
-        held = [x for iv in intervals for x in iv.contacts + iv.runs]
-        assert sorted(held, key=id) == sorted(contacts + runs, key=id)
+        held = [r for iv in intervals for r in iv.runs]
+        assert sorted(held, key=id) == sorted(runs, key=id)

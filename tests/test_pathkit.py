@@ -132,6 +132,32 @@ def test_subpath_values():
     assert np.allclose(part.value(2.5), spec.value(2.5), atol=1e-12)
 
 
+def _unit_line(ta, tb):
+    return Line(ta, tb, (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: hl.PathSpec(0.0, 1.0, ()), ValueError, "a path needs at least one segment"),
+    (lambda: hl.PathSpec(1.0, 1.0, (_unit_line(1.0, 1.0),)), ValueError,
+     "domain must have positive length"),
+    (lambda: hl.PathSpec(0.0, 1.0, (_unit_line(0.0, 0.5),)), EndpointMismatch,
+     "segments do not cover the domain"),
+    (lambda: hl.PathSpec(0.0, 1.0, (_unit_line(0.0, 0.4), _unit_line(0.6, 1.0))),
+     EndpointMismatch, "segments are not contiguous"),
+    (lambda: hl.repeat(hl.demo("sigma_arc").path, 2), EndpointMismatch,
+     "only closed paths can be repeated"),
+    (lambda: hl.repeat(circle(), 0), ValueError, "repeat count must be positive"),
+    (lambda: hl.subpath(circle(), 1.0, 7.0), OutOfDomain, "subpath bounds outside the domain"),
+    (lambda: hl.rotate_basepoint(hl.demo("sigma_arc").path, 2.0), EndpointMismatch,
+     "only closed paths can be re-rooted"),
+], ids=["no_segments", "zero_length", "uncovered", "gap", "repeat_open", "repeat_zero",
+        "subpath_outside", "reroot_open"])
+def test_unusable_paths_are_rejected(build, error, message):
+    with pytest.raises(error) as e:
+        build()
+    assert str(e.value) == message
+
+
 def test_rotate_basepoint_wraps_values():
     spec = circle()
     rot = hl.rotate_basepoint(spec, 1.5)
@@ -557,8 +583,7 @@ def test_sampled_geometry_matches_fresh_norms():
         grids += [sp, SampledPath.from_csv(sp.to_csv()), hl.sample_uniform(spec, 257)]
         if spec.closed and not sp.real.all():
             i_star = int(np.argmax(sp.ims))
-            grids.append(winding._reroot(
-                sp, hl.find_obstructions(sp, spec), i_star, spec.b - spec.a)[0])
+            grids.append(winding._reroot(sp, i_star, spec.b - spec.a))
     for sp in grids:
         check_geometry(sp)
     # the inputs hold real stretches at the start, inside and at the end
@@ -594,7 +619,7 @@ def test_crossing_brackets_hold_a_reversal_between_non_real_ends():
         # basepoint one period on
         if spec.closed and len(k):
             i_star = int(np.argmax(sp.ims))
-            rot = winding._reroot(sp, hl.find_obstructions(sp, spec), i_star, spec.b - spec.a)[0]
+            rot = winding._reroot(sp, i_star, spec.b - spec.a)
             shift = np.where(k < i_star, spec.b - spec.a, 0.0)
             want = sorted(zip(sp.params[k] + shift, sp.params[k + 1] + shift))
             got = list(zip(rot.params[rot.brackets], rot.params[rot.brackets + 1]))

@@ -116,6 +116,10 @@ def test_lambda_loop_is_twisted():
         hl.winding_number(spec)
 
 
+def test_an_untwisted_loop_has_its_winding_number():
+    assert hl.winding_number(hl.demo("slice_circle(i,1,3)").path) == 3
+
+
 def test_c_homotopy_needs_untwisted_loops():
     twisted = hl.analyze_loop(hl.demo("lambda_loop").path)
     plain = hl.analyze_loop(hl.demo("slice_circle(i,1,1)").path)
@@ -380,18 +384,13 @@ def test_reroot_is_a_cyclic_shift():
     period = loop.b - loop.a
     i_star = int(np.argmax(np.linalg.norm(sampled.values[:, 1:], axis=1)))
     t_star = sampled.params[i_star]
-    grid, rerooted = hl.winding._reroot(sampled, rep, i_star, period)
+    grid = hl.winding._reroot(sampled, i_star, period)
     n = len(sampled.params)
     order = (np.arange(n - 1) + i_star) % (n - 1)
     order = np.append(np.where(order == 0, n - 1, order), i_star)
     assert np.all(np.diff(grid.params) > 0)
     assert grid.params[0] == t_star and grid.params[-1] == t_star + period
     assert grid.values.tobytes() == sampled.values[order].tobytes()
-    assert len(rerooted.runs) == len(rep.runs)
-    for r in rerooted.runs:
-        assert not r.wrap and t_star < r.t0 < r.t1 < t_star + period
-    assert {r for iv in rerooted.intervals for r in iv.runs} == set(rerooted.runs)
-    assert [iv.t0 for iv in rerooted.intervals] == [iv.t0 for iv in rep.intervals]
 
 
 @pytest.mark.parametrize("n", [20, 40, 50, 80, 100, 200])
