@@ -53,6 +53,19 @@ done
 expect 1 winding --input "$work/lambda_loop.json" --companion no_such_companion
 expect 1 winding --demo lambda_loop --companion no_such_companion
 expect 1 lift --demo three_exp --directive=-1=flip
+# three_exp has two axis intervals: a directive for a third names none,
+# and is an error for the lift as for the loop
+expect 1 lift --demo three_exp --directive 2=flip
+expect 1 winding --demo three_exp --directive 2=flip
+# the lift reads the loop as closed: under J_path (untwisted, winding 1)
+# it returns to the unit i it started with, one turn on
+expect 0 lift --demo three_exp --companion J_path
+python3 - "$work/out.txt" <<'EOF'
+import json, sys
+end = json.load(open(sys.argv[1]))["end"]
+if end[1] != 6.283185307179587:
+    sys.exit(f"three_exp under J_path: the lift ends at {end}")
+EOF
 # the report of analyze takes no companion choice: either option is an
 # error there, not ignored
 expect 1 analyze --demo three_exp --companion J_path

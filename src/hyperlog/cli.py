@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +158,7 @@ def _cmd_winding(args) -> int:
 def _cmd_shadow(args) -> int:
     spec, stem = _load_path(args)
     sampled, _sampling = sample_path(spec)
-    rep = find_obstructions(sampled, replace(spec, closed=False))
+    rep = find_obstructions(sampled, spec)
     text = shadow_of(sampled, rep, _demo_directives(args)).to_csv()
     sys.stdout.write(text)
     _write(args.out, f"{stem}_shadow.csv", text)

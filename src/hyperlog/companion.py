@@ -76,6 +76,7 @@ def unit_field(
     params = sampled.params
     n = len(params)
     real = sampled.real
+    kinds = run_kinds(rep, directives)
 
     units = np.zeros((n, sampled.dim - 1))
     if real.all():
@@ -95,7 +96,7 @@ def unit_field(
     shifts = (0.0, a - b, b - a) if rep.closed else (0.0,)
     flip = np.zeros(n, dtype=bool)
     uncovered = real.copy()
-    for r, kind in zip(rep.runs, run_kinds(rep, directives)):
+    for r, kind in zip(rep.runs, kinds):
         for s in shifts:
             cover = uncovered & (r.t0 + s - tol <= params) & (params <= r.t1 + s + tol)
             uncovered &= ~cover

@@ -11,7 +11,7 @@ on each piece is recovered as floor(arg / pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,12 +152,14 @@ def lift_path(
 ) -> LiftResult:
     """Continuous logarithm of a path starting on branch k0.
 
-    The result reports failure (rather than raising) when the path has a
-    contact without the direction limits needed to carry a nonzero
-    argument across; errors about unusable inputs do raise.
+    A closed path is read as closed, as analyze_loop reads it.  The
+    result reports failure (rather than raising), naming the contact's
+    kind, where a nonzero argument meets a contact without the direction
+    limit it needs; a loop meets its wrap contact only at a and at b,
+    each from one side.  Errors about unusable inputs do raise.
     """
     sampled, sampling = sample_path(spec)
-    rep = find_obstructions(sampled, replace(spec, closed=False))
+    rep = find_obstructions(sampled, spec)
 
     seed, arg0 = _seed_and_start_arg(sampled, k0, initial_unit)
     units = unit_field(sampled, rep, directives, seed)
@@ -183,15 +185,19 @@ def lift_path(
     arg[0] = arg0
     arg[1:] = arg0 + np.cumsum(dphi)
 
-    # contacts without usable direction limits only admit zero argument
+    # contacts without usable direction limits only admit zero argument;
+    # a loop meets its wrap contact only at a and at b, each from one side
     for c in rep.contacts:
         if c.kind not in BAD_KINDS:
             continue
         n = min(int(np.searchsorted(sampled.params, c.t)), len(sampled.params) - 1)
-        if int(round(arg[n] / math.pi)) != 0:
-            return LiftResult(
-                status="fails_at", t_fail=c.t, reason=c.kind, sampling=sampling
-            )
+        ends = ((spec.a, 0, c.right_dir), (spec.b, -1, c.left_dir))
+        touched = [(t, m) for t, m, d in ends if d is None] if c.wrap else [(c.t, n)]
+        for t, m in touched:
+            if int(round(arg[m] / math.pi)) != 0:
+                return LiftResult(
+                    status="fails_at", t_fail=t, reason=c.kind, sampling=sampling
+                )
 
     values = np.empty_like(sampled.values)
     values[:, 0] = np.log(sampled.mags)

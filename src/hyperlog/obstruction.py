@@ -241,7 +241,10 @@ def run_kinds(rep: ObstructionReport, directives=()) -> tuple:
 
     A run takes the classify_interval kind, under its directive, of the
     first axis interval that holds it; a run in no interval bounces.
+    More directives than axis intervals raise ValueError.
     """
+    if len(directives) > len(rep.intervals):
+        raise ValueError(f"{len(directives)} directives for {len(rep.intervals)} axis intervals")
     kind = {}
     for m, iv in enumerate(rep.intervals):
         k = classify_interval(iv, directives[m] if m < len(directives) else None)

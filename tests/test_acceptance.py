@@ -10,7 +10,6 @@ import contextlib
 import io
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,7 +271,7 @@ def test_criterion_10_signature_machinery():
         if name == "lambda_loop":
             spec = hl.rotate_basepoint(spec, 0.3)
         sp = hl.sample_adaptive(spec)
-        rep = hl.find_obstructions(sp, replace(spec, closed=False))
+        rep = hl.find_obstructions(sp, spec)
         sig = hl.signature(rep)
         v0 = spec.value(spec.a)
         if np.linalg.norm(v0[1:]) <= 1e-9:

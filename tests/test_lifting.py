@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 import hyperlog as hl
+from hyperlog.companion import arrival, departure
 from hyperlog.errors import (
     HypothesisViolated,
     InitialMismatch,
     MissingInitialUnit,
 )
+from hyperlog.pathkit import sample_path
 
-from test_winding import scaled
+from test_winding import CLOSED_CORPUS, scaled
 
 PI = math.pi
 
@@ -84,10 +86,8 @@ def test_terminal_branch_matches_lift_on_tame_paths():
         spec = hl.demo(name).path
         if basepoint is not None:
             spec = hl.rotate_basepoint(spec, basepoint)
-        from dataclasses import replace
-
         sp = hl.sample_adaptive(spec)
-        rep = hl.find_obstructions(sp, replace(spec, closed=False))
+        rep = hl.find_obstructions(sp, spec)
         sig = hl.signature(rep)
         for k0 in range(-2, 3):
             v0 = spec.value(spec.a)
@@ -283,15 +283,14 @@ def test_lift_follows_the_branches_of_the_argument(name, k0):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_a_trailing_real_sample_takes_the_limit_whatever_the_grid(m, monkeypatch):
     # gamma1m_gamma2(m) ends on the axis at -1; the unit at its last, real,
-    # sample is the one-sided limit at the end contact, sign-matched, and
-    # not the direction at the grid's last non-real sample, which can lie
-    # a whole grid step before it
+    # sample is the left limit at the loop's wrap contact, sign-matched,
+    # and not the direction at the grid's last non-real sample, which can
+    # lie a whole grid step before it
     spec = hl.demo(f"gamma1m_gamma2({m})").path
     res = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0))
     sampled = hl.pathkit.sample_path(spec)[0]
     assert sampled.real[-1] and not sampled.real[-2]
-    end = hl.find_obstructions(sampled, replace(spec, closed=False)).contacts[-1]
-    limit = np.array(end.left_dir)
+    limit = arrival(hl.find_obstructions(sampled, spec), spec.b)
     unit = res.lift.units[-1]
     assert min(np.linalg.norm(unit - limit), np.linalg.norm(unit + limit)) <= 1e-12
     # so a lift over a uniform grid ends at the same value
@@ -315,3 +314,90 @@ def test_a_real_start_is_left_along_the_limit_whatever_the_grid(turn):
         assert hl.lift_path(spec, initial_unit=unit).status == "ok"
     with pytest.raises(InitialMismatch, match="not parallel to the outgoing direction"):
         hl.lift_path(spec, initial_unit=(0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("name", CLOSED_CORPUS)
+def test_the_lift_agrees_with_the_loop(name):
+    # the lift reads a loop as analyze_loop does: its end units are
+    # opposite exactly when the loop is twisted, and an untwisted lift
+    # turns winding times and closes exactly when the winding is 0
+    case = hl.demo(name)
+    spec = case.path
+    variants = [spec, hl.reverse(spec), hl.reflect_negconj(spec)]
+    variants += [hl.rotate_basepoint(spec, spec.a + f * (spec.b - spec.a))
+                 for f in (0.13, 0.37, 0.71)]
+    checked = 0
+    for loop in variants:
+        sampled, _ = sample_path(loop)
+        start = departure(hl.find_obstructions(sampled, loop), loop.a)
+        for companion, dirs in {"default": (), **case.directives}.items():
+            want = hl.analyze_loop(loop, dirs)
+            if want.twisted is None:
+                continue
+            checked += 1
+            res = hl.lift_path(loop, initial_unit=start if sampled.real[0] else None,
+                               directives=dirs)
+            assert res.status == "ok", (companion, res.reason)
+            lift = res.lift
+            assert (float(np.dot(lift.units[0], lift.units[-1])) < 0) is want.twisted, companion
+            if not want.twisted:
+                turns = (lift.arg[-1] - lift.arg[0]) / (2 * PI)
+                assert abs(turns) == pytest.approx(want.winding, abs=1e-6), companion
+                assert res.closed_lift is (want.winding == 0), companion
+    assert checked or name in ("rocket_neg", "meridians")
+
+
+@pytest.mark.parametrize("directives, end, closed, twisted", [
+    ((), 0.0, True, False),
+    (("bounce", "bounce"), 0.0, True, False),
+    # J_path: untwisted with winding 1, so the lift comes back to the
+    # unit i it started with, one turn on
+    (("flip", "flip"), 2 * PI, False, False),
+    (("flip", "bounce"), -2 * PI, False, True),
+    (("bounce", "flip"), 0.0, True, True),
+])
+def test_three_exp_lifts_under_each_directive(directives, end, closed, twisted):
+    res = hl.lift_path(hl.demo("three_exp").path, directives=directives)
+    assert res.status == "ok" and res.closed_lift is closed
+    assert res.lift.values[-1] == pytest.approx([math.log(3.0), end, 0.0, 0.0], abs=1e-9)
+    units = res.lift.units
+    assert (float(np.dot(units[0], units[-1])) < 0) is twisted
+
+
+def test_a_directive_naming_no_axis_interval_raises():
+    # three_exp has two axis intervals
+    with pytest.raises(ValueError, match="3 directives for 2 axis intervals"):
+        hl.lift_path(hl.demo("three_exp").path, directives=("flip", "flip", "flip"))
+
+
+@pytest.mark.parametrize("k0, end", [
+    (-2, (0.0, 0.0, 0.0)),
+    (1, (1.2504008652827, -12.504006081794, 0.0)),
+    (2, (1.2504008652827, -12.504006081794, 0.0)),
+])
+def test_the_semi_tame_seam_of_meridians_is_met_only_at_its_ends(k0, end):
+    # the seam contact is semi-tame, but the lift leaves it along its
+    # right limit and comes back along its left one, never passing
+    # through it, so a nonzero argument there is no failure
+    spec = hl.demo("meridians").path
+    start = departure(hl.find_obstructions(sample_path(spec)[0], spec), spec.a)
+    res = hl.lift_path(spec, k0=k0, initial_unit=start)
+    assert res.status == "ok"
+    assert res.lift.values[-1] == pytest.approx([0.0, *end], abs=1e-6)
+
+
+def test_the_not_tame_seam_of_a_rocket_fails_at_the_end_that_needs_it():
+    # rocket_neg spins without limit as it leaves -1 at a, the loop's
+    # wrap contact; reversed, it spins as it arrives there at b
+    spec = hl.demo("rocket_neg").path
+    res = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0))
+    assert (res.status, res.t_fail, res.reason) == ("fails_at", 0.0, "not_tame")
+    res = hl.lift_path(hl.reverse(spec), initial_unit=(1.0, 0.0, 0.0))
+    assert (res.status, res.t_fail, res.reason) == ("fails_at", spec.b, "not_tame")
+
+
+def test_a_loop_on_the_axis_at_its_seam_has_no_sliver_branch():
+    # the real set about the seam at +1 is the loop's wrap contact, met
+    # at a and at b, so no piece is cut off next to b
+    res = hl.lift_path(hl.demo("slice_circle(i,1,1)").path)
+    assert res.lift.branch_trace == ((0.0, PI, 0), (PI, 2 * PI, 1))

@@ -197,7 +197,11 @@ def test_runs_in_no_interval_bounce():
     for directives in itertools.product((FLIP, BOUNCE, None), repeat=len(rep.intervals)):
         kinds = run_kinds(rep, directives)
         assert all(kinds[k] == BOUNCE for k in loose)
-    assert run_kinds(replace(rep, intervals=()), (FLIP, FLIP)) == (BOUNCE,) * len(rep.runs)
+    # with no interval every run bounces, and a directive naming no
+    # interval is an error, not ignored
+    assert run_kinds(replace(rep, intervals=())) == (BOUNCE,) * len(rep.runs)
+    with pytest.raises(ValueError):
+        run_kinds(replace(rep, intervals=()), (FLIP, FLIP))
 
 
 def test_interval_members_match_a_scan_of_all_keys():
