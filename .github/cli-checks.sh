@@ -57,6 +57,8 @@ expect 1 lift --demo three_exp --directive=-1=flip
 # and is an error for the lift as for the loop
 expect 1 lift --demo three_exp --directive 2=flip
 expect 1 winding --demo three_exp --directive 2=flip
+# a directive index given twice is an error, not the last value kept
+expect 1 winding --demo three_exp --directive 0=flip --directive 0=bounce
 # the lift reads the loop as closed: under J_path (untwisted, winding 1)
 # it returns to the unit i it started with, one turn on
 expect 0 lift --demo three_exp --companion J_path
@@ -77,6 +79,14 @@ expect 1 analyze --demo three_exp --directive 0=flip
   | sed 's/"radius": 1.0/"radius": "2"/' > "$work/string_radius.json"
 has "$work/string_radius.json" '"radius": "2"'
 expect 1 analyze --input "$work/string_radius.json"
+
+# samples whose knots do not increase are unusable input, not a path that
+# interpolation silently misreads
+cat > "$work/knots.json" <<'EOF'
+{"domain": [0, 1], "closed": true, "segments": [{"kind": "samples", "ta": 0, "tb": 1,
+ "ts": [0, 0.6, 0.3, 1], "points": [[1, 1, 0, 0], [2, 1, 0, 0], [3, -1, 0, 0], [1, 1, 0, 0]]}]}
+EOF
+expect 1 winding --input "$work/knots.json"
 
 # so is a segment where a coordinate function belongs
 cat > "$work/rocket_x_fn.json" <<'EOF'

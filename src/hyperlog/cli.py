@@ -74,6 +74,8 @@ def _demo_directives(args):
         key, _, val = d.partition("=")
         if not key.isdecimal() or val not in ("flip", "bounce"):
             raise UnknownDemo(f"directive must be <index>=flip|bounce, got {d!r}")
+        if int(key) in out:
+            raise UnknownDemo(f"directive index {int(key)} given twice")
         out[int(key)] = val
     if not out:
         return ()

@@ -127,7 +127,7 @@ def unit_field(
         if j < n:
             units[i:j] = _slerp(prev, units[j], np.linspace(0.0, 1.0, j - i + 2)[1:-1])
             continue
-        end = arrival(rep, b)
+        end = arrival(rep, a, b)
         if end is None:
             end = prev
         elif float(np.dot(prev, end)) < 0:
@@ -138,27 +138,44 @@ def unit_field(
     return units
 
 
-def arrival(rep: ObstructionReport, b: float) -> np.ndarray | None:
+def at_grid(rep: ObstructionReport, ts, a: float, b: float) -> np.ndarray:
+    """Positions of the report parameters ts on a grid from a to b.
+
+    A closed report is read from any root: its parameters are taken
+    modulo the period b - a from the grid's first sample a, and one
+    within PARAM_SAME of that root, on either side, is a.  An open
+    report's parameters are their own positions."""
+    ts = np.asarray(ts, dtype=float)
+    if not rep.closed:
+        return ts
+    ts = ts + (b - a) * ((ts < a).astype(float) - (ts >= b))
+    return np.where(np.minimum(ts - a, b - ts) <= config.PARAM_SAME * (b - a), a, ts)
+
+
+def arrival(rep: ObstructionReport, a: float, b: float) -> np.ndarray | None:
     """The direction limit from the left at the last real item of the
-    report of a path on [a, b], where a trailing real stretch begins:
-    the direction with which the path arrives at the axis there.  None
+    report on a grid from a to b (see at_grid), where a trailing real
+    stretch begins: the direction with which the path arrives at the
+    axis there; on a loop an item at the root is met last, at b.  None
     when there is no item or the item has no such limit."""
-    items = [(b if c.wrap else c.t, c.left_dir) for c in rep.contacts]
-    items += [(r.t0, r.in_dir) for r in rep.runs]
-    return _limit(max(items, key=lambda it: it[0], default=(0.0, None))[1])
+    ts = at_grid(rep, [c.t for c in rep.contacts] + [r.t0 for r in rep.runs], a, b)
+    if rep.closed:
+        ts[ts == a] = b
+    return _limit([c.left_dir for c in rep.contacts] + [r.in_dir for r in rep.runs], ts, np.argmax)
 
 
-def departure(rep: ObstructionReport, a: float) -> np.ndarray | None:
+def departure(rep: ObstructionReport, a: float, b: float) -> np.ndarray | None:
     """The direction limit from the right at the first real item of the
-    report of a path on [a, b], where a leading real stretch ends: the
-    direction with which the path leaves the axis there.  None when
-    there is no item or the item has no such limit."""
-    items = [(c.t, c.right_dir) for c in rep.contacts]
-    items += [(a if r.wrap else r.t1, r.out_dir) for r in rep.runs]
-    return _limit(min(items, key=lambda it: it[0], default=(0.0, None))[1])
+    report on a grid from a to b (see at_grid), where a leading real
+    stretch ends: the direction with which the path leaves the axis
+    there.  None when there is no item or the item has no such limit."""
+    ts = at_grid(rep, [c.t for c in rep.contacts] + [r.t1 for r in rep.runs], a, b)
+    return _limit([c.right_dir for c in rep.contacts] + [r.out_dir for r in rep.runs], ts, np.argmin)
 
 
-def _limit(direction) -> np.ndarray | None:
+def _limit(dirs, ts, pick) -> np.ndarray | None:
+    """The direction of the item that pick chooses by its position ts."""
+    direction = dirs[int(pick(ts))] if dirs else None
     return None if direction is None else np.array(direction)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, config
-from .companion import argument_steps, departure, unit_field
+from .companion import argument_steps, at_grid, departure, unit_field
 from .errors import HypothesisViolated, InitialMismatch, MissingInitialUnit
 from .obstruction import (
     BAD_KINDS,
@@ -144,23 +144,17 @@ def _branch_trace(rep: ObstructionReport, params, arg, a, b):
     return tuple(trace)
 
 
-def lift_path(
-    spec: PathSpec,
-    k0: int = 0,
-    initial_unit=None,
-    directives: tuple = (),
-) -> LiftResult:
-    """Continuous logarithm of a path starting on branch k0.
-
-    A closed path is read as closed, as analyze_loop reads it.  The
-    result reports failure (rather than raising), naming the contact's
-    kind, where a nonzero argument meets a contact without the direction
-    limit it needs; a loop meets its wrap contact only at a and at b,
-    each from one side.  Errors about unusable inputs do raise.
+def lift_grid(sampled: SampledPath, rep: ObstructionReport, k0: int = 0,
+              initial_unit=None, directives: tuple = ()) -> tuple:
+    """(units, arg, fail) of the continuous logarithm on branch k0 over a
+    sample grid of a path, read with the path's report (see at_grid): the
+    grid can be a loop's own or one re-rooted anywhere on it.  fail is
+    None, or (t, kind) of the first contact along the grid where a nonzero
+    argument meets a contact without the direction limit it needs, t its
+    position on the grid; a loop meets a contact at its root only at the
+    grid's two ends, each from one side.  Unusable inputs raise.
     """
-    sampled, sampling = sample_path(spec)
-    rep = find_obstructions(sampled, spec)
-
+    a, b = float(sampled.params[0]), float(sampled.params[-1])
     seed, arg0 = _seed_and_start_arg(sampled, k0, initial_unit)
     units = unit_field(sampled, rep, directives, seed)
 
@@ -169,7 +163,7 @@ def lift_path(
     # (the grid's first non-real sample can lie a grid step further on);
     # a sideways initial unit has no continuation
     if seed is not None and sampled.real[0] and not sampled.real.all():
-        leaving = departure(rep, spec.a)
+        leaving = departure(rep, a, b)
         if leaving is None:
             leaving = units[int(np.argmax(~sampled.real))]
         if abs(float(np.dot(seed, leaving))) < math.cos(config.THETA_TOL):
@@ -186,18 +180,34 @@ def lift_path(
     arg[1:] = arg0 + np.cumsum(dphi)
 
     # contacts without usable direction limits only admit zero argument;
-    # a loop meets its wrap contact only at a and at b, each from one side
-    for c in rep.contacts:
-        if c.kind not in BAD_KINDS:
-            continue
-        n = min(int(np.searchsorted(sampled.params, c.t)), len(sampled.params) - 1)
-        ends = ((spec.a, 0, c.right_dir), (spec.b, -1, c.left_dir))
-        touched = [(t, m) for t, m, d in ends if d is None] if c.wrap else [(c.t, n)]
-        for t, m in touched:
-            if int(round(arg[m] / math.pi)) != 0:
-                return LiftResult(
-                    status="fails_at", t_fail=t, reason=c.kind, sampling=sampling
-                )
+    # a loop meets a contact at its root only at the grid's two ends
+    bad = [c for c in rep.contacts if c.kind in BAD_KINDS]
+    touched = []
+    for c, t in zip(bad, at_grid(rep, [c.t for c in bad], a, b).tolist()):
+        if rep.closed and t == a:
+            ends = ((a, 0, c.right_dir), (b, -1, c.left_dir))
+            touched += [(t, m, c.kind) for t, m, d in ends if d is None]
+        else:
+            touched.append((t, int(np.searchsorted(sampled.params, t)), c.kind))
+    for t, m, kind in sorted(touched, key=lambda it: it[0]):
+        if int(round(arg[m] / math.pi)) != 0:
+            return units, arg, (t, kind)
+    return units, arg, None
+
+
+def lift_path(spec: PathSpec, k0: int = 0, initial_unit=None,
+              directives: tuple = ()) -> LiftResult:
+    """Continuous logarithm of a path starting on branch k0.
+
+    A closed path is read as closed, as analyze_loop reads it.  Where
+    lift_grid finds a failing contact the result reports it, naming its
+    kind, rather than raising; unusable inputs raise.
+    """
+    sampled, sampling = sample_path(spec)
+    rep = find_obstructions(sampled, spec)
+    units, arg, fail = lift_grid(sampled, rep, k0, initial_unit, directives)
+    if fail is not None:
+        return LiftResult("fails_at", t_fail=fail[0], reason=fail[1], sampling=sampling)
 
     values = np.empty_like(sampled.values)
     values[:, 0] = np.log(sampled.mags)

@@ -213,7 +213,9 @@ class SliceCurve:
 
 @dataclass(frozen=True)
 class Samples:
-    """Piecewise-linear interpolation through given sample values."""
+    """Piecewise-linear interpolation through given sample values: at
+    least 2 strictly increasing knots ts, which np.interp needs, and one
+    row of points per knot, or ValueError."""
 
     ta: float
     tb: float
@@ -222,6 +224,13 @@ class Samples:
 
     def __post_init__(self):
         _cache_arrays(self, _grid=self.ts, _points=self.points)
+        grid, pts = self._grid, self._points
+        if grid.ndim != 1 or len(grid) < 2 or not (np.diff(grid) > 0).all():
+            raise ValueError(
+                f"samples need at least 2 strictly increasing ts, got {reprlib.repr(self.ts)}")
+        if pts.ndim != 2 or len(pts) != len(grid):
+            raise ValueError(f"samples need one points row per knot: {len(pts)} rows for "
+                             f"{len(grid)} knots")
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)

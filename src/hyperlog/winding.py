@@ -14,15 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import config
 from .companion import Shadow, argument_steps, canonical_form, unit_field, whole_turns
-from .errors import (
-    AllRealLoop,
-    HypothesisViolated,
-    NotApplicable,
-    NotLiftable,
-    TwistedLoop,
-)
-from .lifting import lift_path
+from .errors import (AllRealLoop, EndpointMismatch, HypothesisViolated, NotApplicable,
+                     NotLiftable, OutOfDomain, TwistedLoop)
+from .lifting import lift_grid
 from .obstruction import (
     BAD_KINDS,
     FLIP,
@@ -31,11 +27,7 @@ from .obstruction import (
     find_obstructions,
     run_kinds,
 )
-from .pathkit import (
-    PathSpec,
-    rotate_basepoint,
-    sample_path,
-)
+from .pathkit import PathSpec, SampledPath, sample_path
 
 
 def reduce_signs(signs) -> list:
@@ -145,9 +137,8 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     if not companion_ok:
         return WindingResult(None, sig, csig, None, None, flips, prov)
 
-    i_star = int(np.argmax(sampled.ims))
-    t_star = float(sampled.params[i_star])
-    rot_sampled = _reroot(sampled, i_star, spec.b - spec.a)
+    t_star = float(sampled.params[np.argmax(sampled.ims)])
+    rot_sampled = _reroot(sampled, spec, t_star)
     units = unit_field(rot_sampled, rep, directives)
     twisted = float(np.dot(units[0], units[-1])) < 0.0
     prov["basepoint"] = t_star
@@ -160,21 +151,36 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     return WindingResult(twisted, sig, csig, winding, sw, flips, prov)
 
 
-def _reroot(sampled, i_star, period):
-    """Sample grid of a loop re-rooted at sample i_star.
+def _reroot(sampled: SampledPath, spec: PathSpec, t: float) -> SampledPath:
+    """Sample grid of the loop spec re-rooted at parameter t.
 
-    The grid runs one period on from params[i_star] without the seam
-    sample at a, so both ends hold the same value, and its crossing
-    brackets are the same intervals, re-indexed.  The loop's report is
-    not rewritten: unit_field reads a closed report's runs modulo the
-    period.
+    The grid runs one period on from t without the seam sample at a, so
+    both ends hold the same value; at a or b it is the grid itself.  t is
+    the nearest node within PARAM_SAME of it, else a new node, at the
+    cost of one path call; a crossing bracket that held it is dropped,
+    as find_obstructions, their one reader, has run, and the others are
+    re-indexed.  The loop's report is read on the new grid modulo the
+    period (see companion.at_grid).  A t that is not a number within
+    [a, b] raises OutOfDomain, and an open path EndpointMismatch.
     """
-    params, values = sampled.params, sampled.values
+    if not spec.closed:
+        raise EndpointMismatch("only closed paths can be re-rooted")
+    if not spec.a <= t <= spec.b:
+        raise OutOfDomain(f"basepoint {t!r} outside [{spec.a}, {spec.b}]")
+    params, values, brackets = sampled.params, sampled.values, sampled.brackets
+    period = spec.b - spec.a
+    i = int(np.argmin(np.abs(params - t)))
+    if abs(params[i] - t) > config.PARAM_SAME * period:
+        i = int(np.searchsorted(params, t))
+        params, values = np.insert(params, i, t), np.insert(values, i, spec.values([t]), axis=0)
+        brackets = brackets[brackets != i - 1]
+        brackets = brackets + (brackets >= i)
+    i %= len(params) - 1
     return replace(
         sampled,
-        params=np.concatenate([params[i_star:], params[1:i_star + 1] + period]),
-        values=np.concatenate([values[i_star:], values[1:i_star + 1]]),
-        brackets=np.sort((sampled.brackets - i_star) % (len(params) - 1)),
+        params=np.concatenate([params[i:], params[1:i + 1] + period]),
+        values=np.concatenate([values[i:], values[1:i + 1]]),
+        brackets=np.sort((brackets - i) % (len(params) - 1)),
     )
 
 
@@ -202,14 +208,20 @@ def branch_change_report(
     initial_unit=None,
     directives: tuple = (),
 ) -> int:
-    """Net change of the argument over one traversal from a basepoint,
-    in whole turns."""
-    rot = rotate_basepoint(spec, basepoint)
-    res = lift_path(rot, k0=0, initial_unit=initial_unit, directives=directives)
-    if res.status != "ok":
-        raise NotLiftable(res.t_fail, res.reason)
-    change = float(res.lift.arg[-1]) - float(res.lift.arg[0])
-    return whole_turns(change, "argument change")
+    """Net change of the argument over one traversal of a loop from a
+    basepoint, in whole turns: the loop's grid re-rooted there (see
+    _reroot) lifted on branch 0 with the loop's own report (see
+    lifting.lift_grid), so directives index the loop's axis intervals as
+    in analyze_loop.  A lift through a contact without the direction
+    limit it needs raises NotLiftable at its position on that grid.
+    """
+    sampled, _sampling = sample_path(spec)
+    rep = find_obstructions(sampled, spec)
+    grid = _reroot(sampled, spec, basepoint)
+    _units, arg, fail = lift_grid(grid, rep, 0, initial_unit, directives)
+    if fail is not None:
+        raise NotLiftable(*fail)
+    return whole_turns(float(arg[-1]) - float(arg[0]), "argument change")
 
 
 def c_homotopy_equivalent(r1: WindingResult, r2: WindingResult) -> bool:

@@ -124,6 +124,9 @@ def test_winding_with_explicit_directives():
      "directive must be <index>=flip|bounce, got 'x=flip'"),
     (["lift", "--demo", "three_exp", "--directive", "0=twist"],
      "directive must be <index>=flip|bounce, got '0=twist'"),
+    # an index given twice is an error, not the last value kept
+    (["winding", "--demo", "three_exp", "--directive", "0=flip", "--directive", "0=bounce"],
+     "directive index 0 given twice"),
 ])
 def test_unusable_companion_or_directive_is_an_input_error(tmp_path, argv, message):
     _code, exported = run_cli("demo", "lambda_loop", "--export")

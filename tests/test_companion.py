@@ -291,7 +291,7 @@ def oracle_inputs(spec, label):
         if closed:
             i_star = int(np.argmax(np.linalg.norm(sp.values[:, 1:], axis=1)))
             period = spec.b - spec.a
-            grid = winding._reroot(sp, i_star, period)
+            grid = winding._reroot(sp, spec, sp.params[i_star])
             yield (f"{label}/reroot", grid, rep,
                    rerooted_report(rep, sp.params[i_star], period))
 

@@ -290,7 +290,7 @@ def test_a_trailing_real_sample_takes_the_limit_whatever_the_grid(m, monkeypatch
     res = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0))
     sampled = hl.pathkit.sample_path(spec)[0]
     assert sampled.real[-1] and not sampled.real[-2]
-    limit = arrival(hl.find_obstructions(sampled, spec), spec.b)
+    limit = arrival(hl.find_obstructions(sampled, spec), spec.a, spec.b)
     unit = res.lift.units[-1]
     assert min(np.linalg.norm(unit - limit), np.linalg.norm(unit + limit)) <= 1e-12
     # so a lift over a uniform grid ends at the same value
@@ -329,7 +329,7 @@ def test_the_lift_agrees_with_the_loop(name):
     checked = 0
     for loop in variants:
         sampled, _ = sample_path(loop)
-        start = departure(hl.find_obstructions(sampled, loop), loop.a)
+        start = departure(hl.find_obstructions(sampled, loop), loop.a, loop.b)
         for companion, dirs in {"default": (), **case.directives}.items():
             want = hl.analyze_loop(loop, dirs)
             if want.twisted is None:
@@ -380,7 +380,7 @@ def test_the_semi_tame_seam_of_meridians_is_met_only_at_its_ends(k0, end):
     # right limit and comes back along its left one, never passing
     # through it, so a nonzero argument there is no failure
     spec = hl.demo("meridians").path
-    start = departure(hl.find_obstructions(sample_path(spec)[0], spec), spec.a)
+    start = departure(hl.find_obstructions(sample_path(spec)[0], spec), spec.a, spec.b)
     res = hl.lift_path(spec, k0=k0, initial_unit=start)
     assert res.status == "ok"
     assert res.lift.values[-1] == pytest.approx([0.0, *end], abs=1e-6)

@@ -256,6 +256,27 @@ def test_segment_file_format(seg, doc):
     assert segment_from_json(doc) == seg
 
 
+@pytest.mark.parametrize("ts, rows, message", [
+    # interpolation through these knots would give (2.14, -0.14, 0, 0) at
+    # the knot 0.6, whose value is (2, 1, 0, 0)
+    ([0.0, 0.6, 0.3, 1.0], 4, "at least 2 strictly increasing ts"),
+    ([0.0, 0.5, 0.5, 1.0], 4, "at least 2 strictly increasing ts"),
+    ([0.0], 1, "at least 2 strictly increasing ts"),
+    ([0.0, 0.5, 1.0], 2, "one points row per knot: 2 rows for 3 knots"),
+    ([0.0, 0.5, 1.0], 4, "one points row per knot: 4 rows for 3 knots"),
+])
+def test_samples_check_their_knots(ts, rows, message):
+    points = [[1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [3.0, -1.0, 0.0, 0.0],
+              [1.0, 1.0, 0.0, 0.0]][:rows]
+    with pytest.raises(ValueError, match=message):
+        Samples(0.0, 1.0, tuple(ts), tuple(map(tuple, points)))
+    doc = {"kind": "samples", "ta": 0.0, "tb": 1.0, "ts": ts, "points": points}
+    with pytest.raises(ValueError, match=message):
+        segment_from_json(doc)
+    with pytest.raises(ValueError, match=message):
+        hl.path_from_json({"domain": [0.0, 1.0], "closed": True, "segments": [doc]})
+
+
 def test_defaulted_segment_fields_are_optional():
     doc = {"kind": "arc", "ta": 0.0, "tb": 2.0, "center": [1.0, 0.0, 0.0, 0.0],
            "cos_vec": [0.5, 0.0, 0.0, 0.0], "sin_vec": [0.0, 0.5, 0.0, 0.0],
@@ -583,7 +604,7 @@ def test_sampled_geometry_matches_fresh_norms():
         grids += [sp, SampledPath.from_csv(sp.to_csv()), hl.sample_uniform(spec, 257)]
         if spec.closed and not sp.real.all():
             i_star = int(np.argmax(sp.ims))
-            grids.append(winding._reroot(sp, i_star, spec.b - spec.a))
+            grids.append(winding._reroot(sp, spec, sp.params[i_star]))
     for sp in grids:
         check_geometry(sp)
     # the inputs hold real stretches at the start, inside and at the end
@@ -619,7 +640,7 @@ def test_crossing_brackets_hold_a_reversal_between_non_real_ends():
         # basepoint one period on
         if spec.closed and len(k):
             i_star = int(np.argmax(sp.ims))
-            rot = winding._reroot(sp, i_star, spec.b - spec.a)
+            rot = winding._reroot(sp, spec, sp.params[i_star])
             shift = np.where(k < i_star, spec.b - spec.a, 0.0)
             want = sorted(zip(sp.params[k] + shift, sp.params[k + 1] + shift))
             got = list(zip(rot.params[rot.brackets], rot.params[rot.brackets + 1]))

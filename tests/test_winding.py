@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 import hyperlog as hl
 from hyperlog import config
+from hyperlog.companion import departure, whole_turns
 from hyperlog.errors import (
     AllRealLoop,
+    EndpointMismatch,
     HypothesisViolated,
     NotApplicable,
     NotLiftable,
+    OutOfDomain,
     StepTooLarge,
     TwistedLoop,
     ZeroOnPath,
@@ -24,7 +27,7 @@ from hyperlog.pathkit import Line, sample_path
 from hyperlog.winding import alternating_sum, reduce_signs
 
 from test_acceptance import single_slice_loop
-from test_batched_eval import Meter, counted
+from test_batched_eval import CORPUS, Meter, counted
 
 PI = math.pi
 
@@ -157,6 +160,140 @@ def test_branch_changes_gamma_copies():
             initial_unit=np.array(case.initial_units[copy])[1:],
         )
         assert got == expected, copy
+
+
+@pytest.mark.parametrize("bp, want", [
+    (2 * PI, {("flip", "bounce"): 0, ("bounce", "flip"): -1}),
+    (0.0, {("flip", "bounce"): 1, ("bounce", "flip"): 0}),
+    (5 * PI, {("flip", "bounce"): 1, ("bounce", "flip"): 0}),
+])
+def test_branch_change_directives_index_the_loops_own_intervals(bp, want):
+    # three_exp has the axis intervals of its runs [pi, 3 pi] and
+    # [4 pi, 6 pi], in that order; from a basepoint inside the first run
+    # the first directive still names it, as in analyze_loop, and not the
+    # interval a path rebuilt from that basepoint would list first
+    spec = hl.demo("three_exp").path
+    for dirs, turns in want.items():
+        assert hl.branch_change_report(spec, bp, (1.0, 0.0, 0.0), dirs) == turns, dirs
+
+
+def rocket_loops():
+    """(loops that meet a contact at -1, loops that meet one at +1), the
+    contact lying at the seam t = a = 0 of the domain [0, 1]."""
+    neg, pos = hl.demo("rocket_neg").path, hl.demo("rocket_pos").path
+    return ([neg, hl.reverse(neg), hl.reflect_negconj(pos)],
+            [pos, hl.reverse(pos), hl.reflect_negconj(neg)])
+
+
+@pytest.mark.parametrize("f", [0.13, 0.37, 0.5, 0.71])
+def test_branch_change_through_a_rocket_contact(f):
+    # from any basepoint the lift passes through the loop's seam contact,
+    # at parameter 1.0 of the re-rooted grid [bp, bp + 1]; its direction
+    # spins without limit, so only a zero argument, at +1, continues
+    at_minus_one, at_plus_one = rocket_loops()
+    for spec in at_minus_one:
+        with pytest.raises(NotLiftable) as e:
+            hl.branch_change_report(spec, f)
+        assert e.value.kind == "not_tame"
+        assert e.value.t == pytest.approx(1.0, abs=1e-12)
+    for spec in at_plus_one:
+        assert hl.branch_change_report(spec, f) == 0
+
+
+@pytest.mark.parametrize("name, bps", [
+    ("lambda_loop", None),
+    ("gamma1m_gamma2(3)", None),
+    ("three_exp", (2 * PI, 3.7, 5 * PI)),
+    ("slice_circle(j,2,20)", (0.0, 1.0, 100.0)),
+])
+def test_branch_change_report_samples_and_obstructs_once(name, bps):
+    # the one sample-and-obstruct pass, and one more call exactly when the
+    # basepoint is no node of the grid
+    case = hl.demo(name)
+    meter = Meter()
+    spec = counted(case.path, meter)
+    meter.calls = meter.points = 0  # the closure checked by the constructor
+    sampled, _ = sample_path(spec)
+    hl.find_obstructions(sampled, spec)
+    one_pass = (meter.calls, meter.points)
+    units = {key: np.array(u)[1:] for key, u in case.initial_units.items()}
+    if bps is None:
+        bps = case.basepoints.values()
+        seeds = [units.get(key) for key in case.basepoints]
+    else:
+        seeds = [(1.0, 0.0, 0.0) if name == "three_exp" else None] * len(bps)
+    for bp, seed in zip(bps, seeds):
+        new_node = np.abs(sampled.params - bp).min() > config.PARAM_SAME * (spec.b - spec.a)
+        meter.calls = meter.points = 0
+        hl.branch_change_report(spec, bp, seed)
+        assert (meter.calls, meter.points) == (one_pass[0] + new_node, one_pass[1] + new_node), bp
+
+
+def outcome(f, *args):
+    """What a call gives: its value, or the type and text of its error."""
+    try:
+        return f(*args)
+    except hl.errors.HyperlogError as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS if hl.demo(n).path.closed])
+def test_branch_change_from_a_agrees_with_the_lift(name):
+    # from the basepoint a the report's answer is the whole turns of the
+    # lift's argument change, a lift that fails is not liftable there, and
+    # an error of the lift is the report's
+    case = hl.demo(name)
+    spec = case.path
+    variants = [spec, hl.reverse(spec), hl.reflect_negconj(spec)]
+    variants += [hl.rotate_basepoint(spec, spec.a + f * (spec.b - spec.a))
+                 for f in (0.13, 0.37, 0.71)]
+    for loop in variants:
+        sampled, _ = sample_path(loop)
+        rep = hl.find_obstructions(sampled, loop)
+        start = departure(rep, loop.a, loop.b) if sampled.real[0] else None
+        for dirs in [(), *case.directives.values()]:
+            res = outcome(hl.lift_path, loop, 0, start, dirs)
+            got = outcome(hl.branch_change_report, loop, loop.a, start, dirs)
+            if isinstance(res, tuple):
+                assert got == res, dirs
+            elif res.status == "ok":
+                change = float(res.lift.arg[-1] - res.lift.arg[0])
+                assert got == outcome(whole_turns, change, "argument change"), dirs
+            else:
+                assert got == ("NotLiftable", str(NotLiftable(res.t_fail, res.reason))), dirs
+
+
+@pytest.mark.parametrize("name", ["lambda_loop", "gamma1m_gamma2(8)", "meridians",
+                                  "slice_circle(j,2,20)"])
+def test_a_basepoint_inside_a_crossing_bracket_becomes_a_node(name):
+    # the bracket that held the basepoint is dropped; the others keep
+    # their intervals, those before the basepoint one period on
+    spec = hl.demo(name).path
+    period = spec.b - spec.a
+    sp, _ = sample_path(spec)
+    for k in sp.brackets.tolist():
+        t = 0.5 * (sp.params[k] + sp.params[k + 1])
+        grid = hl.winding._reroot(sp, spec, t)
+        assert len(grid.params) == len(sp.params) + 1
+        assert grid.params[0] == t and grid.params[-1] == t + period
+        assert grid.values[0].tobytes() == spec.values([t])[0].tobytes()
+        rest = np.array([j for j in sp.brackets.tolist() if j != k], dtype=int)
+        shift = np.where(rest < k, period, 0.0)
+        want = sorted(zip(sp.params[rest] + shift, sp.params[rest + 1] + shift))
+        got = list(zip(grid.params[grid.brackets], grid.params[grid.brackets + 1]))
+        assert got == want, t
+
+
+@pytest.mark.parametrize("bp", [-0.1, 6 * PI + 0.1, math.nan, math.inf])
+def test_branch_change_basepoint_outside_the_domain(bp):
+    with pytest.raises(OutOfDomain):
+        hl.branch_change_report(hl.demo("three_exp").path, bp)
+
+
+def test_branch_change_needs_a_loop():
+    spec = hl.demo("sigma_arc").path
+    with pytest.raises(EndpointMismatch):
+        hl.branch_change_report(spec, 0.5 * (spec.a + spec.b))
 
 
 def test_shadow_winding_direct():
@@ -384,7 +521,7 @@ def test_reroot_is_a_cyclic_shift():
     period = loop.b - loop.a
     i_star = int(np.argmax(np.linalg.norm(sampled.values[:, 1:], axis=1)))
     t_star = sampled.params[i_star]
-    grid = hl.winding._reroot(sampled, i_star, period)
+    grid = hl.winding._reroot(sampled, loop, sampled.params[i_star])
     n = len(sampled.params)
     order = (np.arange(n - 1) + i_star) % (n - 1)
     order = np.append(np.where(order == 0, n - 1, order), i_star)
