@@ -106,6 +106,20 @@ for name in rocket_neg rocket_pos; do
   has "$work/out.txt" '"sampling": "uniform_fallback"'
 done
 
+# rotated to 0.13, rocket_neg meets its not-tame contact at the join
+# t = 1.0, which is no end of the fallback grid's equal intervals: that
+# grid holds the joins, so the report has the contact and the lift fails
+# there
+python3 - "$work/rotated_rocket.json" <<'EOF'
+import json, sys
+import hyperlog as hl
+path = hl.rotate_basepoint(hl.demo("rocket_neg").path, 0.13)
+json.dump(hl.path_to_json(path), open(sys.argv[1], "w"))
+EOF
+expect 0 analyze --input "$work/rotated_rocket.json"
+has "$work/out.txt" '"not_tame"'
+expect 2 lift --input "$work/rotated_rocket.json"
+
 # a circle turning 20 times crosses the axis 40 times inside one slice:
 # each crossing is a bracket of the sampler that find_obstructions solves
 # into a flip

@@ -15,7 +15,6 @@ next, and the axis intervals drive signatures and winding numbers.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -119,14 +118,15 @@ def _im_parts(vals: np.ndarray, tol):
 def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
     """one_sided_direction for each request (t, side, h0), all together.
 
-    Each round evaluates, in one path call, the next LIMIT_CHUNK offsets
-    of the ladder of every request still without a limit; the offsets of
-    a request are walked in ladder order, so each gets the limit the
-    one-request walk finds.
+    Each round evaluates, in one path call, the next LIMIT_CHUNK
+    in-domain offsets of the ladder of every request still without a
+    limit.  The non-real directions seen so far are kept in one array,
+    tagged with their request and in ladder order within it, so each
+    request gets the limit the one-request walk finds: its first
+    direction that agrees within THETA_TOL with the two before it.
     """
-    found = [None] * len(requests)
     if not requests:
-        return found
+        return []
     t, side, h0 = (np.array(col, dtype=float)[:, None] for col in zip(*requests))
     # the irrational scale keeps the probe offsets off resonances of
     # periodic direction fields, which a round dyadic ladder can hit;
@@ -135,68 +135,51 @@ def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
     h[:, :1] = h0 / math.sqrt(2.0)
     offsets = t + side * np.multiply.accumulate(h, axis=1)
     inside = (spec.a <= offsets) & (offsets <= spec.b)
-    ladders = [row[ok] for row, ok in zip(offsets, inside)]
+    # each offset's rank among its request's in-domain offsets
+    rank = np.cumsum(inside, axis=1) - 1
     cos_tol = math.cos(config.THETA_TOL)
-    # the last two directions each request has collected
-    tails = [np.empty((0, spec.dim - 1))] * len(requests)
-    active = [i for i, ladder in enumerate(ladders) if len(ladder)]
+    dirs = np.empty((0, spec.dim - 1))
+    owner = hits = np.empty(0, dtype=np.intp)
+    settled = np.zeros(len(requests), dtype=bool)
     for start in range(0, LIMIT_HALVINGS, LIMIT_CHUNK):
-        if not active:
+        ask = inside & ~settled[:, None] & (start <= rank) & (rank < start + LIMIT_CHUNK)
+        if not ask.any():
             break
-        chunks = [ladders[i][start:start + LIMIT_CHUNK] for i in active]
-        vals = spec.values(np.concatenate(chunks))
+        vals = spec.values(offsets[ask])
         ims, real = _im_parts(vals, tol)
-        keep = ~real
-        units = vals[keep, 1:] / ims[keep, None]
-        # each request's directions: its tail, then those of its
-        # non-real offsets in this chunk
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        kept = kept[list(itertools.accumulate([0] + [len(c) for c in chunks]))]
-        pieces = []
-        lengths = []
-        for i, lo, hi in zip(active, kept[:-1], kept[1:]):
-            pieces += (tails[i], units[lo:hi])
-            lengths.append(len(tails[i]) + hi - lo)
-        seq = np.concatenate(pieces)
-        ends = list(itertools.accumulate(lengths))
-        starts = [end - n for end, n in zip(ends, lengths)]
-        # a direction settles the limit when it and the two before it
-        # agree pairwise; the tails were checked in earlier rounds
-        first = np.repeat(
-            [lo + max(2, len(tails[i])) for i, lo in zip(active, starts)], lengths)
-        agree = np.zeros(len(seq), dtype=bool)
-        if len(seq) > 2:
-            d1 = row_dots(seq[:-1], seq[1:]) >= cos_tol
-            d2 = row_dots(seq[:-2], seq[2:]) >= cos_tol
-            agree[2:] = d1[:-1] & d1[1:] & d2
-        hits = np.flatnonzero(agree & (np.arange(len(seq)) >= first)).tolist()
-        still = []
-        for i, lo, hi in zip(active, starts, ends):
-            k = bisect.bisect_left(hits, lo)
-            if k < len(hits) and hits[k] < hi:
-                found[i] = seq[hits[k]]
-            elif start + LIMIT_CHUNK < len(ladders[i]):
-                tails[i] = seq[max(lo, hi - 2):hi]
-                still.append(i)
-        active = still
+        dirs = np.concatenate((dirs, vals[~real, 1:] / ims[~real, None]))
+        owner = np.concatenate((owner, np.nonzero(ask)[0][~real]))
+        # each request's directions together, in ladder order; a
+        # direction settles the limit when it and the two before it, of
+        # the same request, agree pairwise
+        order = np.argsort(owner, kind="stable")
+        dirs, owner = dirs[order], owner[order]
+        d1 = row_dots(dirs[:-1], dirs[1:]) >= cos_tol
+        d2 = row_dots(dirs[:-2], dirs[2:]) >= cos_tol
+        agree = np.zeros(len(dirs), dtype=bool)
+        agree[2:] = d1[:-1] & d1[1:] & d2 & (owner[2:] == owner[:-2])
+        hits = np.flatnonzero(agree)
+        settled[owner[hits]] = True
+    found = [None] * len(requests)
+    settled_ids, first = np.unique(owner[hits], return_index=True)
+    for i, u in zip(settled_ids.tolist(), dirs[hits[first]]):
+        found[i] = u
     return found
 
 
-def one_sided_direction(
-    spec: PathSpec, t: float, side: int, h0: float | None = None
-) -> np.ndarray | None:
+def one_sided_direction(spec: PathSpec, t: float, side: int) -> np.ndarray | None:
     """Limit of Im(gamma)/|Im(gamma)| as the parameter approaches t.
 
     side is +1 for the right limit and -1 for the left one.  The limit
-    is chased along a halving sequence of offsets, evaluated
-    LIMIT_CHUNK at a time; it counts as found when three consecutive
-    directions agree within the angle tolerance.
+    is chased along a halving ladder of offsets from 1e-3 of the span
+    down, the offsets outside the domain skipped, evaluated LIMIT_CHUNK
+    at a time; it is the first direction that agrees within the angle
+    tolerance with the two before it.
     Returns None when no limit emerges, as happens for directions that
     spin without settling.
     """
-    if h0 is None:
-        h0 = 1e-3 * (spec.b - spec.a)
-    return _one_sided_directions(spec, [(t, side, h0)], config.IN_FORCE.get())[0]
+    return _one_sided_directions(
+        spec, [(t, side, 1e-3 * (spec.b - spec.a))], config.IN_FORCE.get())[0]
 
 
 def classify_point(left_dir, right_dir, interior: bool = True) -> str:
@@ -388,8 +371,12 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
       sampler stops beside a real node); and every contact the grid only
       brackets, each crossing bracket of the sampler and each small dip
       of |Im| beside none;
-    - one-sided limits: the next LIMIT_CHUNK offsets of every direction
-      limit still unsettled;
+    - one-sided limits: the next LIMIT_CHUNK in-domain offsets of the
+      halving ladder of every direction limit still unsettled, each
+      ladder starting at half the distance to the nearest end of
+      another real item and at most 1e-3 of the span; a limit is the
+      first direction, in ladder order, that agrees within THETA_TOL
+      with the two before it;
     and one more call gives the values of every contact and run.  The
     number of calls grows with the rounds of the slowest probe, not with
     the number of contacts.  A real stretch is a run when its real set

@@ -713,7 +713,8 @@ def csv_text(header, floats, ints=None) -> str:
 # ---------------------------------------------------------------------------
 # sampling
 
-# uniform samples taken when adaptive sampling gives up
+# samples at the equal steps of the grid taken when adaptive sampling
+# gives up; that grid holds the joins of the segments as well
 FALLBACK_SAMPLES = 4097
 # evaluations one adaptive sampling may spend; a path that needs more is
 # left to the uniform fallback
@@ -785,6 +786,12 @@ def sample_uniform(spec: PathSpec, n: int) -> SampledPath:
     return SampledPath(ts, spec.values(ts))
 
 
+def _first_grid(spec: PathSpec, n: int) -> np.ndarray:
+    """n equal intervals of the domain, with the joins of the path's
+    segments added as nodes, so that a contact at a join lies on a node."""
+    return np.union1d(np.linspace(spec.a, spec.b, n + 1), spec._cuts)
+
+
 # columns of the adaptive sampler's node rows: the parameter, |q|, |Im q|
 # and the realness flag, then the value q and the unit of Im q
 _T, _MAG, _IM, _REAL, _V = range(5)
@@ -852,7 +859,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
             unit = v[:, 1:] / im[:, None]
         return np.column_stack((ts, mag, im, real, v, unit))
 
-    nodes = rows_at(np.union1d(np.linspace(spec.a, spec.b, n0 + 1), spec._cuts))
+    nodes = rows_at(_first_grid(spec, n0))
     evaluations = len(nodes)
     k = np.arange(len(nodes) - 1)  # the intervals [nodes[k], nodes[k + 1]] still to test
     lefts = []  # the left ends of the crossing brackets
@@ -993,11 +1000,14 @@ def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
 
 def sample_path(spec: PathSpec) -> tuple[SampledPath, str]:
     """Adaptive samples of a path from the sampler's default initial
-    grid, or FALLBACK_SAMPLES uniform ones when the adaptive sampler
-    gives up; the second item names the sampler that ran, "adaptive" or
-    "uniform_fallback".  Every question samples its path here, so none
-    of them takes a sampling parameter."""
+    grid, or, when the adaptive sampler gives up, the samples of
+    FALLBACK_SAMPLES - 1 equal intervals with the joins of the path's
+    segments added, as in the adaptive sampler's first grid, so that a
+    contact at a join lies on a node; the second item names the sampler
+    that ran, "adaptive" or "uniform_fallback".  Every question samples
+    its path here, so none of them takes a sampling parameter."""
     try:
         return sample_adaptive(spec), "adaptive"
     except RefinementBudgetExceeded:
-        return sample_uniform(spec, FALLBACK_SAMPLES), "uniform_fallback"
+        ts = _first_grid(spec, FALLBACK_SAMPLES - 1)
+        return SampledPath(ts, spec.values(ts)), "uniform_fallback"

@@ -24,6 +24,7 @@ from hyperlog.errors import HyperlogError
 from hyperlog.pathkit import SampledPath, sample_path
 
 from test_batched_eval import Meter, corpus_paths, counted, unit
+from test_winding import near_miss_loop
 
 # families of test functions f(x; s, k, c): each changes sign at x = 0
 # when c = 0, and is evaluated at x - r for a drawn root r
@@ -162,8 +163,9 @@ def reference_localize_contact(spec, tl, tn, tr, ptol, brentq, minimize):
 
 def localisations():
     """(label, spec, tl, tn, tr, ptol, result) of every contact
-    localisation that find_obstructions makes on the corpus paths, each
-    bracket of its batches."""
+    localisation that find_obstructions makes on the corpus paths and on
+    a loop that passes 1e-6 from the axis, whose dip of |Im| holds no
+    real point, each bracket of its batches."""
     made = []
     localize = obstruction._localize_contacts
 
@@ -175,7 +177,7 @@ def localisations():
 
     obstruction._localize_contacts = record
     try:
-        for label, spec in corpus_paths():
+        for label, spec in [*corpus_paths(), ("near_miss", near_miss_loop(1e-6))]:
             try:
                 sampled, _sampling = sample_path(spec)
                 hl.find_obstructions(sampled, spec)

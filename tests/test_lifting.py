@@ -344,7 +344,9 @@ def test_the_lift_agrees_with_the_loop(name):
                 turns = (lift.arg[-1] - lift.arg[0]) / (2 * PI)
                 assert abs(turns) == pytest.approx(want.winding, abs=1e-6), companion
                 assert res.closed_lift is (want.winding == 0), companion
-    assert checked or name in ("rocket_neg", "meridians")
+    # no copy of a rocket is free of its not-tame contact, so analyze_loop
+    # answers on none of them
+    assert checked or name in ("rocket_neg", "rocket_pos", "meridians")
 
 
 @pytest.mark.parametrize("directives, end, closed, twisted", [

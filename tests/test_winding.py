@@ -200,6 +200,31 @@ def test_branch_change_through_a_rocket_contact(f):
         assert hl.branch_change_report(spec, f) == 0
 
 
+@pytest.mark.parametrize("name", ["rocket_neg", "rocket_pos"])
+@pytest.mark.parametrize("f", [0.13, 0.37])
+def test_the_fallback_grid_holds_the_join_of_a_rotated_rocket(name, f):
+    # rotated to f, a rocket meets its not-tame contact at the join
+    # t = 1.0 of [f, f + 1], which is no end of the fallback grid's equal
+    # intervals; the grid holds the joins, so the report has the contact,
+    # and at -1 the lift fails there, as from the rocket's own basepoint
+    spec = hl.rotate_basepoint(hl.demo(name).path, f)
+    sampled, sampling = sample_path(spec)
+    assert sampling == "uniform_fallback"
+    (contact,) = hl.find_obstructions(sampled, spec).contacts
+    assert contact.kind == "not_tame"
+    assert contact.t == pytest.approx(1.0, abs=1e-12)
+    res = hl.lift_path(spec)
+    if name == "rocket_pos":
+        assert (res.status, res.closed_lift) == ("ok", True)
+        return
+    assert (res.status, res.reason) == ("fails_at", "not_tame")
+    assert res.t_fail == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NotLiftable) as e:
+        hl.branch_change_report(spec, f + 0.5)
+    assert e.value.kind == "not_tame"
+    assert e.value.t == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("name, bps", [
     ("lambda_loop", None),
     ("gamma1m_gamma2(3)", None),
