@@ -120,6 +120,27 @@ expect 0 analyze --input "$work/rotated_rocket.json"
 has "$work/out.txt" '"not_tame"'
 expect 2 lift --input "$work/rotated_rocket.json"
 
+# nine lines through a semi-tame contact at +1, then a real run on
+# [-3, -2] and a flip at -4.5 in one axis interval, the second: the run
+# bounces by default, so the flip stays in the signature and the lift
+# does not close; under a flip directive there it closes
+cat > "$work/nine_lines.json" <<'EOF'
+{"domain": [0, 9], "closed": true, "segments": [
+ {"kind": "line", "ta": 0, "tb": 1, "p0": [2, 1, 0, 0], "p1": [1, 0, 0, 0]},
+ {"kind": "line", "ta": 1, "tb": 2, "p0": [1, 0, 0, 0], "p1": [1, 0, 1, 0]},
+ {"kind": "line", "ta": 2, "tb": 3, "p0": [1, 0, 1, 0], "p1": [-2, 0, 1, 0]},
+ {"kind": "line", "ta": 3, "tb": 4, "p0": [-2, 0, 1, 0], "p1": [-2, 0, 0, 0]},
+ {"kind": "line", "ta": 4, "tb": 5, "p0": [-2, 0, 0, 0], "p1": [-3, 0, 0, 0]},
+ {"kind": "line", "ta": 5, "tb": 6, "p0": [-3, 0, 0, 0], "p1": [-4, 0, 1, 0]},
+ {"kind": "line", "ta": 6, "tb": 7, "p0": [-4, 0, 1, 0], "p1": [-5, 0, -1, 0]},
+ {"kind": "line", "ta": 7, "tb": 8, "p0": [-5, 0, -1, 0], "p1": [-5, 1, 0, 0]},
+ {"kind": "line", "ta": 8, "tb": 9, "p0": [-5, 1, 0, 0], "p1": [2, 1, 0, 0]}]}
+EOF
+expect 0 lift --input "$work/nine_lines.json"
+has "$work/out.txt" '"closed_lift": false'
+expect 0 lift --input "$work/nine_lines.json" --directive 1=flip
+has "$work/out.txt" '"closed_lift": true'
+
 # a circle turning 20 times crosses the axis 40 times inside one slice:
 # each crossing is a bracket of the sampler that find_obstructions solves
 # into a flip

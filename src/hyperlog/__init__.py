@@ -21,7 +21,6 @@ from .corpus import DemoCase, demo, demo_names
 from .lifting import (
     LiftResult,
     LogLift,
-    closed_nontame_liftable,
     lift_path,
     terminal_branch,
     verify_lift,
@@ -56,6 +55,7 @@ from .winding import (
     branch_change_report,
     c_homotopy_equivalent,
     circular_signature,
+    closed_nontame_liftable,
     is_twisted,
     shadow_winding,
     signature,

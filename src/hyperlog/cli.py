@@ -20,12 +20,13 @@ from . import config
 from .corpus import demo, demo_names
 from .errors import HyperlogError, InitialMismatch, UnknownDemo
 from .lifting import lift_path
-from .obstruction import find_obstructions, report_to_json
+from .obstruction import DIRECTIVES, find_obstructions, report_to_json
 from .pathkit import (
     PathSpec,
     path_from_json,
     path_to_json,
     sample_path,
+    to_json,
 )
 from .companion import shadow_of
 from .winding import analyze_loop
@@ -72,8 +73,8 @@ def _demo_directives(args):
     out = {}
     for d in args.directive or []:
         key, _, val = d.partition("=")
-        if not key.isdecimal() or val not in ("flip", "bounce"):
-            raise UnknownDemo(f"directive must be <index>=flip|bounce, got {d!r}")
+        if not key.isdecimal() or val not in DIRECTIVES:
+            raise UnknownDemo(f"directive must be <index>={'|'.join(DIRECTIVES)}, got {d!r}")
         if int(key) in out:
             raise UnknownDemo(f"directive index {int(key)} given twice")
         out[int(key)] = val
@@ -149,7 +150,7 @@ def _cmd_lift(args) -> int:
 def _cmd_winding(args) -> int:
     spec, stem = _load_path(args)
     res = analyze_loop(spec, _demo_directives(args))
-    text = _dumps(res.to_json())
+    text = _dumps(to_json(res))
     sys.stdout.write(text)
     _write(args.out, f"{stem}_winding.json", text)
     if res.twisted is None or res.twisted:

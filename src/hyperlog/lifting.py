@@ -17,15 +17,8 @@ import numpy as np
 
 from . import algebra, config
 from .companion import argument_steps, at_grid, departure, unit_field
-from .errors import HypothesisViolated, InitialMismatch, MissingInitialUnit
-from .obstruction import (
-    BAD_KINDS,
-    FLIP,
-    ObstructionReport,
-    alternating_sum,
-    classify_interval,
-    find_obstructions,
-)
+from .errors import InitialMismatch, MissingInitialUnit
+from .obstruction import BAD_KINDS, ObstructionReport, find_obstructions
 from .pathkit import FALLBACK_SAMPLES  # noqa: F401  (long-standing import path)
 from .pathkit import PathSpec, SampledPath, csv_text, sample_path
 
@@ -228,52 +221,3 @@ def lift_path(spec: PathSpec, k0: int = 0, initial_unit=None,
     return LiftResult(
         status="ok", lift=lift, closed_lift=closed_lift, sampling=sampling
     )
-
-
-def closed_nontame_liftable(spec: PathSpec) -> bool:
-    """Whether a closed path whose only bad contacts sit on the positive
-    reals admits a closed continuous logarithm.
-
-    The criterion is that the signature of every piece between
-    consecutive bad contacts lies in {0, -1}.  Bad contacts off the
-    positive real axis violate the hypotheses, as does a path with no
-    bad contact at all (use lift_path for those).
-    """
-    if not spec.closed:
-        raise HypothesisViolated("the criterion applies to closed paths")
-    sampled, _sampling = sample_path(spec)
-    rep = find_obstructions(sampled, spec)
-    xs = sorted(c.t for c in rep.contacts if c.kind in BAD_KINDS)
-    if not xs:
-        raise HypothesisViolated("no bad contact; the path is tame enough")
-    for c in rep.contacts:
-        if c.kind in BAD_KINDS and c.value <= 0:
-            raise HypothesisViolated(
-                "bad contact away from the positive reals"
-            )
-
-    # resolved flips in cyclic order, with the wrap interval last
-    flips = []
-    for iv in rep.intervals:
-        if classify_interval(iv) == FLIP:
-            flips.append((iv.t0, iv.sign, iv.wrap))
-    period = spec.b - spec.a
-
-    def seg_signature(lo, hi):
-        span = (hi - lo) % period
-        if span == 0.0:
-            span = period  # a single bad contact: the piece is the whole loop
-        placed = []
-        for t0, sign, wrap in flips:
-            t = spec.a if wrap else t0
-            rel = (t - lo) % period
-            if 0.0 < rel < span:
-                placed.append((rel, sign))
-        placed.sort()
-        return alternating_sum([sign for _rel, sign in placed])
-
-    if len(xs) == 1:
-        segs = [(xs[0], xs[0])]
-    else:
-        segs = list(zip(xs, xs[1:])) + [(xs[-1], xs[0])]
-    return all(seg_signature(lo, hi) in (0, -1) for lo, hi in segs)

@@ -33,6 +33,9 @@ ENDPOINT_TAME = "endpoint_tame"
 ENDPOINT_NOT_TAME = "endpoint_not_tame"
 UNRESOLVED = "unresolved"
 
+# the kinds a directive can choose for an axis interval with real runs
+DIRECTIVES = (FLIP, BOUNCE)
+
 # contact kinds without the direction limits a continuation needs; the
 # ENDPOINT_* kinds only arise on open paths (find_obstructions classifies
 # every contact of a closed path as interior), so on a closed report this
@@ -208,14 +211,13 @@ def classify_interval(interval: AxisInterval, directive: str | None = None) -> s
 
     Positive-length intervals that contain real runs admit both a flip
     and a bounce continuation; the directive picks one, defaulting to
-    bounce.
+    bounce.  A directive that is neither of DIRECTIVES raises ValueError
+    on any interval.
     """
+    if directive is not None and directive not in DIRECTIVES:
+        raise ValueError(f"unknown directive {directive!r}")
     if interval.non_unique:
-        if directive in (FLIP, BOUNCE):
-            return directive
-        if directive is not None:
-            raise ValueError(f"unknown directive {directive!r}")
-        return BOUNCE
+        return directive or BOUNCE
     return interval.kind
 
 

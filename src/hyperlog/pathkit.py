@@ -782,7 +782,10 @@ class SampledPath:
 
 
 def sample_uniform(spec: PathSpec, n: int) -> SampledPath:
-    ts = np.linspace(spec.a, spec.b, n)
+    """Samples of n - 1 equal intervals of the domain, with the joins of
+    the path's segments added as nodes (see _first_grid): n samples on a
+    path of one segment, more where a join is no node of the n."""
+    ts = _first_grid(spec, n - 1)
     return SampledPath(ts, spec.values(ts))
 
 
@@ -1000,14 +1003,13 @@ def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
 
 def sample_path(spec: PathSpec) -> tuple[SampledPath, str]:
     """Adaptive samples of a path from the sampler's default initial
-    grid, or, when the adaptive sampler gives up, the samples of
-    FALLBACK_SAMPLES - 1 equal intervals with the joins of the path's
-    segments added, as in the adaptive sampler's first grid, so that a
-    contact at a join lies on a node; the second item names the sampler
-    that ran, "adaptive" or "uniform_fallback".  Every question samples
-    its path here, so none of them takes a sampling parameter."""
+    grid, or, when the adaptive sampler gives up,
+    sample_uniform(spec, FALLBACK_SAMPLES), whose grid holds the joins
+    as the adaptive sampler's first grid does, so that a contact at a
+    join lies on a node; the second item names the sampler that ran,
+    "adaptive" or "uniform_fallback".  Every question samples its path
+    here, so none of them takes a sampling parameter."""
     try:
         return sample_adaptive(spec), "adaptive"
     except RefinementBudgetExceeded:
-        ts = _first_grid(spec, FALLBACK_SAMPLES - 1)
-        return SampledPath(ts, spec.values(ts)), "uniform_fallback"
+        return sample_uniform(spec, FALLBACK_SAMPLES), "uniform_fallback"

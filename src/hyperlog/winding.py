@@ -41,32 +41,79 @@ def reduce_signs(signs) -> list:
     return stack
 
 
-def flips_of(rep: ObstructionReport, directives=()):
-    """Flip positions and signs in traversal order, the wrap flip last,
-    with the kinds of real runs resolved by directive.  A contact in
-    BAD_KINDS, the wrap contact included, raises HypothesisViolated."""
+@dataclass(frozen=True)
+class Flip:
+    """A flip of a loop: where it lies, the sign of its real value, and
+    whether it is the loop's wrap item."""
+
+    t: float
+    sign: int
+    wrap: bool
+
+
+def _walk(rep: ObstructionReport, directives=()) -> list:
+    """The real items of a report as (t, sign, kind, wrap) in traversal
+    order, the wrap item last: each contact with its kind, each run with
+    its run_kinds kind under the directives."""
     items = [(c.t, c.sign, c.kind, c.wrap) for c in rep.contacts]
     items += [(r.t0, r.sign, kind, r.wrap)
               for r, kind in zip(rep.runs, run_kinds(rep, directives))]
+    return sorted(items, key=lambda it: (it[3], it[0]))
+
+
+def flips_of(rep: ObstructionReport, directives=()) -> list:
+    """The Flips of the report's walk (see _walk), in its order.  A
+    contact in BAD_KINDS, the wrap contact included, raises
+    HypothesisViolated."""
     out = []
-    for t, sign, kind, wrap in sorted(items, key=lambda it: (it[3], it[0])):
+    for t, sign, kind, wrap in _walk(rep, directives):
         if kind in BAD_KINDS:
             raise HypothesisViolated(
                 f"signature undefined: contact of kind {kind} at t={t}"
             )
         if kind == FLIP:
-            out.append((t, sign, wrap))
+            out.append(Flip(t, sign, wrap))
     return out
+
+
+def closed_nontame_liftable(spec: PathSpec) -> bool:
+    """Whether a closed path whose only bad contacts sit on the positive
+    reals admits a closed continuous logarithm.
+
+    The criterion is that the signature of every piece between
+    consecutive bad contacts lies in {0, -1}.  The loop is read as
+    signature and lift_path read it under the default companion, runs
+    bouncing: its walk (see _walk), taken as a cycle from its first bad
+    contact and cut at each bad contact.  Bad contacts off the positive
+    real axis violate the hypotheses, as does a path with no bad contact
+    at all (use lift_path for those).
+    """
+    if not spec.closed:
+        raise HypothesisViolated("the criterion applies to closed paths")
+    sampled, _sampling = sample_path(spec)
+    walk = _walk(find_obstructions(sampled, spec))
+    bad = [k for k, (_t, _s, kind, _w) in enumerate(walk) if kind in BAD_KINDS]
+    if not bad:
+        raise HypothesisViolated("no bad contact; the path is tame enough")
+    if any(sign < 0 for _t, sign, kind, _w in walk if kind in BAD_KINDS):
+        raise HypothesisViolated("bad contact away from the positive reals")
+    pieces = [[]]
+    for _t, sign, kind, _w in walk[bad[0] + 1:] + walk[:bad[0]]:
+        if kind in BAD_KINDS:
+            pieces.append([])
+        elif kind == FLIP:
+            pieces[-1].append(sign)
+    return all(alternating_sum(signs) in (0, -1) for signs in pieces)
 
 
 def signature(rep: ObstructionReport, directives=()) -> int:
     """Alternating flip-sign sum, without any flip at the traversal end."""
-    return alternating_sum([s for _t, s, wrap in flips_of(rep, directives) if not wrap])
+    return alternating_sum([f.sign for f in flips_of(rep, directives) if not f.wrap])
 
 
 def circular_signature(rep: ObstructionReport, directives=()) -> int:
     """Alternating flip-sign sum including a flip at the loop basepoint."""
-    return alternating_sum([s for _t, s, _w in flips_of(rep, directives)])
+    return alternating_sum([f.sign for f in flips_of(rep, directives)])
 
 
 def shadow_winding(shadow: Shadow) -> int:
@@ -85,21 +132,8 @@ class WindingResult:
     circular_signature: int | None
     winding: int | None
     shadow_winding: int | None
-    flips: tuple
+    flips: tuple  # of Flip, in traversal order
     provenance: dict
-
-    def to_json(self) -> dict:
-        return {
-            "twisted": self.twisted,
-            "signature": self.signature,
-            "circular_signature": self.circular_signature,
-            "winding": self.winding,
-            "shadow_winding": self.shadow_winding,
-            "flips": [
-                {"t": t, "sign": s, "wrap": w} for t, s, w in self.flips
-            ],
-            "provenance": self.provenance,
-        }
 
 
 def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
@@ -120,8 +154,8 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     # one flip pass: the signature leaves out the flip at the basepoint
     try:
         flips = tuple(flips_of(rep, directives))
-        sig = alternating_sum([s for _t, s, wrap in flips if not wrap])
-        csig = alternating_sum([s for _t, s, _w in flips])
+        sig = alternating_sum([f.sign for f in flips if not f.wrap])
+        csig = alternating_sum([f.sign for f in flips])
     except HypothesisViolated:
         sig = csig = None
         flips = ()

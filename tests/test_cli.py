@@ -12,6 +12,7 @@ import pytest
 import hyperlog as hl
 from hyperlog import config
 from hyperlog.cli import main
+from hyperlog.pathkit import to_json
 
 
 def run_cli(*argv):
@@ -250,7 +251,7 @@ def test_eps_real_override_ends_with_the_call(tmp_path):
     assert config.IN_FORCE.get() is config.DEFAULT
     res = with_tolerances(tol, hl.analyze_loop, spec)
     assert code == 0
-    assert json.loads(out) == json.loads(json.dumps(res.to_json()))
+    assert json.loads(out) == json.loads(json.dumps(to_json(res)))
 
     # the value in force is back to the default after every exit code
     for argv, want in [

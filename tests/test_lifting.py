@@ -168,6 +168,97 @@ def test_closed_nontame_liftable_reads_every_bad_contact():
         hl.closed_nontame_liftable(hl.demo("rocket_neg").path)
 
 
+def nine_line_loop():
+    """A closed loop of nine Lines on [0, 9] with a semi-tame contact at
+    +1 (t = 1), a real run on [-3, -2] (t about 4 to 5) and a flip at
+    -4.5 (t = 6.5); the run and the flip share one axis interval."""
+    pts = [(2, 1, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (-2, 0, 1, 0), (-2, 0, 0, 0),
+           (-3, 0, 0, 0), (-4, 0, 1, 0), (-5, 0, -1, 0), (-5, 1, 0, 0), (2, 1, 0, 0)]
+    pts = [tuple(float(x) for x in p) for p in pts]
+    lines = tuple(hl.pathkit.Line(float(k), k + 1.0, pts[k], pts[k + 1]) for k in range(9))
+    return hl.PathSpec(0.0, 9.0, lines, closed=True)
+
+
+def closed_nontame_pins():
+    """Loops with the criterion's answer: the rocket_pos loops close, the
+    nine-line loops do not."""
+    pos = hl.demo("rocket_pos").path
+    span = pos.b - pos.a
+    pins = {"rocket_pos": pos, "rocket_pos/reverse": hl.reverse(pos),
+            "rocket_pos/repeat2": hl.repeat(pos, 2),
+            "rocket_neg/reflect_negconj": hl.reflect_negconj(hl.demo("rocket_neg").path)}
+    for f in (0.13, 0.37, 0.5, 0.71):
+        pins[f"rocket_pos/rotate{f}"] = hl.rotate_basepoint(pos, pos.a + f * span)
+    pins = {key: (spec, True) for key, spec in pins.items()}
+    nine = nine_line_loop()
+    for key, spec in [("nine_lines", nine), ("nine_lines/reverse", hl.reverse(nine)),
+                      ("nine_lines/rotate3.3", hl.rotate_basepoint(nine, 3.3))]:
+        pins[key] = (spec, False)
+    return pins
+
+
+PINS = closed_nontame_pins()
+
+
+@pytest.mark.parametrize("key", list(PINS))
+def test_closed_nontame_liftable_pins(key):
+    spec, want = PINS[key]
+    assert hl.closed_nontame_liftable(spec) is want
+
+
+def closed_loop_variants():
+    """Seven closed corpus loops, each plain, reversed, reflected, rotated
+    to four basepoints, the first three of these repeated twice and the
+    loop repeated three times; and the nine-line loops."""
+    for name in ["rocket_pos", "rocket_neg", "meridians", "lambda_loop", "three_exp",
+                 "gamma1m_gamma2(2)", "slice_circle(i,1,1)"]:
+        spec = hl.demo(name).path
+        span = spec.b - spec.a
+        base = {"plain": spec, "reverse": hl.reverse(spec),
+                "reflect_negconj": hl.reflect_negconj(spec)}
+        for kind, loop in base.items():
+            yield f"{name}/{kind}", loop
+            yield f"{name}/{kind}/repeat2", hl.repeat(loop, 2)
+        for f in (0.13, 0.37, 0.5, 0.71):
+            yield f"{name}/rotate{f}", hl.rotate_basepoint(spec, spec.a + f * span)
+        yield f"{name}/repeat3", hl.repeat(spec, 3)
+    for key, (spec, _want) in PINS.items():
+        if key.startswith("nine_lines"):
+            yield key, spec
+
+
+def test_closed_nontame_liftable_agrees_with_the_lift():
+    # where the criterion applies and the lift with the default companion
+    # goes through, the lift closes exactly when the criterion says so
+    seen = 0
+    for key, spec in closed_loop_variants():
+        try:
+            want = hl.closed_nontame_liftable(spec)
+        except HypothesisViolated:
+            continue
+        res = hl.lift_path(spec)
+        if res.status == "ok":
+            assert res.closed_lift is want, key
+            seen += 1
+    assert seen >= 16
+
+
+def test_the_nine_line_loop_closes_only_when_its_run_flips():
+    # the run and the flip at -4.5 share an axis interval: read as a
+    # bounce, the run leaves the flip's sign in the piece's signature
+    spec = nine_line_loop()
+    rep = hl.find_obstructions(sample_path(spec)[0], spec)
+    assert [c.kind for c in rep.contacts] == ["semi_tame", "flip"]
+    assert len(rep.runs) == 1
+    (iv,) = [iv for iv in rep.intervals if iv.non_unique]
+    assert iv.runs == rep.runs
+    for unit in (None, (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)):
+        res = hl.lift_path(spec, initial_unit=unit)
+        assert (res.status, res.closed_lift) == ("ok", False)
+    directives = tuple("flip" if v is iv else None for v in rep.intervals)
+    assert hl.lift_path(spec, directives=directives).closed_lift is True
+
+
 def test_a_path_real_throughout_lifts_along_its_seed():
     # from 1 to 2 on the real axis: the unit field is the initial unit,
     # else i, and the argument stays at its k0-th branch, 2 pi k0

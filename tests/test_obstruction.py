@@ -15,6 +15,7 @@ from hyperlog import config, obstruction
 from hyperlog.obstruction import (
     BAD_KINDS,
     BOUNCE,
+    DIRECTIVES,
     ENDPOINT_TAME,
     FLIP,
     NOT_TAME,
@@ -186,6 +187,23 @@ def test_run_kinds_follow_classify_interval():
                 assert kinds[rep.runs.index(r)] == classify_interval(iv, directives[m])
     with pytest.raises(ValueError):
         run_kinds(rep, ("sideways",))
+
+
+def test_a_directive_of_no_kind_raises_on_a_loop_without_runs():
+    # lambda_loop's axis intervals are unique: a directive there picks
+    # nothing, but one that names no kind is an error, not ignored
+    rep = report_for("lambda_loop")
+    assert not rep.runs and not any(iv.non_unique for iv in rep.intervals)
+    assert [classify_interval(iv, d) for iv in rep.intervals for d in DIRECTIVES] == [
+        iv.kind for iv in rep.intervals for _d in DIRECTIVES]
+    for iv in rep.intervals:
+        with pytest.raises(ValueError, match="unknown directive 'flop'"):
+            classify_interval(iv, "flop")
+    spec = hl.demo("lambda_loop").path
+    with pytest.raises(ValueError, match="unknown directive 'flop'"):
+        hl.analyze_loop(spec, ("flop",))
+    with pytest.raises(ValueError, match="unknown directive 'flop'"):
+        hl.lift_path(spec, directives=("flop",))
 
 
 def test_runs_in_no_interval_bounce():
