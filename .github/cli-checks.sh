@@ -105,6 +105,12 @@ for name in rocket_neg rocket_pos; do
   expect 0 analyze --demo "$name"
   has "$work/out.txt" '"sampling": "uniform_fallback"'
 done
+# the lift and the loop analysis read the same grid and name it too,
+# whether they answer or, as for rocket_neg's loop, have no companion
+expect 0 lift --demo rocket_pos
+has "$work/out.txt" '"sampling": "uniform_fallback"'
+expect 2 winding --demo rocket_neg
+has "$work/out.txt" '"sampling": "uniform_fallback"'
 
 # rotated to 0.13, rocket_neg meets its not-tame contact at the join
 # t = 1.0, which is no end of the fallback grid's equal intervals: that

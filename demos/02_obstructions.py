@@ -4,20 +4,11 @@ Run as: python3 demos/02_obstructions.py
 """
 
 import hyperlog as hl
-from hyperlog.errors import RefinementBudgetExceeded
 
 
 def show(name):
-    case = hl.demo(name)
-    spec = case.path
-    try:
-        sp = hl.sample_adaptive(spec)
-        sampling = f"adaptive, {len(sp.params)} samples"
-    except RefinementBudgetExceeded as err:
-        sp = hl.sample_uniform(spec, 4097)
-        sampling = f"fallback grid after {err}"
-    rep = hl.find_obstructions(sp, spec)
-    print(f"-- {name} ({sampling})")
+    sp, rep, sampling = hl.obstruct_path(hl.demo(name).path)
+    print(f"-- {name} ({sampling}, {len(sp.params)} samples)")
     for c in rep.contacts:
         wrap = ", at the loop basepoint" if c.wrap else ""
         print(
@@ -41,7 +32,7 @@ show("sigma_arc")
 
 print("A loop can also touch the axis with no direction limit at all;")
 print("near its contact the direction spins endlessly and the adaptive")
-print("sampler gives up by design:")
+print("sampler gives up by design, leaving a uniform fallback grid:")
 show("rocket_neg")
 
 print("Paths that spend positive time on the axis leave the companion")

@@ -14,7 +14,7 @@ lift = res.lift
 print("start:", lift.values[0], " end:", lift.values[-1])
 print("branch trace:", lift.branch_trace)
 print("terminal branch:", lift.final_branch)
-sig = hl.signature(hl.find_obstructions(hl.sample_adaptive(spec), spec))
+sig = hl.signature(hl.obstruct_path(spec)[1])
 print("predicted from the signature:", hl.terminal_branch(lift.k0, sig))
 print()
 
@@ -28,7 +28,7 @@ hat = hl.demo("sigma_hat").path
 res = hl.lift_path(hat)
 print("status:", res.status)
 print("max residual of exp(lift) vs the path:",
-      hl.verify_lift(res.lift, hl.sample_adaptive(hat)))
+      hl.verify_lift(res.lift, hl.obstruct_path(hat)[0]))
 print()
 
 print("== a lift can exist openly yet refuse to close up ==")

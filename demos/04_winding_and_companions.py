@@ -61,8 +61,7 @@ print()
 
 print("== shadows make all of this planar ==")
 spec = hl.demo("slice_circle(i,2,1)").path
-sp = hl.sample_adaptive(spec)
-rep = hl.find_obstructions(sp, spec)
+sp, rep, _sampling = hl.obstruct_path(spec)
 shadow = hl.shadow_of(sp, rep)
 print("the circle's shadow winds", hl.shadow_winding(shadow), "time around 0;")
 print("its conjugate winds", hl.shadow_winding(shadow.conjugate()), "time.")

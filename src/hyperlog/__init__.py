@@ -33,6 +33,7 @@ from .obstruction import (
     classify_interval,
     classify_point,
     find_obstructions,
+    obstruct_path,
     one_sided_direction,
 )
 from .pathkit import (

@@ -20,14 +20,8 @@ from . import config
 from .corpus import demo, demo_names
 from .errors import HyperlogError, InitialMismatch, UnknownDemo
 from .lifting import lift_path
-from .obstruction import DIRECTIVES, find_obstructions, report_to_json
-from .pathkit import (
-    PathSpec,
-    path_from_json,
-    path_to_json,
-    sample_path,
-    to_json,
-)
+from .obstruction import DIRECTIVES, obstruct_path
+from .pathkit import PathSpec, path_from_json, path_to_json, to_json
 from .companion import shadow_of
 from .winding import analyze_loop
 
@@ -94,9 +88,8 @@ def _write(out_dir, name, text) -> None:
 
 def _cmd_analyze(args) -> int:
     spec, stem = _load_path(args)
-    sampled, sampling = sample_path(spec)
-    rep = find_obstructions(sampled, spec)
-    doc = report_to_json(rep)
+    sampled, rep, sampling = obstruct_path(spec)
+    doc = to_json(rep)
     doc["sampling"] = sampling
     doc["samples"] = len(sampled.params)
     text = _dumps(doc)
@@ -160,8 +153,7 @@ def _cmd_winding(args) -> int:
 
 def _cmd_shadow(args) -> int:
     spec, stem = _load_path(args)
-    sampled, _sampling = sample_path(spec)
-    rep = find_obstructions(sampled, spec)
+    sampled, rep, _sampling = obstruct_path(spec)
     text = shadow_of(sampled, rep, _demo_directives(args)).to_csv()
     sys.stdout.write(text)
     _write(args.out, f"{stem}_shadow.csv", text)

@@ -18,9 +18,9 @@ import numpy as np
 from . import algebra, config
 from .companion import argument_steps, at_grid, departure, unit_field
 from .errors import InitialMismatch, MissingInitialUnit
-from .obstruction import BAD_KINDS, ObstructionReport, find_obstructions
+from .obstruction import BAD_KINDS, ObstructionReport, obstruct_path
 from .pathkit import FALLBACK_SAMPLES  # noqa: F401  (long-standing import path)
-from .pathkit import PathSpec, SampledPath, csv_text, sample_path
+from .pathkit import PathSpec, SampledPath, csv_text
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,7 @@ def lift_path(spec: PathSpec, k0: int = 0, initial_unit=None,
     lift_grid finds a failing contact the result reports it, naming its
     kind, rather than raising; unusable inputs raise.
     """
-    sampled, sampling = sample_path(spec)
-    rep = find_obstructions(sampled, spec)
+    sampled, rep, sampling = obstruct_path(spec)
     units, arg, fail = lift_grid(sampled, rep, k0, initial_unit, directives)
     if fail is not None:
         return LiftResult("fails_at", t_fail=fail[0], reason=fail[1], sampling=sampling)

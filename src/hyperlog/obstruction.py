@@ -23,7 +23,7 @@ import numpy as np
 from . import _brent, config
 from .algebra import row_dots, row_norms
 from .errors import ZeroOnPath
-from .pathkit import PathSpec, SampledPath, to_json
+from .pathkit import PathSpec, SampledPath, sample_path
 
 FLIP = "flip"
 BOUNCE = "bounce"
@@ -342,15 +342,25 @@ def _localize_contacts(spec, sampled, tri, edges, ptol) -> tuple:
 def _limit_h0s(ts, marks, edge_tol, cap) -> list:
     """The first ladder offset of a one-sided limit at each of ts: half
     the distance to the nearest of marks farther than edge_tol, capped at
-    cap (cap when there is none).  Blocks of 256 requests keep the
-    distance array small on paths with many contacts."""
+    cap (cap when there is none).  On either side of t the distances grow
+    along the sorted marks, so the nearest far mark below t is the last
+    sorting before t - edge_tol, and above t the first sorting after
+    t + edge_tol; where rounding t -+ edge_tol misplaces one, it moves a
+    mark at a time.  The infinite pads stand for no mark."""
     ts = np.asarray(ts, dtype=float)
-    h0s = np.empty(len(ts))
-    for k in range(0, len(ts), 256):
-        d = np.abs(ts[k:k + 256, None] - marks)
-        d[d <= edge_tol] = np.inf
-        h0s[k:k + 256] = np.minimum(cap, d.min(axis=1, initial=np.inf) / 2.0)
-    return h0s.tolist()
+    padded = np.concatenate(([-np.inf], marks, [np.inf]))
+    lo = np.searchsorted(padded, ts - edge_tol) - 1
+    hi = np.searchsorted(padded, ts + edge_tol, side="right")
+    while not (far := ts - padded[lo] > edge_tol).all():
+        lo -= ~far
+    while (far := ts - padded[lo + 1] > edge_tol).any():
+        lo += far
+    while not (far := padded[hi] - ts > edge_tol).all():
+        hi += ~far
+    while (far := padded[hi - 1] - ts > edge_tol).any():
+        hi -= far
+    nearest = np.minimum(ts - padded[lo], padded[hi] - ts)
+    return np.minimum(cap, nearest / 2.0).tolist()
 
 
 def _sign_of(x: float) -> int:
@@ -526,6 +536,14 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     )
 
 
+def obstruct_path(spec: PathSpec) -> tuple:
+    """(sampled, report, sampling) of a path: its sample_path grid, the
+    find_obstructions report on that grid, and the name of the sampler
+    that ran.  Every question reads its path here, once."""
+    sampled, sampling = sample_path(spec)
+    return sampled, find_obstructions(sampled, spec), sampling
+
+
 def _axis_geometry(spec, contacts, runs, edge_tol) -> tuple:
     """(big_arcs, intervals) of the real items of a report.
 
@@ -592,7 +610,3 @@ def _axis_geometry(spec, contacts, runs, edge_tol) -> tuple:
     # keep the wrap interval last
     intervals.sort(key=lambda iv: (iv.wrap, iv.t0))
     return big_arcs, tuple(intervals)
-
-
-def report_to_json(rep: ObstructionReport) -> dict:
-    return to_json(rep)

@@ -481,14 +481,16 @@ class PathSpec:
         return out
 
 
-def concat(p1: PathSpec, p2: PathSpec, closed: bool = False) -> PathSpec:
-    """Join p2 after p1, shifting its parameter interval to start at p1.b;
-    the new path checks the join."""
-    offset = p1.b - p2.a
-    segs = list(p1.segments)
-    for s in p2.segments:
-        segs.append(_reparam(s, 1.0, -offset, s.ta + offset, s.tb + offset))
-    return PathSpec(p1.a, p1.b + (p2.b - p2.a), tuple(segs), closed)
+def concat(first: PathSpec, *rest: PathSpec, closed: bool = False) -> PathSpec:
+    """Join one or more paths end to end, each shifted to start where the
+    one before it ends; the new path checks the joins."""
+    segs = list(first.segments)
+    b = first.b
+    for p in rest:
+        offset = b - p.a
+        segs += [_reparam(s, 1.0, -offset, s.ta + offset, s.tb + offset) for s in p.segments]
+        b += p.b - p.a
+    return PathSpec(first.a, b, tuple(segs), closed)
 
 
 def reverse(p: PathSpec) -> PathSpec:
@@ -506,18 +508,7 @@ def repeat(p: PathSpec, m: int) -> PathSpec:
         raise EndpointMismatch("only closed paths can be repeated")
     if m < 1:
         raise ValueError("repeat count must be positive")
-    # the offsets accumulate the way m - 1 successive concats would, and
-    # the joins are checked once, by the PathSpec of all the copies
-    segs = list(p.segments)
-    b = p.b
-    for _ in range(m - 1):
-        offset = b - p.a
-        segs += [
-            _reparam(s, 1.0, -offset, s.ta + offset, s.tb + offset)
-            for s in p.segments
-        ]
-        b = b + (p.b - p.a)
-    return PathSpec(p.a, b, tuple(segs), True)
+    return concat(*[p] * m, closed=True)
 
 
 def reflect_negconj(p: PathSpec) -> PathSpec:
@@ -1008,7 +999,8 @@ def sample_path(spec: PathSpec) -> tuple[SampledPath, str]:
     as the adaptive sampler's first grid does, so that a contact at a
     join lies on a node; the second item names the sampler that ran,
     "adaptive" or "uniform_fallback".  Every question samples its path
-    here, so none of them takes a sampling parameter."""
+    here, through obstruction.obstruct_path, so none of them takes a
+    sampling parameter."""
     try:
         return sample_adaptive(spec), "adaptive"
     except RefinementBudgetExceeded:

@@ -24,10 +24,10 @@ from .obstruction import (
     FLIP,
     ObstructionReport,
     alternating_sum,
-    find_obstructions,
+    obstruct_path,
     run_kinds,
 )
-from .pathkit import PathSpec, SampledPath, sample_path
+from .pathkit import PathSpec, SampledPath
 
 
 def reduce_signs(signs) -> list:
@@ -90,8 +90,7 @@ def closed_nontame_liftable(spec: PathSpec) -> bool:
     """
     if not spec.closed:
         raise HypothesisViolated("the criterion applies to closed paths")
-    sampled, _sampling = sample_path(spec)
-    walk = _walk(find_obstructions(sampled, spec))
+    walk = _walk(obstruct_path(spec)[1])
     bad = [k for k, (_t, _s, kind, _w) in enumerate(walk) if kind in BAD_KINDS]
     if not bad:
         raise HypothesisViolated("no bad contact; the path is tame enough")
@@ -148,28 +147,27 @@ def analyze_loop(spec: PathSpec, directives: tuple = ()) -> WindingResult:
     """
     if not spec.closed:
         raise HypothesisViolated("winding analysis needs a closed path")
-    sampled, sampling = sample_path(spec)
-    rep = find_obstructions(sampled, spec)
+    sampled, rep, sampling = obstruct_path(spec)
 
-    # one flip pass: the signature leaves out the flip at the basepoint
+    # one flip pass, which raises exactly when a contact has no direction
+    # limits and so the loop no companion
     try:
         flips = tuple(flips_of(rep, directives))
-        sig = alternating_sum([f.sign for f in flips if not f.wrap])
-        csig = alternating_sum([f.sign for f in flips])
     except HypothesisViolated:
-        sig = csig = None
-        flips = ()
+        flips = None
 
     prov = {
         "sampling": sampling,
         "directives": list(directives),
     }
 
-    companion_ok = all(c.kind not in BAD_KINDS for c in rep.contacts)
     if sampled.real.all():
         raise AllRealLoop("loop lies in the real axis")
-    if not companion_ok:
-        return WindingResult(None, sig, csig, None, None, flips, prov)
+    if flips is None:
+        return WindingResult(None, None, None, None, None, (), prov)
+    # the signature leaves out the flip at the basepoint
+    sig = alternating_sum([f.sign for f in flips if not f.wrap])
+    csig = alternating_sum([f.sign for f in flips])
 
     t_star = float(sampled.params[np.argmax(sampled.ims)])
     rot_sampled = _reroot(sampled, spec, t_star)
@@ -249,8 +247,7 @@ def branch_change_report(
     in analyze_loop.  A lift through a contact without the direction
     limit it needs raises NotLiftable at its position on that grid.
     """
-    sampled, _sampling = sample_path(spec)
-    rep = find_obstructions(sampled, spec)
+    sampled, rep, _sampling = obstruct_path(spec)
     grid = _reroot(sampled, spec, basepoint)
     _units, arg, fail = lift_grid(grid, rep, 0, initial_unit, directives)
     if fail is not None:

@@ -501,6 +501,20 @@ def test_repeat_equals_successive_concats():
             assert hl.repeat(spec, m) == replace(chain, closed=True)
 
 
+def test_concat_of_many_paths_equals_successive_concats():
+    # paths of other domains and lengths, each starting where the one
+    # before ends: one concat gives the spec of the pairwise concats
+    three = replace(hl.demo("three_exp").path, closed=False)
+    head = hl.subpath(three, three.a, three.a + 1.0)
+    pieces = [three, head, hl.reverse(head), three]
+    chain = pieces[0]
+    for p in pieces[1:]:
+        chain = hl.concat(chain, p)
+    for closed in (False, True):
+        assert hl.concat(*pieces, closed=closed) == replace(chain, closed=closed)
+    assert hl.concat(three) == three
+
+
 # ---------------------------------------------------------------------------
 # the sampler against the edge-halving route
 

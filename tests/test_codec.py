@@ -17,7 +17,7 @@ import pytest
 import hyperlog as hl
 from hyperlog.companion import shadow_of
 from hyperlog.errors import HyperlogError
-from hyperlog.obstruction import find_obstructions, report_to_json
+from hyperlog.obstruction import find_obstructions
 from hyperlog.pathkit import (
     Arc,
     Line,
@@ -31,6 +31,7 @@ from hyperlog.pathkit import (
     TrigFn,
     path_to_json,
     sample_path,
+    to_json,
 )
 
 from test_acceptance import single_slice_loop
@@ -188,7 +189,7 @@ def test_derived_codecs_match_the_hand_written_ones(name, spec):
     sampled, _ = sample_path(spec)
     assert sampled.to_csv() == ref_sampled_csv(sampled)
     rep = find_obstructions(sampled, spec)
-    assert (json.dumps(report_to_json(rep), sort_keys=True)
+    assert (json.dumps(to_json(rep), sort_keys=True)
             == json.dumps(ref_report_to_json(rep), sort_keys=True))
     lift = answer(lambda: hl.lift_path(spec).lift)
     if lift is not None:

@@ -385,7 +385,7 @@ def test_a_trailing_real_sample_takes_the_limit_whatever_the_grid(m, monkeypatch
     unit = res.lift.units[-1]
     assert min(np.linalg.norm(unit - limit), np.linalg.norm(unit + limit)) <= 1e-12
     # so a lift over a uniform grid ends at the same value
-    monkeypatch.setattr(hl.lifting, "sample_path",
+    monkeypatch.setattr(hl.obstruction, "sample_path",
                         lambda p: (hl.sample_uniform(p, 4097), "uniform_fallback"))
     uniform = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0)).lift.values[-1]
     want = res.lift.values[-1]

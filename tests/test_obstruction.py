@@ -25,10 +25,9 @@ from hyperlog.obstruction import (
     RealRun,
     classify_interval,
     classify_point,
-    report_to_json,
     run_kinds,
 )
-from hyperlog.pathkit import sample_path
+from hyperlog.pathkit import sample_path, to_json
 
 from test_acceptance import single_slice_loop
 from test_batched_eval import corpus_paths
@@ -83,13 +82,13 @@ def test_tolerances_travel_with_the_sampled_path(name, eps_real):
     token = config.IN_FORCE.set(tol)
     try:
         sampled = sample_path(spec)[0]
-        want = report_to_json(hl.find_obstructions(sampled, spec))
+        want = to_json(hl.find_obstructions(sampled, spec))
     finally:
         config.IN_FORCE.reset(token)
     assert sampled.tol == tol
-    assert want != report_to_json(hl.find_obstructions(sample_path(spec)[0], spec))
+    assert want != to_json(hl.find_obstructions(sample_path(spec)[0], spec))
     # the probes after sampling judge realness as the samples were judged
-    assert report_to_json(hl.find_obstructions(sampled, spec)) == want
+    assert to_json(hl.find_obstructions(sampled, spec)) == want
 
 
 @pytest.mark.parametrize("eps_real", [1e-9, 1e-7, 1e-5])
@@ -140,6 +139,39 @@ def test_rocket_has_no_direction_limit():
     c = contact_at(rep, 0.0)
     assert c.kind == NOT_TAME and c.sign == -1
     assert c.right_dir is None
+
+
+def samples_through_minus_one(knot):
+    """One Samples segment on [0, 10] through (-1, 0.3 i), through -1 at
+    its knot and on to (-1, 0.5 j): a semi-tame contact at -1, where
+    |Im| has a corner and the direction turns from i to j."""
+    pts = ((-1.0, 0.3, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.5, 0.0))
+    return hl.PathSpec(0.0, 10.0, (hl.pathkit.Samples(0.0, 10.0, (0.0, knot, 10.0), pts),))
+
+
+@pytest.mark.parametrize("knot", [3.7, pytest.param(6.3, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 17: the dip minimiser stops about 1e-7 from a "
+    "corner at t = 6.3, where the path is not real, and the contact is dropped"))])
+def test_a_semi_tame_contact_at_a_samples_knot_is_found(knot):
+    spec = samples_through_minus_one(knot)
+    (contact,) = hl.obstruct_path(spec)[1].contacts
+    assert contact.kind == SEMI_TAME
+    assert contact.t == pytest.approx(knot, abs=1e-6)
+    res = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0))
+    assert (res.status, res.reason) == ("fails_at", SEMI_TAME)
+
+
+@pytest.mark.parametrize("c", [10.0, pytest.param(100.0, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 18: three ladder directions agree within "
+    "THETA_TOL about 1.3e-6 from the limits -i and i, which reads as semi-tame")), 1000.0])
+def test_a_flip_whose_direction_turns_fast_is_a_flip(c):
+    # 1 + (sin t) i + c (1 - cos t) j crosses the axis at t = 0, where
+    # its direction limits are exactly -i and i
+    arc = hl.pathkit.Arc(-1.0, 1.0, (1.0, 0.0, c, 0.0), (0.0, 0.0, -c, 0.0),
+                         (0.0, 1.0, 0.0, 0.0), -1.0, 1.0)
+    (contact,) = hl.obstruct_path(hl.PathSpec(-1.0, 1.0, (arc,)))[1].contacts
+    assert contact.kind == FLIP
+    assert contact.t == pytest.approx(0.0, abs=1e-9)
 
 
 def test_one_sided_direction_on_the_rocket():
@@ -302,7 +334,7 @@ def test_report_json_is_serialisable():
     import json
 
     rep = report_for("three_exp")
-    doc = report_to_json(rep)
+    doc = to_json(rep)
     text = json.dumps(doc, sort_keys=True)
     back = json.loads(text)
     assert back["tame"] is False
@@ -364,6 +396,27 @@ def test_limit_h0s_match_the_walk_across_blocks():
     assert len(ts) > 600
     for ts, marks in ((ts, marks), (ts[:5], np.empty(0)), (ts[:0], marks)):
         args = (ts.tolist(), marks, edge_tol, 1e-2)
+        assert_h0s_match_the_walk(*args, obstruction._limit_h0s(*args))
+
+
+def test_limit_h0s_match_the_walk_at_rounding_distances():
+    # marks and requests within a few ulps of edge_tol of each other, at
+    # scales where t -+ edge_tol rounds, so that where t -+ edge_tol sorts
+    # can be a mark off the nearest far mark
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-8, 8)
+        edge_tol = scale * 10.0 ** rng.uniform(-12, -1)
+        base = rng.uniform(-1, 1, rng.integers(0, 30)) * scale
+        marks = np.sort(np.concatenate([
+            base, base + edge_tol, base - edge_tol,
+            np.nextafter(base + edge_tol, np.inf), np.nextafter(base - edge_tol, -np.inf),
+            base + rng.integers(-3, 4, len(base)) * np.spacing(base)]))
+        ts = np.concatenate([marks, marks + edge_tol, marks - edge_tol,
+                             np.nextafter(marks + edge_tol, np.inf),
+                             np.nextafter(marks - edge_tol, -np.inf),
+                             rng.uniform(-1.2, 1.2, 20) * scale])
+        args = (ts.tolist(), marks, edge_tol, 1e-3 * scale)
         assert_h0s_match_the_walk(*args, obstruction._limit_h0s(*args))
 
 

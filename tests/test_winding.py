@@ -200,6 +200,20 @@ def test_branch_change_through_a_rocket_contact(f):
         assert hl.branch_change_report(spec, f) == 0
 
 
+@pytest.mark.parametrize("f, bp", [
+    (None, 0.87), (None, 0.24), (0.13, 0.87),
+    pytest.param(0.37, 0.87, marks=pytest.mark.xfail(
+        strict=True, raises=HypothesisViolated, reason="ROADMAP item 6: the fallback "
+        "grid of the 0.37 copy gives an argument change of -0.052 turns")),
+])
+def test_rocket_pos_changes_no_branch_from_any_copy(f, bp):
+    # rocket_pos and its copies rotated to f are one loop, which lifts
+    # through its contact at +1 with zero argument from every point
+    pos = hl.demo("rocket_pos").path
+    loop = pos if f is None else hl.rotate_basepoint(pos, f)
+    assert hl.branch_change_report(loop, bp) == 0
+
+
 @pytest.mark.parametrize("name", ["rocket_neg", "rocket_pos"])
 @pytest.mark.parametrize("f", [0.13, 0.37])
 def test_the_fallback_grid_holds_the_join_of_a_rotated_rocket(name, f):
@@ -534,6 +548,37 @@ def test_analyze_loop_samples_and_obstructs_once(name):
         res = hl.analyze_loop(spec, dirs)
         assert res.winding is not None
         assert (meter.calls, meter.points) == one_pass
+
+
+def one_reading(spec, meter) -> tuple:
+    """(path calls, points) of one obstruct_path of a counted path."""
+    meter.calls = meter.points = 0
+    hl.obstruct_path(spec)
+    return meter.calls, meter.points
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_lift_path_reads_its_path_once(name):
+    # open and closed alike, failing or not
+    path = hl.demo(name).path
+    for closed in (True, False) if path.closed else (False,):
+        meter = Meter()
+        spec = counted(replace(path, closed=closed), meter)
+        want = one_reading(spec, meter)
+        meter.calls = meter.points = 0
+        outcome(hl.lift_path, spec)
+        assert (meter.calls, meter.points) == want, closed
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS if hl.demo(n).path.closed])
+def test_closed_nontame_liftable_reads_its_loop_once(name):
+    # whether it answers (rocket_pos, meridians) or refuses the loop
+    meter = Meter()
+    spec = counted(hl.demo(name).path, meter)
+    want = one_reading(spec, meter)
+    meter.calls = meter.points = 0
+    outcome(hl.closed_nontame_liftable, spec)
+    assert (meter.calls, meter.points) == want
 
 
 def test_reroot_is_a_cyclic_shift():
