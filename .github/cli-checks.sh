@@ -147,6 +147,32 @@ has "$work/out.txt" '"closed_lift": false'
 expect 0 lift --input "$work/nine_lines.json" --directive 1=flip
 has "$work/out.txt" '"closed_lift": true'
 
+# six lines: 2 -> 2i -> -2, a run to -1, -1 -> -j -> 1, and a run back
+# to 2; the first run is entered along i and left along -j, at a right
+# angle, and still each directive holds: a bounce keeps the companion's
+# sign relative to the path's own direction and a flip negates it
+cat > "$work/six_lines.json" <<'EOF'
+{"domain": [0, 6], "closed": true, "segments": [
+ {"kind": "line", "ta": 0, "tb": 1, "p0": [2, 0, 0, 0], "p1": [0, 2, 0, 0]},
+ {"kind": "line", "ta": 1, "tb": 2, "p0": [0, 2, 0, 0], "p1": [-2, 0, 0, 0]},
+ {"kind": "line", "ta": 2, "tb": 3, "p0": [-2, 0, 0, 0], "p1": [-1, 0, 0, 0]},
+ {"kind": "line", "ta": 3, "tb": 4, "p0": [-1, 0, 0, 0], "p1": [0, 0, -1, 0]},
+ {"kind": "line", "ta": 4, "tb": 5, "p0": [0, 0, -1, 0], "p1": [1, 0, 0, 0]},
+ {"kind": "line", "ta": 5, "tb": 6, "p0": [1, 0, 0, 0], "p1": [2, 0, 0, 0]}]}
+EOF
+expect 0 winding --input "$work/six_lines.json"
+has "$work/out.txt" '^  "winding": 0,?$'
+expect 0 winding --input "$work/six_lines.json" --directive 0=flip --directive 1=flip
+has "$work/out.txt" '^  "winding": 1,?$'
+expect 2 winding --input "$work/six_lines.json" --directive 0=flip
+has "$work/out.txt" '^  "twisted": true,?$'
+# a segment whose anchors are equal lays its shape out over no interval:
+# unusable input, not a division by zero
+sed 's/"tb": 1, "p0"/"tb": 1, "anchor_a": 0.5, "anchor_b": 0.5, "p0"/' \
+  "$work/six_lines.json" > "$work/equal_anchors.json"
+has "$work/equal_anchors.json" '"anchor_b": 0.5'
+expect 1 winding --input "$work/equal_anchors.json"
+
 # a circle turning 20 times crosses the axis 40 times inside one slice:
 # each crossing is a bracket of the sampler that find_obstructions solves
 # into a flip

@@ -2,12 +2,14 @@
 
 The companion of a path is its imaginary direction, viewed projectively
 and extended continuously through the contacts with the real axis.  It
-is its unit field over the sample grid: sign-matching propagation
-handles isolated contacts, and real runs are bridged according to a
-flip/bounce directive because both continuations are legitimate there.
-It exists when no contact is in obstruction.BAD_KINDS, is unique when
-the report's companion_unique holds and the path is not all real, and
-its two lifts are the fields seeded with u and with -u.
+is its unit field over the sample grid: the field carries its sign
+relative to the path's own direction, and each real stretch is read off
+the report item that holds it, a contact by its direction limits and a
+real run by its limits and a flip/bounce directive, because both
+continuations are legitimate there.  It exists when no contact is in
+obstruction.BAD_KINDS, is unique when the report's companion_unique
+holds and the path is not all real, and its two lifts are the fields
+seeded with u and with -u.
 """
 
 from __future__ import annotations
@@ -58,84 +60,104 @@ def unit_field(
 
     At the k-th non-real sample the field is S_k r_k, where r_k is the
     unit Im/|Im| there and S_k = +-1 carries the sign.  S_0 is -1 when a
-    seed is given and points against r_0, else +1.  After that S_k is
-    S_{k-1} times the sign of r_{k-1}.r_k, negated once more when a real
-    sample between the two lies in a run resolved as a flip (see
-    run_kinds); an exactly zero r_{k-1}.r_k restarts the carry at +1.
-    A real stretch is bridged by a slerp from the direction before it to
-    the one after it.  A trailing stretch turns, by its last sample, to
-    the path's arrival direction there (see arrival), taken with the
-    sign of the direction before it (that direction when there is no
-    limit) and negated after a flip: the grid's last non-real sample can
-    lie a whole grid step before the stretch, and the limit does not
-    depend on the grid.  A leading stretch, or a path that is real
-    throughout, takes the seed, or else the first direction (+i when
-    there is none); the seed must be parallel to the path's direction at
-    a non-real start.
-    """
-    params = sampled.params
-    n = len(params)
-    real = sampled.real
-    kinds = run_kinds(rep, directives)
+    seed is given and points against r_0, else +1.  Each real stretch
+    lies in one item of the report (see stretch_items), with an entry
+    limit in and an exit limit out.  Across an item with both, S is
+    multiplied by sign(r_prev.in) sigma sign(out.r_next), sigma being -1
+    for a flip and +1 otherwise: a bounce keeps S relative to the path's
+    own direction and a flip negates it, whatever the angle between in
+    and out.  Between consecutive non-real samples, and across an item
+    that lacks a limit, S is multiplied by sign(r_prev.r_next).  A zero
+    dot product reads as +1.
 
+    Each stretch is a slerp over its samples from its entry unit to its
+    exit unit: S in and S sigma out with the carried S, a contact keeping
+    S in throughout; where the item lacks a limit, the field beside the
+    stretch, a trailing stretch turning to its entry limit when there is
+    one.  The grid's first sample is the seed, or else the exit unit;
+    its last is the exit unit.  A path that is real throughout takes the
+    seed, or else +i.  The seed must be parallel to the path's direction
+    at a non-real start.
+    """
+    n = len(sampled.params)
     units = np.zeros((n, sampled.dim - 1))
-    if real.all():
-        if seed is not None:
-            units[:] = seed
-        else:
-            units[:, 0] = 1.0
+    # read before anything else, so that surplus directives raise on any path
+    items = stretch_items(sampled, rep, directives)
+    if sampled.real.all():
+        units[:] = seed if seed is not None else np.eye(sampled.dim - 1)[0]
         return units
 
-    # real samples in a run resolved as a flip: the first run that covers
-    # a real sample decides.  A run covers the samples within tol of
-    # [t0, t1] and, on a closed report, of that interval moved back or on
-    # by the grid's span: a closed report's runs are read modulo its
-    # period, so one report serves a grid that starts anywhere on the loop
-    a, b = float(params[0]), float(params[-1])
-    tol = config.PARAM_SAME * (b - a)
-    shifts = (0.0, a - b, b - a) if rep.closed else (0.0,)
-    flip = np.zeros(n, dtype=bool)
-    uncovered = real.copy()
-    for r, kind in zip(rep.runs, kinds):
-        for s in shifts:
-            cover = uncovered & (r.t0 + s - tol <= params) & (params <= r.t1 + s + tol)
-            uncovered &= ~cover
-            if kind == FLIP:
-                flip |= cover
-
-    # the sign carry: a cumulative product of +-1 factors that restarts
-    # at each exact zero; row_dots gives np.dot's bits, zeros included
-    nonreal = np.flatnonzero(~real)
+    nonreal = np.flatnonzero(~sampled.real)
     dirs = sampled.values[nonreal, 1:] / sampled.ims[nonreal, None]
+    stretches = sampled.stretches.tolist()
+    # the first non-real sample after each stretch, as an index of dirs
+    after = np.searchsorted(nonreal, sampled.stretches[:, 1]).tolist()
+    steps = np.where(row_dots(dirs[:-1], dirs[1:]) < 0.0, -1.0, 1.0)
+    for (i, j), m, (d_in, d_out, sigma, _contact) in zip(stretches, after, items):
+        if 0 < i and j < n and d_in is not None and d_out is not None:
+            steps[m - 1] = _sign(dirs[m - 1] @ d_in) * sigma * _sign(d_out @ dirs[m])
     s0 = -1.0 if seed is not None and float(np.dot(seed, dirs[0])) < 0 else 1.0
-    crossed = np.diff(np.cumsum(flip)[nonreal]) > 0
-    steps = np.sign(row_dots(dirs[:-1], dirs[1:])) * np.where(crossed, -1.0, 1.0)
-    # a leading 1 lets index 0 stand for "no restart yet"
-    g = np.concatenate(([1.0, s0], steps))
-    reset = g == 0.0
-    g[reset] = 1.0
-    carry = np.cumprod(g)
-    restart = np.maximum.accumulate(np.where(reset, np.arange(len(g)), 0))
-    units[nonreal] = (carry * carry[restart])[1:, None] * dirs
+    carry = s0 * np.cumprod(np.concatenate(([1.0], steps)))
+    units[nonreal] = carry[:, None] * dirs
 
-    # the real stretches i..j-1
-    for i, j in sampled.stretches.tolist():
+    for (i, j), m, (d_in, d_out, sigma, contact) in zip(stretches, after, items):
+        if d_in is not None and d_out is not None:
+            # S on entry, read from the side of the stretch that the grid has
+            s = (carry[m - 1] * _sign(dirs[m - 1] @ d_in) if i > 0
+                 else carry[m] * _sign(dirs[m] @ d_out) * sigma)
+            enter = s * d_in
+            leave = enter if contact else s * sigma * d_out
+        else:
+            enter = units[i - 1] if i > 0 else None
+            leave = units[j] if j < n else enter
+            if j == n and d_in is not None:
+                leave = _sign(enter @ d_in) * d_in
         if i == 0:
-            units[:j] = seed if seed is not None else units[j]
+            enter = seed if seed is not None else leave
+        if enter is leave:
+            units[i:j] = enter
             continue
-        prev = units[i - 1]
-        if j < n:
-            units[i:j] = _slerp(prev, units[j], np.linspace(0.0, 1.0, j - i + 2)[1:-1])
-            continue
-        end = arrival(rep, a, b)
-        if end is None:
-            end = prev
-        elif float(np.dot(prev, end)) < 0:
-            end = -end
-        if flip[i:].any():
-            end = -end
-        units[i:] = _slerp(prev, end, np.linspace(0.0, 1.0, n - i + 1)[1:])
+        lo, hi = max(i - 1, 0), min(j, n - 1)
+        units[i:j] = _slerp(enter, leave, (np.arange(i, j) - lo) / (hi - lo))
     return units
+
+
+def _sign(x: float) -> float:
+    """-1 for a negative x, else +1."""
+    return -1.0 if x < 0 else 1.0
+
+
+def stretch_items(sampled: SampledPath, rep: ObstructionReport, directives=()) -> list:
+    """(in, out, sigma, contact) of the report item that holds each real
+    stretch of the grid: the item's entry and exit direction limits,
+    each None where it has none; sigma, -1 for a flip contact and for a
+    run that run_kinds resolves as a flip under the directives, else +1;
+    and whether it is a contact.  An item's place on the grid is read
+    with at_grid, on a closed report also one period back and on, and a
+    stretch lies in the item nearest its middle; one with no item in the
+    report lacks both limits."""
+    params, rows = sampled.params, sampled.stretches
+    a, b = float(params[0]), float(params[-1])
+    items = [(c.left_dir, c.right_dir, c.kind, True) for c in rep.contacts] + [
+        (r.in_dir, r.out_dir, kind, False) for r, kind in zip(rep.runs, run_kinds(rep, directives))]
+    if not items or not len(rows):
+        return [(None, None, 1.0, False)] * len(rows)
+    lo = at_grid(rep, [c.t for c in rep.contacts] + [r.t0 for r in rep.runs], a, b)
+    hi = lo + np.array([0.0] * len(rep.contacts) + [r.t1 - r.t0 for r in rep.runs])
+    key = np.arange(len(items))
+    if rep.closed:
+        laps = (b - a) * np.array([[-1.0], [0.0], [1.0]])
+        lo, hi, key = (lo + laps).ravel(), (hi + laps).ravel(), np.tile(key, 3)
+    order = np.argsort(lo, kind="stable")
+    lo, hi, key = lo[order], hi[order], key[order]
+    # the last item to start by each middle, or the next one when nearer
+    mid = 0.5 * (params[rows[:, 0]] + params[rows[:, 1] - 1])
+    before = np.maximum(np.searchsorted(lo, mid, side="right") - 1, 0)
+    nxt = np.minimum(before + 1, len(lo) - 1)
+    picked = key[np.where(lo[nxt] - mid < mid - hi[before], nxt, before)].tolist()
+    return [(*(None if d is None else np.array(d) for d in (d_in, d_out)),
+             -1.0 if kind == FLIP else 1.0, contact)
+            for d_in, d_out, kind, contact in (items[k] for k in picked)]
 
 
 def at_grid(rep: ObstructionReport, ts, a: float, b: float) -> np.ndarray:
@@ -150,33 +172,6 @@ def at_grid(rep: ObstructionReport, ts, a: float, b: float) -> np.ndarray:
         return ts
     ts = ts + (b - a) * ((ts < a).astype(float) - (ts >= b))
     return np.where(np.minimum(ts - a, b - ts) <= config.PARAM_SAME * (b - a), a, ts)
-
-
-def arrival(rep: ObstructionReport, a: float, b: float) -> np.ndarray | None:
-    """The direction limit from the left at the last real item of the
-    report on a grid from a to b (see at_grid), where a trailing real
-    stretch begins: the direction with which the path arrives at the
-    axis there; on a loop an item at the root is met last, at b.  None
-    when there is no item or the item has no such limit."""
-    ts = at_grid(rep, [c.t for c in rep.contacts] + [r.t0 for r in rep.runs], a, b)
-    if rep.closed:
-        ts[ts == a] = b
-    return _limit([c.left_dir for c in rep.contacts] + [r.in_dir for r in rep.runs], ts, np.argmax)
-
-
-def departure(rep: ObstructionReport, a: float, b: float) -> np.ndarray | None:
-    """The direction limit from the right at the first real item of the
-    report on a grid from a to b (see at_grid), where a leading real
-    stretch ends: the direction with which the path leaves the axis
-    there.  None when there is no item or the item has no such limit."""
-    ts = at_grid(rep, [c.t for c in rep.contacts] + [r.t1 for r in rep.runs], a, b)
-    return _limit([c.right_dir for c in rep.contacts] + [r.out_dir for r in rep.runs], ts, np.argmin)
-
-
-def _limit(dirs, ts, pick) -> np.ndarray | None:
-    """The direction of the item that pick chooses by its position ts."""
-    direction = dirs[int(pick(ts))] if dirs else None
-    return None if direction is None else np.array(direction)
 
 
 @dataclass(frozen=True)

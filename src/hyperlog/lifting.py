@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, config
-from .companion import argument_steps, at_grid, departure, unit_field
+from .companion import argument_steps, at_grid, stretch_items, unit_field
 from .errors import InitialMismatch, MissingInitialUnit
 from .obstruction import BAD_KINDS, ObstructionReport, obstruct_path
 from .pathkit import FALLBACK_SAMPLES  # noqa: F401  (long-standing import path)
@@ -156,7 +156,7 @@ def lift_grid(sampled: SampledPath, rep: ObstructionReport, k0: int = 0,
     # (the grid's first non-real sample can lie a grid step further on);
     # a sideways initial unit has no continuation
     if seed is not None and sampled.real[0] and not sampled.real.all():
-        leaving = departure(rep, a, b)
+        leaving = stretch_items(sampled, rep)[0][1]
         if leaving is None:
             leaving = units[int(np.argmax(~sampled.real))]
         if abs(float(np.dot(seed, leaving))) < math.cos(config.THETA_TOL):

@@ -95,6 +95,16 @@ class TrigFn:
 # segments
 
 
+def _anchor(seg) -> None:
+    """Default a segment's anchors, between which its shape is laid out,
+    to its ends; equal anchors lay out no shape and raise ValueError."""
+    if seg.anchor_a is None:
+        object.__setattr__(seg, "anchor_a", seg.ta)
+        object.__setattr__(seg, "anchor_b", seg.tb)
+    if seg.anchor_a == seg.anchor_b:
+        raise ValueError(f"{type(seg).__name__} has equal anchors {seg.anchor_a!r}")
+
+
 @dataclass(frozen=True)
 class SliceArc:
     """center + radius (cos th + unit sin th), th affine over the anchors."""
@@ -110,9 +120,7 @@ class SliceArc:
     anchor_b: float = None
 
     def __post_init__(self):
-        if self.anchor_a is None:
-            object.__setattr__(self, "anchor_a", self.ta)
-            object.__setattr__(self, "anchor_b", self.tb)
+        _anchor(self)
         _cache_arrays(self, _unit=self.unit)
 
     def values(self, ts):
@@ -145,9 +153,7 @@ class Arc:
     anchor_b: float = None
 
     def __post_init__(self):
-        if self.anchor_a is None:
-            object.__setattr__(self, "anchor_a", self.ta)
-            object.__setattr__(self, "anchor_b", self.tb)
+        _anchor(self)
         if self.drift is None:
             object.__setattr__(self, "drift", tuple(0.0 for _ in self.center))
         _cache_arrays(
@@ -178,9 +184,7 @@ class Line:
     anchor_b: float = None
 
     def __post_init__(self):
-        if self.anchor_a is None:
-            object.__setattr__(self, "anchor_a", self.ta)
-            object.__setattr__(self, "anchor_b", self.tb)
+        _anchor(self)
         _cache_arrays(self, _p0=self.p0, _p1=self.p1)
 
     def values(self, ts):
@@ -256,9 +260,7 @@ class Rocket:
     anchor_b: float = None
 
     def __post_init__(self):
-        if self.anchor_a is None:
-            object.__setattr__(self, "anchor_a", self.ta)
-            object.__setattr__(self, "anchor_b", self.tb)
+        _anchor(self)
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -341,12 +343,13 @@ MAX_MAGNITUDE = 1e150
 class PathSpec:
     """A contiguous piecewise path on [a, b], possibly closed.
 
-    Its dim, the number of coefficients of its values, is read off the
-    values of its segments; it is an attribute, not a field.  So is its
-    evaluation route: every segment folded by _fold into per-segment
-    arrays and the index of its inner among the distinct inners, so that
-    segments sharing an inner, such as the copies repeat makes of one
-    circle, are evaluated together in one call.  A segment end value with
+    Its dim, the number of coefficients of its values, 4 or 8 or else
+    DimensionMismatch, is read off the values of its segments; it is an
+    attribute, not a field.  So is its evaluation route: every segment
+    folded by _fold into per-segment arrays and the index of its inner
+    among the distinct inners, so that segments sharing an inner, such
+    as the copies repeat makes of one circle, are evaluated together in
+    one call.  A segment end value with
     a coefficient not of magnitude at most MAX_MAGNITUDE raises
     ValueError; values between the ends are not checked.
     """
@@ -389,6 +392,8 @@ class PathSpec:
         # the first call is of segment 0's inner; the ends of inners of
         # another width stay zero, and _check_joins reports the first
         object.__setattr__(self, "dim", calls[0][1].shape[1])
+        if self.dim not in (4, 8):
+            raise DimensionMismatch(f"segment 0 has {self.dim} coefficients, not 4 or 8")
         width = np.empty(2 * n, dtype=int)
         ends = np.zeros((2 * n, self.dim))
         for rows, vals in calls:

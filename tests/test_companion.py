@@ -13,8 +13,8 @@ import hyperlog as hl
 from hyperlog import config, winding
 from hyperlog.companion import _slerp
 from hyperlog.errors import SliceMismatch
-from hyperlog.obstruction import BAD_KINDS, BOUNCE, FLIP, classify_interval
-from hyperlog.pathkit import sample_path
+from hyperlog.obstruction import BAD_KINDS, BOUNCE, DIRECTIVES, FLIP, classify_interval
+from hyperlog.pathkit import Line, PathSpec, SliceArc, sample_path
 
 from test_acceptance import single_slice_loop
 
@@ -79,6 +79,38 @@ def test_three_exp_directives_change_the_field():
     # flipping field reverses, as seen on the small circle
     n_small = int(np.searchsorted(sp.params, 3.5 * PI))
     assert float(np.dot(bounce[n_small], flip[n_small])) < 0.0
+
+
+def two_run_loop(u2):
+    """The loop 2 -> 2i -> -2, a half circle; the run [-2, -1]; -1 -> -u2
+    -> 1, a half circle; and the run [1, 2].  Its first run is entered
+    along i and left along -u2, its second entered along -u2 and left
+    along i; u2 holds the i, j, k coefficients of a direction."""
+    u2 = np.asarray(u2, dtype=float) / np.linalg.norm(u2)
+    segments = (
+        SliceArc(0.0, PI, (0.0, 1.0, 0.0, 0.0), 0.0, PI, radius=2.0),
+        Line(PI, PI + 1, (-2.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)),
+        SliceArc(PI + 1, 2 * PI + 1, (0.0, *u2.tolist()), PI, 2 * PI),
+        Line(2 * PI + 1, 2 * PI + 2, (1.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)),
+    )
+    return PathSpec(0.0, 2 * PI + 2, segments, closed=True)
+
+
+def test_a_run_directive_holds_whatever_the_angle_between_in_and_out():
+    # a bounce keeps the field's sign relative to the path's own direction
+    # and a flip negates it, so each directive tuple answers alike whether
+    # the first run turns by a right angle, a little more or less, a half
+    # turn or not at all
+    want = {(BOUNCE, BOUNCE): (False, 0), (FLIP, FLIP): (False, 1),
+            (BOUNCE, FLIP): (True, None), (FLIP, BOUNCE): (True, None)}
+    family = [(eps, 1.0, 0.0) for eps in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
+    for u2 in family + [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]:
+        loop = two_run_loop(u2)
+        got = {}
+        for directives in itertools.product(DIRECTIVES, repeat=2):
+            res = hl.analyze_loop(loop, directives)
+            got[directives] = (res.twisted, res.winding)
+        assert got == want, u2
 
 
 def companion_flags(sp, rep):
@@ -147,11 +179,46 @@ def reference_directive_for_run(rep, run, directives):
     return BOUNCE
 
 
+def reference_items(rep, a, b, directives):
+    """The report's real items on a grid from a to b as (lo, hi, in, out,
+    sigma, contact): a contact at t, a wrap contact at both a and b; a
+    run from t0 to t1, a wrap run also one period back, where its part
+    beyond b lies on the grid."""
+    items = []
+    for c in rep.contacts:
+        sigma = -1.0 if c.kind == FLIP else 1.0
+        for t in ((a, b) if c.wrap else (c.t,)):
+            items.append((t, t, c.left_dir, c.right_dir, sigma, True))
+    for r in rep.runs:
+        sigma = -1.0 if reference_directive_for_run(rep, r, directives) == FLIP else 1.0
+        for shift in ((0.0, a - b) if r.wrap else (0.0,)):
+            items.append((r.t0 + shift, r.t1 + shift, r.in_dir, r.out_dir, sigma, False))
+    return items
+
+
+def reference_item(items, params, stretch):
+    """(in, out, sigma, contact) of the item nearest the middle of a real
+    stretch, given as its sample indices, each limit an array or None."""
+    if not items:
+        return None, None, 1.0, False
+    mid = 0.5 * (params[stretch[0]] + params[stretch[-1]])
+    _lo, _hi, d_in, d_out, sigma, contact = min(
+        items, key=lambda it: max(it[0] - mid, mid - it[1], 0.0))
+    return (None if d_in is None else np.array(d_in),
+            None if d_out is None else np.array(d_out), sigma, contact)
+
+
+def reference_sign(x):
+    return -1.0 if x < 0 else 1.0
+
+
 def reference_unit_field(sampled, rep, directives=(), seed=None):
-    """The unit field one sample at a time, carrying the previous
-    direction and the pending real stretch from sample to sample."""
+    """The unit field one sample at a time, carrying the sign S and the
+    previous direction r from one non-real sample to the next, and
+    filling each pending real stretch when the walk leaves it."""
     vals = sampled.values
-    n = len(sampled.params)
+    params = sampled.params
+    n = len(params)
     dim = vals.shape[1]
     mags = np.linalg.norm(vals, axis=1)
     im_vecs = vals[:, 1:]
@@ -166,76 +233,64 @@ def reference_unit_field(sampled, rep, directives=(), seed=None):
             units[:, 0] = 1.0
         return units
 
-    a = float(sampled.params[0])
-    b = float(sampled.params[-1])
-    tol = config.PARAM_SAME * (b - a)
-    run_bounds = []
-    for r in rep.runs:
-        kind = reference_directive_for_run(rep, r, directives)
-        if r.wrap:
-            run_bounds.append((r.t0, b, kind))
-            run_bounds.append((a, a + (r.t1 - b), kind))
-        else:
-            run_bounds.append((r.t0, r.t1, kind))
+    items = reference_items(rep, float(params[0]), float(params[-1]), directives)
 
-    def run_kind_at(t):
-        for t0, t1, kind in run_bounds:
-            if t0 - tol <= t <= t1 + tol:
-                return kind
-        return None
+    def fill(stretch, enter, leave, lo, hi):
+        # one unit throughout, or a slerp by the samples' places from lo to hi
+        if enter is leave:
+            units[stretch] = enter
+            return
+        fr = np.array([(m - lo) / (hi - lo) for m in stretch])
+        units[stretch] = _slerp(enter, leave, fr)
 
-    prev = None
-    pending_real = []
-    pending_flip = False
+    S, prev, pending = None, None, []
     for m in range(n):
         if real[m]:
-            pending_real.append(m)
-            if run_kind_at(float(sampled.params[m])) == FLIP:
-                pending_flip = True
+            pending.append(m)
             continue
-        raw = im_vecs[m] / im_norms[m]
-        if prev is None:
-            u = raw.copy()
-            if seed is not None and float(np.dot(seed, raw)) < 0:
-                u = -u
-        else:
-            carried = -prev if pending_flip else prev
-            s = 1.0 if float(np.dot(carried, raw)) >= 0 else -1.0
-            u = s * raw
-        if pending_real:
-            if prev is None:
-                fill = seed if seed is not None else u
-                units[pending_real] = np.tile(fill, (len(pending_real), 1))
+        r = im_vecs[m] / im_norms[m]
+        if S is None:
+            S = -1.0 if seed is not None and float(np.dot(seed, r)) < 0 else 1.0
+            if pending:
+                # a leading stretch: its exit unit, read back from r
+                d_in, d_out, sigma, contact = reference_item(items, params, pending)
+                if d_in is not None and d_out is not None:
+                    s_out = S * reference_sign(float(np.dot(r, d_out)))
+                    leave = s_out * sigma * d_in if contact else s_out * d_out
+                else:
+                    leave = S * r
+                fill(pending, seed if seed is not None else leave, leave, 0, m)
+        elif pending:
+            d_in, d_out, sigma, contact = reference_item(items, params, pending)
+            if d_in is not None and d_out is not None:
+                s_in = S * reference_sign(float(np.dot(prev, d_in)))
+                S_next = s_in * sigma * reference_sign(float(np.dot(d_out, r)))
+                enter = s_in * d_in
+                leave = enter if contact else s_in * sigma * d_out
             else:
-                fr = np.linspace(0.0, 1.0, len(pending_real) + 2)[1:-1]
-                units[pending_real] = _slerp(prev, u, fr)
-            pending_real = []
-        pending_flip = False
-        units[m] = u
-        prev = u
-    if pending_real:
-        # a trailing stretch turns to the left limit at the last real
-        # item, sign-matched, by its last sample
-        tail = prev
-        limit = reference_last_limit(rep, b)
-        if limit is not None:
-            tail = limit if float(np.dot(prev, limit)) >= 0 else -limit
-        if pending_flip:
-            tail = -tail
-        fr = np.linspace(0.0, 1.0, len(pending_real) + 1)[1:]
-        units[pending_real] = _slerp(prev, tail, fr)
+                S_next = S * reference_sign(float(np.dot(prev, r)))
+                enter, leave = S * prev, S_next * r
+            fill(pending, enter, leave, pending[0] - 1, m)
+            S = S_next
+        else:
+            S = S * reference_sign(float(np.dot(prev, r)))
+        pending = []
+        units[m] = S * r
+        prev = r
+    if pending:
+        # a trailing stretch ends at its exit unit
+        d_in, d_out, sigma, contact = reference_item(items, params, pending)
+        enter = S * prev
+        if d_in is not None and d_out is not None:
+            s_in = S * reference_sign(float(np.dot(prev, d_in)))
+            enter = s_in * d_in
+            leave = enter if contact else s_in * sigma * d_out
+        elif d_in is not None:
+            leave = reference_sign(float(np.dot(enter, d_in))) * d_in
+        else:
+            leave = enter
+        fill(pending, enter, leave, pending[0] - 1, n - 1)
     return units
-
-
-def reference_last_limit(rep, b):
-    """The left direction limit of the report item that starts last, a
-    wrap contact starting at b; None without items or limit."""
-    last_t, limit = -math.inf, None
-    for t, left in [(b if c.wrap else c.t, c.left_dir) for c in rep.contacts] + [
-            (r.t0, r.in_dir) for r in rep.runs]:
-        if t > last_t:
-            last_t, limit = t, left
-    return None if limit is None else np.array(limit)
 
 
 ORACLE_CORPUS = [
@@ -266,18 +321,20 @@ def oracle_variants(spec):
 
 
 def rerooted_report(rep, t_star, period):
-    """A loop's report re-keyed to its grid re-rooted at t_star: runs
-    before t_star move on by one period, and none wraps.  The reference
-    reads it, so that the library, which reads the loop's own report
-    modulo the period, is checked against this explicit shift."""
-    def shift(runs):
+    """A loop's report re-keyed to its grid re-rooted at t_star: contacts
+    and runs before t_star move on by one period, the wrap contact at a
+    with them, and none wraps.  The reference reads it, so that the
+    library, which reads the loop's own report modulo the period, is
+    checked against this explicit shift."""
+    def shift(items, t0):
         return tuple(
-            replace(r, t0=r.t0 + period, t1=r.t1 + period, wrap=False)
-            if r.t0 < t_star else replace(r, wrap=False)
-            for r in runs)
+            replace(x, wrap=False, **{k: getattr(x, k) + period for k in t0})
+            if getattr(x, t0[0]) < t_star else replace(x, wrap=False)
+            for x in items)
 
-    intervals = tuple(replace(iv, runs=shift(iv.runs)) for iv in rep.intervals)
-    return replace(rep, runs=shift(rep.runs), intervals=intervals)
+    runs = shift(rep.runs, ("t0", "t1"))
+    intervals = tuple(replace(iv, runs=shift(iv.runs, ("t0", "t1"))) for iv in rep.intervals)
+    return replace(rep, contacts=shift(rep.contacts, ("t",)), runs=runs, intervals=intervals)
 
 
 def oracle_inputs(spec, label):
@@ -313,27 +370,38 @@ def directive_tuples(rep):
     return itertools.product((FLIP, BOUNCE, None), repeat=min(len(rep.intervals), 4))
 
 
-def grid_features(sp):
-    """Which parts of the carry rule the sample grid exercises, and
-    whether it has a real sample in a field that is not all real."""
+def grid_features(sp, rep):
+    """Which parts of the rule the real stretches of the sample grid
+    exercise: a stretch at either end of the grid, one whose item lacks
+    a limit, and one in a run that turns, its in_dir and out_dir apart;
+    and whether it has a real sample in a field that is not all real."""
     im = sp.values[:, 1:]
     norms = np.linalg.norm(im, axis=1)
     real = config.DEFAULT.is_real(norms, np.linalg.norm(sp.values, axis=1))
     if np.all(real):
         return set(), False
-    r = im[~real] / norms[~real, None]
-    dots = np.array([np.dot(u, v) for u, v in zip(r[:-1], r[1:])])
-    hits = (("zero_dot", np.any(dots == 0.0)),
-            ("leading_real", real[0]),
-            ("trailing_real", real[-1]))
-    return {name for name, hit in hits if hit}, bool(np.any(real))
+    n = len(real)
+    items = reference_items(rep, float(sp.params[0]), float(sp.params[-1]), ())
+    seen = set()
+    for _real, group in itertools.groupby(range(n), key=lambda m: bool(real[m])):
+        stretch = list(group)
+        if not _real:
+            continue
+        d_in, d_out, _sigma, contact = reference_item(items, sp.params, stretch)
+        hits = (("leading_real", stretch[0] == 0),
+                ("trailing_real", stretch[-1] == n - 1),
+                ("no_limit", d_in is None or d_out is None),
+                ("turning_run", not contact and d_in is not None and d_out is not None
+                 and float(np.dot(d_in, d_out)) < 0.5))
+        seen |= {name for name, hit in hits if hit}
+    return seen, True
 
 
 def check_against_reference(sp, rep, ref_rep, seeds, label):
     """unit_field on rep equals the reference on ref_rep byte for byte
     under every directive tuple and seed; the reference runs once per
     distinct resolution of the runs.  Returns the features seen."""
-    seen, bridged = grid_features(sp)
+    seen, bridged = grid_features(sp, ref_rep)
     cache = {}
     for directives in directive_tuples(rep):
         resolved = tuple(reference_directive_for_run(ref_rep, r, directives)
@@ -354,15 +422,17 @@ def test_unit_field_matches_the_per_sample_reference():
     rng = np.random.default_rng(2307)
     seen = set()
     checked = 0
-    for name in ORACLE_CORPUS:
-        for kind, spec in oracle_variants(hl.demo(name).path).items():
+    paths = [(name, hl.demo(name).path) for name in ORACLE_CORPUS]
+    paths += [(f"two_run_loop({u})", two_run_loop(u)) for u in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0))]
+    for name, path in paths:
+        for kind, spec in oracle_variants(path).items():
             for label, sp, rep, ref_rep in oracle_inputs(spec, f"{name}/{kind}"):
                 seen |= check_against_reference(
                     sp, rep, ref_rep, oracle_seeds(sp, rng), label)
                 checked += 1
     assert checked > 100
-    # the inputs reach every branch of the carry rule
-    assert seen == {"zero_dot", "leading_real", "trailing_real", "flip_run"}
+    # the inputs reach every branch of the rule
+    assert seen == {"no_limit", "turning_run", "leading_real", "trailing_real", "flip_run"}
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import hyperlog as hl
-from hyperlog.companion import arrival, departure
 from hyperlog.errors import (
     HypothesisViolated,
     InitialMismatch,
@@ -15,7 +14,8 @@ from hyperlog.errors import (
 )
 from hyperlog.pathkit import sample_path
 
-from test_winding import CLOSED_CORPUS, scaled
+from test_batched_eval import CORPUS
+from test_winding import CLOSED_CORPUS, leaving, scaled
 
 PI = math.pi
 
@@ -381,7 +381,8 @@ def test_a_trailing_real_sample_takes_the_limit_whatever_the_grid(m, monkeypatch
     res = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0))
     sampled = hl.pathkit.sample_path(spec)[0]
     assert sampled.real[-1] and not sampled.real[-2]
-    limit = arrival(hl.find_obstructions(sampled, spec), spec.a, spec.b)
+    (wrap,) = [c for c in hl.find_obstructions(sampled, spec).contacts if c.wrap]
+    limit = np.array(wrap.left_dir)
     unit = res.lift.units[-1]
     assert min(np.linalg.norm(unit - limit), np.linalg.norm(unit + limit)) <= 1e-12
     # so a lift over a uniform grid ends at the same value
@@ -390,6 +391,40 @@ def test_a_trailing_real_sample_takes_the_limit_whatever_the_grid(m, monkeypatch
     uniform = hl.lift_path(spec, initial_unit=(1.0, 0.0, 0.0)).lift.values[-1]
     want = res.lift.values[-1]
     assert np.linalg.norm(uniform - want) <= 1e-11 * np.linalg.norm(want)
+
+
+def test_the_unit_at_a_contact_on_a_grid_node_is_its_limit():
+    # exp(k pi u) = +-1 for every unit u, so exp(lift) = path cannot see
+    # the unit at a real sample, but the lift's value log|q| + k pi u
+    # can: at an interior contact that a sample lies on, the unit is the
+    # contact's left limit with the field's sign, for a flip as for a
+    # bounce, and not a blend of the units beside it
+    cos_tol = math.cos(hl.config.THETA_TOL)
+    checked = 0
+    for name in CORPUS:
+        spec = hl.demo(name).path
+        loops = [spec, hl.reverse(spec), hl.reflect_negconj(spec)]
+        if spec.closed:
+            loops += [hl.rotate_basepoint(spec, spec.a + f * (spec.b - spec.a))
+                      for f in (0.13, 0.37, 0.71)]
+        for loop in loops:
+            sampled, rep, _sampling = hl.obstruction.obstruct_path(loop)
+            start = leaving(sampled, rep) if sampled.real[0] else None
+            if sampled.real[0] and start is None:
+                continue
+            res = hl.lift_path(loop, initial_unit=start)
+            if res.status != "ok":
+                continue
+            params, units = res.lift.params, res.lift.units
+            for c in rep.contacts:
+                if c.wrap or c.left_dir is None or c.right_dir is None:
+                    continue
+                n = int(np.argmin(np.abs(params - c.t)))
+                if not sampled.real[n] or n in (0, len(params) - 1):
+                    continue
+                checked += 1
+                assert abs(float(np.dot(units[n], c.left_dir))) >= cos_tol, (name, c.t)
+    assert checked >= 50
 
 
 @pytest.mark.parametrize("turn", [1.0, 10.0, 100.0])
@@ -420,14 +455,14 @@ def test_the_lift_agrees_with_the_loop(name):
     checked = 0
     for loop in variants:
         sampled, _ = sample_path(loop)
-        start = departure(hl.find_obstructions(sampled, loop), loop.a, loop.b)
+        rep = hl.find_obstructions(sampled, loop)
+        start = leaving(sampled, rep) if sampled.real[0] else None
         for companion, dirs in {"default": (), **case.directives}.items():
             want = hl.analyze_loop(loop, dirs)
             if want.twisted is None:
                 continue
             checked += 1
-            res = hl.lift_path(loop, initial_unit=start if sampled.real[0] else None,
-                               directives=dirs)
+            res = hl.lift_path(loop, initial_unit=start, directives=dirs)
             assert res.status == "ok", (companion, res.reason)
             lift = res.lift
             assert (float(np.dot(lift.units[0], lift.units[-1])) < 0) is want.twisted, companion
@@ -473,7 +508,8 @@ def test_the_semi_tame_seam_of_meridians_is_met_only_at_its_ends(k0, end):
     # right limit and comes back along its left one, never passing
     # through it, so a nonzero argument there is no failure
     spec = hl.demo("meridians").path
-    start = departure(hl.find_obstructions(sample_path(spec)[0], spec), spec.a, spec.b)
+    sampled = sample_path(spec)[0]
+    start = leaving(sampled, hl.find_obstructions(sampled, spec))
     res = hl.lift_path(spec, k0=k0, initial_unit=start)
     assert res.status == "ok"
     assert res.lift.values[-1] == pytest.approx([0.0, *end], abs=1e-6)

@@ -132,13 +132,13 @@ def test_subpath_values():
     assert np.allclose(part.value(2.5), spec.value(2.5), atol=1e-12)
 
 
-def _unit_line(ta, tb):
-    return Line(ta, tb, (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0))
+def _unit_line(ta, tb, anchors=(None, None)):
+    return Line(ta, tb, (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), *anchors)
 
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: hl.PathSpec(0.0, 1.0, ()), ValueError, "a path needs at least one segment"),
-    (lambda: hl.PathSpec(1.0, 1.0, (_unit_line(1.0, 1.0),)), ValueError,
+    (lambda: hl.PathSpec(1.0, 1.0, (_unit_line(1.0, 1.0, (0.0, 1.0)),)), ValueError,
      "domain must have positive length"),
     (lambda: hl.PathSpec(0.0, 1.0, (_unit_line(0.0, 0.5),)), EndpointMismatch,
      "segments do not cover the domain"),
@@ -457,6 +457,35 @@ def test_segments_of_different_widths_rejected():
     b = Line(1.0, 2.0, (2.0,) + (0.0,) * 7, (3.0,) + (0.0,) * 7)
     with pytest.raises(DimensionMismatch, match="segment 1 has 8 coefficients"):
         hl.PathSpec(0.0, 2.0, (a, b))
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 7, 9])
+def test_a_path_of_neither_quaternions_nor_octonions_rejected(width):
+    line = {"kind": "line", "ta": 0.0, "tb": 1.0,
+            "p0": [1.0] * width, "p1": [2.0] + [1.0] * (width - 1)}
+    doc = {"domain": [0.0, 1.0], "closed": False, "segments": [line]}
+    with pytest.raises(DimensionMismatch, match=f"segment 0 has {width} coefficients"):
+        hl.path_from_json(doc)
+
+
+@pytest.mark.parametrize("segment", [
+    {"kind": "line", "ta": 0.0, "tb": 1.0, "p0": [1.0, 1.0, 0.0, 0.0], "p1": [2.0, 1.0, 0.0, 0.0],
+     "anchor_a": 0.5, "anchor_b": 0.5},
+    {"kind": "slice_arc", "ta": 0.0, "tb": 1.0, "unit": [0.0, 1.0, 0.0, 0.0],
+     "angle_a": 0.0, "angle_b": 1.0, "anchor_a": 2.0, "anchor_b": 2.0},
+    {"kind": "arc", "ta": 0.0, "tb": 1.0, "center": [0.0] * 4, "cos_vec": [1.0, 0.0, 0.0, 0.0],
+     "sin_vec": [0.0, 1.0, 0.0, 0.0], "angle_a": 0.0, "angle_b": 1.0,
+     "anchor_a": 1.0, "anchor_b": 1.0},
+    {"kind": "rocket", "ta": 0.0, "tb": 1.0, "anchor_a": 0.0, "anchor_b": 0.0},
+], ids=["line", "slice_arc", "arc", "rocket"])
+def test_a_segment_with_equal_anchors_rejected(segment):
+    # its shape would be laid out over no interval: every value divides
+    # by zero
+    doc = {"domain": [0.0, 1.0], "closed": False, "segments": [segment]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="has equal anchors"):
+            hl.path_from_json(doc)
 
 
 # segments sharing one inner are evaluated in one call, which must still

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hyperlog as hl
 from hyperlog import config
-from hyperlog.companion import departure, whole_turns
+from hyperlog.companion import stretch_items, whole_turns
 from hyperlog.errors import (
     AllRealLoop,
     EndpointMismatch,
@@ -289,7 +289,7 @@ def test_branch_change_from_a_agrees_with_the_lift(name):
     for loop in variants:
         sampled, _ = sample_path(loop)
         rep = hl.find_obstructions(sampled, loop)
-        start = departure(rep, loop.a, loop.b) if sampled.real[0] else None
+        start = leaving(sampled, rep) if sampled.real[0] else None
         for dirs in [(), *case.directives.values()]:
             res = outcome(hl.lift_path, loop, 0, start, dirs)
             got = outcome(hl.branch_change_report, loop, loop.a, start, dirs)
@@ -669,6 +669,13 @@ def test_many_turn_slice_circle_is_not_aliased():
     rep = hl.find_obstructions(hl.sample_adaptive(spec), spec)
     assert len(rep.contacts) == 600
     assert hl.analyze_loop(spec).winding == 300
+
+
+def leaving(sampled, rep):
+    """The direction limit with which a path leaves the axis at a real
+    start: the exit limit of the item that holds the grid's first real
+    stretch."""
+    return stretch_items(sampled, rep)[0][1]
 
 
 @dataclass(frozen=True)
