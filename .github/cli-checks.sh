@@ -147,6 +147,24 @@ has "$work/out.txt" '"closed_lift": false'
 expect 0 lift --input "$work/nine_lines.json" --directive 1=flip
 has "$work/out.txt" '"closed_lift": true'
 
+# the upper half circle from 1 to -1 in the i-slice, then the axis from
+# -1 to -2: the run ends the path and holds no non-real sample, so the
+# branch trace is one piece, on branch 0
+cat > "$work/half_circle_then_axis.json" <<'EOF'
+{"domain": [0, 4.141592653589793], "closed": false, "segments": [
+ {"kind": "slice_arc", "ta": 0, "tb": 3.141592653589793, "unit": [0, 1, 0, 0],
+  "angle_a": 0, "angle_b": 3.141592653589793},
+ {"kind": "line", "ta": 3.141592653589793, "tb": 4.141592653589793,
+  "p0": [-1, 0, 0, 0], "p1": [-2, 0, 0, 0]}]}
+EOF
+expect 0 lift --input "$work/half_circle_then_axis.json"
+python3 - "$work/out.txt" <<'EOF'
+import json, sys
+trace = json.load(open(sys.argv[1]))["branch_trace"]
+if [k for _lo, _hi, k in trace] != [0]:
+    sys.exit(f"half circle then axis: branch trace {trace}")
+EOF
+
 # six lines: 2 -> 2i -> -2, a run to -1, -1 -> -j -> 1, and a run back
 # to 2; the first run is entered along i and left along -j, at a right
 # angle, and still each directive holds: a bounce keeps the companion's

@@ -27,10 +27,13 @@ from .pathkit import SampledPath, csv_text
 
 
 def _slerp(u0: np.ndarray, u1: np.ndarray, fracs: np.ndarray) -> np.ndarray:
-    """Geodesic interpolation between unit vectors, one row per fraction."""
+    """Geodesic interpolation between unit vectors, one row per fraction;
+    u0 itself on every row when u1 is u0."""
     d = float(np.clip(np.dot(u0, u1), -1.0, 1.0))
     omega = math.acos(d)
-    if omega < 1e-12:
+    # the dot product of u0 with itself can round to 1 - 2**-52, whose
+    # acos is 2e-8
+    if omega < 1e-12 or np.array_equal(u0, u1):
         return np.tile(u0, (len(fracs), 1))
     if math.pi - omega < 1e-9:
         # antipodal: route through a fixed perpendicular direction
@@ -132,24 +135,15 @@ def stretch_items(sampled: SampledPath, rep: ObstructionReport, directives=()) -
     stretch of the grid: the item's entry and exit direction limits,
     each None where it has none; sigma, -1 for a flip contact and for a
     run that run_kinds resolves as a flip under the directives, else +1;
-    and whether it is a contact.  An item's place on the grid is read
-    with at_grid, on a closed report also one period back and on, and a
-    stretch lies in the item nearest its middle; one with no item in the
-    report lacks both limits."""
+    and whether it is a contact.  A stretch lies in the item whose span
+    on the grid (see at_grid) is nearest its middle; one with no item in
+    the report lacks both limits."""
     params, rows = sampled.params, sampled.stretches
-    a, b = float(params[0]), float(params[-1])
     items = [(c.left_dir, c.right_dir, c.kind, True) for c in rep.contacts] + [
         (r.in_dir, r.out_dir, kind, False) for r, kind in zip(rep.runs, run_kinds(rep, directives))]
     if not items or not len(rows):
         return [(None, None, 1.0, False)] * len(rows)
-    lo = at_grid(rep, [c.t for c in rep.contacts] + [r.t0 for r in rep.runs], a, b)
-    hi = lo + np.array([0.0] * len(rep.contacts) + [r.t1 - r.t0 for r in rep.runs])
-    key = np.arange(len(items))
-    if rep.closed:
-        laps = (b - a) * np.array([[-1.0], [0.0], [1.0]])
-        lo, hi, key = (lo + laps).ravel(), (hi + laps).ravel(), np.tile(key, 3)
-    order = np.argsort(lo, kind="stable")
-    lo, hi, key = lo[order], hi[order], key[order]
+    lo, hi, key = at_grid(rep, float(params[0]), float(params[-1]))
     # the last item to start by each middle, or the next one when nearer
     mid = 0.5 * (params[rows[:, 0]] + params[rows[:, 1] - 1])
     before = np.maximum(np.searchsorted(lo, mid, side="right") - 1, 0)
@@ -160,18 +154,26 @@ def stretch_items(sampled: SampledPath, rep: ObstructionReport, directives=()) -
             for d_in, d_out, kind, contact in (items[k] for k in picked)]
 
 
-def at_grid(rep: ObstructionReport, ts, a: float, b: float) -> np.ndarray:
-    """Positions of the report parameters ts on a grid from a to b.
+def at_grid(rep: ObstructionReport, a: float, b: float) -> tuple:
+    """(lo, hi, key): the span [lo, hi] of each contact and real run of a
+    report on a grid from a to b, sorted by lo, and its key, the index
+    of the item among the contacts followed by the runs.
 
-    A closed report is read from any root: its parameters are taken
-    modulo the period b - a from the grid's first sample a, and one
-    within PARAM_SAME of that root, on either side, is a.  An open
-    report's parameters are their own positions."""
-    ts = np.asarray(ts, dtype=float)
-    if not rep.closed:
-        return ts
-    ts = ts + (b - a) * ((ts < a).astype(float) - (ts >= b))
-    return np.where(np.minimum(ts - a, b - ts) <= config.PARAM_SAME * (b - a), a, ts)
+    An open report's items lie at their own parameters.  A closed report
+    is read from any root: its items start modulo the period b - a from
+    the grid's first sample a, one starting within PARAM_SAME of that
+    root, on either side, at a; and each item lies once more one period
+    back and one period on, an item at a then at b."""
+    lo = np.array([c.t for c in rep.contacts] + [r.t0 for r in rep.runs], dtype=float)
+    length = np.array([0.0] * len(rep.contacts) + [r.t1 - r.t0 for r in rep.runs])
+    key = np.arange(len(lo))
+    if rep.closed:
+        lo = lo + (b - a) * ((lo < a).astype(float) - (lo >= b))
+        lo = np.where(np.minimum(lo - a, b - lo) <= config.PARAM_SAME * (b - a), a, lo)
+        lo = np.concatenate((lo - (b - a), lo, np.where(lo == a, b, lo + (b - a))))
+        length, key = np.concatenate((length,) * 3), np.concatenate((key,) * 3)
+    order = np.argsort(lo, kind="stable")
+    return lo[order], lo[order] + length[order], key[order]
 
 
 @dataclass(frozen=True)

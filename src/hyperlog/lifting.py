@@ -28,7 +28,10 @@ class LogLift:
     """Sampled continuous logarithm of a path.
 
     values[n] = log|gamma| + units[n] * arg[n]; branch_trace lists
-    (t_start, t_end, k) for the branch index between obstructions.
+    (t_start, t_end, k) for the branch index between obstructions: one
+    piece per stretch of the grid between the report's items that holds
+    a non-real sample, k being floor(arg / pi) there, neighbours with
+    equal k merged (see _branch_trace).
     """
 
     params: np.ndarray
@@ -40,17 +43,9 @@ class LogLift:
 
     @property
     def final_branch(self) -> int:
-        """Branch index after the last obstruction.
-
-        The last trace piece can be a sliver when the path ends exactly
-        on the real axis, where the argument sits on a branch boundary;
-        slivers are skipped.
-        """
-        span = float(self.params[-1] - self.params[0])
-        for lo, hi, k in reversed(self.branch_trace):
-            if hi - lo > 1e-6 * span:
-                return k
-        return int(self.branch_trace[-1][2])
+        """Branch index after the last obstruction: the last trace
+        piece's, or k0 on a path real throughout."""
+        return self.branch_trace[-1][2] if self.branch_trace else self.k0
 
     def to_csv(self) -> str:
         header = ["t"] + [f"c{c}" for c in range(self.values.shape[1])] + ["k"]
@@ -114,27 +109,28 @@ def _seed_and_start_arg(sampled, k0, initial_unit):
     return init_vec, arg0
 
 
-def _branch_trace(rep: ObstructionReport, params, arg, a, b):
-    """Branch index per piece between consecutive obstruction parameters."""
-    cuts = {a, b}
-    for c in rep.contacts:
-        cuts.add(min(max(c.t, a), b))
-    for r in rep.runs:
-        cuts.add(min(max(r.t0, a), b))
-        cuts.add(min(max(r.t1, a), b))
-    edges = sorted(cuts)
-    trace = []
-    for lo, hi in zip(edges, edges[1:]):
-        if hi - lo <= config.PARAM_RESOLUTION * (b - a):
-            continue
-        mid = 0.5 * (lo + hi)
-        n = min(int(np.searchsorted(params, mid)), len(params) - 1)
-        k = int(math.floor(arg[n] / math.pi))
-        if trace and trace[-1][2] == k:
-            trace[-1] = (trace[-1][0], hi, k)
-        else:
-            trace.append((lo, hi, k))
-    return tuple(trace)
+def _branch_trace(sampled: SampledPath, rep: ObstructionReport, arg) -> tuple:
+    """(t_start, t_end, k) of each piece of the grid between the spans of
+    the report's items (see at_grid) that holds a non-real sample, k being
+    floor(arg / pi) there; neighbouring pieces with equal k are one.  A
+    piece runs from the end of the span before it, or the grid's start, to
+    the start of the span after it, or the grid's end."""
+    a, b = float(sampled.params[0]), float(sampled.params[-1])
+    lo, hi, _key = at_grid(rep, a, b)
+    # a copy a period away that misses the grid bounds no piece of it
+    meet = (hi >= a) & (lo <= b)
+    lo, hi = lo[meet], hi[meet]
+    nonreal = np.flatnonzero(~sampled.real)
+    if not len(nonreal):
+        return ()
+    gap = np.searchsorted(lo, sampled.params[nonreal], side="right")
+    first = np.flatnonzero(np.concatenate(([True], gap[1:] != gap[:-1])))
+    gap, k = gap[first], np.floor(arg[nonreal[first]] / math.pi).astype(int)
+    step = k[1:] != k[:-1]
+    new = np.flatnonzero(np.concatenate(([True], step)))
+    last = np.flatnonzero(np.concatenate((step, [True])))
+    return tuple(zip(np.append(a, hi)[gap[new]].tolist(),
+                     np.append(lo, b)[gap[last]].tolist(), k[new].tolist()))
 
 
 def lift_grid(sampled: SampledPath, rep: ObstructionReport, k0: int = 0,
@@ -144,8 +140,8 @@ def lift_grid(sampled: SampledPath, rep: ObstructionReport, k0: int = 0,
     grid can be a loop's own or one re-rooted anywhere on it.  fail is
     None, or (t, kind) of the first contact along the grid where a nonzero
     argument meets a contact without the direction limit it needs, t its
-    position on the grid; a loop meets a contact at its root only at the
-    grid's two ends, each from one side.  Unusable inputs raise.
+    position on the grid; a contact at either end of the grid, such as a
+    loop's root, is met from one side only.  Unusable inputs raise.
     """
     a, b = float(sampled.params[0]), float(sampled.params[-1])
     seed, arg0 = _seed_and_start_arg(sampled, k0, initial_unit)
@@ -173,18 +169,15 @@ def lift_grid(sampled: SampledPath, rep: ObstructionReport, k0: int = 0,
     arg[1:] = arg0 + np.cumsum(dphi)
 
     # contacts without usable direction limits only admit zero argument;
-    # a loop meets a contact at its root only at the grid's two ends
-    bad = [c for c in rep.contacts if c.kind in BAD_KINDS]
-    touched = []
-    for c, t in zip(bad, at_grid(rep, [c.t for c in bad], a, b).tolist()):
-        if rep.closed and t == a:
-            ends = ((a, 0, c.right_dir), (b, -1, c.left_dir))
-            touched += [(t, m, c.kind) for t, m, d in ends if d is None]
-        else:
-            touched.append((t, int(np.searchsorted(sampled.params, t)), c.kind))
-    for t, m, kind in sorted(touched, key=lambda it: it[0]):
-        if int(round(arg[m] / math.pi)) != 0:
-            return units, arg, (t, kind)
+    # one at either end of the grid is met from one side only, and needs
+    # only the limit on that side
+    lo, _hi, key = at_grid(rep, a, b)
+    bad = np.array([c.kind in BAD_KINDS for c in rep.contacts] + [False] * len(rep.runs), bool)
+    on = bad[key] & (lo >= a) & (lo <= b)
+    for t, c in zip(lo[on].tolist(), [rep.contacts[k] for k in key[on].tolist()]):
+        limit = c.right_dir if t == a else c.left_dir if t == b else None
+        if limit is None and int(round(arg[np.searchsorted(sampled.params, t)] / math.pi)) != 0:
+            return units, arg, (t, c.kind)
     return units, arg, None
 
 
@@ -211,7 +204,7 @@ def lift_path(spec: PathSpec, k0: int = 0, initial_unit=None,
         arg=arg,
         units=units,
         k0=k0,
-        branch_trace=_branch_trace(rep, sampled.params, arg, spec.a, spec.b),
+        branch_trace=_branch_trace(sampled, rep, arg),
     )
     closed_lift = None
     if spec.closed:

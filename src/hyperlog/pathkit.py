@@ -521,7 +521,7 @@ def reflect_negconj(p: PathSpec) -> PathSpec:
     segs = []
     for s in p.segments:
         if isinstance(s, NegConj):
-            segs.append(s.inner)
+            segs.append(replace(s.inner, ta=s.ta, tb=s.tb))
         else:
             segs.append(NegConj(s.ta, s.tb, s))
     return replace(p, segments=tuple(segs))

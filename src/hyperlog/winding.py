@@ -189,30 +189,28 @@ def _reroot(sampled: SampledPath, spec: PathSpec, t: float) -> SampledPath:
     The grid runs one period on from t without the seam sample at a, so
     both ends hold the same value; at a or b it is the grid itself.  t is
     the nearest node within PARAM_SAME of it, else a new node, at the
-    cost of one path call; a crossing bracket that held it is dropped,
-    as find_obstructions, their one reader, has run, and the others are
-    re-indexed.  The loop's report is read on the new grid modulo the
-    period (see companion.at_grid).  A t that is not a number within
-    [a, b] raises OutOfDomain, and an open path EndpointMismatch.
+    cost of one path call.  The grid carries no crossing brackets, as
+    find_obstructions, their one reader, has run.  The loop's report is
+    read on the new grid modulo the period (see companion.at_grid).  A t
+    that is not a number within [a, b] raises OutOfDomain, and an open
+    path EndpointMismatch.
     """
     if not spec.closed:
         raise EndpointMismatch("only closed paths can be re-rooted")
     if not spec.a <= t <= spec.b:
         raise OutOfDomain(f"basepoint {t!r} outside [{spec.a}, {spec.b}]")
-    params, values, brackets = sampled.params, sampled.values, sampled.brackets
+    params, values = sampled.params, sampled.values
     period = spec.b - spec.a
     i = int(np.argmin(np.abs(params - t)))
     if abs(params[i] - t) > config.PARAM_SAME * period:
         i = int(np.searchsorted(params, t))
         params, values = np.insert(params, i, t), np.insert(values, i, spec.values([t]), axis=0)
-        brackets = brackets[brackets != i - 1]
-        brackets = brackets + (brackets >= i)
     i %= len(params) - 1
     return replace(
         sampled,
         params=np.concatenate([params[i:], params[1:i + 1] + period]),
         values=np.concatenate([values[i:], values[1:i + 1]]),
-        brackets=np.sort((brackets - i) % (len(params) - 1)),
+        brackets=(),
     )
 
 

@@ -54,6 +54,16 @@ def test_slerp_antipodal_routes_through_a_perpendicular():
     assert field_is_continuous(out)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 7]))
+@settings(max_examples=50, deadline=None)
+def test_slerp_of_a_unit_with_itself_is_that_unit(seed, dim):
+    # np.dot(u, u) can round to 1 - 2**-52, whose acos is about 2e-8
+    u = np.random.default_rng(seed).normal(size=dim)
+    u /= np.linalg.norm(u)
+    out = _slerp(u, u.copy(), np.linspace(0.0, 1.0, 5))
+    assert out.tobytes() == np.tile(u, (5, 1)).tobytes()
+
+
 def test_circle_unit_field_is_constant():
     _spec, sp, rep = sampled_and_report("slice_circle(i,1,1)")
     units = hl.unit_field(sp, rep)
@@ -435,11 +445,24 @@ def test_unit_field_matches_the_per_sample_reference():
     assert seen == {"no_limit", "turning_run", "leading_real", "trailing_real", "flip_run"}
 
 
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def random_loop(rng, with_runs, at_item, where):
+    """A single_slice_loop, or a two_run_loop of a random second slice,
+    rotated to one of the ends of its report's items when at_item holds
+    and it has any, else to the fraction where of its domain."""
+    spec = two_run_loop(rng.normal(size=3)) if with_runs else single_slice_loop(rng)[0]
+    rep = hl.obstruct_path(spec)[1]
+    ends = [c.t for c in rep.contacts] + [t for r in rep.runs for t in (r.t0, r.t1)]
+    span = spec.b - spec.a
+    # a wrap run ends past b, at its place on the loop modulo the span
+    t = (float(rng.choice(ends)) - spec.a) % span if at_item and ends else where * span
+    return hl.rotate_basepoint(spec, spec.a + t)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.floats(0.0, 1.0))
 @settings(max_examples=25, deadline=None)
-def test_unit_field_matches_the_reference_on_random_loops(loop_seed, where):
+def test_unit_field_matches_the_reference_on_random_loops(loop_seed, with_runs, at_item, where):
+    # rotated to an item's end, the grid starts and ends in a real stretch
     rng = np.random.default_rng(loop_seed)
-    spec, _winding, _misses = single_slice_loop(rng)
-    spec = hl.rotate_basepoint(spec, spec.a + where * (spec.b - spec.a))
-    for label, sp, rep, ref_rep in oracle_inputs(spec, "single_slice_loop"):
+    spec = random_loop(rng, with_runs, at_item, where)
+    for label, sp, rep, ref_rep in oracle_inputs(spec, "random_loop"):
         check_against_reference(sp, rep, ref_rep, oracle_seeds(sp, rng), label)

@@ -12,7 +12,7 @@ from hyperlog.errors import (
     InitialMismatch,
     MissingInitialUnit,
 )
-from hyperlog.pathkit import sample_path
+from hyperlog.pathkit import Line, PathSpec, SliceArc, sample_path
 
 from test_batched_eval import CORPUS
 from test_winding import CLOSED_CORPUS, leaving, scaled
@@ -76,34 +76,59 @@ def test_branch_trace_of_the_circle():
     assert res.lift.final_branch == 1
 
 
+def half_circle_then_axis():
+    """The upper half circle from 1 to -1 in the i-slice, then the axis
+    from -1 to -2."""
+    return PathSpec(0.0, PI + 1, (
+        SliceArc(0.0, PI, (0.0, 1.0, 0.0, 0.0), 0.0, PI),
+        Line(PI, PI + 1, (-1.0, 0.0, 0.0, 0.0), (-2.0, 0.0, 0.0, 0.0))))
+
+
+def terminal_branch_cases():
+    """(label, path, directives): the corpus paths, each loop also rotated
+    to five points, with their open copies, reversals and reflections,
+    under every companion of the path; then the half circle then axis."""
+    for name in CORPUS:
+        case = hl.demo(name)
+        paths = [case.path]
+        if case.path.closed:
+            span = case.path.b - case.path.a
+            paths += [hl.rotate_basepoint(case.path, case.path.a + f * span)
+                      for f in (0.13, 0.3, 0.5, 0.71, 0.9)]
+        companions = sorted({(), *map(tuple, case.directives.values())})
+        for n, p in enumerate(paths):
+            copies = {"plain": p, "reverse": hl.reverse(p), "reflect_negconj": hl.reflect_negconj(p)}
+            if p.closed:
+                copies["open"] = replace(p, closed=False)
+            for kind, q in copies.items():
+                for directives in companions:
+                    yield f"{name}[{n}]/{kind}/{directives}", q, directives
+    yield "half_circle_then_axis", half_circle_then_axis(), ()
+
+
 def test_terminal_branch_matches_lift_on_tame_paths():
-    cases = [
-        ("slice_circle(i,1,1)", None),
-        ("slice_circle(j,2,2)", None),
-        ("lambda_loop", 0.3),
-    ]
-    for name, basepoint in cases:
-        spec = hl.demo(name).path
-        if basepoint is not None:
-            spec = hl.rotate_basepoint(spec, basepoint)
-        sp = hl.sample_adaptive(spec)
-        rep = hl.find_obstructions(sp, spec)
-        sig = hl.signature(rep)
+    cases = [(name, hl.demo(name).path, (), True)
+             for name in ("slice_circle(i,1,1)", "slice_circle(j,2,2)")]
+    cases.append(("lambda_loop", hl.rotate_basepoint(hl.demo("lambda_loop").path, 0.3), (), True))
+    cases += [(*case, False) for case in terminal_branch_cases()]
+    answered = 0
+    for label, spec, directives, must_answer in cases:
+        sampled, rep, _sampling = hl.obstruct_path(spec)
+        try:
+            sig = hl.signature(rep, directives)
+        except (HypothesisViolated, ValueError):
+            continue
+        # a real start hands the lift the outgoing direction, with the
+        # sign matching the parity of the starting branch
+        start = leaving(sampled, rep) if sampled.real[0] and not sampled.real.all() else None
         for k0 in range(-2, 3):
-            v0 = spec.value(spec.a)
-            if np.linalg.norm(v0[1:]) <= 1e-9:
-                # real start: hand the lift the outgoing direction, with
-                # the sign matching the parity of the starting branch
-                d = np.asarray(hl.one_sided_direction(spec, spec.a, +1))
-                iu = d if k0 % 2 == 0 else -d
-            else:
-                iu = None
-            res = hl.lift_path(spec, k0=k0, initial_unit=iu)
-            assert res.status == "ok", (name, k0, res.reason)
-            assert res.lift.final_branch == hl.terminal_branch(k0, sig), (
-                name,
-                k0,
-            )
+            iu = None if start is None else (start if k0 % 2 == 0 else -start)
+            res = hl.lift_path(spec, k0=k0, initial_unit=iu, directives=directives)
+            assert res.status == "ok" or not must_answer, (label, k0, res.reason)
+            if res.status == "ok":
+                answered += 1
+                assert res.lift.final_branch == hl.terminal_branch(k0, sig), (label, k0)
+    assert answered > 1000
 
 
 def test_sigma_fails_and_sigma_hat_lifts():
