@@ -136,8 +136,9 @@ def stretch_items(sampled: SampledPath, rep: ObstructionReport, directives=()) -
     each None where it has none; sigma, -1 for a flip contact and for a
     run that run_kinds resolves as a flip under the directives, else +1;
     and whether it is a contact.  A stretch lies in the item whose span
-    on the grid (see at_grid) is nearest its middle; one with no item in
-    the report lacks both limits."""
+    on the grid (see at_grid) is nearest its middle, a copy past either
+    end of the grid included, as a stretch at an end can lie in an item
+    just past it; one with no item in the report lacks both limits."""
     params, rows = sampled.params, sampled.stretches
     items = [(c.left_dir, c.right_dir, c.kind, True) for c in rep.contacts] + [
         (r.in_dir, r.out_dir, kind, False) for r, kind in zip(rep.runs, run_kinds(rep, directives))]

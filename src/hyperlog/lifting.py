@@ -109,17 +109,15 @@ def _seed_and_start_arg(sampled, k0, initial_unit):
     return init_vec, arg0
 
 
-def _branch_trace(sampled: SampledPath, rep: ObstructionReport, arg) -> tuple:
-    """(t_start, t_end, k) of each piece of the grid between the spans of
-    the report's items (see at_grid) that holds a non-real sample, k being
-    floor(arg / pi) there; neighbouring pieces with equal k are one.  A
-    piece runs from the end of the span before it, or the grid's start, to
-    the start of the span after it, or the grid's end."""
+def _branch_trace(sampled: SampledPath, spans: tuple, arg) -> tuple:
+    """(t_start, t_end, k) of each piece of the grid between the spans
+    (lo, hi) of the report's items on it (see lift_grid) that holds a
+    non-real sample, k being floor(arg / pi) there; neighbouring pieces
+    with equal k are one.  A piece runs from the end of the span before
+    it, or the grid's start, to the start of the span after it, or the
+    grid's end."""
     a, b = float(sampled.params[0]), float(sampled.params[-1])
-    lo, hi, _key = at_grid(rep, a, b)
-    # a copy a period away that misses the grid bounds no piece of it
-    meet = (hi >= a) & (lo <= b)
-    lo, hi = lo[meet], hi[meet]
+    lo, hi = spans
     nonreal = np.flatnonzero(~sampled.real)
     if not len(nonreal):
         return ()
@@ -135,13 +133,15 @@ def _branch_trace(sampled: SampledPath, rep: ObstructionReport, arg) -> tuple:
 
 def lift_grid(sampled: SampledPath, rep: ObstructionReport, k0: int = 0,
               initial_unit=None, directives: tuple = ()) -> tuple:
-    """(units, arg, fail) of the continuous logarithm on branch k0 over a
-    sample grid of a path, read with the path's report (see at_grid): the
-    grid can be a loop's own or one re-rooted anywhere on it.  fail is
-    None, or (t, kind) of the first contact along the grid where a nonzero
-    argument meets a contact without the direction limit it needs, t its
-    position on the grid; a contact at either end of the grid, such as a
-    loop's root, is met from one side only.  Unusable inputs raise.
+    """(units, arg, fail, spans) of the continuous logarithm on branch k0
+    over a sample grid of a path, read with the path's report: the grid
+    can be a loop's own or one re-rooted anywhere on it.  spans is
+    (lo, hi), the spans of the report's items that meet the grid (see
+    at_grid).  fail is None, or (t, kind) of the first contact along the
+    grid where a nonzero argument meets a contact without the direction
+    limit it needs, t its position on the grid; a contact at either end
+    of the grid, such as a loop's root, is met from one side only.
+    Unusable inputs raise.
     """
     a, b = float(sampled.params[0]), float(sampled.params[-1])
     seed, arg0 = _seed_and_start_arg(sampled, k0, initial_unit)
@@ -168,17 +168,19 @@ def lift_grid(sampled: SampledPath, rep: ObstructionReport, k0: int = 0,
     arg[0] = arg0
     arg[1:] = arg0 + np.cumsum(dphi)
 
+    # a copy a period away that misses the grid is met nowhere on it
+    lo, hi, key = at_grid(rep, a, b)
+    meet = (hi >= a) & (lo <= b)
+    lo, hi, key = lo[meet], hi[meet], key[meet]
     # contacts without usable direction limits only admit zero argument;
     # one at either end of the grid is met from one side only, and needs
     # only the limit on that side
-    lo, _hi, key = at_grid(rep, a, b)
     bad = np.array([c.kind in BAD_KINDS for c in rep.contacts] + [False] * len(rep.runs), bool)
-    on = bad[key] & (lo >= a) & (lo <= b)
-    for t, c in zip(lo[on].tolist(), [rep.contacts[k] for k in key[on].tolist()]):
+    for t, c in zip(lo[bad[key]].tolist(), [rep.contacts[k] for k in key[bad[key]].tolist()]):
         limit = c.right_dir if t == a else c.left_dir if t == b else None
         if limit is None and int(round(arg[np.searchsorted(sampled.params, t)] / math.pi)) != 0:
-            return units, arg, (t, c.kind)
-    return units, arg, None
+            return units, arg, (t, c.kind), (lo, hi)
+    return units, arg, None, (lo, hi)
 
 
 def lift_path(spec: PathSpec, k0: int = 0, initial_unit=None,
@@ -190,7 +192,7 @@ def lift_path(spec: PathSpec, k0: int = 0, initial_unit=None,
     kind, rather than raising; unusable inputs raise.
     """
     sampled, rep, sampling = obstruct_path(spec)
-    units, arg, fail = lift_grid(sampled, rep, k0, initial_unit, directives)
+    units, arg, fail, spans = lift_grid(sampled, rep, k0, initial_unit, directives)
     if fail is not None:
         return LiftResult("fails_at", t_fail=fail[0], reason=fail[1], sampling=sampling)
 
@@ -204,7 +206,7 @@ def lift_path(spec: PathSpec, k0: int = 0, initial_unit=None,
         arg=arg,
         units=units,
         k0=k0,
-        branch_trace=_branch_trace(sampled, rep, arg),
+        branch_trace=_branch_trace(sampled, spans, arg),
     )
     closed_lift = None
     if spec.closed:

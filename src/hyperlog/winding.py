@@ -247,7 +247,7 @@ def branch_change_report(
     """
     sampled, rep, _sampling = obstruct_path(spec)
     grid = _reroot(sampled, spec, basepoint)
-    _units, arg, fail = lift_grid(grid, rep, 0, initial_unit, directives)
+    _units, arg, fail, _spans = lift_grid(grid, rep, 0, initial_unit, directives)
     if fail is not None:
         raise NotLiftable(*fail)
     return whole_turns(float(arg[-1]) - float(arg[0]), "argument change")
