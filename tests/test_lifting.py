@@ -98,8 +98,9 @@ def terminal_branch_cases():
                       for f in (0.13, 0.3, 0.5, 0.71, 0.9)]
         companions = sorted({(), *map(tuple, case.directives.values())})
         for n, p in enumerate(paths):
+            ends = {"": p, "open/": replace(p, closed=False)} if p.closed else {"": p}
             copies = {}
-            for end, o in [("", p), ("open/", replace(p, closed=False))][:1 + p.closed]:
+            for end, o in ends.items():
                 copies.update({end + "plain": o, end + "reverse": hl.reverse(o),
                                end + "reflect_negconj": hl.reflect_negconj(o)})
             for kind, q in copies.items():
