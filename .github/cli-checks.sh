@@ -73,6 +73,18 @@ EOF
 expect 1 analyze --demo three_exp --companion J_path
 expect 1 analyze --demo three_exp --directive 0=flip
 
+# q(t) = (t - 0.4) + (t - 0.4)^2 i passes through 0 at t = 0.4, where no
+# sample lands: the probe that comes near the zero finds it, so the path
+# is unusable input, not a tame path with a bounce of value about 0
+cat > "$work/through_zero.json" <<'EOF'
+{"domain": [0, 1], "closed": false, "segments": [
+ {"kind": "slice_curve", "ta": 0, "tb": 1, "unit": [0, 1, 0, 0],
+  "x_fn": {"kind": "poly", "coeffs": [1, -0.4]},
+  "y_fn": {"kind": "poly", "coeffs": [1, -0.8, 0.16000000000000003]}}]}
+EOF
+expect 1 analyze --input "$work/through_zero.json"
+has "$work/error.txt" 'vanishes'
+
 # a radius written as a string is unusable input: exit code 1 and one
 # error line, not a traceback
 "${hyperlog[@]}" demo 'slice_circle(i,1,1)' --export \

@@ -91,7 +91,7 @@ def unit_field(
         return units
 
     nonreal = np.flatnonzero(~sampled.real)
-    dirs = sampled.values[nonreal, 1:] / sampled.ims[nonreal, None]
+    dirs = sampled.units[nonreal]
     stretches = sampled.stretches.tolist()
     # the first non-real sample after each stretch, as an index of dirs
     after = np.searchsorted(nonreal, sampled.stretches[:, 1]).tolist()

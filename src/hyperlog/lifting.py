@@ -19,7 +19,7 @@ from . import algebra, config
 from .companion import argument_steps, at_grid, stretch_items, unit_field
 from .errors import InitialMismatch, MissingInitialUnit
 from .obstruction import BAD_KINDS, ObstructionReport, obstruct_path
-from .pathkit import FALLBACK_SAMPLES  # noqa: F401  (long-standing import path)
+from .pathkit import FALLBACK_SAMPLES  # noqa: F401  (perfbench/tracing.py reads it here)
 from .pathkit import PathSpec, SampledPath, csv_text
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _brent, config
-from .algebra import row_dots, row_norms
-from .errors import ZeroOnPath
-from .pathkit import PathSpec, SampledPath, sample_path
+from .algebra import row_dots
+from .pathkit import PathSpec, SampledPath, _geometry, sample_path
 
 FLIP = "flip"
 BOUNCE = "bounce"
@@ -46,8 +45,7 @@ BAD_KINDS = (SEMI_TAME, NOT_TAME, ENDPOINT_NOT_TAME)
 LIMIT_CHUNK = 8
 # halvings of the offset used when chasing a one-sided direction limit
 LIMIT_HALVINGS = 40
-# what a Brent solve of _localize_contacts reads off a path value: the
-# component of Im along a direction, |Im|, or |Im| - eps_real |q|
+# the kinds of Brent solve of _localize_contacts (see _readings)
 _ROOT, _MIN, _EDGE = range(3)
 
 
@@ -110,14 +108,6 @@ class ObstructionReport:
     closed: bool
 
 
-def _im_parts(vals: np.ndarray, tol):
-    """(ims, real) of the rows v of vals: the norms |Im v| and the
-    realness flags of tol, bit for bit as one row at a time gives them.
-    A unit direction is Im v / |Im v| of a non-real row."""
-    ims = row_norms(vals[:, 1:])
-    return ims, tol.is_real(ims, row_norms(vals))
-
-
 def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
     """one_sided_direction for each request (t, side, h0), all together.
 
@@ -148,9 +138,8 @@ def _one_sided_directions(spec: PathSpec, requests, tol) -> list:
         ask = inside & ~settled[:, None] & (start <= rank) & (rank < start + LIMIT_CHUNK)
         if not ask.any():
             break
-        vals = spec.values(offsets[ask])
-        ims, real = _im_parts(vals, tol)
-        dirs = np.concatenate((dirs, vals[~real, 1:] / ims[~real, None]))
+        _mags, _ims, real, units = _geometry(offsets[ask], spec.values(offsets[ask]), tol)
+        dirs = np.concatenate((dirs, units[~real]))
         owner = np.concatenate((owner, np.nonzero(ask)[0][~real]))
         # each request's directions together, in ladder order; a
         # direction settles the limit when it and the two before it, of
@@ -244,6 +233,16 @@ def alternating_sum(signs) -> int:
     return sum(s * (-1) ** (l + 1) for l, s in enumerate(signs))
 
 
+def _readings(kinds, u_ref, vals, mags, ims, eps_real) -> np.ndarray:
+    """What each Brent solve of _localize_contacts reads off a path value
+    of its own, given with the value's |q| and |Im q|: the component of
+    Im along its direction u_ref for a root (_ROOT), |Im| for a minimum
+    (_MIN), and |Im| - eps_real |q|, which is at most 0 exactly where
+    the value is real, for the end of a real set (_EDGE)."""
+    return np.where(kinds == _ROOT, row_dots(vals[:, 1:], u_ref),
+                    np.where(kinds == _MIN, ims, ims - eps_real * mags))
+
+
 def _localize_contacts(spec, sampled, tri, edges, ptol) -> tuple:
     """(found, ends): the contacts inside the brackets tri of a sampled
     path, and the ends of the real sets at its edges.
@@ -255,50 +254,34 @@ def _localize_contacts(spec, sampled, tri, edges, ptol) -> tuple:
     the contact parameter of each bracket, or None where the path is not
     real there.  Each row of edges holds the grid indices of a real
     sample and of the non-real sample beside it, and gets a Brent root
-    of f = |Im(gamma)| - eps_real |gamma|, which is at most 0 exactly
-    where the path is real; ends holds the root of each edge.  The
-    solves run in lockstep: each round evaluates, in one path call, the
-    parameters the unfinished solves ask for.  Each solve memoises its
-    own values, starting from the grid's: a root finder starts from its
-    two ends, and a contact's final realness check is made at a
-    parameter its solver has evaluated.
+    of |Im(gamma)| - eps_real |gamma|; ends holds the root of each edge.
+    What a solve reads off a value is _readings of the value's geometry
+    (see pathkit._geometry), the grid's own at its samples, so at an
+    edge's ends its sign is the grid's realness flag.  The solves run in
+    lockstep: each round evaluates, in one path call, the parameters the
+    unfinished solves ask for.  Each solve memoises its own values,
+    starting from the grid's: a root finder starts from its two ends,
+    and a contact's final realness check is made at a parameter its
+    solver has evaluated.
     """
     ts, values, tol = sampled.params, sampled.values, sampled.tol
-    solves, memos = [], []
-    # what each solve reads off a path value: the component along
-    # u_ref[k] for a root finder, |Im| = the square root of Im . Im for a
-    # minimiser, and f for an edge
-    kinds = []
+    # each solve's kind and direction (zero for an edge), the brackets
+    # first, and the grid indices of its seeds, owner[m] the solve of rows[m]
     u_ref = np.zeros((len(tri) + len(edges), values.shape[1] - 1))
-    if len(tri):
-        rows = values[tri]
-        vals = rows.reshape(-1, rows.shape[-1])
-        ims = _im_parts(vals, tol)[0]
-        u_ref[:len(tri)] = vals[1::3, 1:] / ims[1::3, None]
-        comps = row_dots(vals[:, 1:], np.repeat(u_ref[:len(tri)], 3, axis=0))
-        root_find = (comps[0::3] * comps[2::3] < 0).tolist()
-        for k, (tl, tn, tr) in enumerate(ts[tri].tolist()):
-            if root_find[k]:
-                kinds.append(_ROOT)
-                solves.append(_brent.brentq_steps(tl, tr, ptol))
-                ys = comps[3 * k:3 * k + 3]
-            else:
-                kinds.append(_MIN)
-                solves.append(_brent.minimize_bounded_steps(tl, tr, ptol))
-                ys = ims[3 * k:3 * k + 3]
-            # parameter -> (solver's function value, path value)
-            memos.append(dict(zip((tl, tn, tr), zip(ys.tolist(), rows[k]))))
-    if edges:
-        # at the grid's samples f is read off the grid's own norms, so
-        # its sign is the grid's realness flag
-        f = (sampled.ims - tol.eps_real * sampled.mags).tolist()
-        t_list = ts.tolist()
-        for i, j in edges:
-            kinds.append(_EDGE)
-            solves.append(_brent.brentq_steps(min(t_list[i], t_list[j]),
-                                              max(t_list[i], t_list[j]), ptol))
-            memos.append({t_list[i]: (f[i], values[i]), t_list[j]: (f[j], values[j])})
-    root = np.array(kinds) == _ROOT
+    u_ref[:len(tri)] = sampled.units[tri[:, 1]]
+    crossing = (row_dots(values[tri[:, 0], 1:], u_ref[:len(tri)])
+                * row_dots(values[tri[:, 2], 1:], u_ref[:len(tri)]) < 0)
+    kinds = np.concatenate((np.where(crossing, _ROOT, _MIN), np.full(len(edges), _EDGE)))
+    rows = np.concatenate((tri.ravel(), np.asarray(edges, dtype=np.intp).ravel()))
+    owner = np.repeat(np.arange(len(kinds)), np.where(kinds == _EDGE, 2, 3))
+    ys = _readings(kinds[owner], u_ref[owner], values[rows], sampled.mags[rows],
+                   sampled.ims[rows], tol.eps_real)
+    # parameter -> (solver's function value, path value), for each solve
+    memos = [{} for _ in kinds]
+    for k, t, y, v in zip(owner.tolist(), ts[rows].tolist(), ys.tolist(), values[rows]):
+        memos[k][t] = (y, v)
+    solves = [(_brent.minimize_bounded_steps if kind == _MIN else _brent.brentq_steps)(
+        min(memo), max(memo), ptol) for kind, memo in zip(kinds.tolist(), memos)]
 
     done = [None] * len(solves)
 
@@ -318,14 +301,12 @@ def _localize_contacts(spec, sampled, tri, edges, ptol) -> tuple:
     asked = {k: t for k, t in asked.items() if t is not None}
     while asked:
         ks = list(asked)
-        vals = spec.values(np.array(list(asked.values())))
-        refs = np.where(root[ks, None], u_ref[ks], vals[:, 1:])
-        dots = row_dots(vals[:, 1:], refs).tolist()
+        t_asked = np.array(list(asked.values()))
+        vals = spec.values(t_asked)
+        mags, ims = _geometry(t_asked, vals, tol)[:2]
+        ys = _readings(kinds[ks], u_ref[ks], vals, mags, ims, tol.eps_real).tolist()
         nxt = {}
-        for k, d, v in zip(ks, dots, vals):
-            y = d if kinds[k] == _ROOT else math.sqrt(d)
-            if kinds[k] == _EDGE:
-                y -= tol.eps_real * math.sqrt(d + v[0] * v[0])
+        for k, y, v in zip(ks, ys, vals):
             memos[k][asked[k]] = (y, v)
             t = advance(k, y)
             if t is not None:
@@ -335,7 +316,8 @@ def _localize_contacts(spec, sampled, tri, edges, ptol) -> tuple:
     if found:
         # a solver returns a parameter it has evaluated
         at = np.array([memo[t][1] for memo, t in zip(memos, found)])
-        found = [t if is_real else None for t, is_real in zip(found, _im_parts(at, tol)[1])]
+        real = _geometry(np.array(found), at, tol)[2]
+        found = [t if is_real else None for t, is_real in zip(found, real)]
     return found, ends
 
 
@@ -363,14 +345,6 @@ def _limit_h0s(ts, marks, edge_tol, cap) -> list:
     return np.minimum(cap, nearest / 2.0).tolist()
 
 
-def _sign_of(x: float) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    raise ZeroOnPath("real contact with value zero")
-
-
 def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport:
     """Build the full obstruction report for a sampled path.
 
@@ -389,9 +363,11 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
       another real item and at most 1e-3 of the span; a limit is the
       first direction, in ladder order, that agrees within THETA_TOL
       with the two before it;
-    and one more call gives the values of every contact and run.  The
-    number of calls grows with the rounds of the slowest probe, not with
-    the number of contacts.  A real stretch is a run when its real set
+    and one more call gives the values of every contact and run.  Every
+    probe reads its values through pathkit._geometry, as the grid does,
+    so a value of modulus at most eps_real raises ZeroOnPath wherever it
+    is met.  The number of calls grows with the rounds of the slowest
+    probe, not with the number of contacts.  A real stretch is a run when its real set
     is longer than run_min, else a contact at its middle.  On a closed
     path the real items at a and at b are one wrap item when the ends of
     their real sets lie within edge_tol of the domain's ends; on an open
@@ -506,7 +482,10 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     h0s = _limit_h0s([t for t, _side in limits], marks, edge_tol, 1e-3 * span)
     units = iter(_one_sided_directions(
         spec, [(t, side, h0) for (t, side), h0 in zip(limits, h0s)], sampled.tol))
-    values = spec.values(np.array([p[4] for p in probes]))[:, 0].tolist()
+    at = np.array([p[4] for p in probes])
+    vals = spec.values(at)
+    _geometry(at, vals, sampled.tol)  # the zero test of every item's value
+    values = vals[:, 0].tolist()
 
     def direction(limit):
         u = next(units) if limit else None
@@ -517,11 +496,13 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     for (kind, t0, t1, wrap, _t, left, right), value in zip(probes, values):
         interior = left is not None and right is not None
         left, right = direction(left), direction(right)
+        # an item's value is real and passed the zero test, so it is not 0
+        sign = 1 if value > 0 else -1
         if kind == "contact":
             kind = classify_point(left, right, interior)
-            contacts.append(Contact(t0, value, _sign_of(value), left, right, kind, wrap))
+            contacts.append(Contact(t0, value, sign, left, right, kind, wrap))
         else:
-            runs.append(RealRun(t0, t1, _sign_of(value), left, right, wrap))
+            runs.append(RealRun(t0, t1, sign, left, right, wrap))
 
     big_arcs, intervals = _axis_geometry(spec, contacts, runs, edge_tol)
     tame = not runs and all(c.kind not in BAD_KINDS for c in contacts)

@@ -27,6 +27,7 @@ from dataclasses import MISSING, InitVar, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import config
+from .algebra import row_norms
 from .errors import (
     DimensionMismatch,
     EndpointMismatch,
@@ -722,15 +723,22 @@ D_MAX = 24
 
 
 def _geometry(ts, values, tol) -> tuple:
-    """|q|, |Im q| and the tol.is_real flag of each row q of values,
-    taken at the parameters ts.  A value of modulus at most tol.eps_real,
-    the one absolute test of a value, raises ZeroOnPath."""
-    mags = np.linalg.norm(values, axis=1)
+    """(mags, ims, real, units) of the rows q of values, taken at the
+    parameters ts: |q|, |Im q|, the tol.is_real flag, and the unit
+    Im q / |Im q| of a non-real row, zeros (of either sign) on a real
+    one, whose |Im q| may be 0.  The norms are algebra.row_norms, so
+    each is bit for bit what its value alone gives.
+    Every batch of path values, a grid's or a probe's, is read here, and
+    a value of modulus at most tol.eps_real, the one absolute test of a
+    value, raises ZeroOnPath."""
+    mags = row_norms(values)
     zero = mags <= tol.eps_real
     if zero.any():
         raise ZeroOnPath(f"path value vanishes near t={float(ts[np.argmax(zero)])}")
-    ims = np.linalg.norm(values[:, 1:], axis=1)
-    return mags, ims, tol.is_real(ims, mags)
+    ims = row_norms(values[:, 1:])
+    real = tol.is_real(ims, mags)
+    # Im / inf, a real row's unit, is 0 with no division by zero
+    return mags, ims, real, values[:, 1:] / np.where(real, np.inf, ims)[:, None]
 
 
 @dataclass(frozen=True)
@@ -740,12 +748,14 @@ class SampledPath:
     Each sample's geometry is computed once, at construction, under tol,
     the tolerances in force when it was sampled, and every stage after
     sampling reads both: mags and ims are the norms of the values and of
-    their imaginary parts, real their tol.is_real flags, and stretches
-    the (start, stop) rows of each maximal run values[start:stop] of real
-    samples.  brackets holds, in increasing order, each k for which the
-    adaptive sampler left [params[k], params[k + 1]] as the bracket of an
-    axis crossing, for find_obstructions to solve; a grid the sampler did
-    not build has none.  These are read-only attributes, not fields.  A
+    their imaginary parts, real their tol.is_real flags, units the unit
+    Im/|Im| of each non-real value and zero at a real one (see
+    _geometry), and stretches the (start, stop) rows of each maximal run
+    values[start:stop] of real samples.  brackets holds, in increasing
+    order, each k for which the adaptive sampler left
+    [params[k], params[k + 1]] as the bracket of an axis crossing, for
+    find_obstructions to solve; a grid the sampler did not build has
+    none.  These are read-only attributes, not fields.  A
     value of modulus at most tol.eps_real raises ZeroOnPath.
     """
 
@@ -755,11 +765,11 @@ class SampledPath:
     brackets: InitVar[np.ndarray] = ()
 
     def __post_init__(self, brackets):
-        mags, ims, real = _geometry(self.params, self.values, self.tol)
+        mags, ims, real, units = _geometry(self.params, self.values, self.tol)
         change = np.diff(real.astype(np.int8), prepend=0, append=0)
         stretches = np.stack(
             [np.flatnonzero(change == 1), np.flatnonzero(change == -1)], axis=1)
-        _cache_arrays(self, mags=mags, ims=ims, real=real, stretches=stretches,
+        _cache_arrays(self, mags=mags, ims=ims, real=real, units=units, stretches=stretches,
                       brackets=np.asarray(brackets, dtype=np.intp))
 
     @property
@@ -792,7 +802,7 @@ def _first_grid(spec: PathSpec, n: int) -> np.ndarray:
 
 
 # columns of the adaptive sampler's node rows: the parameter, |q|, |Im q|
-# and the realness flag, then the value q and the unit of Im q
+# and the realness flag, then the value q and the unit of Im q (see _geometry)
 _T, _MAG, _IM, _REAL, _V = range(5)
 
 
@@ -853,9 +863,7 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
 
     def rows_at(ts: np.ndarray) -> np.ndarray:
         v = spec.values(ts)
-        mag, im, real = _geometry(ts, v, tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = v[:, 1:] / im[:, None]
+        mag, im, real, unit = _geometry(ts, v, tol)
         return np.column_stack((ts, mag, im, real, v, unit))
 
     nodes = rows_at(_first_grid(spec, n0))

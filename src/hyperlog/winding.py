@@ -30,17 +30,6 @@ from .obstruction import (
 from .pathkit import PathSpec, SampledPath
 
 
-def reduce_signs(signs) -> list:
-    """Cancel adjacent equal pairs until the sequence alternates."""
-    stack = []
-    for s in signs:
-        if stack and stack[-1] == s:
-            stack.pop()
-        else:
-            stack.append(s)
-    return stack
-
-
 @dataclass(frozen=True)
 class Flip:
     """A flip of a loop: where it lies, the sign of its real value, and

@@ -19,9 +19,20 @@ from hyperlog import algebra, config
 from hyperlog.cli import main as cli_main
 from hyperlog.errors import TwistedLoop
 from hyperlog.pathkit import PathSpec, SliceCurve, TrigFn
-from hyperlog.winding import alternating_sum, reduce_signs
+from hyperlog.winding import alternating_sum
 
 PI = math.pi
+
+
+def reduce_signs(signs) -> list:
+    """Cancel adjacent equal pairs of signs until the sequence alternates."""
+    stack = []
+    for s in signs:
+        if stack and stack[-1] == s:
+            stack.pop()
+        else:
+            stack.append(s)
+    return stack
 
 
 def report(criterion, detail=""):

@@ -230,9 +230,9 @@ def reference_unit_field(sampled, rep, directives=(), seed=None):
     params = sampled.params
     n = len(params)
     dim = vals.shape[1]
-    mags = np.linalg.norm(vals, axis=1)
+    mags = np.array([np.linalg.norm(v) for v in vals])
     im_vecs = vals[:, 1:]
-    im_norms = np.linalg.norm(im_vecs, axis=1)
+    im_norms = np.array([np.linalg.norm(v) for v in im_vecs])
     real = config.DEFAULT.is_real(im_norms, mags)
 
     units = np.zeros((n, dim - 1))

@@ -27,7 +27,8 @@ from hyperlog.obstruction import (
     classify_point,
     run_kinds,
 )
-from hyperlog.pathkit import sample_path, to_json
+from hyperlog.errors import ZeroOnPath
+from hyperlog.pathkit import Line, PathSpec, PolyFn, SliceCurve, sample_path, to_json
 
 from test_acceptance import single_slice_loop
 from test_batched_eval import corpus_paths
@@ -380,6 +381,33 @@ def test_limit_h0s_match_the_walk_on_the_corpus(monkeypatch):
         for closed in (True, False) if spec.closed else (False,):
             hl.find_obstructions(sp, replace(spec, closed=closed))
     assert sum(requests) > 500
+
+
+def through_zero(t0, closed):
+    """q(t) = (t - t0) + (t - t0)^2 i on [0, 1], which passes through 0
+    at t0 with |Im q| / |q| about |t - t0|, closed by a line from its end
+    back to its start on [1, 2]."""
+    s = PolyFn((1.0, -t0))
+    curve = SliceCurve(0.0, 1.0, (0.0, 1.0, 0.0, 0.0), s, PolyFn((1.0, -2.0 * t0, t0 * t0)))
+    if not closed:
+        return PathSpec(0.0, 1.0, (curve,))
+    ends = curve.values([1.0, 0.0])
+    back = Line(1.0, 2.0, tuple(ends[0].tolist()), tuple(ends[1].tolist()))
+    return PathSpec(0.0, 2.0, (curve, back), closed=True)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("t0", [0.3, 0.4, 0.7, 0.123456])
+def test_a_path_through_zero_raises_at_any_evaluated_value(t0, closed):
+    # on the open path at 0.123456 a node of the grid holds the zero;
+    # elsewhere only the probes of find_obstructions come near enough to
+    # see it, and the error names where
+    spec = through_zero(t0, closed)
+    questions = [hl.obstruct_path, hl.lift_path] + [hl.analyze_loop] * closed
+    for ask in questions:
+        with pytest.raises(ZeroOnPath, match="vanishes near") as err:
+            ask(spec)
+        assert abs(float(str(err.value).rsplit("=", 1)[1]) - t0) < 1e-8
 
 
 def test_limit_h0s_match_the_walk_across_blocks():

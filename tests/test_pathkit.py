@@ -630,12 +630,18 @@ def scanned_stretches(real):
 
 
 def check_geometry(sp):
-    mags = np.linalg.norm(sp.values, axis=1)
-    ims = np.linalg.norm(sp.values[:, 1:], axis=1)
-    for got, want in ((sp.mags, mags), (sp.ims, ims), (sp.real, config.DEFAULT.is_real(ims, mags))):
+    """The grid's geometry is each value's own, taken one sample at a time."""
+    mags = np.array([np.linalg.norm(v) for v in sp.values])
+    ims = np.array([np.linalg.norm(v[1:]) for v in sp.values])
+    real = config.DEFAULT.is_real(ims, mags)
+    units = np.array([np.zeros(sp.dim - 1) if r else v[1:] / m
+                      for v, m, r in zip(sp.values, ims, real)])
+    for got, want in ((sp.mags, mags), (sp.ims, ims), (sp.real, real)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # equal values: a real sample's zero unit may be -0.0
+    assert sp.units.dtype == units.dtype and np.array_equal(sp.units, units)
     assert [tuple(row) for row in sp.stretches.tolist()] == scanned_stretches(sp.real)
-    for a in (sp.mags, sp.ims, sp.real, sp.stretches):
+    for a in (sp.mags, sp.ims, sp.real, sp.units, sp.stretches):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
@@ -649,6 +655,15 @@ def test_sampled_geometry_matches_fresh_norms():
         if spec.closed and not sp.real.all():
             i_star = int(np.argmax(sp.ims))
             grids.append(winding._reroot(sp, spec, sp.params[i_star]))
+    # on these two values np.linalg.norm(axis=1) and the one-value norm
+    # disagree on realness: the first is real alone, the second is not
+    near_axis = np.array([
+        [0.5424795067181944, 1.1979542752483845e-11, -5.423296291423734e-10,
+         -4.367965081453633e-12],
+        [1.6201873210740834, 2.460976954952558e-10, -1.4474151182226448e-09,
+         6.851513374296713e-10]])
+    grids.append(SampledPath(np.array([0.0, 1.0]), near_axis))
+    assert grids[-1].real.tolist() == [True, False]
     for sp in grids:
         check_geometry(sp)
     # the inputs hold real stretches at the start, inside and at the end

@@ -24,19 +24,12 @@ from hyperlog.errors import (
     ZeroOnPath,
 )
 from hyperlog.pathkit import Line, sample_path
-from hyperlog.winding import alternating_sum, reduce_signs
+from hyperlog.winding import alternating_sum
 
-from test_acceptance import single_slice_loop
+from test_acceptance import reduce_signs, single_slice_loop
 from test_batched_eval import CORPUS, Meter, counted
 
 PI = math.pi
-
-
-def test_reduce_signs_cancels_pairs():
-    assert reduce_signs([1, 1]) == []
-    assert reduce_signs([1, -1, -1, 1]) == []
-    assert reduce_signs([1, -1, 1]) == [1, -1, 1]
-    assert reduce_signs([-1, -1, 1]) == [1]
 
 
 def test_alternating_sum_examples():
