@@ -204,8 +204,8 @@ has "$work/equal_anchors.json" '"anchor_b": 0.5'
 expect 1 winding --input "$work/equal_anchors.json"
 
 # a circle turning 20 times crosses the axis 40 times inside one slice:
-# each crossing is a bracket of the sampler that find_obstructions solves
-# into a flip
+# each crossing lies between two samples whose directions point apart,
+# and find_obstructions solves it into a flip
 expect 0 analyze --demo 'slice_circle(j,2,20)'
 python3 - "$work/out.txt" <<'EOF'
 import json, sys
@@ -217,6 +217,25 @@ EOF
 # alias several turns into one
 expect 0 winding --demo 'slice_circle(j,2,100)'
 has "$work/out.txt" '^  "winding": 100,?$'
+# the rocket makes the adaptive sampler give up; on the uniform grid it
+# falls back to, the three turns of the unit circle after it still cross
+# -1 between samples, at 1 + pi, 1 + 3 pi and 1 + 5 pi
+cat > "$work/fallback_loop.json" <<'EOF'
+{"domain": [0.0, 19.84955592153876], "closed": true, "segments": [
+  {"kind": "negconj", "ta": 0.0, "tb": 1.0, "inner": {"kind": "rocket", "ta": 0.0, "tb": 1.0, "anchor_a": 0.0, "anchor_b": 1.0}},
+  {"kind": "reparam", "ta": 1.0, "tb": 7.283185307179586, "inner": {"kind": "slice_arc", "ta": 0.0, "tb": 6.283185307179586, "unit": [0.0, 1.0, 0.0, 0.0], "angle_a": 0.0, "angle_b": 6.283185307179586, "center": 0.0, "radius": 1.0, "anchor_a": 0.0, "anchor_b": 6.283185307179586}, "alpha": 1.0, "beta": -1.0},
+  {"kind": "reparam", "ta": 7.283185307179586, "tb": 13.566370614359172, "inner": {"kind": "slice_arc", "ta": 0.0, "tb": 6.283185307179586, "unit": [0.0, 1.0, 0.0, 0.0], "angle_a": 0.0, "angle_b": 6.283185307179586, "center": 0.0, "radius": 1.0, "anchor_a": 0.0, "anchor_b": 6.283185307179586}, "alpha": 1.0, "beta": -7.283185307179586},
+  {"kind": "reparam", "ta": 13.566370614359172, "tb": 19.84955592153876, "inner": {"kind": "slice_arc", "ta": 0.0, "tb": 6.283185307179586, "unit": [0.0, 1.0, 0.0, 0.0], "angle_a": 0.0, "angle_b": 6.283185307179586, "center": 0.0, "radius": 1.0, "anchor_a": 0.0, "anchor_b": 6.283185307179586}, "alpha": 1.0, "beta": -13.566370614359172}
+]}
+EOF
+expect 0 analyze --input "$work/fallback_loop.json"
+python3 - "$work/out.txt" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+at = sorted(round(c["t"], 6) for c in doc["contacts"] if c["value"] == -1.0)
+if at != [4.141593, 10.424778, 16.707963]:
+    sys.exit(f"fallback loop: contacts at -1 near t = {at}")
+EOF
 
 expect 0 winding --demo 'slice_circle(i,2,1)'
 # realness is judged relative to |q|, so a small circle that starts on

@@ -243,24 +243,19 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_demo)
 
     args = parser.parse_args(argv)
-    # the override holds for this call only
-    tol = config.IN_FORCE.get()
-    if getattr(args, "eps_real", None) is not None:
-        if not 1e-14 <= args.eps_real <= 1e-4:
-            sys.stderr.write("hyperlog: error: eps-real override must lie in [1e-14, 1e-4]\n")
-            return 1
-        tol = config.Tolerances(args.eps_real)
-    token = config.IN_FORCE.set(tol)
     try:
-        return args.fn(args)
-    except HyperlogError as e:
+        # the override holds for this call only; Tolerances checks its range
+        tol = config.IN_FORCE.get()
+        if getattr(args, "eps_real", None) is not None:
+            tol = config.Tolerances(args.eps_real)
+        token = config.IN_FORCE.set(tol)
+        try:
+            return args.fn(args)
+        finally:
+            config.IN_FORCE.reset(token)
+    except (HyperlogError, OSError, ValueError) as e:
         sys.stderr.write(f"hyperlog: error: {e}\n")
         return 1
-    except (OSError, ValueError) as e:
-        sys.stderr.write(f"hyperlog: error: {e}\n")
-        return 1
-    finally:
-        config.IN_FORCE.reset(token)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,11 @@ class Tolerances:
     # positive real factor does not change
     eps_real: float = 1e-9
 
+    def __post_init__(self):
+        # the one check of the threshold's range, which NaN fails too
+        if not 1e-14 <= self.eps_real <= 1e-4:
+            raise ValueError(f"eps_real must lie in [1e-14, 1e-4], got {self.eps_real!r}")
+
     def is_real(self, im_norm, norm):
         """Relative realness test of values with |Im q| = im_norm and
         |q| = norm, elementwise on arrays."""

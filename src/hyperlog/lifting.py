@@ -78,7 +78,10 @@ def terminal_branch(k0: int, sigma: int) -> int:
 
 def _seed_and_start_arg(sampled, k0, initial_unit):
     """Starting unit field sign and starting argument value: the k0-th
-    branch of the argument at the first sample."""
+    branch of the argument at the first sample.  A k0 that is not an
+    integer raises ValueError."""
+    if not isinstance(k0, (int, np.integer)):
+        raise ValueError(f"k0 must be an integer, got {k0!r}")
     v0 = sampled.values[0]
     init_vec = None
     if initial_unit is not None:

@@ -2,9 +2,9 @@
 
 A sampled path is scanned for real values, the end of the real set at
 each edge between a real and a non-real sample is solved for, and so
-are the contacts its grid only brackets: the axis crossings the
-adaptive sampler handed on as brackets, and the small dips of |Im|
-elsewhere.  Isolated
+are the contacts its grid only brackets: the axis crossings between
+neighbouring samples whose directions point apart, and the small dips
+of |Im| elsewhere.  Isolated
 contacts become Contact records with one-sided imaginary-direction
 limits; maximal real sub-intervals become RealRun records.  Taken in
 traversal order, two consecutive real items of opposite sign join across
@@ -345,6 +345,17 @@ def _limit_h0s(ts, marks, edge_tol, cap) -> list:
     return np.minimum(cap, nearest / 2.0).tolist()
 
 
+def _crossing_brackets(sampled: SampledPath) -> np.ndarray:
+    """The crossing brackets of a grid: each k, in increasing order, whose
+    samples k and k + 1 have directions opposite within 2 THETA_TOL, so
+    that [params[k], params[k + 1]] holds an axis crossing; a real
+    sample's unit is zero, so it ends none.  Each crossing the adaptive
+    sampler does not halve is so, as both halves of its interval are
+    aligned within THETA_TOL."""
+    units = sampled.units
+    return np.flatnonzero(row_dots(units[:-1], units[1:]) <= -math.cos(2.0 * config.THETA_TOL))
+
+
 def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport:
     """Build the full obstruction report for a sampled path.
 
@@ -355,8 +366,8 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
       a root of |Im| - eps_real |q|, which is at most 0 exactly where the
       path is real (an edge can be a whole grid step wide, since the
       sampler stops beside a real node); and every contact the grid only
-      brackets, each crossing bracket of the sampler and each small dip
-      of |Im| beside none;
+      brackets, each crossing bracket (see _crossing_brackets) and each
+      small dip of |Im| beside none;
     - one-sided limits: the next LIMIT_CHUNK in-domain offsets of the
       halving ladder of every direction limit still unsettled, each
       ladder starting at half the distance to the nearest end of
@@ -387,9 +398,9 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     # --- real stretches, and contacts the grid only brackets -------------
     # each maximal stretch i..j-1 of real samples, with the end of its
     # real set solved for on each edge to a non-real sample beside it;
-    # each crossing bracket b of the sampler, solved on (ts[b], ts[b + 1])
-    # along the direction at ts[b], and each non-real sample m beside no
-    # such bracket whose |Im| is a small local minimum, solved on
+    # each crossing bracket b, solved on (ts[b], ts[b + 1]) along the
+    # direction at ts[b], and each non-real sample m beside no such
+    # bracket whose |Im| is a small local minimum, solved on
     # (ts[m - 1], ts[m + 1]) along the direction at ts[m]; all from the
     # grid's values, solved together, brackets in grid order
     stretches = sampled.stretches.tolist()
@@ -403,7 +414,7 @@ def find_obstructions(sampled: SampledPath, spec: PathSpec) -> ObstructionReport
     dips = (ims[1:-1] <= ims[:-2]) & (ims[1:-1] <= ims[2:])
     small = ~(ims[1:-1] > 1e-3 * mags[1:-1])
     tri = np.flatnonzero(~near_real & dips & small)[:, None] + (0, 1, 2)
-    b = sampled.brackets
+    b = _crossing_brackets(sampled)
     if len(b):
         beside = np.zeros(n, dtype=bool)
         beside[b] = beside[b + 1] = True

@@ -22,12 +22,12 @@ import csv
 import io
 import math
 import reprlib
-from dataclasses import MISSING, InitVar, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import config
-from .algebra import row_norms
+from .algebra import row_dots, row_norms
 from .errors import (
     DimensionMismatch,
     EndpointMismatch,
@@ -751,26 +751,21 @@ class SampledPath:
     their imaginary parts, real their tol.is_real flags, units the unit
     Im/|Im| of each non-real value and zero at a real one (see
     _geometry), and stretches the (start, stop) rows of each maximal run
-    values[start:stop] of real samples.  brackets holds, in increasing
-    order, each k for which the adaptive sampler left
-    [params[k], params[k + 1]] as the bracket of an axis crossing, for
-    find_obstructions to solve; a grid the sampler did not build has
-    none.  These are read-only attributes, not fields.  A
-    value of modulus at most tol.eps_real raises ZeroOnPath.
+    values[start:stop] of real samples.  These are read-only
+    attributes, not fields.  A value of modulus at most tol.eps_real
+    raises ZeroOnPath.
     """
 
     params: np.ndarray
     values: np.ndarray
     tol: config.Tolerances = field(default_factory=config.IN_FORCE.get)
-    brackets: InitVar[np.ndarray] = ()
 
-    def __post_init__(self, brackets):
+    def __post_init__(self):
         mags, ims, real, units = _geometry(self.params, self.values, self.tol)
         change = np.diff(real.astype(np.int8), prepend=0, append=0)
         stretches = np.stack(
             [np.flatnonzero(change == 1), np.flatnonzero(change == -1)], axis=1)
-        _cache_arrays(self, mags=mags, ims=ims, real=real, units=units, stretches=stretches,
-                      brackets=np.asarray(brackets, dtype=np.intp))
+        _cache_arrays(self, mags=mags, ims=ims, real=real, units=units, stretches=stretches)
 
     @property
     def dim(self):
@@ -832,14 +827,14 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     at its left end) turns by less than a quarter turn, brackets an axis
     crossing inside one slice, unless its nodes are so near the axis
     that the crossing's real set could be long: it is not halved down
-    to a millionth of the domain.  Its midpoint is kept, the
-    half that holds the reversal goes into the grid's brackets for
-    find_obstructions to solve, and only the other half is tested
-    further.  Refinement runs level by level: the midpoints of all
-    intervals of one depth are evaluated in one call, and the midpoints
-    of the intervals that need a split, or hold a crossing, are inserted
-    into the grid, which stays sorted; the halves of those intervals
-    that are not brackets are the next level's.
+    to a millionth of the domain.  Its midpoint is kept, and only the
+    half without the reversal is tested further: the ends of the other
+    point apart, where find_obstructions finds the crossing (see
+    obstruction._crossing_brackets).  Refinement runs level by level:
+    the midpoints of all intervals of one depth are evaluated in one
+    call, and the midpoints of the intervals that need a split, or hold
+    a crossing, are inserted into the grid, which stays sorted; the
+    halves of those intervals that are not brackets are the next level's.
 
     Giving up raises RefinementBudgetExceeded, which is the designed
     failure mode for paths whose direction oscillates without limit near
@@ -869,7 +864,6 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     nodes = rows_at(_first_grid(spec, n0))
     evaluations = len(nodes)
     k = np.arange(len(nodes) - 1)  # the intervals [nodes[k], nodes[k + 1]] still to test
-    lefts = []  # the left ends of the crossing brackets
     depth = 0
     while len(k):
         k = k[nodes[k + 1, _T] - nodes[k, _T] > h_floor]
@@ -881,7 +875,6 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
         split, halves = _needs_split(left, mid, right, h_cross, tol, k, len(nodes) - 1)
         if depth >= D_MAX:
             # no midpoint goes in: a crossing's bracket is its interval
-            lefts.append(left[halves // 2, _T])
             k = k[split]
             break
         grow = split
@@ -902,15 +895,10 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
         # both halves of a split go on to the next level; of a crossing,
         # the half that holds the reversal is its bracket, the other goes on
         k = np.add.outer(k, (0, 1)).ravel()
-        if len(halves):
-            lefts.append(nodes[k[halves], _T])
-            k = np.delete(k, halves)
+        k = np.delete(k, halves) if len(halves) else k
         depth += 1
 
-    ts = nodes[:, _T].copy()
-    sampled = SampledPath(
-        ts, nodes[:, _V:_V + spec.dim].copy(), tol,
-        np.searchsorted(ts, np.sort(np.concatenate(lefts))) if lefts else ())
+    sampled = SampledPath(nodes[:, _T].copy(), nodes[:, _V:_V + spec.dim].copy(), tol)
     if len(k):
         brackets = list(zip(nodes[k, _T].tolist(), nodes[k + 1, _T].tolist()))
         raise RefinementBudgetExceeded(
@@ -939,8 +927,8 @@ def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
     unit = slice(_V + (left.shape[1] - _V + 1) // 2, None)
     # compare both halves: an endpoint-only test can alias against
     # direction fields that rotate through full turns between nodes
-    d1 = np.einsum("nd,nd->n", left[:, unit], mid[:, unit])
-    d2 = np.einsum("nd,nd->n", mid[:, unit], right[:, unit])
+    d1 = row_dots(left[:, unit], mid[:, unit])
+    d2 = row_dots(mid[:, unit], right[:, unit])
     closeness = np.minimum(np.abs(d1), np.abs(d2))
     back1, back2 = d1 < 0.0, d2 < 0.0
     long = length > h_cross

@@ -178,11 +178,9 @@ def _reroot(sampled: SampledPath, spec: PathSpec, t: float) -> SampledPath:
     The grid runs one period on from t without the seam sample at a, so
     both ends hold the same value; at a or b it is the grid itself.  t is
     the nearest node within PARAM_SAME of it, else a new node, at the
-    cost of one path call.  The grid carries no crossing brackets, as
-    find_obstructions, their one reader, has run.  The loop's report is
-    read on the new grid modulo the period (see companion.at_grid).  A t
-    that is not a number within [a, b] raises OutOfDomain, and an open
-    path EndpointMismatch.
+    cost of one path call.  The loop's report is read on the new grid
+    modulo the period (see companion.at_grid).  A t that is not a number
+    within [a, b] raises OutOfDomain, and an open path EndpointMismatch.
     """
     if not spec.closed:
         raise EndpointMismatch("only closed paths can be re-rooted")
@@ -199,7 +197,6 @@ def _reroot(sampled: SampledPath, spec: PathSpec, t: float) -> SampledPath:
         sampled,
         params=np.concatenate([params[i:], params[1:i + 1] + period]),
         values=np.concatenate([values[i:], values[1:i + 1]]),
-        brackets=(),
     )
 
 

@@ -34,7 +34,7 @@ from hypothesis.extra import numpy as hnp
 import hyperlog as hl
 from hyperlog import _brent, algebra, config, obstruction, pathkit
 from hyperlog.errors import OutOfDomain, RefinementBudgetExceeded, ZeroOnPath
-from hyperlog.obstruction import SEMI_TAME
+from hyperlog.obstruction import SEMI_TAME, _crossing_brackets
 from hyperlog.pathkit import (
     EVAL_BUDGET, Line, PathSpec, PolyFn, SampledPath, Samples, SliceCurve, sample_path)
 
@@ -533,8 +533,8 @@ TINY = "slice_circle(j,1e-06,3)"
 
 
 def depth_first_grid(spec, n0=64):
-    ts, vals, brackets = reference_sample_adaptive(spec, n0)
-    return SampledPath(ts, vals, brackets=brackets)
+    ts, vals, _ = reference_sample_adaptive(spec, n0)
+    return SampledPath(ts, vals)
 
 
 # paths on which the edge-halving route misses a semi-tame contact at a
@@ -593,8 +593,9 @@ def test_sampler_evaluates_each_point_once_per_level():
     # first intervals, the two halves of every split and the half of
     # every crossing that is not its bracket: as many points as the
     # depth-first sampler, in one call per level
-    assert len(sp.brackets) > 0
-    assert meter.points == 2 * len(sp.params) - 1 - len(sp.brackets)
+    brackets = _crossing_brackets(sp)
+    assert len(brackets) > 0
+    assert meter.points == 2 * len(sp.params) - 1 - len(brackets)
     assert meter.calls <= pathkit.D_MAX + 2
 
 
@@ -610,9 +611,10 @@ def test_a_crossing_at_the_depth_cap_is_the_bracket_of_its_interval(d_max, monke
     monkeypatch.setattr(pathkit, "D_MAX", d_max)
     sp = hl.sample_adaptive(spec)
     rep = hl.find_obstructions(sp, spec)
-    assert len(sp.brackets) == 6 and not sp.real.any()
+    brackets = _crossing_brackets(sp)
+    assert len(brackets) == 6 and not sp.real.any()
     width = (spec.b - spec.a) / 64 / (1 if d_max == 0 else 2)
-    assert np.diff(sp.params)[sp.brackets] == pytest.approx(width)
+    assert np.diff(sp.params)[brackets] == pytest.approx(width)
     assert [c.kind for c in rep.contacts] == ["flip"] * 6
 
 
@@ -624,7 +626,7 @@ def test_spinning_paths_give_up(name):
             ts, vals, brackets = reference_sample_adaptive(spec)
             got = hl.sample_adaptive(spec)
             assert same_bits(got.params, ts) and same_bits(got.values, vals)
-            assert same_bits(got.brackets, brackets)
+            assert same_bits(_crossing_brackets(got), brackets)
             continue
         with pytest.raises(RefinementBudgetExceeded):
             hl.sample_adaptive(spec)
@@ -745,7 +747,9 @@ def reference_level_sampler(spec, n0=64):
     leaf interval and sorts them at the end: the intervals of a level
     are the left halves of the previous level's splits, then the right
     halves, then the halves of its crossings that are not brackets, and
-    the unresolved brackets are sorted by their left ends."""
+    the unresolved brackets are sorted by their left ends.  On giving up
+    the error's ``brackets`` holds the grid indices of the crossing
+    brackets it left."""
     span = spec.b - spec.a
     h_cross = span * 1e-6
     h_floor = span * 2.0 ** -40
@@ -796,17 +800,19 @@ def reference_level_sampler(spec, n0=64):
     ts = np.concatenate([t for t, _v in leaves])
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
-    sampled = SampledPath(ts, np.concatenate([v for _t, v in leaves])[order],
-                          brackets=np.searchsorted(ts, np.sort(np.concatenate([np.empty(0)] + brackets))))
+    sampled = SampledPath(ts, np.concatenate([v for _t, v in leaves])[order])
     if len(lo):
         first = np.argsort(lo, kind="stable")
-        brackets = list(zip(lo[first].tolist(), hi[first].tolist()))
-        raise RefinementBudgetExceeded(
-            f"refinement budget exhausted on {len(brackets)} bracket(s), "
-            f"first near t={brackets[0][0]!r}",
+        unresolved = list(zip(lo[first].tolist(), hi[first].tolist()))
+        err = RefinementBudgetExceeded(
+            f"refinement budget exhausted on {len(unresolved)} bracket(s), "
+            f"first near t={unresolved[0][0]!r}",
             sampled=sampled,
-            unresolved=brackets,
+            unresolved=unresolved,
         )
+        # the reference's own crossing brackets on its partial grid
+        err.brackets = np.searchsorted(ts, np.sort(np.concatenate([np.empty(0)] + brackets)))
+        raise err
     return sampled
 
 
@@ -853,7 +859,7 @@ def test_give_up_matches_level_synchronous_reference(name, n0):
         assert str(got.value) == str(want.value)
         assert unresolved == want.value.unresolved
         assert same_bits(part.params, want.value.sampled.params)
-        assert same_bits(part.brackets, want.value.sampled.brackets)
+        assert same_bits(_crossing_brackets(part), want.value.brackets)
 
 
 @pytest.mark.parametrize("n0", [1, 7, 64])
@@ -916,13 +922,12 @@ def halving_sampler():
 def assert_obstructions_match_the_halving_route(spec, label):
     with halving_sampler():
         want_sp, want_sampling = sample_path(spec)
-    assert not len(want_sp.brackets)
     want = hl.find_obstructions(want_sp, spec)
     sp, sampling = sample_path(spec)
     got = hl.find_obstructions(sp, spec)
     assert sampling == want_sampling, label
     assert_same_report(got, want, spec, label)
-    return len(sp.brackets)
+    return len(_crossing_brackets(sp))
 
 
 def test_crossing_brackets_find_the_contacts_of_the_halving_route():
@@ -1142,5 +1147,5 @@ def test_crossing_brackets_spare_the_halving_levels(n):
     sp, _sampling = sample_path(spec)
     # a crossing on a node of the first grid is a real sample, whose
     # edges find_obstructions solves; every other crossing is a bracket
-    assert len(sp.brackets) + len(sp.stretches) == 2 * n + 1
+    assert len(_crossing_brackets(sp)) + len(sp.stretches) == 2 * n + 1
     assert meter.points < HALVING_SAMPLE_POINTS[n]

@@ -206,8 +206,14 @@ def test_analyze_takes_no_companion_options(extra):
 
 
 def test_bad_eps_real_rejected():
-    code, _ = run_cli("analyze", "--demo", "sigma_arc", "--eps-real", "0.5")
-    assert code == 1
+    # the range is config.Tolerances' own check, with one error line
+    for eps_real in ("0.5", "0", "-1", "nan"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli("analyze", "--demo", "sigma_arc", "--eps-real", eps_real)
+        assert code == 1
+        assert err.getvalue() == (
+            f"hyperlog: error: eps_real must lie in [1e-14, 1e-4], got {float(eps_real)!r}\n")
 
 
 def with_tolerances(tol, f, *args):

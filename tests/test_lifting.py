@@ -328,6 +328,12 @@ def test_bad_initial_unit_raises_typed(name, unit, match):
         hl.lift_path(hl.demo(name).path, initial_unit=np.array(unit))
 
 
+@pytest.mark.parametrize("k0", [0.5, 1.0, "0", None])
+def test_a_branch_index_that_is_no_integer_raises(k0):
+    with pytest.raises(ValueError, match="k0 must be an integer"):
+        hl.lift_path(hl.demo("slice_circle(i,1,1)").path, k0=k0)
+
+
 def test_initial_unit_mismatch_raises():
     spec = hl.demo("slice_circle(i,1,1)").path
     rot = hl.rotate_basepoint(spec, 1.0)  # starts at a non-real point

@@ -108,6 +108,28 @@ def test_a_real_set_at_the_seam_is_one_wrap_contact(eps_real):
     assert not rep.runs
 
 
+@pytest.mark.parametrize("eps_real", [0.0, -1.0, math.nan, 1e-15, 1e-3])
+def test_a_threshold_outside_its_range_raises(eps_real):
+    # under eps_real = 0 lambda_loop would lose its flip at -1 silently
+    with pytest.raises(ValueError, match="eps_real must lie in"):
+        config.Tolerances(eps_real)
+
+
+def test_a_fallback_grid_finds_the_crossings_between_its_samples():
+    # the rocket makes the adaptive sampler give up, and the three turns
+    # of the unit circle after it cross -1 between samples of the
+    # uniform grid, at 1 + pi, 1 + 3 pi and 1 + 5 pi
+    circle = hl.demo("slice_circle(i,1,1)").path
+    spec = hl.concat(hl.demo("rocket_pos").path, hl.repeat(circle, 3), closed=True)
+    sampled, sampling = sample_path(spec)
+    rep = hl.find_obstructions(sampled, spec)
+    assert sampling == "uniform_fallback"
+    assert (len(rep.contacts), len(rep.big_arcs)) == (7, 6)
+    at_minus_one = [c.t for c in rep.contacts if c.value < 0.0]
+    assert at_minus_one == pytest.approx([1 + PI, 1 + 3 * PI, 1 + 5 * PI], abs=1e-9)
+    assert all(c.kind == FLIP for c in rep.contacts if c.value < 0.0)
+
+
 def test_circle_contacts_are_flips():
     rep = report_for("slice_circle(i,1,1)")
     c = contact_at(rep, PI)

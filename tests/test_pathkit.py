@@ -17,6 +17,7 @@ from hyperlog.errors import (
     RefinementBudgetExceeded,
     ZeroOnPath,
 )
+from hyperlog.obstruction import _crossing_brackets
 from hyperlog.pathkit import (
     Arc,
     Line,
@@ -32,6 +33,7 @@ from hyperlog.pathkit import (
     sample_path,
     segment_from_json,
     segment_to_json,
+    to_json,
 )
 
 from test_batched_eval import corpus_paths
@@ -679,27 +681,31 @@ def test_crossing_brackets_hold_a_reversal_between_non_real_ends():
     cos_tol = math.cos(2.0 * config.THETA_TOL)
     seen = 0
     for key, spec in corpus_paths():
-        sp, sampling = sample_path(spec)
-        k = sp.brackets
-        assert k.dtype == np.intp and not k.flags.writeable
-        assert "brackets" not in repr(sp)
-        if sampling != "adaptive":
-            assert not len(k), key
-            continue
+        sp, _sampling = sample_path(spec)
+        k = _crossing_brackets(sp)
         assert np.all(np.diff(k) > 0), key
         assert not len(k) or (0 <= k[0] and k[-1] < len(sp.params) - 1), key
         assert not (sp.real[k] | sp.real[k + 1]).any(), key
         u = sp.values[:, 1:] / np.where(sp.real, 1.0, sp.ims)[:, None]
         assert np.all(np.einsum("nd,nd->n", u[k], u[k + 1]) <= -cos_tol), key
+        # each bracket holds a contact of the report, or lies within
+        # 1e-4 of the span of one: a root found that near a known item
+        # is that item
+        ts = np.array([c.t for c in hl.find_obstructions(sp, spec).contacts])
+        near = 1e-4 * (spec.b - spec.a)
+        for lo, hi in zip(sp.params[k], sp.params[k + 1]):
+            assert ((ts >= lo - near) & (ts <= hi + near)).any(), (key, lo, hi)
         seen += len(k)
-        # a grid read back from CSV, sampled uniformly or re-rooted after
-        # find_obstructions has read its brackets has none
-        assert not len(SampledPath.from_csv(sp.to_csv()).brackets)
-        assert not len(hl.sample_uniform(spec, 257).brackets)
-        if spec.closed and len(k):
-            i_star = int(np.argmax(sp.ims))
-            assert not len(winding._reroot(sp, spec, sp.params[i_star]).brackets), key
     assert seen > 100
+
+
+def test_a_grid_read_back_from_csv_keeps_its_report():
+    # the report reads everything off the grid's parameters and values
+    for key, spec in corpus_paths():
+        sp, _sampling = sample_path(spec)
+        back = SampledPath.from_csv(sp.to_csv())
+        assert to_json(hl.find_obstructions(back, spec)) == to_json(
+            hl.find_obstructions(sp, spec)), key
 
 
 def test_sampled_geometry_is_not_a_field():

@@ -23,6 +23,7 @@ from hyperlog.errors import (
     TwistedLoop,
     ZeroOnPath,
 )
+from hyperlog.obstruction import _crossing_brackets
 from hyperlog.pathkit import Line, sample_path
 from hyperlog.winding import alternating_sum
 
@@ -301,7 +302,7 @@ def test_a_basepoint_inside_a_crossing_bracket_becomes_a_node(name):
     spec = hl.demo(name).path
     period = spec.b - spec.a
     sp, _ = sample_path(spec)
-    for k in sp.brackets.tolist():
+    for k in _crossing_brackets(sp).tolist():
         t = 0.5 * (sp.params[k] + sp.params[k + 1])
         grid = hl.winding._reroot(sp, spec, t)
         assert len(grid.params) == len(sp.params) + 1
@@ -640,7 +641,7 @@ def test_a_near_miss_of_the_axis_is_not_a_flip(eps):
     # read as a flip, the turn would make it twisted
     spec = near_miss_loop(eps)
     sp = hl.sample_adaptive(spec)
-    assert not len(sp.brackets)
+    assert not len(_crossing_brackets(sp))
     assert not hl.find_obstructions(sp, spec).contacts
     res = hl.analyze_loop(spec)
     assert (res.twisted, res.winding) == (False, 0)
