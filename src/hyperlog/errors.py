@@ -37,8 +37,9 @@ class RefinementBudgetExceeded(HyperlogError):
     """Adaptive sampling gave up before resolving the path.
 
     Carries the partially refined sample set and the brackets that could
-    not be resolved, so callers can decide whether to fall back to plain
-    uniform sampling.
+    not be resolved.  Only callers of sample_adaptive read them:
+    sample_path falls back to uniform sampling from the same refinement
+    without building either.
     """
 
     def __init__(self, message, sampled=None, unresolved=()):

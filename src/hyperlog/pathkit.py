@@ -23,6 +23,7 @@ import io
 import math
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -720,6 +721,9 @@ EVAL_BUDGET = 8 * FALLBACK_SAMPLES
 # samples, and the depth at which refinement gives up
 THETA_STEP = 0.1
 D_MAX = 24
+# intervals of the adaptive sampler's first grid, unless sample_adaptive
+# is given another n0
+N0 = 64
 
 
 def _geometry(ts, values, tol) -> tuple:
@@ -796,12 +800,20 @@ def _first_grid(spec: PathSpec, n: int) -> np.ndarray:
     return np.union1d(np.linspace(spec.a, spec.b, n + 1), spec._cuts)
 
 
-# columns of the adaptive sampler's node rows: the parameter, |q|, |Im q|
-# and the realness flag, then the value q and the unit of Im q (see _geometry)
-_T, _MAG, _IM, _REAL, _V = range(5)
+class _Nodes(NamedTuple):
+    """The adaptive sampler's evaluated nodes, one buffer per column: the
+    parameter t, |q|, |Im q|, the realness flag (0.0 or 1.0), the value q and
+    the unit of Im q (see _geometry).  Row n of each is node n."""
+
+    t: np.ndarray
+    mag: np.ndarray
+    im: np.ndarray
+    real: np.ndarray
+    v: np.ndarray
+    unit: np.ndarray
 
 
-def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
+def sample_adaptive(spec: PathSpec, n0: int = N0) -> SampledPath:
     """Refine a first grid until the path is geometrically resolved.
 
     The first grid is n0 equal intervals with the joins of the path's
@@ -832,9 +844,14 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     point apart, where find_obstructions finds the crossing (see
     obstruction._crossing_brackets).  Refinement runs level by level:
     the midpoints of all intervals of one depth are evaluated in one
-    call, and the midpoints of the intervals that need a split, or hold
-    a crossing, are inserted into the grid, which stays sorted; the
-    halves of those intervals that are not brackets are the next level's.
+    call and written once, after the nodes so far, to buffers of one
+    column each (t, |q|, |Im q|, the realness flag, the value and the
+    unit; see _Nodes).  An interval is the pair (li, ri) of its nodes'
+    buffer rows; the midpoint of one that needs a split, or holds a
+    crossing, is inserted into the grid as row mi, and its halves
+    (li, mi) and (mi, ri), less a crossing's bracket, are the next
+    level's.  The grid is assembled once, at the end: the first grid's
+    rows and the inserted ones, sorted by t.
 
     Giving up raises RefinementBudgetExceeded, which is the designed
     failure mode for paths whose direction oscillates without limit near
@@ -852,55 +869,10 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     if not isinstance(n0, (int, np.integer)) or n0 < 1:
         raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
     tol = config.IN_FORCE.get()
-    span = spec.b - spec.a
-    h_cross = span * 1e-6
-    h_floor = span * 2.0 ** -40
-
-    def rows_at(ts: np.ndarray) -> np.ndarray:
-        v = spec.values(ts)
-        mag, im, real, unit = _geometry(ts, v, tol)
-        return np.column_stack((ts, mag, im, real, v, unit))
-
-    nodes = rows_at(_first_grid(spec, n0))
-    evaluations = len(nodes)
-    k = np.arange(len(nodes) - 1)  # the intervals [nodes[k], nodes[k + 1]] still to test
-    depth = 0
-    while len(k):
-        k = k[nodes[k + 1, _T] - nodes[k, _T] > h_floor]
-        if evaluations + len(k) > EVAL_BUDGET:
-            break
-        left, right = nodes[k], nodes[k + 1]
-        mid = rows_at(0.5 * (left[:, _T] + right[:, _T]))
-        evaluations += len(k)
-        split, halves = _needs_split(left, mid, right, h_cross, tol, k, len(nodes) - 1)
-        if depth >= D_MAX:
-            # no midpoint goes in: a crossing's bracket is its interval
-            k = k[split]
-            break
-        grow = split
-        if len(halves):
-            grow = split.copy()
-            grow[halves // 2] = True
-            # the same halves, counted among those of the growing intervals
-            halves = 2 * np.cumsum(grow)[halves // 2] - 2 + halves % 2
-        # the midpoint of the j-th growing interval becomes row k[j] + j + 1
-        k = k[grow]
-        k += np.arange(len(k))
-        fresh = np.zeros(len(nodes) + len(k), dtype=bool)
-        fresh[k + 1] = True
-        grown = np.empty((len(fresh), nodes.shape[1]))
-        grown[~fresh] = nodes
-        grown[fresh] = mid[grow]
-        nodes = grown
-        # both halves of a split go on to the next level; of a crossing,
-        # the half that holds the reversal is its bracket, the other goes on
-        k = np.add.outer(k, (0, 1)).ravel()
-        k = np.delete(k, halves) if len(halves) else k
-        depth += 1
-
-    sampled = SampledPath(nodes[:, _T].copy(), nodes[:, _V:_V + spec.dim].copy(), tol)
-    if len(k):
-        brackets = list(zip(nodes[k, _T].tolist(), nodes[k + 1, _T].tolist()))
+    nodes, rows, lo, hi = _refine(spec, n0, tol)
+    sampled = _grid(nodes, rows, tol)
+    if len(lo):
+        brackets = list(zip(lo.tolist(), hi.tolist()))
         raise RefinementBudgetExceeded(
             f"refinement budget exhausted on {len(brackets)} bracket(s), "
             f"first near t={brackets[0][0]!r}",
@@ -910,25 +882,115 @@ def sample_adaptive(spec: PathSpec, n0: int = 64) -> SampledPath:
     return sampled
 
 
-def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
-    """(split, halves) of the intervals with node rows left, right and
-    midpoint rows mid under the tolerances tol, intervals k, in
-    increasing order, of a grid of count intervals: which need a split, and,
-    for each one left unsplit as an axis crossing, its half that holds
-    the reversal of the direction, numbered 2j for the left half of row
-    j and 2j + 1 for its right half."""
-    length = right[:, _T] - left[:, _T]
-    reals = left[:, _REAL] + mid[:, _REAL] + right[:, _REAL]
+def _refine(spec: PathSpec, n0: int, tol: config.Tolerances) -> tuple:
+    """(nodes, rows, lo, hi) of sample_adaptive's refinement of spec from
+    its first grid of n0 intervals under tol: the evaluated nodes (a
+    _Nodes), the rows of them that make the grid, in the order they went
+    in (see _grid), and the unresolved brackets [lo, hi], sorted by lo,
+    none when the path was resolved."""
+    span = spec.b - spec.a
+    h_cross = span * 1e-6
+    h_floor = span * 2.0 ** -40
+    first = _first_grid(spec, n0)
+    # no more rows than the budget allows are evaluated; the columns share
+    # one allocation, whose pages of rows never written stay untouched
+    size, dim = max(len(first), EVAL_BUDGET), spec.dim
+    flat = np.empty((2 * dim + 3) * size)
+    nodes = _Nodes(*flat[:4 * size].reshape(4, size),
+                   flat[4 * size:(4 + dim) * size].reshape(size, dim),
+                   flat[(4 + dim) * size:].reshape(size, dim - 1))
+    evaluations = 0
+
+    def evaluate(ts: np.ndarray) -> slice:
+        # the rows of new nodes at ts, written after the rows so far
+        nonlocal evaluations
+        rows = slice(evaluations, evaluations + len(ts))
+        values = spec.values(ts)
+        nodes.t[rows], nodes.v[rows] = ts, values
+        nodes.mag[rows], nodes.im[rows], nodes.real[rows], nodes.unit[rows] = _geometry(
+            ts, values, tol)
+        evaluations = rows.stop
+        return rows
+
+    grid = [np.arange(len(first))]
+    evaluate(first)
+    count = len(first) - 1  # intervals of the grid
+    li, ri = grid[0][:-1], grid[0][1:]
+    k = li.copy()  # the place of each interval li[j], ri[j] in the grid
+    depth = 0
+    while len(k):
+        t_l, t_r = nodes.t[li], nodes.t[ri]
+        keep = t_r - t_l > h_floor
+        k, li, ri = k[keep], li[keep], ri[keep]
+        if evaluations + len(k) > EVAL_BUDGET:
+            break
+        # the midpoints' rows are one slice while they are tested
+        mi = evaluate(0.5 * (t_l[keep] + t_r[keep]))
+        split, halves = _needs_split(nodes, li, mi, ri, h_cross, tol, k, count)
+        if depth >= D_MAX:
+            # no midpoint goes in: a crossing's bracket is its interval
+            k, li, ri = k[split], li[split], ri[split]
+            break
+        grow = split
+        if len(halves):
+            grow = split.copy()
+            grow[halves // 2] = True
+            # the same halves, counted among those of the growing intervals
+            halves = 2 * np.cumsum(grow)[halves // 2] - 2 + halves % 2
+        # the midpoint of the j-th growing interval takes place k[j] + j + 1
+        k, li, ri = k[grow], li[grow], ri[grow]
+        mi = mi.start + np.flatnonzero(grow)
+        k += np.arange(len(k))
+        grid.append(mi)
+        count += len(mi)
+        # both halves of a split go on to the next level; of a crossing,
+        # the half that holds the reversal is its bracket, the other goes on
+        k, li, ri = _interleave(k, k + 1), _interleave(li, mi), _interleave(mi, ri)
+        if len(halves):
+            keep = np.ones(len(k), dtype=bool)
+            keep[halves] = False
+            k, li, ri = k[keep], li[keep], ri[keep]
+        depth += 1
+
+    return nodes, np.concatenate(grid), nodes.t[li], nodes.t[ri]
+
+
+def _grid(nodes: _Nodes, rows: np.ndarray, tol: config.Tolerances) -> SampledPath:
+    """The grid of the rows of nodes, assembled once: sorted by t."""
+    rows = rows[np.argsort(nodes.t[rows])]
+    return SampledPath(nodes.t[rows], nodes.v[rows], tol)
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...: a and b of one length, interleaved."""
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
+
+
+def _needs_split(nodes, li, mi, ri, h_cross, tol, k, count) -> tuple:
+    """(split, halves) of the intervals with node rows li, ri and midpoint
+    rows mi (an index array or a slice) of nodes, a _Nodes, under the
+    tolerances tol, intervals k, in increasing order, of a grid of count
+    intervals: which need a split, and, for each one left unsplit as an
+    axis crossing, its half that holds the reversal of the direction,
+    numbered 2j for the left half of interval j and 2j + 1 for its right
+    half."""
+    length = nodes.t[ri] - nodes.t[li]
+    real_l, real_m, real_r = nodes.real[li], nodes.real[mi], nodes.real[ri]
+    im_l, im_m, im_r = nodes.im[li], nodes.im[mi], nodes.im[ri]
+    mag_l, mag_m, mag_r = nodes.mag[li], nodes.mag[mi], nodes.mag[ri]
+    x_l, x_m, x_r = nodes.v[li, 0], nodes.v[mi, 0], nodes.v[ri, 0]
+    reals = real_l + real_m + real_r
     # an interval that looks like it brackets a contact
-    contact = (reals > 0.0) | (mid[:, _IM] < 0.3 * np.minimum(left[:, _IM], right[:, _IM]))
-    mags_max = np.maximum(np.maximum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
-    mags_min = np.minimum(np.minimum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
-    # a row holds _V + dim + (dim - 1) columns, the unit last
-    unit = slice(_V + (left.shape[1] - _V + 1) // 2, None)
+    contact = (reals > 0.0) | (im_m < 0.3 * np.minimum(im_l, im_r))
+    mags_max = np.maximum(np.maximum(mag_l, mag_m), mag_r)
+    mags_min = np.minimum(np.minimum(mag_l, mag_m), mag_r)
     # compare both halves: an endpoint-only test can alias against
     # direction fields that rotate through full turns between nodes
-    d1 = row_dots(left[:, unit], mid[:, unit])
-    d2 = row_dots(mid[:, unit], right[:, unit])
+    unit_m = nodes.unit[mi]
+    d1 = row_dots(nodes.unit[li], unit_m)
+    d2 = row_dots(unit_m, nodes.unit[ri])
     closeness = np.minimum(np.abs(d1), np.abs(d2))
     back1, back2 = d1 < 0.0, d2 < 0.0
     long = length > h_cross
@@ -941,8 +1003,8 @@ def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
     # a real run cannot pass through 0, so three real rows whose real
     # parts differ in sign are not one run: a grid whose spacing a loop's
     # period divides can put every node and midpoint on the axis
-    sign = np.sign(mid[:, _V])
-    mixed = (np.sign(left[:, _V]) != sign) | (np.sign(right[:, _V]) != sign)
+    sign = np.sign(x_m)
+    mixed = (np.sign(x_l) != sign) | (np.sign(x_r) != sign)
     split = np.where(contact, long & ((reals < 3.0) | mixed), turning | crossing)
     # An interval with one real node and a non-real midpoint stops when
     # its non-real half (the midpoint and the non-real node) is aligned
@@ -954,8 +1016,8 @@ def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
     # that its halves have one.
     e = np.flatnonzero(reals == 1.0)
     if len(e):
-        e = e[split[e] & (mid[e, _REAL] == 0.0)]
-        on_left = left[e, _REAL] != 0.0
+        e = e[split[e] & (real_m[e] == 0.0)]
+        on_left = real_l[e] != 0.0
         steady = (np.where(on_left, d2[e], d1[e]) >= math.cos(THETA_STEP)) & (
             mags_max[e] / mags_min[e] <= 1.1)
         e, on_left = e[steady], on_left[steady]
@@ -978,15 +1040,15 @@ def _needs_split(left, mid, right, h_cross, tol, k, count) -> tuple:
         # stretch of the grid.
         c = c[(contact[c] | ~turning[c]) & (
             8.0 * tol.eps_real * mags_max[c] * length[c]
-            < h_cross * (left[c, _IM] + right[c, _IM]))]
+            < h_cross * (im_l[c] + im_r[c]))]
         # It is a bracket only while the argument of x + i<Im, u> (u the
         # direction at the left end) turns by less than a quarter turn
         # over both halves: three nodes of a path that turns by more can
         # alias several crossings into one.  Aligned as the nodes are,
         # <Im, u> is |Im| d1 at the midpoint and -|Im| at the right end.
-        z_l = left[c, _V] + 1j * left[c, _IM]
-        z_m = mid[c, _V] + 1j * (mid[c, _IM] * d1[c])
-        z_r = right[c, _V] - 1j * right[c, _IM]
+        z_l = x_l[c] + 1j * im_l[c]
+        z_m = x_m[c] + 1j * (im_m[c] * d1[c])
+        z_r = x_r[c] - 1j * im_r[c]
         c = c[np.abs(np.angle(z_m / z_l)) + np.abs(np.angle(z_r / z_m)) < math.pi / 2]
         split[c] = False
         c = 2 * c + back2[c]
@@ -999,10 +1061,13 @@ def sample_path(spec: PathSpec) -> tuple[SampledPath, str]:
     sample_uniform(spec, FALLBACK_SAMPLES), whose grid holds the joins
     as the adaptive sampler's first grid does, so that a contact at a
     join lies on a node; the second item names the sampler that ran,
-    "adaptive" or "uniform_fallback".  Every question samples its path
-    here, through obstruction.obstruct_path, so none of them takes a
-    sampling parameter."""
-    try:
-        return sample_adaptive(spec), "adaptive"
-    except RefinementBudgetExceeded:
+    "adaptive" or "uniform_fallback".  The refinement is sample_adaptive's;
+    on giving up no partial grid or list of brackets is built, since
+    none is read.  Every question samples its path here, through
+    obstruction.obstruct_path, so none of them takes a sampling
+    parameter."""
+    tol = config.IN_FORCE.get()
+    nodes, rows, lo, _hi = _refine(spec, N0, tol)
+    if len(lo):
         return sample_uniform(spec, FALLBACK_SAMPLES), "uniform_fallback"
+    return _grid(nodes, rows, tol), "adaptive"

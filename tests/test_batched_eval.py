@@ -875,25 +875,117 @@ def test_depth_limit_gives_up_around_the_crossing(n0):
     assert all(hi - lo == pytest.approx(length) for lo, hi in unresolved)
 
 
+@pytest.mark.parametrize("name", ["rocket_neg", "rocket_pos"])
+def test_a_rocket_gives_up_to_the_uniform_grid(name):
+    # sample_path falls back to the uniform grid itself, bit for bit;
+    # sample_adaptive's error still carries the partial grid and the
+    # brackets, which sample_path does not build
+    spec = hl.demo(name).path
+    sp, sampling = sample_path(spec)
+    want = hl.sample_uniform(spec, pathkit.FALLBACK_SAMPLES)
+    assert sampling == "uniform_fallback"
+    assert same_bits(sp.params, want.params) and same_bits(sp.values, want.values)
+    with pytest.raises(RefinementBudgetExceeded) as err:
+        hl.sample_adaptive(spec)
+    unresolved = err.value.unresolved
+    assert len(err.value.sampled.params) == 19144
+    assert len(unresolved) == 11066
+    assert unresolved == sorted(unresolved)
+
+
+def row_matrix_sampler(spec, n0):
+    """(params, values, unresolved) of the sampler's level loop as it was
+    before its nodes went to column buffers: one sorted matrix of node
+    rows (t, |q|, |Im q|, the realness flag, the value, the unit),
+    gathered at each level and rebuilt with that level's midpoints
+    inserted.  It asks the library's split test, through columns of the
+    grid's rows followed by the midpoints'."""
+    tol = config.IN_FORCE.get()
+    span = spec.b - spec.a
+    h_cross = span * 1e-6
+    h_floor = span * 2.0 ** -40
+    dim = spec.dim
+
+    def rows_at(ts):
+        v = spec.values(ts)
+        mag, im, real, unit = pathkit._geometry(ts, v, tol)
+        return np.column_stack((ts, mag, im, real, v, unit))
+
+    nodes = rows_at(pathkit._first_grid(spec, n0))
+    evaluations = len(nodes)
+    k = np.arange(len(nodes) - 1)
+    depth = 0
+    while len(k):
+        k = k[nodes[k + 1, 0] - nodes[k, 0] > h_floor]
+        if evaluations + len(k) > EVAL_BUDGET:
+            break
+        mid = rows_at(0.5 * (nodes[k, 0] + nodes[k + 1, 0]))
+        evaluations += len(k)
+        rows = np.concatenate((nodes, mid))
+        columns = pathkit._Nodes(*rows[:, :4].T, rows[:, 4:4 + dim], rows[:, 4 + dim:])
+        split, halves = pathkit._needs_split(
+            columns, k, len(nodes) + np.arange(len(k)), k + 1, h_cross, tol, k, len(nodes) - 1)
+        if depth >= pathkit.D_MAX:
+            k = k[split]
+            break
+        grow = split
+        if len(halves):
+            grow = split.copy()
+            grow[halves // 2] = True
+            halves = 2 * np.cumsum(grow)[halves // 2] - 2 + halves % 2
+        k = k[grow]
+        k += np.arange(len(k))
+        fresh = np.zeros(len(nodes) + len(k), dtype=bool)
+        fresh[k + 1] = True
+        grown = np.empty((len(fresh), nodes.shape[1]))
+        grown[~fresh] = nodes
+        grown[fresh] = mid[grow]
+        nodes = grown
+        k = np.add.outer(k, (0, 1)).ravel()
+        k = np.delete(k, halves) if len(halves) else k
+        depth += 1
+    unresolved = list(zip(nodes[k, 0].tolist(), nodes[k + 1, 0].tolist()))
+    return nodes[:, 0], nodes[:, 4:4 + dim], unresolved
+
+
+@pytest.mark.parametrize("n0", [1, 7, 64])
+def test_column_buffers_sample_as_the_row_matrix_did(n0):
+    # the grid, its values and the unresolved brackets, bit for bit, on
+    # every corpus case and its variants (rotated copies of the closed
+    # ones among them), whether the sampler resolves the path or gives up
+    gave_up = 0
+    for label, spec in corpus_paths():
+        params, values, unresolved = row_matrix_sampler(spec, n0)
+        try:
+            sp, got = hl.sample_adaptive(spec, n0), []
+        except RefinementBudgetExceeded as err:
+            sp, got = err.sampled, err.unresolved
+            gave_up += 1
+        assert same_bits(sp.params, params), label
+        assert same_bits(sp.values, values), label
+        assert got == unresolved, label
+    assert gave_up >= 8
+
+
 # ---------------------------------------------------------------------------
 # crossing brackets against the halving route
 
 
-def halving_needs_split(left, mid, right, h_cross, tol, _k, _count):
+def halving_needs_split(nodes, li, mi, ri, h_cross, tol, _k, _count):
     """The sampler's split test from before crossings became brackets:
     every reversal of the direction in one half is halved down to
-    h_cross, and no interval is left as a bracket."""
-    _T, _MAG, _IM, _REAL, _V = range(5)
-    length = right[:, _T] - left[:, _T]
-    real_l, real_m, real_r = left[:, _REAL] != 0.0, mid[:, _REAL] != 0.0, right[:, _REAL] != 0.0
+    h_cross, and no interval is left as a bracket.  It reads the
+    sampler's columns as pathkit._needs_split does, through the node rows
+    li, ri and the midpoint rows mi."""
+    length = nodes.t[ri] - nodes.t[li]
+    real_l, real_m, real_r = nodes.real[li] != 0.0, nodes.real[mi] != 0.0, nodes.real[ri] != 0.0
     all_real = real_l & real_m & real_r
     contact = real_l | real_m | real_r
-    contact |= mid[:, _IM] < 0.3 * np.minimum(left[:, _IM], right[:, _IM])
-    mags_max = np.maximum(np.maximum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
-    mags_min = np.minimum(np.minimum(left[:, _MAG], mid[:, _MAG]), right[:, _MAG])
-    unit = slice(_V + (left.shape[1] - _V + 1) // 2, None)
-    d1 = np.einsum("nd,nd->n", left[:, unit], mid[:, unit])
-    d2 = np.einsum("nd,nd->n", mid[:, unit], right[:, unit])
+    contact |= nodes.im[mi] < 0.3 * np.minimum(nodes.im[li], nodes.im[ri])
+    mags_max = np.maximum(np.maximum(nodes.mag[li], nodes.mag[mi]), nodes.mag[ri])
+    mags_min = np.minimum(np.minimum(nodes.mag[li], nodes.mag[mi]), nodes.mag[ri])
+    d1 = np.einsum("nd,nd->n", nodes.unit[li], nodes.unit[mi])
+    d2 = np.einsum("nd,nd->n", nodes.unit[mi], nodes.unit[ri])
     aligned = np.minimum(np.abs(d1), np.abs(d2)) >= math.cos(pathkit.THETA_STEP)
     long = length > h_cross
     turning = (
@@ -903,20 +995,29 @@ def halving_needs_split(left, mid, right, h_cross, tol, _k, _count):
         | (((d1 < 0.0) | (d2 < 0.0)) & long)
     )
     # a real run cannot pass through 0
-    x = np.sign([left[:, _V], mid[:, _V], right[:, _V]])
+    x = np.sign([nodes.v[li, 0], nodes.v[mi, 0], nodes.v[ri, 0]])
     run = all_real & (x[0] == x[1]) & (x[1] == x[2])
     return np.where(contact, long & ~run, turning), np.empty(0, dtype=np.intp)
 
 
 @contextlib.contextmanager
 def halving_sampler():
-    """The library's sampler under the halving split test."""
-    needs_split = pathkit._needs_split
-    pathkit._needs_split = halving_needs_split
+    """The library's sampler under the halving split test, which it must
+    call: a sampler that bound its split test elsewhere would compare
+    with itself."""
+    calls = []
+
+    def needs_split(*args):
+        calls.append(len(args[1]))
+        return halving_needs_split(*args)
+
+    saved = pathkit._needs_split
+    pathkit._needs_split = needs_split
     try:
         yield
     finally:
-        pathkit._needs_split = needs_split
+        pathkit._needs_split = saved
+    assert calls, "the sampler did not call pathkit._needs_split"
 
 
 def assert_obstructions_match_the_halving_route(spec, label):
